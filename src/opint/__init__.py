@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .errors import (
     BoundaryEigenvalueError,
     BoundaryEigenvalueWarning,
+    BoundViolationError,
     CertificateViolationError,
     ContourConstructionError,
     GapViolationError,

@@ -17,6 +17,7 @@ from . import __version__
 from .enorm import check_enorm_sandwich
 from .errors import (
     BoundaryEigenvalueError,
+    BoundViolationError,
     CertificateViolationError,
     ContourConstructionError,
     GapViolationError,
@@ -276,7 +277,7 @@ def build_parser():
     p.add_argument("--function", required=True,
                    help='one of "affine:p,q", "poly:c0,c1,...", '
                         '"resolvent:A,D" (matrix names from the file)')
-    p.add_argument("--grid-levels", type=int, default=20)
+    p.add_argument("--grid-levels", type=int, default=60)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output")
     p.set_defaults(func=cmd_integrate)
@@ -293,7 +294,7 @@ def main(argv=None):
         return EXIT_INVALID_INPUT
     except (NotNormalError, GapViolationError, SingularSystemError,
             ZeroQuadraticTermError, BoundaryEigenvalueError,
-            ContourConstructionError) as exc:
+            ContourConstructionError, BoundViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (NoConvergenceError, MaxIterationsError,

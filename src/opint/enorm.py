@@ -9,7 +9,7 @@ measured in.
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import BoundViolationError, ShapeMismatchError
 from .linalg import DEFAULT_TOLERANCES, adjoint, hs_norm, operator_norm
 from .stieltjes import OperatorFunction, exact_left_integral
 
@@ -24,21 +24,21 @@ def e_norm(Y, sm):
     additive and the operator norm subadditive the partition sum can
     only grow under refinement, so for a finite spectrum the supremum
     over Borel partitions is attained when every atom is its own set.
+    Each term ||Y* P_k Y|| = ||Q_k* Y||^2 is one row block of Q* Y.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] != sm.dim:
         raise ShapeMismatchError(
             f"Y must have {sm.dim} rows to match the measure, got {Y.shape}")
-    total = 0.0
-    for P in sm.projections:
-        total += operator_norm(adjoint(Y) @ P @ Y)
-    return float(np.sqrt(total))
+    W = adjoint(sm.columns(range(len(sm)))) @ Y
+    blocks = np.split(W, np.cumsum(sm.multiplicities)[:-1])
+    return float(np.sqrt(sum(operator_norm(B) ** 2 for B in blocks)))
 
 
 def check_enorm_sandwich(Y, sm):
     """The triple (||Y||, ||Y||_E, ||Y||_2), verifying its ordering.
 
-    Raises AssertionError when the sandwich
+    Raises BoundViolationError when the sandwich
     ||Y|| <= ||Y||_E <= ||Y||_2 fails beyond 1e-12 relative slack,
     which would indicate a broken measure rather than a borderline
     instance.
@@ -47,8 +47,10 @@ def check_enorm_sandwich(Y, sm):
     en = e_norm(Y, sm)
     hs = hs_norm(Y)
     slack = 1e-12 * max(1.0, op, en, hs)
-    assert op <= en + slack, f"||Y|| = {op} exceeds ||Y||_E = {en}"
-    assert en <= hs + slack, f"||Y||_E = {en} exceeds ||Y||_2 = {hs}"
+    if not op <= en + slack:
+        raise BoundViolationError(f"||Y|| = {op} exceeds ||Y||_E = {en}")
+    if not en <= hs + slack:
+        raise BoundViolationError(f"||Y||_E = {en} exceeds ||Y||_2 = {hs}")
     return op, en, hs
 
 
@@ -57,12 +59,11 @@ def bounded_integral_bound_check(Y, F, sm, rect, tol=DEFAULT_TOLERANCES):
 
     lhs is the norm of the left integral of  z -> Y F(z)  over rect, rhs
     is ||Y||_E times the sup of ||F|| over the eigenvalues in rect.
-    Returns (lhs, rhs) after asserting lhs <= rhs up to solver slack.
+    Returns (lhs, rhs), raising BoundViolationError unless lhs <= rhs
+    up to solver slack.
     """
+    enorm_y = e_norm(Y, sm)  # validates the shape of Y
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.ndim != 2 or Y.shape[0] != sm.dim:
-        raise ShapeMismatchError(
-            f"Y must have {sm.dim} rows to match the measure, got {Y.shape}")
     h = Y.shape[1]
     probe = F(rect.a, rect.c)
     if probe.shape != (h, h):
@@ -74,8 +75,9 @@ def bounded_integral_bound_check(Y, F, sm, rect, tol=DEFAULT_TOLERANCES):
     atoms = sm.atoms_in(rect)
     sup_F = max((operator_norm(F(sm.eigenvalues[k].real, sm.eigenvalues[k].imag))
                  for k in atoms), default=0.0)
-    rhs = e_norm(Y, sm) * sup_F
+    rhs = enorm_y * sup_F
     slack = tol.tol_solve * max(1.0, rhs)
-    assert lhs <= rhs + slack, (
-        f"integral bound violated: {lhs} > {rhs} + {slack}")
+    if not lhs <= rhs + slack:
+        raise BoundViolationError(
+            f"integral bound violated: {lhs} > {rhs} + {slack}")
     return lhs, rhs

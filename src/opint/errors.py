@@ -70,6 +70,11 @@ class CertificateViolationError(OpintError):
         self.certificate = certificate
 
 
+class BoundViolationError(OpintError):
+    """A norm inequality guaranteed by the theory failed numerically,
+    which points at a broken measure rather than a borderline instance."""
+
+
 class BoundaryEigenvalueError(OpintError):
     """An eigenvalue lies within the clustering tolerance of the rectangle
     boundary, so half-open membership is numerically fragile."""

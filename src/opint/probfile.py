@@ -31,20 +31,20 @@ def matrix_from_json(obj, name="matrix"):
     if not isinstance(obj, dict):
         raise InvalidProblemError(f"{name} must be an object, got {type(obj).__name__}")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
         raise InvalidProblemError(f"{name} is missing rows/cols/data") from exc
-    if rows < 1 or cols < 1:
-        raise InvalidProblemError(f"{name} must have positive dimensions")
+    # exact type tests: bool is a subclass of int, and true/false are not sizes
+    if not all(type(v) is int and v >= 1 for v in (rows, cols)):
+        raise InvalidProblemError(
+            f"{name} rows and cols must be positive integers, got {rows!r}, {cols!r}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InvalidProblemError(
             f"{name} data must hold {rows * cols} [re, im] pairs")
     out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(data):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(type(v) in (int, float) for v in pair)):
             raise InvalidProblemError(
                 f"{name} data entry {i} is not a [re, im] pair")
         out[i] = complex(pair[0], pair[1])

@@ -30,6 +30,7 @@ from .linalg import (
     resolvent,
 )
 from .spectral import decompose_normal
+from .stieltjes import OperatorFunction, exact_left_integral
 from .sylvester import BoundCheck
 
 __all__ = [
@@ -166,11 +167,8 @@ def certify(prob, tol=None, n_angles=720):
 
 def _apply_map(prob, sm, X, tol):
     """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}."""
-    shifted = prob.A + prob.B @ X
-    out = np.zeros((prob.k, prob.h), dtype=np.complex128)
-    for k, zeta in enumerate(sm.eigenvalues):
-        out += sm.projections[k] @ prob.D @ resolvent(shifted, zeta, tol)
-    return out
+    G = OperatorFunction.resolvent_family(prob.A + prob.B @ X, prob.D, tol)
+    return exact_left_integral(G, sm, sm.bounding_rect(), tol)
 
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,

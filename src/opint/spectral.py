@@ -3,9 +3,10 @@
 A normal matrix C decomposes as C = sum_k zeta_k P_k with distinct
 eigenvalues zeta_k and mutually orthogonal eigenprojections P_k.  The
 family {P_k} is the atomic realization of the projection-valued measure
-E(.): evaluating E on a set just sums the projections of the eigenvalues
-it contains.  Everything downstream (integral sums, E-norms, equation
-solvers) is built on this object.
+E(.), and it is stored factored: P_k = Q_k Q_k* for the block Q_k of a
+unitary eigenbasis Q, so E(S) = Q_S Q_S* for the columns Q_S of the
+atoms in a set S.  Everything downstream (integral sums, E-norms,
+equation solvers) is built on this object.
 """
 
 import warnings
@@ -69,38 +70,62 @@ class Rect:
 
 @dataclass
 class SpectralMeasure:
-    """Distinct eigenvalues of a normal matrix with their eigenprojections.
+    """Distinct eigenvalues of a normal matrix with their eigenspaces,
+    P_k = Q_k Q_k* for the k-th column block Q_k of `basis`.
 
     Attributes
     ----------
-    dim : int
-        Dimension of the underlying space.
     eigenvalues : (K,) complex ndarray
         Distinct (clustered) eigenvalues.
-    projections : (K, dim, dim) complex ndarray
-        Orthogonal projections onto the corresponding eigenspaces.
+    basis : (dim, dim) complex ndarray
+        Unitary Q whose columns are grouped by atom, in the order of
+        `eigenvalues`.
     multiplicities : (K,) int ndarray
-        Eigenspace dimensions; sums to dim.
+        Eigenspace dimensions, i.e. column-block widths; sums to dim.
     """
 
-    dim: int
     eigenvalues: np.ndarray
-    projections: np.ndarray
+    basis: np.ndarray
     multiplicities: np.ndarray
     spectral_radius: float = field(init=False)
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.complex128)
-        self.projections = np.asarray(self.projections, dtype=np.complex128)
+        self.basis = np.asarray(self.basis, dtype=np.complex128)
         self.multiplicities = np.asarray(self.multiplicities, dtype=int)
+        self._offsets = np.concatenate(([0], np.cumsum(self.multiplicities)))
         self.spectral_radius = float(np.abs(self.eigenvalues).max())
 
     def __len__(self):
         return len(self.eigenvalues)
 
+    @property
+    def dim(self):
+        """Dimension of the underlying space."""
+        return self.basis.shape[0]
+
+    def columns(self, atoms):
+        """Q_S, the basis columns of the atoms in S; E(S) = Q_S Q_S*."""
+        off = self._offsets
+        # the leading empty block keeps the (dim, 0) shape when S is empty
+        return np.concatenate(
+            [self.basis[:, :0]] + [self.basis[:, off[k]:off[k + 1]] for k in atoms],
+            axis=1)
+
+    @property
+    def projections(self):
+        """Dense (K, dim, dim) tensor of the P_k, built on each access."""
+        blocks = (self.columns([k]) for k in range(len(self)))
+        return np.stack([Q @ Q.conj().T for Q in blocks])
+
+    def _weighted(self, values):
+        """sum_k values[k] P_k, for one value per atom."""
+        weights = np.repeat(values, self.multiplicities)
+        return (self.basis * weights) @ self.basis.conj().T
+
     def reconstruct(self):
         """Sum of zeta_k P_k, which should reproduce the source matrix."""
-        return np.einsum("k,kij->ij", self.eigenvalues, self.projections)
+        return self._weighted(self.eigenvalues)
 
     def atoms_in(self, rect):
         """Indices of eigenvalues inside the half-open rectangle."""
@@ -110,20 +135,22 @@ class SpectralMeasure:
         return np.nonzero(mask)[0]
 
     def bounding_rect(self, pad=1.0):
-        """A rectangle that strictly contains every eigenvalue."""
+        """A rectangle clearing every eigenvalue by pad * max(1, radius)."""
         lam = self.eigenvalues.real
         mu = self.eigenvalues.imag
+        pad = pad * max(1.0, self.spectral_radius)
         return Rect(float(lam.min() - pad), float(lam.max() + pad),
                     float(mu.min() - pad), float(mu.max() + pad))
 
 
 def _cluster(values, threshold):
-    """Group values by single-linkage with the given merge threshold.
+    """Group values by centroid linkage with the given merge threshold.
 
-    Agglomerates until every pair of cluster representatives (the
-    multiplicity-weighted means) is separated by more than the threshold,
-    so repeated eigenvalues coming out of a floating-point eigensolver
-    collapse into one atom.
+    Merges the first pair of cluster representatives (the means of their
+    members) within the threshold and starts over, until all are further
+    apart, so repeated eigenvalues coming out of a floating-point
+    eigensolver collapse into one atom.  A chain is not merged end to
+    end: [1, 1 + 0.8t, 1 + 1.6t] gives two clusters.
     """
     groups = [[i] for i in range(len(values))]
     reps = list(values)
@@ -148,16 +175,15 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
 
     Uses the complex Schur form (diagonal for normal input, with
     orthonormal Schur vectors), clusters near-coincident eigenvalues,
-    and rebuilds each projection as V V* from a re-orthonormalized
-    eigenvector block so Hermitian idempotency holds to machine
-    precision.
+    and keeps the Schur vectors, grouped by cluster, as the basis of the
+    measure, so each P_k = Q_k Q_k* is Hermitian and idempotent to
+    machine precision.
 
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2.
     """
     A = as_matrix(C, "C")
     if A.shape[0] != A.shape[1]:
         raise ShapeMismatchError(f"C must be square, got shape {A.shape}")
-    n = A.shape[0]
     norm_sq = max(operator_norm(A) ** 2, 1e-300)
     defect = operator_norm(adjoint(A) @ A - A @ adjoint(A))
     if defect > tol.tol_normal * norm_sq:
@@ -171,20 +197,10 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     groups, reps = _cluster(raw, threshold)
 
     order = np.lexsort((reps.imag, reps.real))
-    eigenvalues = reps[order]
-    projections = np.empty((len(groups), n, n), dtype=np.complex128)
-    multiplicities = np.empty(len(groups), dtype=int)
-    for out_idx, g_idx in enumerate(order):
-        cols = Z[:, groups[g_idx]]
-        Q, _ = np.linalg.qr(cols)
-        P = Q @ Q.conj().T
-        # Symmetrizing makes P[j, i] the exact conjugate of P[i, j].
-        projections[out_idx] = 0.5 * (P + P.conj().T)
-        multiplicities[out_idx] = len(groups[g_idx])
-
-    return SpectralMeasure(dim=n, eigenvalues=eigenvalues,
-                           projections=projections,
-                           multiplicities=multiplicities)
+    return SpectralMeasure(
+        eigenvalues=reps[order],
+        basis=Z[:, np.concatenate([groups[g] for g in order])],
+        multiplicities=[len(groups[g]) for g in order])
 
 
 def measure_of_rect(sm, rect, tol=DEFAULT_TOLERANCES):
@@ -202,19 +218,15 @@ def measure_of_rect(sm, rect, tol=DEFAULT_TOLERANCES):
                 f"eigenvalue {z} lies within {threshold:.2e} of the rectangle "
                 "boundary; half-open membership is fragile",
                 BoundaryEigenvalueWarning, stacklevel=2)
-    out = np.zeros((sm.dim, sm.dim), dtype=np.complex128)
-    for k in sm.atoms_in(rect):
-        out += sm.projections[k]
-    return out
+    Q = sm.columns(sm.atoms_in(rect))
+    return Q @ Q.conj().T
 
 
 def spectral_function(sm, lam, mu):
     """E of the open south-west quadrant {x < lam, y < mu}."""
-    out = np.zeros((sm.dim, sm.dim), dtype=np.complex128)
-    for k, z in enumerate(sm.eigenvalues):
-        if z.real < lam and z.imag < mu:
-            out += sm.projections[k]
-    return out
+    z = sm.eigenvalues
+    Q = sm.columns(np.nonzero((z.real < lam) & (z.imag < mu))[0])
+    return Q @ Q.conj().T
 
 
 def apply_function(sm, f):
@@ -222,7 +234,7 @@ def apply_function(sm, f):
     values = np.array([f(z) for z in sm.eigenvalues], dtype=np.complex128)
     if not np.all(np.isfinite(values)):
         raise ValueError("f is not finite on every eigenvalue")
-    return np.einsum("k,kij->ij", values, sm.projections)
+    return sm._weighted(values)
 
 
 def spectral_invariant_residuals(sm, C=None):
@@ -233,13 +245,14 @@ def spectral_invariant_residuals(sm, C=None):
     source matrix is supplied) reconstruction, the latter relative to
     ||C||.
     """
-    herm = max(operator_norm(P - P.conj().T) for P in sm.projections)
-    idem = max(operator_norm(P @ P - P) for P in sm.projections)
+    projections = sm.projections
+    herm = max(operator_norm(P - P.conj().T) for P in projections)
+    idem = max(operator_norm(P @ P - P) for P in projections)
     ortho = 0.0
     for i in range(len(sm)):
         for j in range(i + 1, len(sm)):
-            ortho = max(ortho, operator_norm(sm.projections[i] @ sm.projections[j]))
-    complete = operator_norm(sm.projections.sum(axis=0) - np.eye(sm.dim))
+            ortho = max(ortho, operator_norm(projections[i] @ projections[j]))
+    complete = operator_norm(projections.sum(axis=0) - np.eye(sm.dim))
     out = {
         "hermitian": herm,
         "idempotent": idem,

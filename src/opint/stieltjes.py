@@ -243,16 +243,33 @@ def _tag_arrays(p, lam_pert, mu_pert):
     return p.custom_tags
 
 
-def _check_right_shape(value, dim):
+def _check_shape(value, dim):
     if value.ndim != 2 or value.shape[1] != dim:
         raise ShapeMismatchError(
-            f"right integrand must return (h x {dim}) matrices, got {value.shape}")
+            f"integrand of shape {value.shape} does not fit a measure on "
+            f"dimension {dim}: right integrands are (h x {dim}), left ones ({dim} x h)")
 
 
-def _check_left_shape(value, dim):
-    if value.ndim != 2 or value.shape[0] != dim:
-        raise ShapeMismatchError(
-            f"left integrand must return ({dim} x h) matrices, got {value.shape}")
+def _spectral_sum(F, sm, cells, empty_tag):
+    """sum F(tag) E(S) over cells (tag_lambda, tag_mu, atoms S).
+
+    Each E(S) = Q_S Q_S* is applied in factored form, (F Q_S) Q_S*, and
+    cells are accumulated in the order given so results are
+    bit-reproducible.  Without cells the result is the zero matrix of
+    the shape of F(empty_tag).
+    """
+    out = None
+    for lam, mu, atoms in cells:
+        value = F(lam, mu)
+        _check_shape(value, sm.dim)
+        Q = sm.columns(atoms)
+        term = (value @ Q) @ Q.conj().T
+        out = term if out is None else out + term
+    if out is None:
+        value = F(*empty_tag)
+        _check_shape(value, sm.dim)
+        out = np.zeros_like(value)
+    return out
 
 
 def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
@@ -264,36 +281,15 @@ def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
     """
     groups, lam, mu = _cell_groups(sm, p.lambda_points, p.mu_points, tol)
     xi, zeta = _tag_arrays(p, lam, mu)
-    out = None
-    for j, k in sorted(groups):
-        value = F(xi[j], zeta[k])
-        _check_right_shape(value, sm.dim)
-        cell_measure = sm.projections[groups[(j, k)]].sum(axis=0)
-        term = value @ cell_measure
-        out = term if out is None else out + term
-    if out is None:
-        value = F(p.lambda_points[0], p.mu_points[0])
-        _check_right_shape(value, sm.dim)
-        out = np.zeros_like(value)
-    return out
+    cells = [(xi[j], zeta[k], groups[(j, k)]) for j, k in sorted(groups)]
+    return _spectral_sum(F, sm, cells, (p.lambda_points[0], p.mu_points[0]))
 
 
 def left_sum(G, sm, p, tol=DEFAULT_TOLERANCES):
-    """Integral sum  sum_jk E(cell_jk) G(xi_j, zeta_k)."""
-    groups, lam, mu = _cell_groups(sm, p.lambda_points, p.mu_points, tol)
-    xi, zeta = _tag_arrays(p, lam, mu)
-    out = None
-    for j, k in sorted(groups):
-        value = G(xi[j], zeta[k])
-        _check_left_shape(value, sm.dim)
-        cell_measure = sm.projections[groups[(j, k)]].sum(axis=0)
-        term = cell_measure @ value
-        out = term if out is None else out + term
-    if out is None:
-        value = G(p.lambda_points[0], p.mu_points[0])
-        _check_left_shape(value, sm.dim)
-        out = np.zeros_like(value)
-    return out
+    """Integral sum  sum_jk E(cell_jk) G(xi_j, zeta_k), via adjoint
+    duality: the adjoint of the right sum of G*."""
+    G_star = OperatorFunction(lambda lam, mu: adjoint(G(lam, mu)))
+    return adjoint(right_sum(G_star, sm, p, tol))
 
 
 def _require_clear_boundary(sm, rect, tol):
@@ -313,18 +309,9 @@ def exact_right_integral(F, sm, rect, tol=DEFAULT_TOLERANCES):
     eigenvalue sits within tol_cluster of the boundary.
     """
     _require_clear_boundary(sm, rect, tol)
-    out = None
-    for k in sm.atoms_in(rect):
-        z = sm.eigenvalues[k]
-        value = F(z.real, z.imag)
-        _check_right_shape(value, sm.dim)
-        term = value @ sm.projections[k]
-        out = term if out is None else out + term
-    if out is None:
-        value = F(rect.a, rect.c)
-        _check_right_shape(value, sm.dim)
-        out = np.zeros_like(value)
-    return out
+    cells = [(sm.eigenvalues[k].real, sm.eigenvalues[k].imag, [k])
+             for k in sm.atoms_in(rect)]
+    return _spectral_sum(F, sm, cells, (rect.a, rect.c))
 
 
 def exact_left_integral(G, sm, rect, tol=DEFAULT_TOLERANCES):
@@ -395,11 +382,6 @@ def _uniform_right_sum(F, sm, rect, ncells, tol):
     thresh = tol.tol_cluster * scale
     shift = 2.0 * thresh
     atoms = sm.atoms_in(rect)
-    if len(atoms) == 0:
-        value = F(rect.a, rect.c)
-        _check_right_shape(value, sm.dim)
-        empty = np.empty((0, 2))
-        return np.zeros_like(value), empty, empty
     re = sm.eigenvalues.real[atoms]
     im = sm.eigenvalues.imag[atoms]
     jidx, jedges = _uniform_cell_index(re, rect.a, rect.b, ncells, thresh, shift)
@@ -407,20 +389,10 @@ def _uniform_right_sum(F, sm, rect, ncells, tol):
     cells = {}
     for i, atom in enumerate(atoms):
         key = (int(jidx[i]), int(kidx[i]))
-        if key in cells:
-            cells[key][2].append(atom)
-        else:
-            cells[key] = (float(jedges[i]), float(kedges[i]), [atom])
-    out = None
-    for key in sorted(cells):
-        tag_lam, tag_mu, members = cells[key]
-        value = F(tag_lam, tag_mu)
-        _check_right_shape(value, sm.dim)
-        term = value @ sm.projections[members].sum(axis=0)
-        out = term if out is None else out + term
-    tags = np.column_stack((jedges, kedges))
-    coords = np.column_stack((re, im))
-    return out, tags, coords
+        cells.setdefault(key, (float(jedges[i]), float(kedges[i]), []))[2].append(atom)
+    out = _spectral_sum(F, sm, [cells[key] for key in sorted(cells)],
+                        (rect.a, rect.c))
+    return out, np.column_stack((jedges, kedges)), np.column_stack((re, im))
 
 
 def dyadic_level_sum(F, sm, rect, level, tol=DEFAULT_TOLERANCES):

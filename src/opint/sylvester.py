@@ -35,6 +35,7 @@ from .linalg import (
     resolvent,
 )
 from .spectral import decompose_normal
+from .stieltjes import OperatorFunction, exact_left_integral
 
 __all__ = [
     "SylvesterProblem",
@@ -141,13 +142,12 @@ def _finish(prob, X, method, gap, n_angles=720):
 
 
 def solve_spectral(prob, tol=None):
-    """X = sum_k P_k D (A - zeta_k)^{-1} over the atoms of the measure of C."""
+    """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
     sm = decompose_normal(prob.C, tol)
-    X = np.zeros((prob.k, prob.h), dtype=np.complex128)
-    for k, zeta in enumerate(sm.eigenvalues):
-        X += sm.projections[k] @ prob.D @ resolvent(prob.A, zeta, tol)
+    G = OperatorFunction.resolvent_family(prob.A, prob.D, tol)
+    X = exact_left_integral(G, sm, sm.bounding_rect(), tol)
     return _finish(prob, X, "spectral", gap)
 
 
@@ -257,18 +257,20 @@ def solve_contour(prob, n_nodes=32, tol=None):
 def solve_double_spectral(prob, tol=None):
     """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k).
 
+    In the eigenbases Q_C, Q_A of the two measures this is one
+    Cauchy-Hadamard quotient, X = Q_C ((Q_C* D Q_A) / (z_j - zeta_k)) Q_A*.
     Requires A normal as well; raises NotNormalError otherwise.
     """
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
     sm_a = decompose_normal(prob.A, tol)
     sm_c = decompose_normal(prob.C, tol)
-    X = np.zeros((prob.k, prob.h), dtype=np.complex128)
-    for k, zeta in enumerate(sm_c.eigenvalues):
-        PD = sm_c.projections[k] @ prob.D
-        for j, z in enumerate(sm_a.eigenvalues):
-            X += PD @ sm_a.projections[j] / (z - zeta)
-    return _finish(prob, X, "double", gap)
+    Q_a = sm_a.columns(range(len(sm_a)))
+    Q_c = sm_c.columns(range(len(sm_c)))
+    z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)
+    zeta = np.repeat(sm_c.eigenvalues, sm_c.multiplicities)
+    M = (adjoint(Q_c) @ prob.D @ Q_a) / (z[None, :] - zeta[:, None])
+    return _finish(prob, Q_c @ M @ adjoint(Q_a), "double", gap)
 
 
 def dual_solution(X):

@@ -54,6 +54,19 @@ class TestProblemFile:
         with pytest.raises(InvalidProblemError):
             load_problem(path)
 
+    @pytest.mark.parametrize("data", [[[True, False]], [[1.0, False]]])
+    def test_rejects_booleans(self, tmp_path, data):
+        path = write_problem(tmp_path, C={"rows": 1, "cols": 1, "data": data})
+        with pytest.raises(InvalidProblemError):
+            load_problem(path)
+
+    @pytest.mark.parametrize("rows", [1.7, "1", 1.0, True, 0])
+    def test_rejects_non_integer_sizes(self, tmp_path, rows):
+        path = write_problem(tmp_path, C={"rows": rows, "cols": 1,
+                                          "data": [[1.0, 0.0]]})
+        with pytest.raises(InvalidProblemError):
+            load_problem(path)
+
 
 class TestSpectralCommand:
     def test_clusters_and_multiplicities(self, tmp_path, capsys):
@@ -195,6 +208,19 @@ class TestEnormCommand:
         code, _, _ = run(capsys, ["enorm", path])
         assert code == 2
 
+    def test_bound_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a measure on the non-unitary basis 2I breaks ||Y||_E <= ||Y||_2
+        from opint import SpectralMeasure
+        import opint.cli
+        monkeypatch.setattr(
+            opint.cli, "decompose_normal",
+            lambda C, tol: SpectralMeasure([0.0, 1.0], 2.0 * np.eye(2), [1, 1]))
+        path = write_problem(tmp_path, C=matjson(np.diag([0.0, 1.0])),
+                             Y=matjson(np.eye(2)))
+        code, out, err = run(capsys, ["enorm", path])
+        assert code == 3
+        assert out == "" and "exceeds" in err
+
 
 class TestIntegrateCommand:
     def test_affine_study(self, tmp_path, capsys):
@@ -242,6 +268,19 @@ class TestIntegrateCommand:
                                     "--tol", "1e-14"])
         assert code == 4
         assert out.strip().splitlines()[-1] == "# not-converged"
+
+    def test_defaults_converge_off_dyadic_points(self, tmp_path, capsys):
+        # no eigenvalue coordinate is a dyadic point of the rectangle, so
+        # the tags only reach the atoms to 1e-10 after some 36 levels
+        path = write_problem(tmp_path,
+                             C=matjson(np.diag([0.311 + 0.013j, -0.573 + 0.771j])),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        code, out, _ = run(capsys, ["integrate", path, "--function", "affine:1,2"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-1] == "# converged"
+        assert len(lines) - 2 > 20
+        assert float(lines[-2].split(",")[5]) <= 1e-9
 
     def test_bad_function_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, C=matjson(np.eye(2)),

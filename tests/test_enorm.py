@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opint
 from opint import (
+    BoundViolationError,
     Rect,
     ShapeMismatchError,
     OperatorFunction,
+    SpectralMeasure,
     adjoint,
     bounded_integral_bound_check,
     check_enorm_sandwich,
@@ -165,3 +173,50 @@ class TestIntegralBound:
             bounded_integral_bound_check(
                 random_complex(rng, 4, 2), OperatorFunction.constant(np.eye(3)),
                 sm, Rect(-2.0, 2.0, -2.0, 2.0))
+
+
+def broken_measure():
+    """Two atoms on a basis 2I: each "projection" is 4 e_k e_k*."""
+    return SpectralMeasure(eigenvalues=[0.0, 1.0], basis=2.0 * np.eye(2),
+                           multiplicities=[1, 1])
+
+
+class TestBoundViolation:
+    def test_sandwich_raises(self):
+        # ||I||_E reads sqrt(8) > ||I||_2 = sqrt(2) on the broken measure
+        with pytest.raises(BoundViolationError, match="exceeds"):
+            check_enorm_sandwich(np.eye(2), broken_measure())
+
+    def test_integral_bound_raises(self):
+        # lhs = ||sum_k P_k|| = 4 exceeds rhs = ||I||_E = sqrt(8)
+        with pytest.raises(BoundViolationError, match="integral bound"):
+            bounded_integral_bound_check(
+                np.eye(2), OperatorFunction.constant(np.eye(2)),
+                broken_measure(), Rect(-2.0, 2.0, -2.0, 2.0))
+
+    def test_checks_survive_optimized_python(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+        script = textwrap.dedent("""
+            import numpy as np
+            from opint import (BoundViolationError, OperatorFunction, Rect,
+                               SpectralMeasure, bounded_integral_bound_check,
+                               check_enorm_sandwich)
+            assert False, "python -O should have stripped this assert"
+            sm = SpectralMeasure([0.0, 1.0], 2.0 * np.eye(2), [1, 1])
+            checks = [lambda: check_enorm_sandwich(np.eye(2), sm),
+                      lambda: bounded_integral_bound_check(
+                          np.eye(2), OperatorFunction.constant(np.eye(2)), sm,
+                          Rect(-2.0, 2.0, -2.0, 2.0))]
+            for check in checks:
+                try:
+                    check()
+                except BoundViolationError:
+                    continue
+                raise SystemExit("bound check passed on a broken measure")
+            print("raised")
+        """)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"

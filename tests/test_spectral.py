@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,13 +11,15 @@ from opint import (
     Rect,
     apply_function,
     decompose_normal,
+    e_norm,
+    hs_norm,
     measure_of_rect,
     operator_norm,
     spectral_function,
     spectral_invariant_residuals,
 )
 
-from conftest import random_normal
+from conftest import random_complex, random_normal
 
 
 class TestDecompose:
@@ -53,6 +56,29 @@ class TestDecompose:
         assert len(sm) == 1
         assert sm.eigenvalues[0] == 0.0
         assert_allclose(sm.projections[0], np.eye(3), atol=1e-14)
+
+    def test_chained_spacing_merges_by_centroid(self):
+        # each value is within tol_cluster = 1e-8 of the next, but the
+        # centroid of the first merged pair is 1.2e-8 from the third one
+        sm = decompose_normal(np.diag([1.0, 1.0 + 0.8e-8, 1.0 + 1.6e-8]))
+        assert len(sm) == 2
+        assert sorted(sm.multiplicities) == [1, 2]
+
+    def test_factored_measure_memory(self, rng):
+        # a dense projection tensor of 400 simple atoms would take 1 GB
+        n = 400
+        C, _ = random_normal(rng, n)
+        Y = random_complex(rng, n, 3)
+        tracemalloc.start()
+        try:
+            sm = decompose_normal(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sm) == n
+        assert peak < 50e6
+        # with every atom one-dimensional the E-norm is the Frobenius norm
+        assert e_norm(Y, sm) == pytest.approx(hs_norm(Y), rel=1e-12)
 
     def test_bounding_rect_contains_spectrum(self, rng):
         C, eigs = random_normal(rng, 6)

@@ -67,6 +67,12 @@ class TestScalar:
             report = solver(SylvesterProblem(A, C, D))
             assert_allclose(report.X, expected, atol=1e-10)
 
+    def test_large_scale_spectral(self):
+        # the atoms are integrated over a rectangle whose edges must clear
+        # tol_cluster * ||C|| = 10, far more than an absolute unit margin
+        report = solve_spectral(SylvesterProblem([[3e9]], [[1e9]], [[1.0]]))
+        assert report.X[0, 0] == pytest.approx(5e-10, rel=1e-12)
+
 
 class TestCrossMethod:
     def test_agreement_normal_a(self, rng):
