@@ -53,6 +53,15 @@ def matrix_from_json(obj, name="matrix"):
     return out.reshape((rows, cols), order="C")
 
 
+def _numbers(obj, name):
+    """The values of a JSON object of numbers, as floats."""
+    # exact type test: bool is a subclass of int, and strings are not numbers
+    bad = sorted(k for k, v in obj.items() if type(v) not in (int, float))
+    if bad:
+        raise InvalidProblemError(f"{name} values must be JSON numbers: {bad}")
+    return {k: float(v) for k, v in obj.items()}
+
+
 def load_problem(path):
     """Parse a problem file into matrices, tolerances, rect, and seed."""
     try:
@@ -78,16 +87,15 @@ def load_problem(path):
         if unknown:
             raise InvalidProblemError(f"unknown tolerance keys: {sorted(unknown)}")
         try:
-            problem["tolerances"] = Tolerances(**{k: float(v) for k, v in obj.items()})
-        except (TypeError, ValueError) as exc:
+            problem["tolerances"] = Tolerances(**_numbers(obj, "tolerances"))
+        except (ValueError, OverflowError) as exc:
             raise InvalidProblemError(f"invalid tolerances: {exc}") from exc
     if "rect" in raw:
         obj = raw["rect"]
         if not isinstance(obj, dict) or set(obj) != {"a", "b", "c", "d"}:
             raise InvalidProblemError('rect must be an object {"a","b","c","d"}')
         try:
-            problem["rect"] = Rect(float(obj["a"]), float(obj["b"]),
-                                   float(obj["c"]), float(obj["d"]))
-        except (TypeError, ValueError) as exc:
+            problem["rect"] = Rect(**_numbers(obj, "rect"))
+        except (ValueError, OverflowError) as exc:
             raise InvalidProblemError(f"invalid rect: {exc}") from exc
     return problem

@@ -243,21 +243,39 @@ def spectral_invariant_residuals(sm, C=None):
     Returns a dict with the worst-case deviations from Hermitian
     idempotency, mutual orthogonality, completeness, and (when the
     source matrix is supplied) reconstruction, the latter relative to
-    ||C||.
+    ||C||.  Each value bounds from above, in exact arithmetic, the
+    spectral-norm residual of the dense P_k = Q_k Q_k*, read off the
+    Gram matrix G = Q*Q - I:
+
+      idempotent     P_k^2 - P_k = Q_k G_kk Q_k*, at most ||Q_k||^2 ||G_kk||
+      orthogonality  P_i P_j = Q_i G_ij Q_j*, at most ||Q_i|| ||G_ij||_F ||Q_j||
+      completeness   sum_k P_k - I = QQ* - I, whose norm equals ||G||
+      hermitian      Q_k Q_k* is Hermitian by construction, so this is the
+                     rounding bound 4 (m_k + 2) eps ||Q_k||_F^2 on the
+                     asymmetry of its dense product
+
+    with ||Q_k||^2 = ||G_kk + I|| and ||Q_k||_F^2 = tr G_kk + m_k.
     """
-    projections = sm.projections
-    herm = max(operator_norm(P - P.conj().T) for P in projections)
-    idem = max(operator_norm(P @ P - P) for P in projections)
-    ortho = 0.0
-    for i in range(len(sm)):
-        for j in range(i + 1, len(sm)):
-            ortho = max(ortho, operator_norm(projections[i] @ projections[j]))
-    complete = operator_norm(projections.sum(axis=0) - np.eye(sm.dim))
+    Q = sm.basis
+    G = adjoint(Q) @ Q - np.eye(sm.dim)
+    starts = sm._offsets[:-1]
+    eps = np.finfo(float).eps
+    herm = idem = 0.0
+    norm_q = np.empty(len(sm))
+    for k, (lo, hi) in enumerate(zip(starts, sm._offsets[1:])):
+        G_kk = G[lo:hi, lo:hi]
+        m = hi - lo
+        norm_q[k] = np.sqrt(operator_norm(G_kk + np.eye(m)))
+        idem = max(idem, norm_q[k] ** 2 * operator_norm(G_kk))
+        herm = max(herm, 4 * (m + 2) * eps * (np.trace(G_kk).real + m))
+    blocks = np.sqrt(np.add.reduceat(
+        np.add.reduceat(np.abs(G) ** 2, starts, axis=0), starts, axis=1))
+    np.fill_diagonal(blocks, 0.0)
     out = {
-        "hermitian": herm,
-        "idempotent": idem,
-        "orthogonality": ortho,
-        "completeness": complete,
+        "hermitian": float(herm),
+        "idempotent": float(idem),
+        "orthogonality": float((norm_q[:, None] * blocks * norm_q[None, :]).max()),
+        "completeness": operator_norm(G),
     }
     if C is not None:
         A = as_matrix(C, "C")

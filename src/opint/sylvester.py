@@ -22,6 +22,7 @@ from .errors import (
     GapViolationError,
     NoConvergenceError,
     ShapeMismatchError,
+    SingularResolventError,
     SingularSystemError,
 )
 from .linalg import (
@@ -32,7 +33,6 @@ from .linalg import (
     is_normal,
     numrange_distances,
     operator_norm,
-    resolvent,
 )
 from .spectral import decompose_normal
 from .stieltjes import OperatorFunction, exact_left_integral
@@ -134,8 +134,11 @@ def _require_gap(prob, tol):
     return gap
 
 
-def _finish(prob, X, method, gap, n_angles=720):
-    sm_c = decompose_normal(prob.C, prob.tolerances)
+def _finish(prob, X, method, gap, sm_c=None, n_angles=720):
+    """Report with the recomputed residual; sm_c is the measure of C when
+    the solver has already built it."""
+    if sm_c is None:
+        sm_c = decompose_normal(prob.C, prob.tolerances)
     delta = _numrange_gap(prob.A, sm_c.eigenvalues, n_angles)
     return SylvesterReport(X=X, residual=sylvester_residual(prob, X),
                            method=method, gap_d=gap, gap_numrange=delta)
@@ -148,7 +151,7 @@ def solve_spectral(prob, tol=None):
     sm = decompose_normal(prob.C, tol)
     G = OperatorFunction.resolvent_family(prob.A, prob.D, tol)
     X = exact_left_integral(G, sm, sm.bounding_rect(), tol)
-    return _finish(prob, X, "spectral", gap)
+    return _finish(prob, X, "spectral", gap, sm)
 
 
 def solve_kronecker(prob, tol=None):
@@ -208,6 +211,53 @@ def _build_circles(eig_a, eig_c, gap):
     return circles
 
 
+# Complex entries in the working arrays of one block of node solves; it
+# caps the memory of a level at any size (about 16 MB per array).
+_NODE_BLOCK = 2 ** 20
+
+
+def _guarded_solve(S, B, tol):
+    """X_b = S_b^{-1} B_b for a stack of matrices, with one residual guard each.
+
+    Raises SingularResolventError when a solve fails, is not finite, or
+    its Frobenius residual exceeds tol_solve |S_b| |X_b|, the product of
+    the largest column norms.  The Frobenius norm is never below the
+    spectral norm and that product never exceeds ||S_b|| ||S_b^{-1}|| ||B_b||,
+    so the guard is at least as strict as the resolvent guard
+    ||S R - I|| <= tol_solve ||S|| ||R|| carried over to X = R B.
+    """
+    try:
+        X = np.linalg.solve(S, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolventError(
+            "a quadrature node sits on spec(A) or spec(C)") from exc
+    with np.errstate(all="ignore"):
+        residual = np.linalg.norm(S @ X - B, axis=(-2, -1))
+        scale = (np.linalg.norm(S, axis=-2).max(axis=-1)
+                 * np.linalg.norm(X, axis=-2).max(axis=-1))
+        ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
+    if not ok.all():
+        raise SingularResolventError(
+            "a resolvent solve at a quadrature node lost all accuracy "
+            f"(residual {residual[~ok][0]:.3e})")
+    return X
+
+
+def _node_sum(T_C, D_t, T_A, z, w, tol):
+    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}, in blocks of nodes."""
+    k, h = D_t.shape
+    step = max(1, _NODE_BLOCK // (k + h) ** 2)
+    total = np.zeros_like(D_t)
+    for s in range(0, len(z), step):
+        zb = z[s:s + step, None, None]
+        B = np.broadcast_to(D_t, (len(zb), k, h))
+        Y = _guarded_solve(zb * np.eye(k) - T_C, B, tol)
+        # W (T_A - z) = Y is solved as (T_A - z)^T W^T = Y^T
+        Wt = _guarded_solve(T_A.T - zb * np.eye(h), np.swapaxes(Y, 1, 2), tol)
+        total += np.tensordot(w[s:s + step], Wt, axes=1).T
+    return total
+
+
 def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
     """Trapezoidal quadrature of (1/2 pi i) ∮ (z-C)^{-1} D (A-z)^{-1} dz.
 
@@ -215,22 +265,28 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
     around spec(C) and zero around spec(A) this reproduces the solution
     of XA - CX = D.  Doubles the node count per circle until the
     successive change drops to tol_quad.  Returns (X, nodes_used).
+
+    A and C are reduced to complex Schur form once, C = Z T_C Z* and
+    A = U T_A U*, so each node costs two solves with shifted triangular
+    factors against Z* D U, batched over the nodes of a level.  The node
+    sets are nested: a doubling evaluates only the new odd-index nodes
+    and adds them, weighted by their circle's radius, to one running sum.
     """
     tol = tol or prob.tolerances
+    T_C, Z = scipy.linalg.schur(prob.C, output="complex")
+    T_A, U = scipy.linalg.schur(prob.A, output="complex")
+    D_t = adjoint(Z) @ prob.D @ U
+    centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
+    radii = np.array([r for _, r in circles], dtype=float)[:, None]
     n = max(int(n_nodes), 4)
+    t = 2.0 * np.pi * np.arange(n) / n
+    acc = np.zeros_like(D_t)
     prev = None
     while True:
-        X = np.zeros((prob.k, prob.h), dtype=np.complex128)
-        for center, radius in circles:
-            t = 2.0 * np.pi * np.arange(n) / n
-            phases = np.exp(1j * t)
-            nodes = center + radius * phases
-            acc = np.zeros_like(X)
-            for phase, z in zip(phases, nodes):
-                # (z - C)^{-1} = -(C - z)^{-1}
-                acc -= phase * (resolvent(prob.C, z, tol)
-                                @ prob.D @ resolvent(prob.A, z, tol))
-            X += (radius / n) * acc
+        # dz / (2 pi i) = radius e^{it} dt / (2 pi); trapezoid weight 2 pi / n
+        w = radii * np.exp(1j * t)
+        acc += _node_sum(T_C, D_t, T_A, (centers + w).ravel(), w.ravel(), tol)
+        X = Z @ (acc / n) @ adjoint(U)
         if prev is not None:
             change = operator_norm(X - prev)
             if change <= tol.tol_quad * max(1.0, operator_norm(X)):
@@ -240,6 +296,7 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
                 f"contour quadrature failed to converge with {n} nodes",
                 value=X)
         prev = X
+        t = np.pi * (2 * np.arange(n) + 1) / n
         n *= 2
 
 
@@ -251,7 +308,7 @@ def solve_contour(prob, n_nodes=32, tol=None):
     sm = decompose_normal(prob.C, tol)
     circles = _build_circles(eig_a, sm.eigenvalues, gap)
     X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes, tol=tol)
-    return _finish(prob, X, "contour", gap)
+    return _finish(prob, X, "contour", gap, sm)
 
 
 def solve_double_spectral(prob, tol=None):
@@ -270,7 +327,7 @@ def solve_double_spectral(prob, tol=None):
     z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)
     zeta = np.repeat(sm_c.eigenvalues, sm_c.multiplicities)
     M = (adjoint(Q_c) @ prob.D @ Q_a) / (z[None, :] - zeta[:, None])
-    return _finish(prob, Q_c @ M @ adjoint(Q_a), "double", gap)
+    return _finish(prob, Q_c @ M @ adjoint(Q_a), "double", gap, sm_c)
 
 
 def dual_solution(X):

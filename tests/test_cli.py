@@ -67,6 +67,32 @@ class TestProblemFile:
         with pytest.raises(InvalidProblemError):
             load_problem(path)
 
+    @pytest.mark.parametrize("value", [True, "2", None, [2.0],
+                                       pytest.param(10 ** 400, id="huge_int")])
+    def test_rejects_non_number_rect(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path, C=matjson(np.eye(2)),
+                             rect={"a": -1.0, "b": value, "c": -1, "d": 1})
+        with pytest.raises(InvalidProblemError):
+            load_problem(path)
+        code, _, _ = run(capsys, ["spectral", path])
+        assert code == 2
+
+    @pytest.mark.parametrize("value", ["1e-6", True, None])
+    def test_rejects_non_number_tolerances(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path, C=matjson(np.eye(2)),
+                             tolerances={"tol_cluster": value})
+        with pytest.raises(InvalidProblemError):
+            load_problem(path)
+        code, _, _ = run(capsys, ["spectral", path])
+        assert code == 2
+
+    def test_integer_rect_and_tolerances_load_as_floats(self, tmp_path):
+        path = write_problem(tmp_path, rect={"a": -1, "b": 2, "c": -1, "d": 1},
+                             tolerances={"tol_cluster": 1e-6})
+        problem = load_problem(path)
+        assert problem["rect"].b == 2.0 and type(problem["rect"].b) is float
+        assert problem["tolerances"].tol_cluster == 1e-6
+
 
 class TestSpectralCommand:
     def test_clusters_and_multiplicities(self, tmp_path, capsys):

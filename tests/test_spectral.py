@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from opint import (
     BoundaryEigenvalueWarning,
     NotNormalError,
     Rect,
+    SpectralMeasure,
     apply_function,
     decompose_normal,
     e_norm,
@@ -19,7 +21,7 @@ from opint import (
     spectral_invariant_residuals,
 )
 
-from conftest import random_complex, random_normal
+from conftest import random_complex, random_normal, random_unitary
 
 
 class TestDecompose:
@@ -182,3 +184,43 @@ class TestFunctionalCalculus:
         C, _ = random_normal(rng, 5)
         sm = decompose_normal(C)
         assert_allclose(apply_function(sm, lambda z: 1.0), np.eye(5), atol=1e-12)
+
+
+def _dense_residuals(sm):
+    """The residuals measured on the dense projection tensor."""
+    P = sm.projections
+    return {
+        "hermitian": max(operator_norm(p - p.conj().T) for p in P),
+        "idempotent": max(operator_norm(p @ p - p) for p in P),
+        "orthogonality": max([operator_norm(P[i] @ P[j])
+                              for i in range(len(P)) for j in range(i + 1, len(P))]
+                             + [0.0]),
+        "completeness": operator_norm(P.sum(axis=0) - np.eye(sm.dim)),
+    }
+
+
+class TestInvariantResiduals:
+    def test_simple_spectrum_n300_is_fast(self, rng):
+        # the dense check formed 300 projections and 45k pairwise products
+        C, _ = random_normal(rng, 300)
+        sm = decompose_normal(C)
+        started = time.perf_counter()
+        res = spectral_invariant_residuals(sm, C)
+        assert time.perf_counter() - started < 1.0
+        assert all(v <= 1e-10 for v in res.values())
+
+    @pytest.mark.parametrize("basis", ["twice_identity", "perturbed_unitary"])
+    def test_bounds_dense_residuals(self, rng, basis):
+        if basis == "twice_identity":
+            Q = 2.0 * np.eye(4)
+        else:
+            Q = random_unitary(rng, 4) + 0.05 * random_complex(rng, 4, 4)
+        sm = SpectralMeasure([0.0, 1.0, 1j], Q, [2, 1, 1])
+        res = spectral_invariant_residuals(sm)
+        dense = _dense_residuals(sm)
+        assert set(res) == set(dense)
+        # the bounds hold in exact arithmetic and are attained on a simple
+        # atom, where the two roundings may differ in the last place
+        for key, value in dense.items():
+            assert res[key] >= value * (1.0 - 1e-12), key
+        assert res["idempotent"] >= 1e-2 and res["completeness"] >= 1e-2

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import opint.sylvester as sylvester
 from opint import (
     GapViolationError,
+    NoConvergenceError,
     NotNormalError,
     ShapeMismatchError,
+    SingularResolventError,
     SingularSystemError,
     SylvesterProblem,
     adjoint,
@@ -13,6 +17,7 @@ from opint import (
     dual_solution,
     hs_norm,
     operator_norm,
+    resolvent,
     solve_contour,
     solve_double_spectral,
     solve_kronecker,
@@ -22,7 +27,7 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import make_sylvester, random_complex, random_normal
+from conftest import make_sylvester, random_complex, random_normal, random_unitary
 
 SCALAR = SylvesterProblem([[2.0]], [[0.0]], [[1.0]])
 ALL_SOLVERS = (solve_spectral, solve_kronecker, solve_contour,
@@ -183,6 +188,153 @@ class TestContourConstruction:
                   * operator_norm(resolvent(prob.A, z)) for z in nodes)
         bound = radius * sup * operator_norm(prob.D)  # (2 pi)^{-1} |Gamma| = radius
         assert operator_norm(X) <= bound * (1 + 1e-9)
+
+
+def _fresh_trapezoid(prob, circles, n):
+    """The n-node trapezoid rule evaluated node by node with resolvents."""
+    X = np.zeros((prob.k, prob.h), dtype=complex)
+    for center, radius in circles:
+        for phase in np.exp(2j * np.pi * np.arange(n) / n):
+            z = center + radius * phase
+            X -= (radius / n) * phase * (resolvent(prob.C, z) @ prob.D
+                                         @ resolvent(prob.A, z))
+    return X
+
+
+def _strongly_nonnormal(rng, h, k):
+    C, _ = random_normal(rng, k)
+    eigs = rng.uniform(2.0, 4.0, h) + 1j * rng.uniform(-1.0, 1.0, h)
+    T = np.diag(eigs) + 50.0 * np.triu(random_complex(rng, h, h), 1)
+    U = random_unitary(rng, h)
+    return SylvesterProblem(U @ T @ adjoint(U), C, random_complex(rng, k, h))
+
+
+class TestContourQuadrature:
+    @pytest.mark.parametrize("per_atom", [False, True])
+    def test_nested_sum_is_the_trapezoid_rule(self, rng, per_atom):
+        if per_atom:  # spec(A) between the atoms of C forces one circle each
+            prob = SylvesterProblem([[0.3j]], np.diag([2.0, -2.0, 2.0j]),
+                                    random_complex(rng, 3, 1))
+        else:
+            prob = make_sylvester(rng, 5, 4, normal_a=False)
+        circles = sylvester._build_circles(np.linalg.eigvals(prob.A),
+                                           np.linalg.eigvals(prob.C),
+                                           spectral_gap(prob))
+        assert (len(circles) > 1) == per_atom
+        X, n = contour_quadrature(prob, circles)
+        assert n > 32  # at least one doubling reused the earlier nodes
+        fresh = _fresh_trapezoid(prob, circles, n)
+        assert operator_norm(X - fresh) <= 1e-12 * operator_norm(fresh)
+
+    def test_node_blocks_do_not_change_the_sum(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 6, 5, normal_a=False)
+        circles = [(complex(z), 0.3) for z in np.linalg.eigvals(prob.C)]
+        X, n = contour_quadrature(prob, circles)
+        monkeypatch.setattr(sylvester, "_NODE_BLOCK", 1)  # one node per block
+        X1, n1 = contour_quadrature(prob, circles)
+        assert n1 == n
+        assert operator_norm(X1 - X) <= 1e-13 * operator_norm(X)
+
+    def test_no_per_node_norms(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 5, 5)
+        calls = []
+        real_norm = sylvester.operator_norm
+        monkeypatch.setattr(sylvester, "operator_norm",
+                            lambda M: calls.append(1) or real_norm(M))
+        circles = [(complex(z), 0.3) for z in np.linalg.eigvals(prob.C)]
+        _, n = contour_quadrature(prob, circles)
+        levels = int(np.log2(n // 32)) + 1
+        assert len(calls) <= 2 * levels  # the stopping rule only
+
+    def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
+        # node 0 of the circle (z - r, r) sits at z = lam + 10^-p e^{i phi}
+        exact = SylvesterProblem(np.diag([3.0, 2.0 + 1.0j]),
+                                 np.diag([0.5, -0.5j, 1.0]),
+                                 random_complex(rng, 3, 2))
+        problems = [exact, make_sylvester(rng, 4, 3, normal_a=False)]
+        r = 2.0 ** -10
+        swept = hits = 0
+        for prob in problems:
+            lams = np.concatenate([np.linalg.eigvals(prob.A),
+                                   np.linalg.eigvals(prob.C)])
+            for lam in lams:
+                for p in range(1, 17):
+                    for phi in (0.0, 0.5 * np.pi, 0.75 * np.pi):
+                        z = lam + 10.0 ** -p * np.exp(1j * phi)
+                        node = (z - r) + r
+                        try:
+                            resolvent(prob.A, node)
+                            resolvent(prob.C, node)
+                            old_raises = False
+                        except SingularResolventError:
+                            old_raises = True
+                        try:
+                            contour_quadrature(prob, [(z - r, r)],
+                                               n_nodes=4, max_nodes=4)
+                            new_raises = False
+                        except NoConvergenceError:
+                            new_raises = False
+                        except SingularResolventError:
+                            new_raises = True
+                        assert new_raises or not old_raises, (lam, p, phi)
+                        swept += 1
+                        hits += old_raises
+        assert swept == (5 + 7) * 16 * 3
+        assert hits > 0  # the exact hits at p = 16 make the sweep bite
+
+    @pytest.mark.parametrize("lam", [3.0, 2.0 + 1.0j, 0.5, -0.5j])
+    def test_exact_eigenvalue_hit_raises_singular_resolvent(self, rng, lam):
+        prob = SylvesterProblem(np.diag([3.0, 2.0 + 1.0j]), np.diag([0.5, -0.5j]),
+                                random_complex(rng, 2, 2))
+        r = 2.0 ** -10
+        with pytest.raises(SingularResolventError):
+            contour_quadrature(prob, [(lam - r, r)])
+
+    def test_guard_rejects_inexact_and_infinite_solves(self, rng, monkeypatch):
+        tol = sylvester.DEFAULT_TOLERANCES
+        with pytest.raises(SingularResolventError):  # 1e10 / 1e-310 overflows
+            sylvester._guarded_solve(np.full((1, 1, 1), 1e-310 + 0j),
+                                     np.full((1, 1, 1), 1e10 + 0j), tol)
+        S = np.triu(random_complex(rng, 4, 4)) + 3.0 * np.eye(4)
+        B = random_complex(rng, 4, 2)[None]
+        sylvester._guarded_solve(S[None], B, tol)
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda S, B: real_solve(S, B) * (1.0 + 1e-8))
+        with pytest.raises(SingularResolventError):
+            sylvester._guarded_solve(S[None], B, tol)
+
+    def test_strongly_nonnormal_a_matches_scipy(self, rng):
+        converged = 0
+        for h, k in ((6, 5), (8, 8), (5, 6)):
+            prob = _strongly_nonnormal(rng, h, k)
+            ref = scipy.linalg.solve_sylvester(-prob.C, prob.A, prob.D)
+            try:
+                X = solve_contour(prob).X
+                converged += 1
+            except NoConvergenceError as exc:
+                # rounding in the node sum can stall the successive change
+                # above tol_quad; the partial sum it carries is still accurate
+                X = exc.value
+            assert operator_norm(X - ref) <= 1e-8 * operator_norm(ref)
+        assert converged >= 2
+
+
+class TestOneDecomposition:
+    @pytest.mark.parametrize("solver, calls", [
+        (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
+        (solve_double_spectral, 2)])
+    def test_decompose_once_per_matrix(self, rng, monkeypatch, solver, calls):
+        prob = make_sylvester(rng, 4, 5)
+        count = []
+        real = sylvester.decompose_normal
+        monkeypatch.setattr(sylvester, "decompose_normal",
+                            lambda *args: count.append(1) or real(*args))
+        report = solver(prob)
+        assert len(count) == calls
+        # the report is the one a fresh decomposition of C gives
+        assert report.gap_numrange == sylvester._numrange_gap(
+            prob.A, real(prob.C).eigenvalues)
 
 
 class TestDual:
