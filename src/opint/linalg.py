@@ -21,6 +21,7 @@ __all__ = [
     "numrange_support",
     "dist_to_numrange",
     "numrange_distances",
+    "numrange_gap",
 ]
 
 
@@ -147,6 +148,34 @@ def numrange_support(A, theta):
     return float(_support_values(A, [float(theta)])[0])
 
 
+def _grid_bounds(A, pts, n_angles):
+    """Per-point maxima of Re(e^{-i theta} z) - h(theta) over a uniform angle
+    grid (one batched eigensolve), with the grid bracket around each argmax."""
+    if n_angles < 8:
+        raise ValueError("n_angles must be at least 8")
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    h = _support_values(A, thetas)
+    # g[t, p] = Re(e^{-i theta_t} z_p) - h(theta_t)
+    g = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :]) - h[:, None]
+    peak = thetas[g.argmax(axis=0)]
+    step = 2.0 * np.pi / n_angles
+    return g.max(axis=0), peak - step, peak + step
+
+
+def _refine(A, pts, best, lo, hi, refine_iters):
+    """Raise each bound in `best` by a ternary search on its bracket."""
+    for _ in range(refine_iters):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        g1 = np.real(np.exp(-1j * m1) * pts) - _support_values(A, m1)
+        g2 = np.real(np.exp(-1j * m2) * pts) - _support_values(A, m2)
+        keep_low = g1 >= g2
+        hi = np.where(keep_low, m2, hi)
+        lo = np.where(keep_low, lo, m1)
+        best = np.maximum(best, np.maximum(g1, g2))
+    return best
+
+
 def numrange_distances(A, points, n_angles=720, refine_iters=40):
     """Lower bounds on the distances from each point to the numerical range.
 
@@ -159,28 +188,27 @@ def numrange_distances(A, points, n_angles=720, refine_iters=40):
     """
     A = _square(A, "A")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    if n_angles < 8:
-        raise ValueError("n_angles must be at least 8")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    h = _support_values(A, thetas)
-    # g[t, p] = Re(e^{-i theta_t} z_p) - h(theta_t)
-    g = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :]) - h[:, None]
-    best = g.max(axis=0)
-    if refine_iters > 0:
-        idx = g.argmax(axis=0)
-        step = 2.0 * np.pi / n_angles
-        lo = thetas[idx] - step
-        hi = thetas[idx] + step
-        for _ in range(refine_iters):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            g1 = np.real(np.exp(-1j * m1) * pts) - _support_values(A, m1)
-            g2 = np.real(np.exp(-1j * m2) * pts) - _support_values(A, m2)
-            keep_low = g1 >= g2
-            hi = np.where(keep_low, m2, hi)
-            lo = np.where(keep_low, lo, m1)
-            best = np.maximum(best, np.maximum(g1, g2))
+    best = _refine(A, pts, *_grid_bounds(A, pts, n_angles), refine_iters)
     return np.maximum(best, 0.0)
+
+
+def numrange_gap(A, points, n_angles=720, refine_iters=40):
+    """min(numrange_distances(A, points)), refining only where it can fall.
+
+    Points are refined in order of their grid bounds, and only while a
+    bound is below the smallest refined value: refinement never lowers a
+    bound, so no point left unrefined can attain the minimum.
+    """
+    A = _square(A, "A")
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    bound, lo, hi = _grid_bounds(A, pts, n_angles)
+    gap = np.inf
+    for p in np.argsort(bound):
+        if bound[p] >= gap:
+            break
+        s = slice(p, p + 1)
+        gap = min(gap, _refine(A, pts[s], bound[s], lo[s], hi[s], refine_iters)[0])
+    return max(float(gap), 0.0)
 
 
 def dist_to_numrange(A, z, n_angles=720):
@@ -190,4 +218,4 @@ def dist_to_numrange(A, z, n_angles=720):
     n_angles (up to refinement noise) and never exceeds the true
     distance, by convexity of W(A).
     """
-    return float(numrange_distances(A, [complex(z)], n_angles=n_angles)[0])
+    return numrange_gap(A, [complex(z)], n_angles=n_angles)

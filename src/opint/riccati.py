@@ -25,7 +25,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     as_matrix,
     is_normal,
-    numrange_distances,
+    numrange_gap,
     operator_norm,
     resolvent,
 )
@@ -143,8 +143,7 @@ def certify(prob, tol=None, n_angles=720):
         d = float(np.abs(eig_a[:, None] - sm.eigenvalues[None, :]).min())
     else:
         mode = "numerical_range"
-        d = float(numrange_distances(prob.A, sm.eigenvalues,
-                                     n_angles=n_angles).min())
+        d = numrange_gap(prob.A, sm.eigenvalues, n_angles=n_angles)
     enorm_d = e_norm(prob.D, sm)
     bd = norm_b * enorm_d
     condition_ok = math.sqrt(bd) < d / 2.0

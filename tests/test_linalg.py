@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -14,9 +15,10 @@ from opint import (
     operator_norm,
     resolvent,
 )
-from opint.linalg import numrange_distances
+import opint.linalg as linalg
+from opint.linalg import numrange_distances, numrange_gap
 
-from conftest import random_normal
+from conftest import random_complex, random_normal
 
 
 class TestNorms:
@@ -142,6 +144,104 @@ class TestNumericalRange:
     def test_min_angles_enforced(self):
         with pytest.raises(ValueError):
             dist_to_numrange(np.eye(2), 3.0, n_angles=4)
+
+
+def _gap_cases(rng):
+    """(A, points) pairs: normal, non-normal and 1x1 A; repeated points;
+    points inside W(A) as well as outside it."""
+    for n in (1, 2, 4, 7):
+        for nonnormal in (0.0, 0.5, 2.0):
+            A, eigs = random_normal(rng, n)
+            if n > 1:
+                A = A + nonnormal * np.triu(random_complex(rng, n, n), 1)
+            far = rng.uniform(-4, 4, 5) + 1j * rng.uniform(-4, 4, 5)
+            yield A, far
+            yield A, np.concatenate([far, far[[0, 2]]])
+            yield A, np.concatenate([eigs[:1], far])
+
+
+def _hull_distance(eigs, z):
+    """Distance from z to the convex hull of eigs (at least three points
+    in general position), from the hull's edges."""
+    xy = np.column_stack([eigs.real, eigs.imag])
+    hull = scipy.spatial.ConvexHull(xy)
+    p = np.array([z.real, z.imag])
+    if np.all(hull.equations[:, :2] @ p + hull.equations[:, 2] <= 0.0):
+        return 0.0
+    best = np.inf
+    for i, j in hull.simplices:
+        a, b = xy[i], xy[j]
+        t = np.clip((p - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+        best = min(best, np.linalg.norm(p - a - t * (b - a)))
+    return best
+
+
+class TestNumrangeGap:
+    @pytest.mark.parametrize("n_angles", [8, 16, 720])
+    def test_equals_min_of_distances(self, rng, n_angles):
+        for A, pts in _gap_cases(rng):
+            gap = numrange_gap(A, pts, n_angles=n_angles)
+            ref = numrange_distances(A, pts, n_angles=n_angles).min()
+            # an eigenvalue of a 1x1 A is W(A) itself: both sides give its
+            # zero distance to rounding (up to 3.3e-16 here)
+            assert gap == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_refines_past_a_misleading_grid_bound(self):
+        # W(0) = {0}; on the 8-angle grid 1.05 e^{i pi/8} has the bound
+        # 1.05 cos(pi/8) = 0.97, below the bound 1.0 of the point 1, yet
+        # its distance is 1.05
+        pts = [1.05 * np.exp(1j * np.pi / 8), 1.0]
+        gap = numrange_gap([[0.0]], pts, n_angles=8)
+        assert gap == pytest.approx(1.0, rel=1e-13)
+        assert gap == numrange_distances([[0.0]], pts, n_angles=8).min()
+
+    def test_points_inside_give_zero(self, rng):
+        A, eigs = random_normal(rng, 5)
+        A = A + 0.5 * np.triu(random_complex(rng, 5, 5), 1)
+        x = random_complex(rng, 5, 1)
+        x = x / np.linalg.norm(x)
+        inside = [eigs[0], complex((x.conj().T @ A @ x)[0, 0])]
+        assert numrange_gap(A, inside) == 0.0
+        assert numrange_gap([[2.0 + 1j]], [2.0 + 1j]) == 0.0
+
+    def test_min_angles_enforced(self):
+        with pytest.raises(ValueError):
+            numrange_gap(np.eye(2), [3.0, 4.0], n_angles=7)
+
+    def test_refines_only_the_argmin(self, rng, monkeypatch):
+        A, _ = random_normal(rng, 5)
+        pts = [3.0, -6.0 + 2.0j, 9.0j, 5.0 - 5.0j]
+        sizes = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: sizes.append(np.size(t)) or real(A, t))
+        numrange_gap(A, pts)
+        assert sizes == [720] + [1] * 80
+
+    def test_never_exceeds_rayleigh_quotient_distances(self, rng):
+        # every x*Ax with |x| = 1 lies in W(A), so no lower bound on the
+        # distance from W(A) may exceed its distance to a point (beyond
+        # rounding in x*Ax)
+        for n in (2, 5, 9):
+            for nonnormal in (0.0, 1.0, 4.0):
+                A, eigs = random_normal(rng, n)
+                A = A + nonnormal * np.triu(random_complex(rng, n, n), 1)
+                pts = 1.5 * eigs + rng.uniform(-2, 2, n)
+                X = rng.standard_normal((n, 200)) + 1j * rng.standard_normal((n, 200))
+                X /= np.linalg.norm(X, axis=0)
+                rq = np.einsum("ij,ik,kj->j", X.conj(), A, X)
+                oracle = np.abs(pts[:, None] - rq[None, :]).min()
+                assert numrange_gap(A, pts) <= oracle + 1e-13
+
+    def test_normal_matches_hull_distance(self, rng):
+        for n in (3, 6, 12):
+            for _ in range(5):
+                A, eigs = random_normal(rng, n)
+                pts = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
+                exact = min(_hull_distance(eigs, z) for z in pts)
+                gap = numrange_gap(A, pts)
+                assert gap <= exact + 1e-13
+                assert gap >= exact - 1e-9
 
 
 def test_tolerances_validation():

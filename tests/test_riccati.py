@@ -10,12 +10,14 @@ from opint import (
     ZeroQuadraticTermError,
     adjoint,
     certify,
+    decompose_normal,
     operator_norm,
     posterior_check,
     riccati_residual,
     solve_fixed_point,
     solve_spectral,
 )
+from opint.linalg import numrange_distances
 
 from conftest import make_certified_riccati, random_complex
 
@@ -60,6 +62,15 @@ class TestCertify:
         cert = certify(prob)
         assert cert.mode == "numerical_range"
         assert cert.condition_ok
+
+    def test_numerical_range_d_is_min_of_distances(self, rng):
+        for h, k in ((4, 4), (6, 3), (3, 7)):
+            prob = make_certified_riccati(rng, h, k, normal_a=False)
+            cert = certify(prob)
+            assert cert.mode == "numerical_range"
+            ref = numrange_distances(
+                prob.A, decompose_normal(prob.C).eigenvalues).min()
+            assert cert.d == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):

@@ -156,6 +156,25 @@ class TestKroneckerUniqueness:
         assert operator_norm(X - X_perm) <= 1e-10 * max(1.0, operator_norm(X))
 
 
+class TestKroneckerGuard:
+    def test_guard_takes_no_svd_of_the_kronecker_matrix(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 3, 4)
+        shapes = []
+        real = sylvester.operator_norm
+        monkeypatch.setattr(sylvester, "operator_norm",
+                            lambda M: shapes.append(np.shape(M)) or real(M))
+        solve_kronecker(prob)
+        assert shapes and (12, 12) not in shapes
+
+    def test_guard_rejects_an_inexact_solve(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 3, 4)
+        real_solve = scipy.linalg.solve
+        monkeypatch.setattr(scipy.linalg, "solve",
+                            lambda K, b: real_solve(K, b) * (1.0 + 1e-4))
+        with pytest.raises(SingularSystemError):
+            solve_kronecker(prob)
+
+
 class TestContourConstruction:
     def test_empty_contour_gives_zero(self, rng):
         prob = make_sylvester(rng, 4, 4)
