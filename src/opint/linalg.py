@@ -162,6 +162,9 @@ def _grid_bounds(A, pts, n_angles):
     return g.max(axis=0), peak - step, peak + step
 
 
+_REFINE_ITERS = 40
+
+
 def _refine(A, pts, best, lo, hi, refine_iters):
     """Raise each bound in `best` by a ternary search on its bracket."""
     for _ in range(refine_iters):
@@ -176,7 +179,7 @@ def _refine(A, pts, best, lo, hi, refine_iters):
     return best
 
 
-def numrange_distances(A, points, n_angles=720, refine_iters=40):
+def numrange_distances(A, points, n_angles=720, refine_iters=_REFINE_ITERS):
     """Lower bounds on the distances from each point to the numerical range.
 
     Samples the support function on a uniform angle grid (one batched
@@ -192,22 +195,28 @@ def numrange_distances(A, points, n_angles=720, refine_iters=40):
     return np.maximum(best, 0.0)
 
 
-def numrange_gap(A, points, n_angles=720, refine_iters=40):
+def numrange_gap(A, points, n_angles=720):
     """min(numrange_distances(A, points)), refining only where it can fall.
 
-    Points are refined in order of their grid bounds, and only while a
-    bound is below the smallest refined value: refinement never lowers a
-    bound, so no point left unrefined can attain the minimum.
+    The point with the smallest grid bound is refined first, then, in one
+    batch, every other point whose grid bound is below that refined value.
+    Refinement never lowers a bound, so no point left out can attain the
+    minimum.
     """
     A = _square(A, "A")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     bound, lo, hi = _grid_bounds(A, pts, n_angles)
-    gap = np.inf
-    for p in np.argsort(bound):
-        if bound[p] >= gap:
-            break
-        s = slice(p, p + 1)
-        gap = min(gap, _refine(A, pts[s], bound[s], lo[s], hi[s], refine_iters)[0])
+
+    def refined(idx):
+        return _refine(A, pts[idx], bound[idx], lo[idx], hi[idx],
+                       _REFINE_ITERS).min()
+
+    first = bound.argmin()
+    gap = refined([first])
+    rest = np.flatnonzero(bound < gap)
+    rest = rest[rest != first]
+    if rest.size:
+        gap = min(gap, refined(rest))
     return max(float(gap), 0.0)
 
 

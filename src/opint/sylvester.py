@@ -119,11 +119,6 @@ def spectral_gap(prob):
     return float(np.abs(eig_a[:, None] - eig_c[None, :]).min())
 
 
-def _numrange_gap(A, points, n_angles=720):
-    """Lower bound on dist(W(A), given spectrum points)."""
-    return numrange_gap(A, points, n_angles=n_angles)
-
-
 def _require_gap(prob, tol):
     gap = spectral_gap(prob)
     scale = max(1.0, operator_norm(prob.A), operator_norm(prob.C))
@@ -139,7 +134,7 @@ def _finish(prob, X, method, gap, sm_c=None, n_angles=720):
     the solver has already built it."""
     if sm_c is None:
         sm_c = decompose_normal(prob.C, prob.tolerances)
-    delta = _numrange_gap(prob.A, sm_c.eigenvalues, n_angles)
+    delta = numrange_gap(prob.A, sm_c.eigenvalues, n_angles)
     return SylvesterReport(X=X, residual=sylvester_residual(prob, X),
                            method=method, gap_d=gap, gap_numrange=delta)
 

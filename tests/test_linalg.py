@@ -218,6 +218,21 @@ class TestNumrangeGap:
         numrange_gap(A, pts)
         assert sizes == [720] + [1] * 80
 
+    def test_near_ties_refine_in_one_batch(self, monkeypatch):
+        # points on the unit circle around W(0) = {0}: every grid bound is
+        # within 1e-5 of the distance 1, so all but the first point are
+        # refined, together, after it
+        pts = np.exp(1j * (0.1 + 0.5 * np.arange(12)))
+        sizes = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: sizes.append(np.size(t)) or real(A, t))
+        gap = numrange_gap([[0.0]], pts)
+        assert sizes == [720] + [1] * 80 + [11] * 80
+        monkeypatch.setattr(linalg, "_support_values", real)
+        assert gap == pytest.approx(
+            numrange_distances([[0.0]], pts).min(), rel=1e-13)
+
     def test_never_exceeds_rayleigh_quotient_distances(self, rng):
         # every x*Ax with |x| = 1 lies in W(A), so no lower bound on the
         # distance from W(A) may exceed its distance to a point (beyond

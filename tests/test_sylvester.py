@@ -4,6 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import opint.sylvester as sylvester
+from opint.linalg import numrange_gap
 from opint import (
     GapViolationError,
     NoConvergenceError,
@@ -352,7 +353,7 @@ class TestOneDecomposition:
         report = solver(prob)
         assert len(count) == calls
         # the report is the one a fresh decomposition of C gives
-        assert report.gap_numrange == sylvester._numrange_gap(
+        assert report.gap_numrange == numrange_gap(
             prob.A, real(prob.C).eigenvalues)
 
 
