@@ -4,6 +4,11 @@ existence certificates for Sylvester and Riccati matrix equations."""
 
 __version__ = "0.1.0"
 
+# before the first numpy import, so that OPINT_THREADS reaches OpenBLAS
+from . import _entry
+
+_entry.seed_thread_env()
+
 from .errors import (
     BoundaryEigenvalueError,
     BoundaryEigenvalueWarning,

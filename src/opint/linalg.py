@@ -107,9 +107,13 @@ def resolvent(M, z, tol=DEFAULT_TOLERANCES):
         raise SingularResolventError(
             f"M - zI is numerically singular at z = {complex(z)}")
     # Backward-stable solves leave a residual ~ eps * kappa; anything far
-    # beyond that means z effectively sits on the spectrum.
-    residual = operator_norm(shifted @ R - np.eye(n))
-    scale = max(1.0, operator_norm(shifted) * operator_norm(R))
+    # beyond that means z effectively sits on the spectrum.  The Frobenius
+    # norm is never below the spectral norm and the largest column norm
+    # never above it, so this is at least as strict as
+    # ||(M - z) R - I|| <= tol_solve max(1, ||M - z|| ||R||).
+    residual = np.linalg.norm(shifted @ R - np.eye(n))
+    scale = max(1.0, np.linalg.norm(shifted, axis=0).max()
+                * np.linalg.norm(R, axis=0).max())
     if residual > tol.tol_solve * scale:
         raise SingularResolventError(
             f"resolvent solve at z = {complex(z)} lost all accuracy "
@@ -148,9 +152,28 @@ def numrange_support(A, theta):
     return float(_support_values(A, [float(theta)])[0])
 
 
+def _rounding_slack(A, pts):
+    """Per-point rounding allowance (h + 8) eps (||A||_F + |z|) on a bound.
+
+    With w the computed e^{-i theta}, forming H = (wA + (wA)*)/2 is off by
+    at most about 4 eps ||A||_F in Frobenius norm, and eigvalsh returns the
+    top eigenvalue of a matrix within h eps ||H|| <= h eps ||A||_F of that
+    (its backward error), so by Weyl's inequality the computed h(theta)
+    is off by at most (h + 4) eps ||A||_F.  Re(w z) is off by at most
+    2 eps |z|.  |w| = 1 + O(2 eps) scales the exact value for the unit
+    phase w/|w|, which is at most |z| + ||A|| in size, by at most
+    2 eps (|z| + ||A||_F).  The sum, (h + 6) eps ||A||_F + 4 eps |z|, is
+    within the allowance, so subtracting it leaves, to first order in
+    eps, a lower bound on the distance that no rounding can lift.
+    """
+    eps = np.finfo(float).eps
+    return (A.shape[0] + 8) * eps * (np.linalg.norm(A) + np.abs(pts))
+
+
 def _grid_bounds(A, pts, n_angles):
     """Per-point maxima of Re(e^{-i theta} z) - h(theta) over a uniform angle
-    grid (one batched eigensolve), with the grid bracket around each argmax."""
+    grid (one batched eigensolve), less the rounding slack, with the grid
+    bracket around each argmax."""
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
@@ -159,7 +182,7 @@ def _grid_bounds(A, pts, n_angles):
     g = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :]) - h[:, None]
     peak = thetas[g.argmax(axis=0)]
     step = 2.0 * np.pi / n_angles
-    return g.max(axis=0), peak - step, peak + step
+    return g.max(axis=0) - _rounding_slack(A, pts), peak - step, peak + step
 
 
 _REFINE_ITERS = 40
@@ -167,6 +190,7 @@ _REFINE_ITERS = 40
 
 def _refine(A, pts, best, lo, hi, refine_iters):
     """Raise each bound in `best` by a ternary search on its bracket."""
+    slack = _rounding_slack(A, pts)
     for _ in range(refine_iters):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -175,7 +199,7 @@ def _refine(A, pts, best, lo, hi, refine_iters):
         keep_low = g1 >= g2
         hi = np.where(keep_low, m2, hi)
         lo = np.where(keep_low, lo, m1)
-        best = np.maximum(best, np.maximum(g1, g2))
+        best = np.maximum(best, np.maximum(g1, g2) - slack)
     return best
 
 
@@ -187,7 +211,9 @@ def numrange_distances(A, points, n_angles=720, refine_iters=_REFINE_ITERS):
     Re(e^{-i theta} z) - h(theta), and sharpens each maximum with a
     ternary-search refinement pass on its grid bracket.  Sampling can
     only underestimate the true distance, which is the safe direction
-    for every certificate built on top of it.
+    for every certificate built on top of it, and each bound is lowered
+    by a rounding slack of order h eps (||A||_F + |z|) (`_rounding_slack`)
+    so that rounding cannot lift it either.
     """
     A = _square(A, "A")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))

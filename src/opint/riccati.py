@@ -29,9 +29,7 @@ from .linalg import (
     operator_norm,
     resolvent,
 )
-from .spectral import decompose_normal
-from .stieltjes import OperatorFunction, exact_left_integral
-from .sylvester import BoundCheck
+from .sylvester import BoundCheck, _Prepared, _spectral_solve
 
 __all__ = [
     "RiccatiProblem",
@@ -44,9 +42,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class RiccatiProblem:
-    """Data (A, B, C, D) of the equation XA - CX + XBX = D; C normal."""
+@dataclass(frozen=True, eq=False)
+class RiccatiProblem(_Prepared):
+    """Data (A, B, C, D) of the equation XA - CX + XBX = D; C normal.
+    Frozen, with read-only copies of the matrices; see `_Prepared`."""
 
     A: np.ndarray
     B: np.ndarray
@@ -54,33 +53,8 @@ class RiccatiProblem:
     D: np.ndarray
     tolerances: "object" = field(default=DEFAULT_TOLERANCES, repr=False)
 
-    def __post_init__(self):
-        self.A = as_matrix(self.A, "A")
-        self.B = as_matrix(self.B, "B")
-        self.C = as_matrix(self.C, "C")
-        self.D = as_matrix(self.D, "D")
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ShapeMismatchError(f"A must be square, got {self.A.shape}")
-        if self.C.shape[0] != self.C.shape[1]:
-            raise ShapeMismatchError(f"C must be square, got {self.C.shape}")
-        h, k = self.A.shape[0], self.C.shape[0]
-        if self.B.shape != (h, k):
-            raise ShapeMismatchError(
-                f"B must be ({h} x {k}) to match A and C, got {self.B.shape}")
-        if self.D.shape != (k, h):
-            raise ShapeMismatchError(
-                f"D must be ({k} x {h}) to match C and A, got {self.D.shape}")
 
-    @property
-    def h(self):
-        return self.A.shape[0]
-
-    @property
-    def k(self):
-        return self.C.shape[0]
-
-
-@dataclass
+@dataclass(frozen=True)
 class ContractionCertificate:
     """Quantitative record certifying solvability by contraction.
 
@@ -127,16 +101,22 @@ def riccati_residual(prob, X):
 def certify(prob, tol=None, n_angles=720):
     """Contraction certificate for the fixed-point map of the problem.
 
-    Raises ZeroQuadraticTermError when B = 0: the equation is then a
-    plain Sylvester equation and should be solved as such.
+    Computed once per (tol, n_angles) and kept on the problem.  Raises
+    ZeroQuadraticTermError when B = 0: the equation is then a plain
+    Sylvester equation and should be solved as such.
     """
     tol = tol or prob.tolerances
+    return prob._cached(("certify", tol, n_angles),
+                        lambda: _certify(prob, tol, n_angles))
+
+
+def _certify(prob, tol, n_angles):
     norm_b = operator_norm(prob.B)
     if norm_b == 0.0:
         raise ZeroQuadraticTermError(
             "B = 0 turns the equation into a Sylvester equation; "
             "use the sylvester solvers instead")
-    sm = decompose_normal(prob.C, tol)
+    sm = prob.measure(tol)
     if is_normal(prob.A, tol):
         mode = "normal_a"
         eig_a = np.linalg.eigvals(prob.A)
@@ -166,8 +146,7 @@ def certify(prob, tol=None, n_angles=720):
 
 def _apply_map(prob, sm, X, tol):
     """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}."""
-    G = OperatorFunction.resolvent_family(prob.A + prob.B @ X, prob.D, tol)
-    return exact_left_integral(G, sm, sm.bounding_rect(), tol)
+    return _spectral_solve(prob.A + prob.B @ X, sm, prob.D, tol)
 
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
@@ -196,7 +175,7 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
             f"{math.sqrt(cert.norm_b * cert.enorm_d):.6g} is not below d/2 = "
             f"{cert.d / 2.0:.6g}; pass override_certificate=True to iterate "
             "without a guarantee", certificate=cert)
-    sm = decompose_normal(prob.C, tolerances)
+    sm = prob.measure(tolerances)
     if x0 is None:
         X = np.zeros((prob.k, prob.h), dtype=np.complex128)
     else:
@@ -242,7 +221,7 @@ def posterior_check(prob, report, tol=None):
     """
     tol = tol or prob.tolerances
     cert = report.certificate
-    sm = decompose_normal(prob.C, tol)
+    sm = prob.measure(tol)
     X = report.X
     enorm_x = e_norm(X, sm)
     enorm_d = cert.enorm_d

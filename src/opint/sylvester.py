@@ -10,7 +10,7 @@ separated, which every method checks first.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,6 @@ from .linalg import (
     operator_norm,
 )
 from .spectral import decompose_normal
-from .stieltjes import OperatorFunction, exact_left_integral
 
 __all__ = [
     "SylvesterProblem",
@@ -64,27 +63,27 @@ class BoundCheck(NamedTuple):
         return self.observed <= self.bound + 1e-12 * max(1.0, abs(self.bound))
 
 
-@dataclass
-class SylvesterProblem:
-    """Data (A, C, D) of the equation XA - CX = D; C must be normal."""
-
-    A: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    tolerances: "object" = field(default=DEFAULT_TOLERANCES, repr=False)
+class _Prepared:
+    """A problem prepared once: read-only private copies of its matrices
+    (every field but the tolerances), and data derived from them (the
+    measure of C, the Riccati certificate) computed on first use and kept
+    on the problem."""
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A")
-        self.C = as_matrix(self.C, "C")
-        self.D = as_matrix(self.D, "D")
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ShapeMismatchError(f"A must be square, got {self.A.shape}")
-        if self.C.shape[0] != self.C.shape[1]:
-            raise ShapeMismatchError(f"C must be square, got {self.C.shape}")
-        k, h = self.C.shape[0], self.A.shape[0]
-        if self.D.shape != (k, h):
-            raise ShapeMismatchError(
-                f"D must be ({k} x {h}) to match C and A, got {self.D.shape}")
+        names = [f.name for f in fields(self) if f.name != "tolerances"]
+        for name in names:
+            M = as_matrix(getattr(self, name), name).copy()
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
+        object.__setattr__(self, "_cache", {})
+        # A is h x h and C is k x k
+        h, k = self.A.shape[0], self.C.shape[0]
+        expected = {"A": (h, h), "B": (h, k), "C": (k, k), "D": (k, h)}
+        for name in names:
+            rows, cols = expected[name]
+            if getattr(self, name).shape != (rows, cols):
+                raise ShapeMismatchError(f"{name} must be ({rows} x {cols}), "
+                                         f"got {getattr(self, name).shape}")
 
     @property
     def h(self):
@@ -93,6 +92,36 @@ class SylvesterProblem:
     @property
     def k(self):
         return self.C.shape[0]
+
+    def _cached(self, key, build):
+        """build(), computed once per key."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def measure(self, tol=None):
+        """The spectral measure of C, decomposed once per tolerance; its
+        arrays are read-only."""
+        tol = tol or self.tolerances
+
+        def build():
+            sm = decompose_normal(self.C, tol)
+            for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
+                M.flags.writeable = False
+            return sm
+
+        return self._cached(("measure", tol), build)
+
+
+@dataclass(frozen=True, eq=False)
+class SylvesterProblem(_Prepared):
+    """Data (A, C, D) of the equation XA - CX = D; C must be normal.
+    Frozen, with read-only copies of the matrices; see `_Prepared`."""
+
+    A: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    tolerances: "object" = field(default=DEFAULT_TOLERANCES, repr=False)
 
 
 @dataclass
@@ -129,24 +158,58 @@ def _require_gap(prob, tol):
     return gap
 
 
-def _finish(prob, X, method, gap, sm_c=None, n_angles=720):
-    """Report with the recomputed residual; sm_c is the measure of C when
-    the solver has already built it."""
-    if sm_c is None:
-        sm_c = decompose_normal(prob.C, prob.tolerances)
-    delta = numrange_gap(prob.A, sm_c.eigenvalues, n_angles)
+def _finish(prob, X, method, gap, tol, n_angles=720):
+    """Report with the recomputed residual and the numerical-range gap."""
+    delta = numrange_gap(prob.A, prob.measure(tol).eigenvalues, n_angles)
     return SylvesterReport(X=X, residual=sylvester_residual(prob, X),
                            method=method, gap_d=gap, gap_numrange=delta)
+
+
+def _spectral_solve(M, sm, D, tol):
+    """sum_k P_k D (M - zeta_k)^{-1}, the left integral of D (M - z)^{-1}
+    against the measure sm, on one complex Schur form M = U T U*.
+
+    In the eigenbasis Q of the measure the sum is Q Y U*, with block rows
+    Y_k = Q_k* D U (T - zeta_k)^{-1}: Y solves the triangular Sylvester
+    equation Y T - diag(zeta) Y = Q* D U, one LAPACK ztrsyl call
+    (Bartels-Stewart with C already diagonal).
+
+    Raises SingularResolventError when ztrsyl perturbs a pivot or rescales,
+    when Y is not finite, or when an atom's residual
+    ||Y_k (T - zeta_k) - R_k||_F exceeds tol_solve times the largest row
+    norms of T - zeta_k and of Y_k: the guard of `_guarded_solve`, on the
+    transposed system, for every atom at once.
+    """
+    T, U = scipy.linalg.schur(M, output="complex")
+    zeta = np.repeat(sm.eigenvalues, sm.multiplicities)
+    R = adjoint(sm.basis) @ D @ U
+    Y, scale, info = scipy.linalg.lapack.ztrsyl(np.diag(-zeta), T, R)
+    if info != 0 or scale != 1.0 or not np.all(np.isfinite(Y)):
+        raise SingularResolventError(
+            "M - zeta is singular at an atom of C: spec(M) meets spec(C)")
+    starts = np.cumsum(sm.multiplicities) - sm.multiplicities
+    with np.errstate(all="ignore"):
+        res_rows = np.linalg.norm(Y @ T - zeta[:, None] * Y - R, axis=1)
+        residual = np.sqrt(np.add.reduceat(res_rows ** 2, starts))
+        # row i of T - zeta_k is the strict upper part of row i and T_ii - zeta_k
+        upper = np.linalg.norm(np.triu(T, 1), axis=1) ** 2
+        shifted = np.abs(np.diag(T)[None, :] - sm.eigenvalues[:, None]) ** 2
+        rows_t = np.sqrt((upper + shifted).max(axis=1))
+        rows_y = np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts)
+        ok = residual <= tol.tol_solve * rows_t * rows_y
+    if not ok.all():
+        raise SingularResolventError(
+            "a triangular solve at an atom of C lost all accuracy "
+            f"(residual {residual[~ok][0]:.3e})")
+    return sm.basis @ Y @ adjoint(U)
 
 
 def solve_spectral(prob, tol=None):
     """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
-    sm = decompose_normal(prob.C, tol)
-    G = OperatorFunction.resolvent_family(prob.A, prob.D, tol)
-    X = exact_left_integral(G, sm, sm.bounding_rect(), tol)
-    return _finish(prob, X, "spectral", gap, sm)
+    X = _spectral_solve(prob.A, prob.measure(tol), prob.D, tol)
+    return _finish(prob, X, "spectral", gap, tol)
 
 
 def solve_kronecker(prob, tol=None):
@@ -180,7 +243,7 @@ def solve_kronecker(prob, tol=None):
             "spec(A) and spec(C) effectively overlap")
     X = x.reshape((k, h), order="F")
     gap = spectral_gap(prob)
-    return _finish(prob, X, "kronecker", gap)
+    return _finish(prob, X, "kronecker", gap, tol)
 
 
 def _build_circles(eig_a, eig_c, gap):
@@ -302,10 +365,9 @@ def solve_contour(prob, n_nodes=32, tol=None):
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
     eig_a = np.linalg.eigvals(prob.A)
-    sm = decompose_normal(prob.C, tol)
-    circles = _build_circles(eig_a, sm.eigenvalues, gap)
+    circles = _build_circles(eig_a, prob.measure(tol).eigenvalues, gap)
     X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes, tol=tol)
-    return _finish(prob, X, "contour", gap, sm)
+    return _finish(prob, X, "contour", gap, tol)
 
 
 def solve_double_spectral(prob, tol=None):
@@ -318,13 +380,13 @@ def solve_double_spectral(prob, tol=None):
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
     sm_a = decompose_normal(prob.A, tol)
-    sm_c = decompose_normal(prob.C, tol)
+    sm_c = prob.measure(tol)
     Q_a = sm_a.columns(range(len(sm_a)))
     Q_c = sm_c.columns(range(len(sm_c)))
     z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)
     zeta = np.repeat(sm_c.eigenvalues, sm_c.multiplicities)
     M = (adjoint(Q_c) @ prob.D @ Q_a) / (z[None, :] - zeta[:, None])
-    return _finish(prob, Q_c @ M @ adjoint(Q_a), "double", gap, sm_c)
+    return _finish(prob, Q_c @ M @ adjoint(Q_a), "double", gap, tol)
 
 
 def dual_solution(X):
@@ -345,7 +407,7 @@ def verify_bounds(prob, report, n_angles=720, tol=None):
       hs_vs_gap           ||X||_2 <= ||D||_2 / d   (A normal only)
     """
     tol = tol or prob.tolerances
-    sm = decompose_normal(prob.C, tol)
+    sm = prob.measure(tol)
     enorm_x = e_norm(report.X, sm)
     enorm_d = e_norm(prob.D, sm)
     delta = report.gap_numrange

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opint import RiccatiProblem, SylvesterProblem, certify
 
@@ -56,6 +59,32 @@ def make_certified_riccati(rng, h, k, normal_a=True, margin=0.4):
     s = np.sqrt(target / bd)
     prob = RiccatiProblem(A, s * B, C, s * D)
     return prob
+
+
+def spectral_norm_guard_raises(M, z, tol_solve=1e-10):
+    """Whether the spectral-norm resolvent guard rejects z: an LU solve of
+    (M - z) R = I that is singular, not finite, or has
+    ||(M - z) R - I|| > tol_solve max(1, ||M - z|| ||R||), three SVDs."""
+    S = np.asarray(M, dtype=np.complex128) - z * np.eye(len(M))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            R = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(len(M)))
+        except (scipy.linalg.LinAlgError, ValueError):
+            return True
+        if not np.all(np.isfinite(R)):
+            return True
+        residual = np.linalg.norm(S @ R - np.eye(len(M)), 2)
+        scale = max(1.0, np.linalg.norm(S, 2) * np.linalg.norm(R, 2))
+    return not residual <= tol_solve * scale
+
+
+def shift_sweep(eigenvalues):
+    """z = lam + 10^-p e^{i phi} for p = 1..16 and three angles."""
+    for lam in eigenvalues:
+        for p in range(1, 17):
+            for phi in (0.0, 0.5 * np.pi, 0.75 * np.pi):
+                yield lam + 10.0 ** -p * np.exp(1j * phi)
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import opint
 from opint.cli import main
 from opint.probfile import load_problem, matrix_from_json, matrix_to_json
 from opint import InvalidProblemError, operator_norm
@@ -337,3 +341,40 @@ def test_entry_point_sets_thread_env(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert os.environ.get("OMP_NUM_THREADS") == "2"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: one thread anyway")
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="loaded libraries are listed from /proc/self/maps")
+def test_opint_threads_caps_openblas():
+    # the count each loaded OpenBLAS reports after `import opint`
+    script = textwrap.dedent("""
+        import ctypes, json, os
+        import opint
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+        found = {}
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for sym in ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                fn = getattr(lib, sym, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    found[os.path.basename(path)] = fn()
+                    break
+        print(json.dumps(found))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "VECLIB_MAXIMUM_THREADS"}
+    env.update(PYTHONPATH=src, OPINT_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    found = json.loads(out.stdout)
+    if not found:
+        pytest.skip("no OpenBLAS thread-count symbol in this process")
+    assert set(found.values()) == {1}, found

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,8 @@ from opint import (
 import opint.linalg as linalg
 from opint.linalg import numrange_distances, numrange_gap
 
-from conftest import random_complex, random_normal
+from conftest import (random_complex, random_normal, shift_sweep,
+                      spectral_norm_guard_raises)
 
 
 class TestNorms:
@@ -92,6 +94,44 @@ class TestResolvent:
             lhs = resolvent(M, z) - resolvent(M, w)
             rhs = (z - w) * resolvent(M, z) @ resolvent(M, w)
             assert operator_norm(lhs - rhs) <= 1e-10
+
+
+    def test_guard_takes_no_svd(self, rng, monkeypatch):
+        def no_svd(M):
+            raise AssertionError("operator_norm called")
+        monkeypatch.setattr(linalg, "operator_norm", no_svd)
+        M = np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5)
+        R = resolvent(M, 0.5j)
+        assert_allclose((M - 0.5j * np.eye(5)) @ R, np.eye(5), atol=1e-12)
+
+    def test_guard_rejects_an_inexact_solve(self, rng, monkeypatch):
+        M = np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5)
+        real = scipy.linalg.lu_solve
+        monkeypatch.setattr(scipy.linalg, "lu_solve",
+                            lambda *a, **k: real(*a, **k) * (1.0 + 1e-8))
+        with pytest.raises(SingularResolventError):
+            resolvent(M, 0.5j)
+
+    def test_guard_sweep_at_least_as_strict_as_spectral_norms(self, rng):
+        A0, _ = random_normal(rng, 4)
+        jordan = 2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]), jordan,
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1),
+                    1e4 * A0]
+        swept = hits = 0
+        for M in matrices:
+            for z in shift_sweep(np.linalg.eigvals(M)):
+                old_raises = spectral_norm_guard_raises(M, z)
+                try:
+                    resolvent(M, z)
+                    new_raises = False
+                except SingularResolventError:
+                    new_raises = True
+                assert new_raises or not old_raises, (M, z)
+                swept += 1
+                hits += old_raises
+        assert swept == 4 * 4 * 16 * 3
+        assert hits > 0  # the exact hits at p = 16 make the sweep bite
 
 
 class TestNumericalRange:
@@ -182,8 +222,7 @@ class TestNumrangeGap:
         for A, pts in _gap_cases(rng):
             gap = numrange_gap(A, pts, n_angles=n_angles)
             ref = numrange_distances(A, pts, n_angles=n_angles).min()
-            # an eigenvalue of a 1x1 A is W(A) itself: both sides give its
-            # zero distance to rounding (up to 3.3e-16 here)
+            # an eigenvalue of a 1x1 A is W(A) itself: both sides give 0
             assert gap == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
     def test_refines_past_a_misleading_grid_bound(self):
@@ -207,6 +246,16 @@ class TestNumrangeGap:
     def test_min_angles_enforced(self):
         with pytest.raises(ValueError):
             numrange_gap(np.eye(2), [3.0, 4.0], n_angles=7)
+
+    @pytest.mark.parametrize("n_angles", [8, 720])
+    def test_rounding_cannot_lift_a_zero_distance(self, rng, n_angles):
+        # W([[a]]) = {a}: without the rounding slack the support bound
+        # read 1e-16 to 3e-16 here for almost every a
+        mags = 10.0 ** rng.uniform(-3.0, 3.0, 1000)
+        points = mags * np.exp(2j * np.pi * rng.random(1000))
+        for a in points:
+            assert numrange_gap([[a]], [a], n_angles=n_angles) == 0.0
+        assert numrange_distances(np.diag(points[:50]), points[:50]).max() == 0.0
 
     def test_refines_only_the_argmin(self, rng, monkeypatch):
         A, _ = random_normal(rng, 5)

@@ -1,16 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import opint.riccati as riccati
+import opint.sylvester as sylvester
 from opint import (
     CertificateViolationError,
     MaxIterationsError,
+    OperatorFunction,
     RiccatiProblem,
     ShapeMismatchError,
+    SingularResolventError,
     SylvesterProblem,
     ZeroQuadraticTermError,
     adjoint,
     certify,
     decompose_normal,
+    exact_left_integral,
     operator_norm,
     posterior_check,
     riccati_residual,
@@ -19,7 +26,7 @@ from opint import (
 )
 from opint.linalg import numrange_distances
 
-from conftest import make_certified_riccati, random_complex
+from conftest import make_certified_riccati, random_complex, random_unitary
 
 SCALAR = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])
 SCALAR_X = (np.sqrt(13.0) - 3.0) / 2.0
@@ -75,6 +82,78 @@ class TestCertify:
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             RiccatiProblem(np.eye(2), np.ones((3, 2)), np.eye(2), np.eye(2))
+
+
+class TestPreparedProblem:
+    def test_certificate_once_per_tolerance_and_angles(self, rng):
+        prob = make_certified_riccati(rng, 4, 4, normal_a=False)
+        cert = certify(prob)
+        assert certify(prob, prob.tolerances, 720) is cert
+        assert certify(prob, n_angles=360) is not cert
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.d = 10.0
+
+    def test_matrices_are_read_only_private_copies(self):
+        B = np.ones((1, 1), dtype=np.complex128)
+        prob = RiccatiProblem([[3.0]], B, [[0.0]], [[1.0]])
+        for name in ("A", "B", "C", "D"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prob, name, np.eye(1))
+            with pytest.raises(ValueError):
+                getattr(prob, name)[0, 0] = 2.0
+        B[0, 0] = 7.0
+        assert prob.B[0, 0] == 1.0
+
+    @pytest.mark.parametrize("normal_a, gaps", [(False, 1), (True, 0)])
+    def test_report_chain_decomposes_and_certifies_once(
+            self, rng, monkeypatch, normal_a, gaps):
+        prob = make_certified_riccati(rng, 5, 4, normal_a=normal_a)
+        counts = {"decompose": 0, "gap": 0}
+        real_decompose = sylvester.decompose_normal
+        real_gap = riccati.numrange_gap
+
+        def decompose(*args):
+            counts["decompose"] += 1
+            return real_decompose(*args)
+
+        def gap(*args, **kwargs):
+            counts["gap"] += 1
+            return real_gap(*args, **kwargs)
+
+        monkeypatch.setattr(sylvester, "decompose_normal", decompose)
+        monkeypatch.setattr(riccati, "numrange_gap", gap)
+        certify(prob)
+        report = solve_fixed_point(prob)
+        posterior_check(prob, report)
+        assert counts == {"decompose": 1, "gap": gaps}
+
+
+class TestMap:
+    @pytest.mark.parametrize("mult", [1, 4])
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_equals_left_integral(self, rng, mult, normal_a):
+        for _ in range(3):
+            prob = make_certified_riccati(rng, 5, 8, normal_a=normal_a)
+            if mult > 1:  # the same problem with 4-fold atoms
+                eigs = np.repeat(decompose_normal(prob.C).eigenvalues[:2], mult)
+                U = random_unitary(rng, 8)
+                C = U @ np.diag(eigs) @ adjoint(U)
+                prob = RiccatiProblem(prob.A, prob.B, C, prob.D)
+            sm = prob.measure()
+            assert len(sm) == 8 // mult
+            X = random_complex(rng, 8, 5, scale=0.1)
+            M = prob.A + prob.B @ X
+            G = OperatorFunction.resolvent_family(M, prob.D)
+            ref = exact_left_integral(G, sm, sm.bounding_rect())
+            value = riccati._apply_map(prob, sm, X, prob.tolerances)
+            assert operator_norm(value - ref) <= 1e-12 * operator_norm(ref)
+
+    def test_shift_on_the_spectrum_raises_singular_resolvent(self):
+        prob = RiccatiProblem(np.diag([0.5, 2.0]), np.ones((2, 2)),
+                              np.diag([0.5, -1.0]), np.ones((2, 2)))
+        with pytest.raises(SingularResolventError):
+            riccati._apply_map(prob, prob.measure(), np.zeros((2, 2)),
+                               prob.tolerances)
 
 
 class TestSolve:

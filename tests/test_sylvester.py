@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 import opint.sylvester as sylvester
@@ -9,13 +12,17 @@ from opint import (
     GapViolationError,
     NoConvergenceError,
     NotNormalError,
+    OperatorFunction,
     ShapeMismatchError,
     SingularResolventError,
     SingularSystemError,
     SylvesterProblem,
+    Tolerances,
     adjoint,
     contour_quadrature,
+    decompose_normal,
     dual_solution,
+    exact_left_integral,
     hs_norm,
     operator_norm,
     resolvent,
@@ -28,7 +35,8 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import make_sylvester, random_complex, random_normal, random_unitary
+from conftest import (make_sylvester, random_complex, random_normal,
+                      random_unitary, shift_sweep, spectral_norm_guard_raises)
 
 SCALAR = SylvesterProblem([[2.0]], [[0.0]], [[1.0]])
 ALL_SOLVERS = (solve_spectral, solve_kronecker, solve_contour,
@@ -355,6 +363,143 @@ class TestOneDecomposition:
         # the report is the one a fresh decomposition of C gives
         assert report.gap_numrange == numrange_gap(
             prob.A, real(prob.C).eigenvalues)
+
+    @pytest.mark.parametrize("solver, calls", [
+        (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
+        (solve_double_spectral, 2)])
+    def test_solve_and_verify_decompose_c_once(self, rng, monkeypatch,
+                                               solver, calls):
+        prob = make_sylvester(rng, 4, 5)
+        seen = []
+        real = sylvester.decompose_normal
+        monkeypatch.setattr(sylvester, "decompose_normal",
+                            lambda M, tol: seen.append(M) or real(M, tol))
+        verify_bounds(prob, solver(prob))
+        assert len(seen) == calls
+        assert sum(M is prob.C for M in seen) == 1
+
+
+class TestPreparedProblem:
+    def test_matrices_are_read_only_private_copies(self):
+        A = np.array([[2.0, 1.0], [0.0, 3.0]], dtype=np.complex128)
+        prob = SylvesterProblem(A, np.eye(1), np.ones((1, 2)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.A = np.eye(2)
+        with pytest.raises(ValueError):
+            prob.A[0, 0] = 5.0
+        assert A.flags.writeable
+        A[0, 0] = 5.0
+        assert prob.A[0, 0] == 2.0
+
+    def test_measure_once_per_tolerance(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 3, 4)
+        count = []
+        real = sylvester.decompose_normal
+        monkeypatch.setattr(sylvester, "decompose_normal",
+                            lambda *args: count.append(1) or real(*args))
+        sm = prob.measure()
+        assert prob.measure() is sm
+        assert prob.measure(prob.tolerances) is sm
+        assert len(count) == 1
+        other = prob.measure(Tolerances(tol_cluster=1e-6))
+        assert other is not sm and len(count) == 2
+        with pytest.raises(ValueError):  # the kept measure cannot be edited
+            sm.basis[0, 0] = 0.0
+        assert_allclose(sm.basis, decompose_normal(prob.C).basis)
+
+
+def _clustered_normal(rng, n, mult=4):
+    """Normal matrix whose n/mult atoms each have multiplicity mult."""
+    eigs = np.repeat(rng.uniform(-1, 1, n // mult)
+                     + 1j * rng.uniform(-1, 1, n // mult), mult)
+    U = random_unitary(rng, n)
+    return U @ np.diag(eigs) @ adjoint(U)
+
+
+def _resolvent_integral(M, sm, D):
+    """The left integral of D (M - z)^{-1}, atom by atom, as in the paper."""
+    G = OperatorFunction.resolvent_family(M, D)
+    return exact_left_integral(G, sm, sm.bounding_rect())
+
+
+class TestSpectralCore:
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_equals_left_integral(self, rng, clustered, strong):
+        # both are backward stable, so they agree to about eps times the
+        # condition of A - zeta; h <= 5 keeps that below 1e4 for the
+        # strongly non-normal A (at h = 8 it reaches 6e5, and the two, like
+        # scipy.linalg.solve_sylvester, then differ by up to 5e-11)
+        for h, k in ((5, 8), (4, 4), (1, 4)):
+            C = _clustered_normal(rng, k) if clustered else random_normal(rng, k)[0]
+            if strong:
+                A = _strongly_nonnormal(rng, h, k).A
+            else:
+                A = random_normal(rng, h, re=(2.0, 4.0))[0]
+            prob = SylvesterProblem(A, C, random_complex(rng, k, h))
+            sm = prob.measure()
+            assert len(sm) == (k // 4 if clustered else k)
+            assert max(np.linalg.cond(prob.A - z * np.eye(h))
+                       for z in sm.eigenvalues) < 1e4
+            ref = _resolvent_integral(prob.A, sm, prob.D)
+            X = solve_spectral(prob).X
+            assert operator_norm(X - ref) <= 1e-12 * operator_norm(ref)
+
+    @pytest.mark.parametrize("lam", [3.0, 2.0 + 1.0j])
+    def test_exact_hit_raises_singular_resolvent(self, rng, lam):
+        M = np.diag([3.0, 2.0 + 1.0j]) + np.diag([0.7], 1)
+        sm = decompose_normal(np.diag([lam, 0.5, 0.5]))
+        with pytest.raises(SingularResolventError):
+            sylvester._spectral_solve(M, sm, random_complex(rng, 3, 2),
+                                      sylvester.DEFAULT_TOLERANCES)
+
+    def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
+        tol = sylvester.DEFAULT_TOLERANCES
+        A0, _ = random_normal(rng, 4)
+        matrices = [np.diag([3.0, 2.0 + 1.0j]) + np.diag([0.7], 1),
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1),
+                    1e3 * A0]
+        swept = hits = 0
+        for M in matrices:
+            D = random_complex(rng, 3, len(M))
+            far = 10.0 * max(1.0, operator_norm(M))
+            for z in shift_sweep(np.linalg.eigvals(M)):
+                # a 2-fold atom at z and a simple one far from spec(M)
+                sm = decompose_normal(np.diag([z, z, far]))
+                old_raises = any(spectral_norm_guard_raises(M, zeta)
+                                 for zeta in sm.eigenvalues)
+                try:
+                    sylvester._spectral_solve(M, sm, D, tol)
+                    new_raises = False
+                except SingularResolventError:
+                    new_raises = True
+                assert new_raises or not old_raises, (M, z)
+                swept += 1
+                hits += old_raises
+        assert swept == (2 + 4 + 4) * 16 * 3
+        assert hits > 0  # the exact hits at p = 16 make the sweep bite
+
+    @pytest.mark.parametrize("fault", ["inexact", "scale", "info", "nan"])
+    def test_guard_rejects_faulty_solves(self, rng, monkeypatch, fault):
+        prob = make_sylvester(rng, 4, 5, normal_a=False)
+        solve_spectral(prob)
+        real = scipy.linalg.lapack.ztrsyl
+
+        def faulty(*args):
+            Y, scale, info = real(*args)
+            if fault == "inexact":
+                Y = Y * (1.0 + 1e-8)
+            elif fault == "scale":
+                scale = 0.5
+            elif fault == "info":
+                info = 1
+            else:
+                Y[0, 0] = np.nan
+            return Y, scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", faulty)
+        with pytest.raises(SingularResolventError):
+            solve_spectral(prob)
 
 
 class TestDual:
