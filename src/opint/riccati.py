@@ -19,6 +19,7 @@ from .errors import (
     CertificateViolationError,
     MaxIterationsError,
     ShapeMismatchError,
+    SingularResolventError,
     ZeroQuadraticTermError,
 )
 from .linalg import (
@@ -27,7 +28,6 @@ from .linalg import (
     is_normal,
     numrange_gap,
     operator_norm,
-    resolvent,
 )
 from .sylvester import BoundCheck, _Prepared, _spectral_solve
 
@@ -205,6 +205,39 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     return report
 
 
+# Entries of shifted copies of A + BX held at once by _sup_resolvent_norm
+# (64 MB), so many atoms on a large matrix stay within memory.
+_SHIFT_CHUNK_ENTRIES = 1 << 22
+
+
+def _sup_resolvent_norm(M, zetas, tol):
+    """sup_k ||(M - zeta_k)^{-1}|| = max_k 1 / sigma_min(M - zeta_k), from
+    batched SVDs of the shifted matrices.
+
+    Forming M - zeta errs by about eps (||M|| + |zeta|), the SVD adds
+    about eps sigma_max, and ||M|| <= sigma_max + |zeta|.  So a shift
+    counts as numerically singular, and raises SingularResolventError,
+    unless sigma_min > tol_solve (sigma_max + |zeta|); a failed or
+    non-finite SVD raises the same way.
+    """
+    step = max(1, _SHIFT_CHUNK_ENTRIES // M.size)
+    try:
+        sigma = np.concatenate([
+            np.linalg.svd(M - zetas[i:i + step, None, None] * np.eye(len(M)),
+                          compute_uv=False)
+            for i in range(0, len(zetas), step)])
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolventError("SVD of a shifted A + BX failed") from exc
+    smin, smax = sigma[:, -1], sigma[:, 0]
+    singular = ~(smin > tol.tol_solve * (smax + np.abs(zetas)))
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise SingularResolventError(
+            f"A + BX - zI is numerically singular at z = {complex(zetas[k])} "
+            f"(sigma_min {smin[k]:.3e}, sigma_max {smax[k]:.3e})")
+    return float(np.max(1.0 / smin))
+
+
 def posterior_check(prob, report, tol=None):
     """A-posteriori bounds evaluated on a converged solution.
 
@@ -225,9 +258,7 @@ def posterior_check(prob, report, tol=None):
     X = report.X
     enorm_x = e_norm(X, sm)
     enorm_d = cert.enorm_d
-    shifted = prob.A + prob.B @ X
-    sup_res = max(operator_norm(resolvent(shifted, zeta, tol))
-                  for zeta in sm.eigenvalues)
+    sup_res = _sup_resolvent_norm(prob.A + prob.B @ X, sm.eigenvalues, tol)
     checks = {"aposteriori_sup_resolvent": BoundCheck(enorm_d * sup_res, enorm_x)}
     denom = cert.d - cert.norm_b * operator_norm(X)
     if denom > 0:

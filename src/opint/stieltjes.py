@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import DEFAULT_TOLERANCES, adjoint, operator_norm, resolvent
+from .spectral import Rect
 
 __all__ = [
     "OperatorFunction",
@@ -73,9 +74,8 @@ class OperatorFunction:
     @classmethod
     def affine(cls, p, q, dim):
         """(p lambda + q mu) times the identity; exact constants attached."""
-        eye = np.eye(dim, dtype=np.complex128)
-        return cls(evaluate=lambda lam, mu: (p * lam + q * mu) * eye,
-                   gamma1=float(max(abs(p), abs(q))), gamma2=0.0)
+        return cls.from_scalar(lambda z: p * z.real + q * z.imag, dim,
+                               gamma1=float(max(abs(p), abs(q))), gamma2=0.0)
 
     @classmethod
     def polynomial(cls, coeffs, dim):
@@ -137,11 +137,10 @@ class GridPartition:
             xi, zeta = (np.asarray(t, dtype=float) for t in self.custom_tags)
             if len(xi) != self.m or len(zeta) != self.n:
                 raise ValueError("custom tag arrays must have one entry per cell")
-            lp, mp = self.lambda_points, self.mu_points
-            if not (np.all(lp[:-1] <= xi) and np.all(xi < lp[1:])):
-                raise ValueError("xi tags must lie in their lambda cells")
-            if not (np.all(mp[:-1] <= zeta) and np.all(zeta < mp[1:])):
-                raise ValueError("zeta tags must lie in their mu cells")
+            for name, axis, t, pts in (("xi", "lambda", xi, self.lambda_points),
+                                       ("zeta", "mu", zeta, self.mu_points)):
+                if not (np.all(pts[:-1] <= t) and np.all(t < pts[1:])):
+                    raise ValueError(f"{name} tags must lie in their {axis} cells")
             self.custom_tags = (xi, zeta)
 
     @property
@@ -181,73 +180,54 @@ class ConvergenceReport:
     values: Optional[list] = None
 
 
-def _perturb_lines(lines, coords, thresh, shift):
-    """Move interior grid lines that collide with atom coordinates.
+def _explicit_axes(p):
+    """The lines of a partition: line i at lines[i], and a coordinate
+    finds its cell by binary search."""
+    return [(lines.__getitem__,
+             lambda x, lines=lines: np.searchsorted(lines, x, side="right") - 1,
+             len(lines) - 1) for lines in (p.lambda_points, p.mu_points)]
 
-    A line within thresh of a coordinate is shifted by `shift` away from
-    the nearest colliding coordinate, which keeps half-open cell
-    membership far from floating-point ties.  Lines are left alone when
-    the shift could reorder them against their neighbours.
+
+def _dyadic_axes(rect, level):
+    """The uniform 2^level x 2^level grid: line i at lo + i h, and a
+    coordinate finds its cell by floor, so a deep level never
+    materializes its lines."""
+    n = 2 ** level
+    return [(lambda i, lo=lo, h=h: lo + i * h,
+             lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64), n)
+            for lo, h in ((rect.a, rect.width / n), (rect.c, rect.height / n))]
+
+
+def _locate(coords, axis, thresh, shift):
+    """Cell of each coordinate on one (line, raw cell, cell count) axis,
+    the original and moved position of its lower line, and the moved
+    position of its upper line.
+
+    An interior line within thresh of a coordinate moves by shift away
+    from the nearest one (ties go to the smaller), keeping half-open
+    membership far from floating-point ties, unless the shift could
+    reorder it against its neighbours (room < 4 shift).  Only lines next
+    to occupied cells are generated: O(K log K) for K coordinates.
     """
-    if len(coords) == 0:
-        return lines
-    out = lines.copy()
-    for i in range(1, len(lines) - 1):
-        pos = lines[i]
-        dists = np.abs(coords - pos)
-        nearest = int(np.argmin(dists))
-        if dists[nearest] <= thresh:
-            room = min(pos - lines[i - 1], lines[i + 1] - pos)
-            if 4.0 * shift <= room:
-                out[i] = pos - shift if coords[nearest] >= pos else pos + shift
-    return out
-
-
-def _cell_groups(sm, lam_lines, mu_lines, tol):
-    """Group the atoms of sm into occupied cells of an explicit grid.
-
-    Returns a dict (j, k) -> list of atom indices for the atoms lying in
-    the (perturbed) partition rectangle, plus the perturbed lines.
-    """
-    scale = max(1.0, sm.spectral_radius)
-    thresh = tol.tol_cluster * scale
-    shift = 2.0 * thresh
-    re = sm.eigenvalues.real
-    im = sm.eigenvalues.imag
-    lam = _perturb_lines(lam_lines, np.unique(re), thresh, shift)
-    mu = _perturb_lines(mu_lines, np.unique(im), thresh, shift)
-    groups = {}
-    for idx in range(len(sm)):
-        if not (lam[0] <= re[idx] < lam[-1] and mu[0] <= im[idx] < mu[-1]):
-            continue
-        j = int(np.searchsorted(lam, re[idx], side="right")) - 1
-        k = int(np.searchsorted(mu, im[idx], side="right")) - 1
-        groups.setdefault((j, k), []).append(idx)
-    return groups, lam, mu
-
-
-def _tag_arrays(p, lam_pert, mu_pert):
-    """Per-axis tag coordinates for a partition with perturbed lines.
-
-    A lower-left tag stays at the original corner when a line was moved
-    down (the corner is still inside the cell, and an atom sitting
-    exactly on a grid line then gets tagged at its own coordinate); a
-    line moved up becomes the tag itself so tags never leave their cell.
-    """
-    if p.tag_rule == "lower_left":
-        return (np.maximum(p.lambda_points[:-1], lam_pert[:-1]),
-                np.maximum(p.mu_points[:-1], mu_pert[:-1]))
-    if p.tag_rule == "center":
-        return (0.5 * (lam_pert[:-1] + lam_pert[1:]),
-                0.5 * (mu_pert[:-1] + mu_pert[1:]))
-    return p.custom_tags
-
-
-def _check_shape(value, dim):
-    if value.ndim != 2 or value.shape[1] != dim:
-        raise ShapeMismatchError(
-            f"integrand of shape {value.shape} does not fit a measure on "
-            f"dimension {dim}: right integrands are (h x {dim}), left ones ({dim} x h)")
+    line, raw_cell, ncells = axis
+    cell = np.minimum(np.maximum(raw_cell(coords), 0), ncells - 1)
+    # rows hold lines cell - 2 .. cell + 3: the inner four bound every
+    # cell an atom can end up in, and the outer two give their room.
+    # Clipping repeats the edge lines, so they get no room and never move.
+    pos = line(np.minimum(np.maximum(cell + np.arange(-2, 4)[:, None], 0), ncells))
+    room = np.minimum(pos[1:-1] - pos[:-2], pos[2:] - pos[1:-1])
+    pos = pos[1:-1]
+    near = np.concatenate(([-np.inf], np.sort(coords), [np.inf]))
+    k = np.searchsorted(near, pos)
+    below, above = near[k - 1], near[k]
+    nearest = np.where(above - pos < pos - below, above, below)
+    hit = (np.abs(nearest - pos) <= thresh) & (4.0 * shift <= room)
+    moved = np.where(hit, np.where(nearest >= pos, pos - shift, pos + shift), pos)
+    # only a moved line re-decides membership: the raw cell stands
+    # against the lines that stay put
+    rows = 1 + (hit[2] & (coords >= moved[2])) - (hit[1] & (coords < moved[1]))
+    cols = np.arange(len(coords))
+    return cell + rows - 1, pos[rows, cols], moved[rows, cols], moved[rows + 1, cols]
 
 
 def _spectral_sum(F, sm, cells, empty_tag):
@@ -256,20 +236,51 @@ def _spectral_sum(F, sm, cells, empty_tag):
     Each E(S) = Q_S Q_S* is applied in factored form, (F Q_S) Q_S*, and
     cells are accumulated in the order given so results are
     bit-reproducible.  Without cells the result is the zero matrix of
-    the shape of F(empty_tag).
+    the shape of F(empty_tag), as E(empty set) = 0.
     """
     out = None
-    for lam, mu, atoms in cells:
+    for lam, mu, atoms in cells or [(*empty_tag, [])]:
         value = F(lam, mu)
-        _check_shape(value, sm.dim)
+        if value.ndim != 2 or value.shape[1] != sm.dim:
+            raise ShapeMismatchError(
+                f"integrand of shape {value.shape} does not fit a measure on dimension "
+                f"n = {sm.dim}: right integrands are (h x n), left ones (n x h)")
         Q = sm.columns(atoms)
         term = (value @ Q) @ Q.conj().T
         out = term if out is None else out + term
-    if out is None:
-        value = F(*empty_tag)
-        _check_shape(value, sm.dim)
-        out = np.zeros_like(value)
     return out
+
+
+def _grid_sum(F, sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
+    """Right sum over the atoms of sm in rect on a grid of two axes, with
+    the (n_atoms, 2) per-atom tags and atom coordinates.  Cells are
+    accumulated in row-major order and atoms in index order within a
+    cell, so results are bit-reproducible.
+    """
+    thresh = tol.tol_cluster * max(1.0, sm.spectral_radius)
+    atoms = sm.atoms_in(rect)
+    coords = (sm.eigenvalues[atoms].real, sm.eigenvalues[atoms].imag)
+    cells, tags = [], []
+    for d, (x, axis) in enumerate(zip(coords, axes)):
+        cell, lower, lower_moved, upper_moved = _locate(x, axis, thresh, 2.0 * thresh)
+        # a lower line moved down keeps the original corner as tag (still
+        # in the cell, and an atom sitting exactly on a grid line is then
+        # tagged at its own coordinate); one moved up becomes the tag
+        if tag_rule == "lower_left":
+            tag = np.maximum(lower, lower_moved)
+        elif tag_rule == "center":
+            tag = 0.5 * (lower_moved + upper_moved)
+        else:
+            tag = custom_tags[d][cell]
+        cells.append(cell.tolist())
+        tags.append(tag)
+    tags = np.column_stack(tags)
+    groups = {}
+    for atom, j, k, (xi, zeta) in zip(atoms.tolist(), *cells, tags.tolist()):
+        groups.setdefault((j, k), (xi, zeta, []))[2].append(atom)
+    out = _spectral_sum(F, sm, [groups[key] for key in sorted(groups)],
+                        (rect.a, rect.c))
+    return out, tags, np.column_stack(coords)
 
 
 def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
@@ -279,10 +290,9 @@ def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
     in fixed row-major order (j outer, k inner) so results are
     bit-reproducible.
     """
-    groups, lam, mu = _cell_groups(sm, p.lambda_points, p.mu_points, tol)
-    xi, zeta = _tag_arrays(p, lam, mu)
-    cells = [(xi[j], zeta[k], groups[(j, k)]) for j, k in sorted(groups)]
-    return _spectral_sum(F, sm, cells, (p.lambda_points[0], p.mu_points[0]))
+    lp, mp = p.lambda_points, p.mu_points
+    rect = Rect(lp[0], lp[-1], mp[0], mp[-1])
+    return _grid_sum(F, sm, rect, _explicit_axes(p), tol, p.tag_rule, p.custom_tags)[0]
 
 
 def left_sum(G, sm, p, tol=DEFAULT_TOLERANCES):
@@ -292,15 +302,6 @@ def left_sum(G, sm, p, tol=DEFAULT_TOLERANCES):
     return adjoint(right_sum(G_star, sm, p, tol))
 
 
-def _require_clear_boundary(sm, rect, tol):
-    threshold = tol.tol_cluster * max(1.0, sm.spectral_radius)
-    for z in sm.eigenvalues:
-        if rect.boundary_distance(z.real, z.imag) <= threshold:
-            raise BoundaryEigenvalueError(
-                f"eigenvalue {z} lies within {threshold:.2e} of the rectangle "
-                "boundary; the exact integral over this rectangle is ill posed")
-
-
 def exact_right_integral(F, sm, rect, tol=DEFAULT_TOLERANCES):
     """Limit value of the right integral over rect for an atomic measure.
 
@@ -308,7 +309,12 @@ def exact_right_integral(F, sm, rect, tol=DEFAULT_TOLERANCES):
     inside the rectangle.  Raises BoundaryEigenvalueError when an
     eigenvalue sits within tol_cluster of the boundary.
     """
-    _require_clear_boundary(sm, rect, tol)
+    threshold = tol.tol_cluster * max(1.0, sm.spectral_radius)
+    for z in sm.eigenvalues:
+        if rect.boundary_distance(z.real, z.imag) <= threshold:
+            raise BoundaryEigenvalueError(
+                f"eigenvalue {z} lies within {threshold:.2e} of the rectangle "
+                "boundary; the exact integral over this rectangle is ill posed")
     cells = [(sm.eigenvalues[k].real, sm.eigenvalues[k].imag, [k])
              for k in sm.atoms_in(rect)]
     return _spectral_sum(F, sm, cells, (rect.a, rect.c))
@@ -324,83 +330,12 @@ def exact_left_integral(G, sm, rect, tol=DEFAULT_TOLERANCES):
     return adjoint(exact_right_integral(G_star, sm, rect, tol))
 
 
-def _uniform_cell_index(coords, lo, hi, ncells, thresh, shift):
-    """Cell index and lower-edge tag per coordinate on an implicit grid.
-
-    Works without materializing the 2^level grid lines, so deep dyadic
-    refinement stays O(number of atoms) per level.  Applies the same
-    outward perturbation of colliding lines as the explicit path, but
-    only while the shift cannot reorder lines (mesh > 4 * shift); below
-    that the floor-based membership is already unambiguous.
-    """
-    h = (hi - lo) / ncells
-    idx = np.floor((coords - lo) / h).astype(np.int64)
-    idx = np.clip(idx, 0, ncells - 1)
-    new_pos = {}
-    if 4.0 * shift <= h:
-        # nearest interior line per coordinate; the closest colliding
-        # coordinate decides the perturbation direction
-        line_idx = np.rint((coords - lo) / h).astype(np.int64)
-        for i, li in enumerate(line_idx):
-            li = int(li)
-            if li <= 0 or li >= ncells:
-                continue
-            pos = lo + li * h
-            dist = abs(coords[i] - pos)
-            if dist <= thresh and (li not in new_pos or dist < new_pos[li][1]):
-                moved = pos - shift if coords[i] >= pos else pos + shift
-                new_pos[li] = (moved, dist)
-    if new_pos:
-        # re-decide membership against the moved bounding lines
-        for i in range(len(coords)):
-            x = coords[i]
-            lower = int(idx[i])
-            upper = lower + 1
-            if upper in new_pos and x >= new_pos[upper][0]:
-                idx[i] = upper
-            elif lower in new_pos and x < new_pos[lower][0]:
-                idx[i] = lower - 1
-    edges = np.empty(len(coords), dtype=float)
-    for i in range(len(coords)):
-        li = int(idx[i])
-        orig = lo + li * h
-        # a line moved down keeps the original corner as tag (still in
-        # the cell); a line moved up becomes the tag itself
-        edges[i] = max(orig, new_pos[li][0]) if li in new_pos else orig
-    return idx, edges
-
-
-def _uniform_right_sum(F, sm, rect, ncells, tol):
-    """Right sum on the uniform ncells x ncells grid with lower-left tags.
-
-    Returns (sum, tags, coords) where tags is the (n_atoms, 2) array of
-    per-atom tag coordinates and coords the matching atom coordinates;
-    both are needed by the refinement loop to judge whether a Cauchy
-    comparison carried any information.
-    """
-    scale = max(1.0, sm.spectral_radius)
-    thresh = tol.tol_cluster * scale
-    shift = 2.0 * thresh
-    atoms = sm.atoms_in(rect)
-    re = sm.eigenvalues.real[atoms]
-    im = sm.eigenvalues.imag[atoms]
-    jidx, jedges = _uniform_cell_index(re, rect.a, rect.b, ncells, thresh, shift)
-    kidx, kedges = _uniform_cell_index(im, rect.c, rect.d, ncells, thresh, shift)
-    cells = {}
-    for i, atom in enumerate(atoms):
-        key = (int(jidx[i]), int(kidx[i]))
-        cells.setdefault(key, (float(jedges[i]), float(kedges[i]), []))[2].append(atom)
-    out = _spectral_sum(F, sm, [cells[key] for key in sorted(cells)],
-                        (rect.a, rect.c))
-    return out, np.column_stack((jedges, kedges)), np.column_stack((re, im))
-
-
 def dyadic_level_sum(F, sm, rect, level, tol=DEFAULT_TOLERANCES):
     """Right sum at refinement level l: uniform 2^l x 2^l grid,
     lower-left tags.  The grid is implicit, so deep levels stay cheap."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    return _uniform_right_sum(F, sm, rect, 2 ** level, tol)[0]
+    return _grid_sum(F, sm, rect, _dyadic_axes(rect, level), tol)[0]
 
 
 def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
@@ -432,25 +367,22 @@ def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
     prev_tags = None
     moved = None
     for level in range(1, max_levels + 1):
-        ncells = 2 ** level
-        J, tags, coords = _uniform_right_sum(F, sm, rect, ncells, tolerances)
-        mesh = (rect.width + rect.height) / ncells
+        J, tags, coords = _grid_sum(F, sm, rect, _dyadic_axes(rect, level),
+                                    tolerances)
+        mesh = (rect.width + rect.height) / 2 ** level
         if keep_values:
             values.append(J)
-        if prev is None:
-            levels.append((mesh, math.nan))
+        # the first level has nothing to compare with: NaN fails both tests
+        diff = math.nan if prev is None else operator_norm(J - prev)
+        levels.append((mesh, diff))
+        if diff == 0.0:
+            changed = tags != prev_tags
+            moved = changed if moved is None else (moved | changed)
+            done = bool(np.all(moved | (tags == coords)))
         else:
-            diff = operator_norm(J - prev)
-            levels.append((mesh, diff))
-            if diff == 0.0:
-                changed = tags != prev_tags
-                moved = changed if moved is None else (moved | changed)
-                if bool(np.all(moved | (tags == coords))):
-                    return J, ConvergenceReport(levels, mesh, True, values)
-            else:
-                moved = None
-                if diff <= tol:
-                    return J, ConvergenceReport(levels, mesh, True, values)
+            moved, done = None, diff <= tol
+        if done:
+            return J, ConvergenceReport(levels, mesh, True, values)
         prev, prev_tags = J, tags
     report = ConvergenceReport(levels, levels[-1][0], False, values)
     raise NoConvergenceError(
@@ -466,30 +398,27 @@ def estimate_lipschitz(F, rect, samples_per_axis):
     """
     if samples_per_axis < 3:
         raise ValueError("samples_per_axis must be at least 3")
-    lams = np.linspace(rect.a, rect.b, samples_per_axis)
-    mus = np.linspace(rect.c, rect.d, samples_per_axis)
-    values = [[F(lam, mu) for mu in mus] for lam in lams]
     s = samples_per_axis
-    gamma1 = 0.0
-    points = [(i, j) for i in range(s) for j in range(s)]
-    for a in range(len(points)):
-        ia, ja = points[a]
-        for b in range(a + 1, len(points)):
-            ib, jb = points[b]
-            denom = abs(lams[ia] - lams[ib]) + abs(mus[ja] - mus[jb])
-            if denom > 0:
-                num = operator_norm(values[ia][ja] - values[ib][jb])
-                gamma1 = max(gamma1, num / denom)
-    gamma2 = 0.0
-    for i1 in range(s):
-        for i2 in range(i1 + 1, s):
-            dl = lams[i2] - lams[i1]
-            for j1 in range(s):
-                for j2 in range(j1 + 1, s):
-                    dm = mus[j2] - mus[j1]
-                    mixed = operator_norm(values[i1][j1] - values[i2][j1]
-                                          - values[i1][j2] + values[i2][j2])
-                    gamma2 = max(gamma2, mixed / (dl * dm))
+    lams = np.linspace(rect.a, rect.b, s)
+    mus = np.linspace(rect.c, rect.d, s)
+    values = np.array([[F(lam, mu) for mu in mus] for lam in lams],
+                      dtype=np.complex128)
+
+    def peak(diffs, denom):
+        # one stacked spectral norm per row of pairs at a nonzero distance
+        norms = np.linalg.norm(diffs[denom > 0], 2, axis=(-2, -1))
+        return float(np.max(norms / denom[denom > 0], initial=0.0))
+
+    # each sample point against every later one in row-major order
+    flat = values.reshape(s * s, *values.shape[2:])
+    lam_at, mu_at = np.repeat(lams, s), np.tile(mus, s)
+    gamma1 = max(peak(flat[a] - flat[a + 1:], np.abs(lam_at[a] - lam_at[a + 1:])
+                      + np.abs(mu_at[a] - mu_at[a + 1:])) for a in range(s * s - 1))
+    # sample rows i1 < i2 against every column pair j1 < j2 (same pairs)
+    j1, j2 = np.triu_indices(s, 1)
+    gamma2 = max(peak(values[i1, j1] - values[i2, j1] - values[i1, j2]
+                      + values[i2, j2], (lams[i2] - lams[i1]) * (mus[j2] - mus[j1]))
+                 for i1, i2 in zip(j1, j2))
     return gamma1, gamma2
 
 

@@ -158,9 +158,9 @@ def _require_gap(prob, tol):
     return gap
 
 
-def _finish(prob, X, method, gap, tol, n_angles=720):
+def _finish(prob, X, method, gap, tol):
     """Report with the recomputed residual and the numerical-range gap."""
-    delta = numrange_gap(prob.A, prob.measure(tol).eigenvalues, n_angles)
+    delta = numrange_gap(prob.A, prob.measure(tol).eigenvalues)
     return SylvesterReport(X=X, residual=sylvester_residual(prob, X),
                            method=method, gap_d=gap, gap_numrange=delta)
 
@@ -394,7 +394,7 @@ def dual_solution(X):
     return -adjoint(X)
 
 
-def verify_bounds(prob, report, n_angles=720, tol=None):
+def verify_bounds(prob, report, tol=None):
     """Check the E-norm and Hilbert-Schmidt bounds on a computed solution.
 
     Populates report.bounds with named BoundCheck entries:

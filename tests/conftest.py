@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opint import RiccatiProblem, SylvesterProblem, certify
+from opint import RiccatiProblem, SylvesterProblem, certify, operator_norm
 
 
 def random_unitary(rng, n):
@@ -85,6 +85,37 @@ def shift_sweep(eigenvalues):
         for p in range(1, 17):
             for phi in (0.0, 0.5 * np.pi, 0.75 * np.pi):
                 yield lam + 10.0 ** -p * np.exp(1j * phi)
+
+
+def estimate_lipschitz_loop(F, rect, samples_per_axis):
+    """The sampled (gamma1, gamma2) of F on rect, one SVD per pair of
+    sample points: every pair for gamma1, every pair of rows and of
+    columns for gamma2."""
+    lams = np.linspace(rect.a, rect.b, samples_per_axis)
+    mus = np.linspace(rect.c, rect.d, samples_per_axis)
+    values = [[F(lam, mu) for mu in mus] for lam in lams]
+    s = samples_per_axis
+    gamma1 = 0.0
+    points = [(i, j) for i in range(s) for j in range(s)]
+    for a in range(len(points)):
+        ia, ja = points[a]
+        for b in range(a + 1, len(points)):
+            ib, jb = points[b]
+            denom = abs(lams[ia] - lams[ib]) + abs(mus[ja] - mus[jb])
+            if denom > 0:
+                num = operator_norm(values[ia][ja] - values[ib][jb])
+                gamma1 = max(gamma1, num / denom)
+    gamma2 = 0.0
+    for i1 in range(s):
+        for i2 in range(i1 + 1, s):
+            dl = lams[i2] - lams[i1]
+            for j1 in range(s):
+                for j2 in range(j1 + 1, s):
+                    dm = mus[j2] - mus[j1]
+                    mixed = operator_norm(values[i1][j1] - values[i2][j1]
+                                          - values[i1][j2] + values[i2][j2])
+                    gamma2 = max(gamma2, mixed / (dl * dm))
+    return gamma1, gamma2
 
 
 @pytest.fixture

@@ -318,6 +318,49 @@ class TestIntegrateCommand:
         code, _, _ = run(capsys, ["integrate", path, "--function", "sin:1"])
         assert code == 2
 
+    # Recorded byte for byte before the explicit-grid and dyadic cell
+    # rules were merged.  Atoms sit on dyadic lines of [-2, 2)^2 (one
+    # off them in the last case), and 0.3 + 2.7i lies outside the
+    # rectangle, clear of every line it could otherwise move.
+    GOLDEN = [
+        ([0.5 + 0.25j, -1.0 - 1.5j, 1.25 + 0.75j, 0.3 + 2.7j],
+         ["--function", "affine:1,2"], 0,
+         "level,m,n,mesh,diff_prev,err_vs_exact\n"
+         "1,2,2,4.0,nan,2.75\n"
+         "2,4,4,2.0,1.0,1.75\n"
+         "3,8,8,1.0,1.0,0.75\n"
+         "4,16,16,0.5,0.75,0.0\n"
+         "5,32,32,0.25,0.0,0.0\n"
+         "# converged\n"),
+        ([0.5 + 0.25j, -1.0 - 1.5j, 1.25 + 0.75j, 0.3 + 2.7j],
+         ["--function", "poly:0.5,-1,0.25"], 0,
+         "level,m,n,mesh,diff_prev,err_vs_exact\n"
+         "1,2,2,4.0,nan,2.1875\n"
+         "2,4,4,2.0,2.0155644370746373,0.8682777493406129\n"
+         "3,8,8,1.0,0.8682777493406129,0.19008632907181933\n"
+         "4,16,16,0.5,0.19008632907181933,0.0\n"
+         "5,32,32,0.25,0.0,0.0\n"
+         "# converged\n"),
+        ([0.5 + 0.25j, -1.0 - 1.5j, 0.311 + 0.013j, 0.3 + 2.7j],
+         ["--function", "affine:1,2", "--grid-levels", "6", "--tol", "1e-14"], 4,
+         "level,m,n,mesh,diff_prev,err_vs_exact\n"
+         "1,2,2,4.0,nan,2.0\n"
+         "2,4,4,2.0,1.0,1.0\n"
+         "3,8,8,1.0,1.0,0.5\n"
+         "4,16,16,0.5,0.5,0.08700000000000002\n"
+         "5,32,32,0.25,0.0,0.08700000000000002\n"
+         "6,64,64,0.125,0.0,0.08700000000000002\n"
+         "# not-converged\n"),
+    ]
+
+    @pytest.mark.parametrize("atoms,argv,exit_code,csv", GOLDEN)
+    def test_output_is_byte_stable(self, tmp_path, capsys, atoms, argv, exit_code, csv):
+        path = write_problem(tmp_path, C=matjson(np.diag(atoms)),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        code, out, _ = run(capsys, ["integrate", path] + argv)
+        assert code == exit_code
+        assert out == csv
+
     def test_missing_rect_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, C=matjson(np.eye(2)))
         code, _, _ = run(capsys, ["integrate", path, "--function", "poly:1"])

@@ -24,9 +24,10 @@ from opint import (
     solve_fixed_point,
     solve_spectral,
 )
-from opint.linalg import numrange_distances
+from opint.linalg import DEFAULT_TOLERANCES, numrange_distances, resolvent
 
-from conftest import make_certified_riccati, random_complex, random_unitary
+from conftest import (make_certified_riccati, random_complex, random_normal,
+                      random_unitary, shift_sweep, spectral_norm_guard_raises)
 
 SCALAR = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])
 SCALAR_X = (np.sqrt(13.0) - 3.0) / 2.0
@@ -259,6 +260,58 @@ class TestPosterior:
             report = solve_fixed_point(prob, tol=1e-11, max_iter=200)
             checks = posterior_check(prob, report)
             assert all(chk.ok for chk in checks.values())
+
+    def test_sup_resolvent_equals_lu_inverse_norms(self, rng):
+        # max_k 1/sigma_min against the norm of an LU inverse per atom
+        for _ in range(8):
+            prob = make_certified_riccati(rng, 6, 5, normal_a=bool(rng.integers(2)))
+            report = solve_fixed_point(prob, tol=1e-11)
+            shifted = prob.A + prob.B @ report.X
+            per_atom = max(operator_norm(resolvent(shifted, zeta))
+                           for zeta in prob.measure().eigenvalues)
+            bound = posterior_check(prob, report)["aposteriori_sup_resolvent"].bound
+            assert bound == pytest.approx(report.certificate.enorm_d * per_atom,
+                                          rel=1e-13)
+
+    def test_chunks_give_the_same_supremum(self, rng, monkeypatch):
+        M = np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5)
+        zetas = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        whole = riccati._sup_resolvent_norm(M, zetas, DEFAULT_TOLERANCES)
+        monkeypatch.setattr(riccati, "_SHIFT_CHUNK_ENTRIES", 2 * M.size)
+        assert riccati._sup_resolvent_norm(M, zetas, DEFAULT_TOLERANCES) == whole
+
+    def test_singular_shift_sweep_at_least_as_strict_as_lu(self, rng):
+        # no shift passes where an LU inverse (linalg.resolvent) or the
+        # spectral-norm residual guard would have raised
+        A0, _ = random_normal(rng, 4)
+        jordan = 2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]), jordan,
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1), 1e4 * A0]
+        hits = 0
+        for M in matrices:
+            for z in shift_sweep(np.linalg.eigvals(M)):
+                old_raises = spectral_norm_guard_raises(M, z)
+                try:
+                    resolvent(M, z)
+                except SingularResolventError:
+                    old_raises = True
+                try:
+                    riccati._sup_resolvent_norm(M, np.array([z]), DEFAULT_TOLERANCES)
+                    new_raises = False
+                except SingularResolventError:
+                    new_raises = True
+                assert new_raises or not old_raises, (M, z)
+                hits += old_raises
+        assert hits > 0
+
+    def test_shift_on_the_spectrum_raises(self, rng):
+        # X with A + BX = zeta_0 I puts an atom of C on spec(A + BX)
+        prob = make_certified_riccati(rng, 4, 4)
+        report = solve_fixed_point(prob)
+        zeta = prob.measure().eigenvalues[0]
+        X = np.linalg.solve(prob.B, zeta * np.eye(4) - prob.A)
+        with pytest.raises(SingularResolventError):
+            posterior_check(prob, dataclasses.replace(report, X=X))
 
 
 class TestEquivalence:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opint import (
@@ -22,10 +24,12 @@ from opint import (
     operator_norm,
     right_sum,
     solve_kronecker,
+    SpectralMeasure,
     SylvesterProblem,
+    dyadic_level_sum,
 )
 
-from conftest import random_complex, random_normal
+from conftest import estimate_lipschitz_loop, random_complex, random_normal
 
 RECT = Rect(-2.0, 2.0, -2.0, 2.0)
 
@@ -153,6 +157,91 @@ class TestSums:
         assert diffs[-1] <= diffs[0]
 
 
+GRID_RECTS = [Rect(-1.5, 1.5, -1.5, 1.5), Rect(-2.0, 1.0, -0.75, 1.25)]
+
+
+@st.composite
+def grid_coordinate(draw, lo, hi):
+    """A coordinate on one axis: random in [lo, hi), on a dyadic line of
+    levels 1..10, within 1e-11 of one, or outside [lo, hi)."""
+    kind = draw(st.sampled_from(["random", "line", "near", "outside"]))
+    if kind == "random":
+        return draw(st.floats(lo, hi, exclude_max=True))
+    if kind == "outside":
+        return draw(st.sampled_from([hi, hi + 1e-12, hi + 0.3, lo - 1e-12, lo - 0.3]))
+    level = draw(st.integers(1, 10))
+    x = lo + draw(st.integers(0, 2 ** level)) * ((hi - lo) / 2 ** level)
+    if kind == "near":
+        x += draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.sampled_from([1e-13, 3e-12, 1e-11]))
+    return x
+
+
+def diagonal_measure(z):
+    """Atoms exactly at z on the standard basis, one dimension each."""
+    return SpectralMeasure(z, np.eye(len(z)), np.ones(len(z), dtype=int))
+
+
+class TestOneCellRule:
+    """Explicit partitions and the implicit dyadic grid find cells by
+    one rule, so a uniform 2^l partition gives the dyadic level sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_uniform_partition_equals_dyadic_level(self, data):
+        rect = data.draw(st.sampled_from(GRID_RECTS))
+        atom = st.builds(complex, grid_coordinate(rect.a, rect.b),
+                         grid_coordinate(rect.c, rect.d))
+        z = data.draw(st.lists(atom, min_size=1, max_size=8))
+        sm = diagonal_measure(z)
+        F = OperatorFunction.from_scalar(lambda w: w + 0.3 * w * w, len(z))
+        for level in range(1, 11):
+            n = 2 ** level
+            uniform = right_sum(F, sm, GridPartition.uniform(rect, n, n))
+            assert np.array_equal(uniform, dyadic_level_sum(F, sm, rect, level)), level
+
+    def test_atom_outside_moves_no_line(self):
+        # the atom at 1.8i lies outside the rectangle; the one at 0.2i is
+        # 1e-12 right of the lambda = 0 line and must stay right of it
+        sm = diagonal_measure([-1e-12 + 1.8j, 1e-12 + 0.2j])
+        rect = Rect(-1.5, 1.5, -1.5, 1.5)
+        F = OperatorFunction.affine(1.0, 2.0, 2)
+        exact = exact_right_integral(F, sm, rect)
+        for level in (1, 2, 3):
+            n = 2 ** level
+            uniform = right_sum(F, sm, GridPartition.uniform(rect, n, n))
+            assert np.array_equal(uniform, dyadic_level_sum(F, sm, rect, level))
+            # only the mu tag (0, below 0.2) is off: the error is 2 * 0.2
+            assert operator_norm(uniform - exact) == pytest.approx(0.4, abs=1e-11)
+
+    def test_ties_go_to_the_smaller_coordinate(self):
+        # atoms 1e-12 either side of the lambda = 0 line: the smaller one
+        # moves the line up, so both share the left cell in either order
+        rect = Rect(-1.5, 1.5, -1.5, 1.5)
+        for re in ([1e-12, -1e-12], [-1e-12, 1e-12]):
+            sm = diagonal_measure(np.array(re) + 0.2j)
+            for level in (1, 2):
+                n = 2 ** level
+                p = GridPartition.uniform(rect, n, n)
+                for J in (dyadic_level_sum(z_function(2), sm, rect, level),
+                          right_sum(z_function(2), sm, p)):
+                    assert np.array_equal(J.diagonal().real, [-3.0 / n] * 2)
+
+    def test_center_tags_use_the_moved_lines(self):
+        # the lambda = 0 line moves down by 2 tol_cluster away from the atom
+        sm = diagonal_measure([1e-12 + 0.2j])
+        p = GridPartition([-1.0, 0.0, 1.0], [0.0, 1.0], tag_rule="center")
+        J = right_sum(z_function(1), sm, p)
+        assert J[0, 0] == complex(0.5 * (-2e-8 + 1.0), 0.5)
+
+    def test_crowded_lines_stay_put(self):
+        # 1e-8 from its neighbour, the lambda = 0 line has no room for a
+        # move of 2e-8, so the centre tag of [0, 1) stays at 0.5
+        sm = diagonal_measure([1e-12 + 0.5j])
+        p = GridPartition([-1.0, -1e-8, 0.0, 1.0], [0.0, 1.0], tag_rule="center")
+        assert right_sum(z_function(1), sm, p)[0, 0] == 0.5 + 0.5j
+
+
 class TestExactIntegrals:
     def test_reconstruction(self, rng):
         C, _ = random_normal(rng, 7)
@@ -262,6 +351,17 @@ class TestLipschitz:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             estimate_lipschitz(OperatorFunction.constant(np.eye(2)), RECT, 2)
+
+    @pytest.mark.parametrize("samples", [3, 6, 11])
+    def test_equals_pairwise_loop(self, rng, samples):
+        M = random_complex(rng, 3, 4)
+        N = rng.standard_normal((3, 4))
+        rect = Rect(-1.0, 2.0, -0.5, 1.5)
+        for F in (OperatorFunction.affine(1.0, -2.0, 3),
+                  OperatorFunction(lambda lam, mu: np.sin(lam * mu) * M
+                                   + np.exp(0.3 * lam) * mu ** 2 * N)):
+            assert (estimate_lipschitz(F, rect, samples)
+                    == estimate_lipschitz_loop(F, rect, samples))
 
 
 class TestLnest:
