@@ -118,6 +118,10 @@ def resolvent(M, z, tol=DEFAULT_TOLERANCES):
         raise SingularResolventError(
             f"resolvent solve at z = {complex(z)} lost all accuracy "
             f"(residual {residual:.3e})")
+    # the residual is relative to ||M - z||, so it misses an M - zI that
+    # cancels as a whole: sigma_min <= ||M - z||_F <= tol_solve |z|
+    if np.linalg.norm(shifted) <= tol.tol_solve * abs(z):
+        raise SingularResolventError(f"M - zI cancels to rounding at z = {complex(z)}")
     return R
 
 
@@ -254,3 +258,61 @@ def dist_to_numrange(A, z, n_angles=720):
     distance, by convexity of W(A).
     """
     return numrange_gap(A, [complex(z)], n_angles=n_angles)
+
+
+def _hull(points):
+    """Counterclockwise vertices of the convex hull of complex points
+    (Andrew's monotone chain); one or two if they coincide or are collinear."""
+    pts = np.unique(points).tolist()  # sorted by real, then imaginary part
+    if len(pts) < 3:
+        return np.array(pts, dtype=np.complex128)
+    hull = []
+    for seq in (pts, pts[::-1]):  # lower, then upper chain
+        chain = []
+        for p in seq:  # keep only left turns chain[-2] -> chain[-1] -> p
+            while len(chain) > 1 and ((chain[-1] - chain[-2]).conjugate()
+                                      * (p - chain[-2])).imag <= 0.0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return np.array(hull)
+
+
+def separation(T, points, sweep):
+    """Lower bounds (spectral, numrange) on min_k sigma_min(A - zeta_k) from
+    a complex Schur form A = U T U*, T = Lambda + N, with N A's departure
+    from normality (Henrici, Numer. Math. 1962) and nu >= ||N||_2.
+
+    spectral = min |lambda_j - zeta_k| - nu (Weyl).  conv(Lambda) lies in
+    W(A) and W(A) in conv(Lambda) + disc(nu), so dist(zeta, W(A)), at most
+    sigma_min(A - zeta), is in [dist(zeta, conv Lambda) - nu, dist(zeta,
+    conv Lambda)].  numrange is 0 if a point is in conv(Lambda), the lower
+    end if nu <= 1e-12 dist(zeta, conv Lambda) at every point (as for every
+    normal A), and else sweep(), the angle sweep's bound (`numrange_gap`).
+
+    nu = ||N||_F + 4 (h + 8) eps (||T||_F + |zeta|), four `_rounding_slack`s.
+    The computed T is the Schur form of A + E under a unitary matrix near
+    U, ||E||_F <= p(h) eps ||A||_F for a small multiple p(h) of h (Golub &
+    Van Loan, 7.5.6), and E moves both bounds by at most ||E||_2.  The
+    computed ||N||_F is low by at most h eps ||T||_F; |lambda - zeta| and
+    hull distances, a few operations on numbers up to ||T||_F + |zeta|,
+    are high by at most 8 eps (||T||_F + |zeta|).  For p(h) <= 3h + 24 the
+    sum is within the allowance: to first order no rounding lifts a bound.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    lam = np.diag(T)
+    nu = np.linalg.norm(np.triu(T, 1)) + 4.0 * _rounding_slack(T, pts)
+    spectral = (np.abs(lam[:, None] - pts).min(axis=0) - nu).min()
+    # distance to the hull's nearest edge; a one-point hull has edge 0, t = 0
+    v = _hull(lam)
+    z, edge = pts[:, None] - v, np.roll(v, -1) - v
+    t = np.real(z * edge.conj()) / np.maximum(np.abs(edge) ** 2, np.finfo(float).tiny)
+    hull = np.abs(z - np.clip(t, 0.0, 1.0) * edge).min(axis=1)
+    inside = len(v) > 2 and np.all((edge.conj() * z).imag >= 0.0, axis=1)
+    if np.any(inside | (hull == 0.0)):
+        numrange = 0.0  # a point in conv(Lambda)
+    elif np.all(nu <= 1e-12 * hull):
+        numrange = (hull - nu).min()
+    else:
+        numrange = sweep()
+    return max(float(spectral), 0.0), max(float(numrange), 0.0)

@@ -2,17 +2,18 @@
 
 The equation is solved through the integral map
 F(X) = sum_k P_k D (A + BX - zeta_k)^{-1} over the atoms of the
-spectral measure of C.  When sqrt(||B|| ||D||_E) < d/2 (d the distance
-between spec(C) and the numerical range of A, or the spectral gap when
-A is normal), F is a strict contraction on an explicit ball, so the
-iteration converges to the unique solution in that ball and the
-certificate records every quantitative ingredient.
+spectral measure of C.  When sqrt(||B|| ||D||_E) < d/2 (d a lower bound
+on min_k sigma_min(A - zeta_k) from the spectrum or the numerical range
+of A), F is a strict contraction on an explicit ball, so the iteration
+converges to the unique solution in that ball and the certificate
+records every quantitative ingredient.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .enorm import e_norm
 from .errors import (
@@ -25,9 +26,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     as_matrix,
-    is_normal,
     numrange_gap,
     operator_norm,
+    separation,
 )
 from .sylvester import BoundCheck, _Prepared, _spectral_solve
 
@@ -58,8 +59,9 @@ class RiccatiProblem(_Prepared):
 class ContractionCertificate:
     """Quantitative record certifying solvability by contraction.
 
-    mode is "normal_a" (d = spectral gap) or "numerical_range" (d = a
-    conservative lower bound on dist(W(A), spec(C))).  condition_ok
+    d is the larger bound of `linalg.separation`, which mode names:
+    "normal_a" (the spectral one, also on ties) or "numerical_range" (on
+    dist(W(A), spec(C))).  condition_ok
     holds exactly when sqrt(||B|| ||D||_E) < d/2; then [r_min, r_max) is
     the admissible radius interval, q_at_rmin the contraction factor on
     the smallest admissible ball, and the a-priori bounds cap both the
@@ -117,13 +119,11 @@ def _certify(prob, tol, n_angles):
             "B = 0 turns the equation into a Sylvester equation; "
             "use the sylvester solvers instead")
     sm = prob.measure(tol)
-    if is_normal(prob.A, tol):
-        mode = "normal_a"
-        eig_a = np.linalg.eigvals(prob.A)
-        d = float(np.abs(eig_a[:, None] - sm.eigenvalues[None, :]).min())
-    else:
-        mode = "numerical_range"
-        d = numrange_gap(prob.A, sm.eigenvalues, n_angles=n_angles)
+    spectral, numrange = separation(
+        prob.schur_a()[0], sm.eigenvalues,
+        lambda: numrange_gap(prob.A, sm.eigenvalues, n_angles=n_angles))
+    d = max(spectral, numrange)
+    mode = "normal_a" if spectral >= numrange else "numerical_range"
     enorm_d = e_norm(prob.D, sm)
     bd = norm_b * enorm_d
     condition_ok = math.sqrt(bd) < d / 2.0
@@ -145,8 +145,11 @@ def _certify(prob, tol, n_angles):
 
 
 def _apply_map(prob, sm, X, tol):
-    """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}."""
-    return _spectral_solve(prob.A + prob.B @ X, sm, prob.D, tol)
+    """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}; at
+    X = 0 on the kept Schur form of A."""
+    schur = (scipy.linalg.schur(prob.A + prob.B @ X, output="complex")
+             if X.any() else prob.schur_a())
+    return _spectral_solve(schur, sm, prob.D, tol)
 
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,

@@ -127,6 +127,8 @@ class GridPartition:
                           ("mu_points", self.mu_points)):
             if pts.ndim != 1 or len(pts) < 2:
                 raise ValueError(f"{name} needs at least two grid lines")
+            if not np.all(np.isfinite(pts)):
+                raise ValueError(f"{name} must be finite")
             if not np.all(np.diff(pts) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
         if self.tag_rule not in ("lower_left", "center", "custom"):

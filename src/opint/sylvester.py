@@ -33,6 +33,7 @@ from .linalg import (
     is_normal,
     numrange_gap,
     operator_norm,
+    separation,
 )
 from .spectral import decompose_normal
 
@@ -112,6 +113,15 @@ class _Prepared:
 
         return self._cached(("measure", tol), build)
 
+    def schur_a(self):
+        """The complex Schur form (T, U) of A = U T U*, computed once; both
+        factors are read-only."""
+        def build():
+            T, U = scipy.linalg.schur(self.A, output="complex")
+            T.flags.writeable = U.flags.writeable = False
+            return T, U
+        return self._cached("schur_a", build)
+
 
 @dataclass(frozen=True, eq=False)
 class SylvesterProblem(_Prepared):
@@ -142,10 +152,16 @@ def sylvester_residual(prob, X):
 
 
 def spectral_gap(prob):
-    """min |lambda - zeta| over eigenvalues of A and C."""
-    eig_a = np.linalg.eigvals(prob.A)
-    eig_c = np.linalg.eigvals(prob.C)
-    return float(np.abs(eig_a[:, None] - eig_c[None, :]).min())
+    """min |lambda - zeta| over the eigenvalues of A and the atoms of C."""
+    lam, atoms = np.diag(prob.schur_a()[0]), prob.measure().eigenvalues
+    return float(np.abs(lam[:, None] - atoms).min())
+
+
+def _separation(prob, tol):
+    """`separation` of the atoms of C from A, computed once per tolerance."""
+    atoms = prob.measure(tol).eigenvalues
+    return prob._cached(("separation", tol), lambda: separation(
+        prob.schur_a()[0], atoms, lambda: numrange_gap(prob.A, atoms)))
 
 
 def _require_gap(prob, tol):
@@ -160,14 +176,14 @@ def _require_gap(prob, tol):
 
 def _finish(prob, X, method, gap, tol):
     """Report with the recomputed residual and the numerical-range gap."""
-    delta = numrange_gap(prob.A, prob.measure(tol).eigenvalues)
     return SylvesterReport(X=X, residual=sylvester_residual(prob, X),
-                           method=method, gap_d=gap, gap_numrange=delta)
+                           method=method, gap_d=gap,
+                           gap_numrange=_separation(prob, tol)[1])
 
 
-def _spectral_solve(M, sm, D, tol):
+def _spectral_solve(schur, sm, D, tol):
     """sum_k P_k D (M - zeta_k)^{-1}, the left integral of D (M - z)^{-1}
-    against the measure sm, on one complex Schur form M = U T U*.
+    against the measure sm, on a complex Schur form schur = (T, U), M = U T U*.
 
     In the eigenbasis Q of the measure the sum is Q Y U*, with block rows
     Y_k = Q_k* D U (T - zeta_k)^{-1}: Y solves the triangular Sylvester
@@ -180,7 +196,7 @@ def _spectral_solve(M, sm, D, tol):
     norms of T - zeta_k and of Y_k: the guard of `_guarded_solve`, on the
     transposed system, for every atom at once.
     """
-    T, U = scipy.linalg.schur(M, output="complex")
+    T, U = schur
     zeta = np.repeat(sm.eigenvalues, sm.multiplicities)
     R = adjoint(sm.basis) @ D @ U
     Y, scale, info = scipy.linalg.lapack.ztrsyl(np.diag(-zeta), T, R)
@@ -208,7 +224,7 @@ def solve_spectral(prob, tol=None):
     """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
-    X = _spectral_solve(prob.A, prob.measure(tol), prob.D, tol)
+    X = _spectral_solve(prob.schur_a(), prob.measure(tol), prob.D, tol)
     return _finish(prob, X, "spectral", gap, tol)
 
 
@@ -334,7 +350,7 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
     """
     tol = tol or prob.tolerances
     T_C, Z = scipy.linalg.schur(prob.C, output="complex")
-    T_A, U = scipy.linalg.schur(prob.A, output="complex")
+    T_A, U = prob.schur_a()
     D_t = adjoint(Z) @ prob.D @ U
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
@@ -364,8 +380,8 @@ def solve_contour(prob, n_nodes=32, tol=None):
     """Resolvent contour formula evaluated on automatically built circles."""
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
-    eig_a = np.linalg.eigvals(prob.A)
-    circles = _build_circles(eig_a, prob.measure(tol).eigenvalues, gap)
+    circles = _build_circles(np.diag(prob.schur_a()[0]),
+                             prob.measure(tol).eigenvalues, gap)
     X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes, tol=tol)
     return _finish(prob, X, "contour", gap, tol)
 
@@ -404,7 +420,8 @@ def verify_bounds(prob, report, tol=None):
                           degenerates to an infinite (flagged, vacuous)
                           bound when delta is numerically zero
       enorm_vs_gap        ||X||_E <= ||D||_E / d   (A normal only)
-      hs_vs_gap           ||X||_2 <= ||D||_2 / d   (A normal only)
+      hs_vs_gap           ||X||_2 <= ||D||_2 / d   (A normal only), both with
+                          d <= min_k sigma_min(A - zeta_k) from `separation`
     """
     tol = tol or prob.tolerances
     sm = prob.measure(tol)
@@ -412,14 +429,12 @@ def verify_bounds(prob, report, tol=None):
     enorm_d = e_norm(prob.D, sm)
     delta = report.gap_numrange
     scale = max(1.0, operator_norm(prob.A), operator_norm(prob.C))
-    checks = {}
-    if delta > 1e-12 * scale:
-        checks["enorm_vs_numrange"] = BoundCheck(enorm_d / delta, enorm_x)
-    else:
-        checks["enorm_vs_numrange"] = BoundCheck(math.inf, enorm_x)
+    checks = {"enorm_vs_numrange": BoundCheck(
+        enorm_d / delta if delta > 1e-12 * scale else math.inf, enorm_x)}
     if is_normal(prob.A, tol):
-        d = report.gap_d
-        checks["enorm_vs_gap"] = BoundCheck(enorm_d / d, enorm_x)
-        checks["hs_vs_gap"] = BoundCheck(hs_norm(prob.D) / d, hs_norm(report.X))
+        d = max(_separation(prob, tol))  # 0 gives infinite bounds
+        inv_d = 1.0 / d if d > 0 else math.inf
+        checks["enorm_vs_gap"] = BoundCheck(enorm_d * inv_d, enorm_x)
+        checks["hs_vs_gap"] = BoundCheck(hs_norm(prob.D) * inv_d, hs_norm(report.X))
     report.bounds.update(checks)
     return checks

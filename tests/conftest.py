@@ -61,6 +61,30 @@ def make_certified_riccati(rng, h, k, normal_a=True, margin=0.4):
     return prob
 
 
+def near_normal_case(seed, h, k, log_scale, log_offset):
+    """(A, C) with A = U (Lambda + 10^log_scale N) U* for N strictly upper
+    triangular, and C normal with k atoms 10^log_offset away from points
+    of chords [lambda_a, lambda_b] of spec(A): by its vertices, by edges
+    of its convex hull, and inside it."""
+    r = np.random.default_rng(seed)
+    lam = r.uniform(1.0, 3.0, h) + 1j * r.uniform(-1.0, 1.0, h)
+    N = np.triu(random_complex(r, h, h), 1)
+    U = random_unitary(r, h)
+    A = U @ (np.diag(lam) + 10.0 ** log_scale * N) @ U.conj().T
+    a, b = r.integers(h, size=(2, k))
+    t = np.where(r.random(k) < 0.3, 0.0, r.random(k))
+    zeta = (lam[a] + t * (lam[b] - lam[a])
+            + 10.0 ** log_offset * np.exp(2j * np.pi * r.random(k)))
+    V = random_unitary(r, k)
+    return A, V @ np.diag(zeta) @ V.conj().T
+
+
+def min_sigma(A, points):
+    """min_k sigma_min(A - zeta_k) from dense SVDs."""
+    return min(np.linalg.svd(A - z * np.eye(len(A)), compute_uv=False)[-1]
+               for z in points)
+
+
 def spectral_norm_guard_raises(M, z, tol_solve=1e-10):
     """Whether the spectral-norm resolvent guard rejects z: an LU solve of
     (M - z) R = I that is singular, not finite, or has

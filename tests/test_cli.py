@@ -12,7 +12,7 @@ from opint.cli import main
 from opint.probfile import load_problem, matrix_from_json, matrix_to_json
 from opint import InvalidProblemError, operator_norm
 
-from conftest import random_normal
+from conftest import make_certified_riccati, random_normal
 
 
 def matjson(M):
@@ -169,6 +169,41 @@ class TestSylvesterCommand:
         X = matrix_from_json(report["X"])
         recomputed = operator_norm(X @ A - C @ X - D)
         assert recomputed == pytest.approx(report["residual"], abs=1e-12)
+
+
+class TestReportShape:
+    """The default JSON keys and certificate modes of the two solver
+    commands, for a normal and a non-normal A."""
+
+    CERTIFICATE = {"mode", "d", "norm_b", "enorm_d", "condition_ok", "r_min",
+                   "r_max", "q_at_rmin", "apriori_norm_x", "apriori_enorm_x",
+                   "strict_contraction_predicted"}
+
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_sylvester_and_riccati_keys(self, tmp_path, capsys, rng, normal_a):
+        prob = make_certified_riccati(rng, 5, 4, normal_a=normal_a)
+        path = write_problem(tmp_path, **{name: matjson(getattr(prob, name))
+                                          for name in "ABCD"})
+        code, out, _ = run(capsys, ["sylvester", path])
+        report = json.loads(out)
+        assert code == 0
+        assert set(report) == {"method", "X", "residual", "gap_d",
+                               "gap_numrange", "bounds"}
+        gated = {"enorm_vs_gap", "hs_vs_gap"} if normal_a else set()
+        assert set(report["bounds"]) == {"enorm_vs_numrange"} | gated
+        for check in report["bounds"].values():
+            assert set(check) == {"bound", "observed", "ok"} and check["ok"]
+        code, out, _ = run(capsys, ["riccati", path])
+        report = json.loads(out)
+        assert code == 0
+        assert set(report) == {"certificate", "X", "iterations", "residual",
+                               "enorm_x", "converged", "posterior"}
+        assert set(report["certificate"]) == self.CERTIFICATE
+        assert report["certificate"]["mode"] == (
+            "normal_a" if normal_a else "numerical_range")
+        assert set(report["posterior"]) == {
+            "aposteriori_sup_resolvent", "aposteriori_gap", "strict_enorm_lt_1",
+            "strict_norm_order"}
 
 
 class TestRiccatiCommand:

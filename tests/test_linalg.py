@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -132,6 +134,85 @@ class TestResolvent:
                 hits += old_raises
         assert swept == 4 * 4 * 16 * 3
         assert hits > 0  # the exact hits at p = 16 make the sweep bite
+
+
+def old_resolvent_guard_raises(M, z, tol_solve=1e-10):
+    """Whether the LU resolvent guard without the cancellation rule
+    rejects z: a singular or non-finite solve, or a residual above
+    tol_solve max(1, |M - z| |R|), largest column norms."""
+    S = np.asarray(M, dtype=np.complex128) - z * np.eye(len(M))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            R = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(len(M)))
+        except (scipy.linalg.LinAlgError, ValueError):
+            return True
+        if not np.all(np.isfinite(R)):
+            return True
+        residual = np.linalg.norm(S @ R - np.eye(len(M)))
+        scale = max(1.0, np.linalg.norm(S, axis=0).max()
+                    * np.linalg.norm(R, axis=0).max())
+    return residual > tol_solve * scale
+
+
+class TestResolventCancellation:
+    Z = 0.5 + 0.25j
+    CANCELLING = Z * np.eye(4) + 1e-15 * np.triu(np.ones((4, 4)))
+
+    def test_cancelling_shift_raises(self):
+        # the residual guard alone returned ||R|| = 1.9e15 here
+        assert not old_resolvent_guard_raises(self.CANCELLING, self.Z)
+        with pytest.raises(SingularResolventError, match="cancels"):
+            resolvent(self.CANCELLING, self.Z)
+
+    def test_sweep_rejects_all_the_old_guard_did_and_only_singular_shifts(self, rng):
+        # no shift passes that the old guard rejected, and a shift rejected
+        # beyond it fails sigma_min > tol_solve (sigma_max + |z|) as well
+        A0, _ = random_normal(rng, 4)
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]),
+                    2.0 * np.eye(4) + np.diag(np.ones(3), 1),
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1),
+                    self.CANCELLING, 1e4 * self.CANCELLING]
+        hits = extra = 0
+        for M in matrices:
+            for z in list(shift_sweep(np.linalg.eigvals(M))) + [self.Z, 1e4 * self.Z]:
+                old = old_resolvent_guard_raises(M, z)
+                try:
+                    resolvent(M, z)
+                    new = False
+                except SingularResolventError:
+                    new = True
+                assert new or not old, (M, z)
+                if new and not old:
+                    sigma = np.linalg.svd(M - z * np.eye(4), compute_uv=False)
+                    assert not sigma[-1] > 1e-10 * (sigma[0] + abs(z)), (M, z)
+                    extra += 1
+                hits += old
+        assert hits > 0 and extra > 0
+
+
+class TestHull:
+    @pytest.mark.parametrize("points, hull", [
+        ([1.0 + 1j], [1.0 + 1j]),
+        ([2.0, 2.0, 2.0], [2.0]),
+        ([1j, 0.0, 1j], [0.0, 1j]),
+        ([0.0, 2.0, 1.0, 0.5], [0.0, 2.0]),  # collinear
+        ([1.0 + 1j, 2.0 + 2j, 3.0 + 3j, 2.0 + 2j], [1.0 + 1j, 3.0 + 3j]),
+        ([0.0, 1.0, 2.0, 1j, 1.0 + 1j, 0.5 + 0.5j], [0.0, 2.0, 1.0 + 1j, 1j]),
+    ])
+    def test_vertices(self, points, hull):
+        assert_allclose(linalg._hull(np.array(points, dtype=complex)), hull)
+
+    def test_matches_qhull(self, rng):
+        for n in (3, 5, 20, 60):
+            pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            hull = linalg._hull(pts)
+            ref = scipy.spatial.ConvexHull(np.column_stack([pts.real, pts.imag]))
+            assert sorted(hull.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
+                pts[ref.vertices].tolist(), key=lambda z: (z.real, z.imag))
+            # counterclockwise: every point lies on or left of every edge
+            edge = np.roll(hull, -1) - hull
+            assert np.all((edge.conj() * (pts[:, None] - hull)).imag >= -1e-12)
 
 
 class TestNumericalRange:

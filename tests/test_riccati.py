@@ -1,8 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import opint
+import opint.linalg as linalg
 import opint.riccati as riccati
 import opint.sylvester as sylvester
 from opint import (
@@ -26,10 +34,12 @@ from opint import (
 )
 from opint.linalg import DEFAULT_TOLERANCES, numrange_distances, resolvent
 
-from conftest import (make_certified_riccati, random_complex, random_normal,
-                      random_unitary, shift_sweep, spectral_norm_guard_raises)
+from conftest import (make_certified_riccati, min_sigma, near_normal_case,
+                      random_complex, random_normal, random_unitary, shift_sweep,
+                      spectral_norm_guard_raises)
 
 SCALAR = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])
+NEAR_NORMAL = np.array([[3.0, 9e-6], [0.0, 3.0]])
 SCALAR_X = (np.sqrt(13.0) - 3.0) / 2.0
 
 
@@ -83,6 +93,57 @@ class TestCertify:
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             RiccatiProblem(np.eye(2), np.ones((3, 2)), np.eye(2), np.eye(2))
+
+    def test_near_normal_a_certifies_no_more_than_sigma_min(self):
+        # ||A*A - AA*|| = 8.1e-11 passes the normality test, yet
+        # sigma_min(A) = 2.9999955 is below the spectral gap 3
+        cert = certify(RiccatiProblem(NEAR_NORMAL, [[1.0], [0.0]], [[0.0]],
+                                      [[1.0, 0.0]]))
+        assert cert.d <= 2.9999955
+        assert cert.d <= min_sigma(NEAR_NORMAL, [0.0])
+        assert cert.d == pytest.approx(2.9999955, rel=1e-12)
+        assert cert.mode == "numerical_range"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.floats(-16.0, -2.0), st.floats(-14.0, -1.0))
+    def test_d_never_exceeds_sigma_min(self, seed, h, k, log_scale, log_offset):
+        A, C = near_normal_case(seed, h, k, log_scale, log_offset)
+        prob = RiccatiProblem(A, np.ones((h, k)), C, np.ones((k, h)))
+        assert certify(prob).d <= min_sigma(A, prob.measure().eigenvalues)
+
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_angle_sweep_only_for_non_normal_a(self, rng, monkeypatch, normal_a):
+        calls = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: calls.append(1) or real(A, t))
+        prob = make_certified_riccati(rng, 6, 4, normal_a=normal_a)
+        calls.clear()
+        cert = certify(prob)
+        assert cert.mode == ("normal_a" if normal_a else "numerical_range")
+        assert bool(calls) == (not normal_a)
+
+    def test_checks_survive_optimized_python(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+        script = textwrap.dedent("""
+            import numpy as np
+            from opint import (RiccatiProblem, SylvesterProblem, certify,
+                               solve_spectral, verify_bounds)
+            assert False, "python -O should have stripped this assert"
+            A = np.array([[3.0, 9e-6], [0.0, 3.0]])
+            cert = certify(RiccatiProblem(A, [[1.0], [0.0]], [[0.0]], [[1.0, 0.0]]))
+            prob = SylvesterProblem(A, [[0.0]], np.linalg.svd(A)[2][-1:])
+            checks = verify_bounds(prob, solve_spectral(prob))
+            print(cert.mode, cert.d <= 2.9999955,
+                  ",".join(sorted(k for k, c in checks.items() if c.ok)))
+        """)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "numerical_range", "True", "enorm_vs_gap,enorm_vs_numrange,hs_vs_gap"]
 
 
 class TestPreparedProblem:

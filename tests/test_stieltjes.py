@@ -49,6 +49,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             GridPartition([0.0, 0.0, 1.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("lines", [[-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf],
+                                       [0.0, np.nan]])
+    def test_non_finite_lines_rejected(self, lines):
+        # np.diff([-inf, 0, 1]) > 0 holds, and the mesh would be inf
+        with pytest.raises(ValueError, match="finite"):
+            GridPartition(lines, [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            GridPartition([0.0, 1.0], lines)
+
     def test_custom_tags_validated(self):
         with pytest.raises(ValueError):
             GridPartition([0.0, 1.0], [0.0, 1.0], tag_rule="custom",

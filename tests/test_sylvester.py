@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import opint.linalg as linalg
 import opint.sylvester as sylvester
-from opint.linalg import numrange_gap
+from opint.linalg import numrange_gap, separation
 from opint import (
     GapViolationError,
     NoConvergenceError,
@@ -35,8 +38,10 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import (make_sylvester, random_complex, random_normal,
-                      random_unitary, shift_sweep, spectral_norm_guard_raises)
+from conftest import (make_sylvester, min_sigma, near_normal_case,
+                      random_complex, random_normal, random_unitary, shift_sweep,
+                      spectral_norm_guard_raises)
+from test_linalg import _hull_distance
 
 SCALAR = SylvesterProblem([[2.0]], [[0.0]], [[1.0]])
 ALL_SOLVERS = (solve_spectral, solve_kronecker, solve_contour,
@@ -361,8 +366,10 @@ class TestOneDecomposition:
         report = solver(prob)
         assert len(count) == calls
         # the report is the one a fresh decomposition of C gives
-        assert report.gap_numrange == numrange_gap(
-            prob.A, real(prob.C).eigenvalues)
+        atoms = real(prob.C).eigenvalues
+        assert report.gap_numrange == separation(
+            scipy.linalg.schur(prob.A, output="complex")[0], atoms,
+            lambda: numrange_gap(prob.A, atoms))[1]
 
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
@@ -450,7 +457,8 @@ class TestSpectralCore:
         M = np.diag([3.0, 2.0 + 1.0j]) + np.diag([0.7], 1)
         sm = decompose_normal(np.diag([lam, 0.5, 0.5]))
         with pytest.raises(SingularResolventError):
-            sylvester._spectral_solve(M, sm, random_complex(rng, 3, 2),
+            sylvester._spectral_solve(scipy.linalg.schur(M, output="complex"),
+                                      sm, random_complex(rng, 3, 2),
                                       sylvester.DEFAULT_TOLERANCES)
 
     def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
@@ -469,7 +477,8 @@ class TestSpectralCore:
                 old_raises = any(spectral_norm_guard_raises(M, zeta)
                                  for zeta in sm.eigenvalues)
                 try:
-                    sylvester._spectral_solve(M, sm, D, tol)
+                    sylvester._spectral_solve(
+                        scipy.linalg.schur(M, output="complex"), sm, D, tol)
                     new_raises = False
                 except SingularResolventError:
                     new_raises = True
@@ -557,11 +566,63 @@ class TestBounds:
             assert checks["enorm_vs_gap"].ok
             assert checks["hs_vs_gap"].ok
 
+    def test_near_normal_a_checks_hold(self):
+        # A passes the normality test, but sigma_min(A) = 2.9999955 < 3:
+        # with D the top singular direction of A^{-1}, ||X|| = 1/sigma_min
+        A = np.array([[3.0, 9e-6], [0.0, 3.0]])
+        prob = SylvesterProblem(A, [[0.0]], np.linalg.svd(A)[2][-1:])
+        checks = verify_bounds(prob, solve_spectral(prob))
+        assert set(checks) == {"enorm_vs_numrange", "enorm_vs_gap", "hs_vs_gap"}
+        assert checks["hs_vs_gap"].observed == pytest.approx(1.0 / 2.9999955,
+                                                             rel=1e-12)
+        assert all(chk.ok for chk in checks.values()), checks
+
     def test_hs_bound_sharp_scalar(self):
         d = 2.0
         prob = SylvesterProblem([[d]], [[0.0]], [[1.0]])
         report = solve_kronecker(prob)
         assert hs_norm(report.X) == pytest.approx(hs_norm(prob.D) / d, abs=1e-12)
+
+
+class TestSeparation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.floats(-16.0, -2.0), st.floats(-14.0, -1.0))
+    def test_bounds_never_exceed_sigma_min(self, seed, h, k, log_scale,
+                                           log_offset):
+        A, C = near_normal_case(seed, h, k, log_scale, log_offset)
+        prob = SylvesterProblem(A, C, np.ones((k, h)))
+        # both the gated d (the larger bound) and gap_numrange
+        bounds = sylvester._separation(prob, prob.tolerances)
+        assert max(bounds) <= min_sigma(A, prob.measure().eigenvalues)
+
+    def test_normal_a_gap_numrange_is_the_hull_distance(self, rng):
+        for h, k in ((3, 4), (6, 5), (12, 3)):
+            for _ in range(3):
+                prob = make_sylvester(rng, h, k)
+                eigs = np.linalg.eigvals(prob.A)
+                exact = min(_hull_distance(eigs, z) for z in prob.measure().eigenvalues)
+                assert solve_spectral(prob).gap_numrange == pytest.approx(
+                    exact, rel=1e-12, abs=0.0)
+
+    def test_atom_inside_the_hull_gives_zero(self):
+        # spec(A) around the atom 0: conv(spec A) is in W(A), so the gap is 0
+        prob = SylvesterProblem(np.diag([1.0, -1.0 + 1j, -1.0 - 1j]), [[0.0]],
+                                np.ones((1, 3)))
+        assert solve_spectral(prob).gap_numrange == 0.0
+
+    def test_normal_a_reports_run_no_angle_sweep(self, rng, monkeypatch):
+        calls = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: calls.append(1) or real(A, t))
+        for solver in ALL_SOLVERS:
+            prob = make_sylvester(rng, 5, 4)
+            verify_bounds(prob, solver(prob))
+        assert calls == []
+        prob = make_sylvester(rng, 5, 4, normal_a=False)
+        verify_bounds(prob, solve_spectral(prob))
+        assert calls  # the sweep of a non-normal A goes through the patch
 
 
 def test_report_residual_is_recomputed(rng):
