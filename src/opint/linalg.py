@@ -139,28 +139,37 @@ def is_normal(M, tol=DEFAULT_TOLERANCES):
 
 
 def _support_values(A, thetas):
-    """Support function of the numerical range of A at the given angles.
-
-    For each angle t the value is the top eigenvalue of the Hermitian
-    part of exp(-it) A, evaluated as one batched eigensolve.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phase = np.exp(-1j * thetas)[:, None, None]
-    H = 0.5 * (phase * A + np.conj(np.transpose(phase * A, (0, 2, 1))))
-    return np.linalg.eigvalsh(H)[:, -1]
+    """(h, w, h'') at the given angles from one batched eigensolve: h(t),
+    the top eigenvalue of the Hermitian part H(t) of exp(-it) A, is the
+    support function of W(A), and w = x*Ax (x its eigenvector) a boundary
+    point.  h' = Im(e^{-it} w), and h'' = -h + 2 sum_j |v_j* H(t + pi/2) x|^2
+    / (h - lambda_j) over the other eigenpairs, save those tied with h."""
+    phase = np.exp(-1j * np.atleast_1d(np.asarray(thetas, dtype=float)))
+    M = phase[:, None, None] * A
+    lam, V = np.linalg.eigh(0.5 * (M + np.conj(np.transpose(M, (0, 2, 1)))))
+    x = V[:, :, -1]
+    Ax, Ahx = x @ A.T, x @ A.conj()  # rows A x and A* x
+    w = np.einsum("ti,ti->t", x.conj(), Ax)
+    # |v_j* y| = |y* v_j| for y = H(t + pi/2) x
+    y = 0.5j * (phase.conj()[:, None] * Ahx - phase[:, None] * Ax)
+    c = np.einsum("tij,ti->tj", V, y.conj())
+    gaps = lam[:, -1:] - lam[:, :-1]
+    coupling = np.divide(np.abs(c[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps),
+                         where=gaps > 0.0).sum(axis=1)
+    return lam[:, -1], w, 2.0 * coupling - lam[:, -1]
 
 
 def numrange_support(A, theta):
     """Support function h(theta) = sup over unit x of Re(e^{-i theta} <Ax, x>)."""
     A = _square(A, "A")
-    return float(_support_values(A, [float(theta)])[0])
+    return float(_support_values(A, [float(theta)])[0][0])
 
 
 def _rounding_slack(A, pts):
     """Per-point rounding allowance (h + 8) eps (||A||_F + |z|) on a bound.
 
     With w the computed e^{-i theta}, forming H = (wA + (wA)*)/2 is off by
-    at most about 4 eps ||A||_F in Frobenius norm, and eigvalsh returns the
+    at most about 4 eps ||A||_F in Frobenius norm, and eigh returns the
     top eigenvalue of a matrix within h eps ||H|| <= h eps ||A||_F of that
     (its backward error), so by Weyl's inequality the computed h(theta)
     is off by at most (h + 4) eps ||A||_F.  Re(w z) is off by at most
@@ -174,88 +183,98 @@ def _rounding_slack(A, pts):
     return (A.shape[0] + 8) * eps * (np.linalg.norm(A) + np.abs(pts))
 
 
-def _grid_bounds(A, pts, n_angles):
-    """Per-point maxima of Re(e^{-i theta} z) - h(theta) over a uniform angle
-    grid (one batched eigensolve), less the rounding slack, with the grid
-    bracket around each argmax."""
-    if n_angles < 8:
-        raise ValueError("n_angles must be at least 8")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    h = _support_values(A, thetas)
-    # g[t, p] = Re(e^{-i theta_t} z_p) - h(theta_t)
-    g = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :]) - h[:, None]
-    peak = thetas[g.argmax(axis=0)]
-    step = 2.0 * np.pi / n_angles
-    return g.max(axis=0) - _rounding_slack(A, pts), peak - step, peak + step
-
-
+_COARSE_ANGLES = 32
 _REFINE_ITERS = 40
 
 
-def _refine(A, pts, best, lo, hi, refine_iters):
-    """Raise each bound in `best` by a ternary search on its bracket."""
+def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
+    """(lower, upper) bounds on dist(z, W(A)) for each point z, by
+    boundary-point generation (C. R. Johnson, SIAM J. Numer. Anal. 1978).
+
+    An eigensolve at angle t gives every z the lower bound g(t) =
+    Re(e^{-it} z) - h(t), less `_rounding_slack`, and a boundary point
+    w(t); U is the distance to the polygon of those found so far.  After
+    a grid of n_angles angles, each point steps towards the maximum of g
+    in a bracket where g' = Im(e^{-it}(z - w)) changes sign: Newton's step
+    from the better end if it lands inside, else the crossing of the ends'
+    tangents, which finds a kink of g (a double top eigenvalue) in a few
+    steps.  A point stops at U - L <= max(1e-12 U, 4 slack), after
+    refine_iters steps, or, with `gap`, once L reaches the least U, as it
+    can no longer be the minimum.
+    """
+    if n_angles < 8:
+        raise ValueError("n_angles must be at least 8")
     slack = _rounding_slack(A, pts)
-    for _ in range(refine_iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        g1 = np.real(np.exp(-1j * m1) * pts) - _support_values(A, m1)
-        g2 = np.real(np.exp(-1j * m2) * pts) - _support_values(A, m2)
-        keep_low = g1 >= g2
-        hi = np.where(keep_low, m2, hi)
-        lo = np.where(keep_low, lo, m1)
-        best = np.maximum(best, np.maximum(g1, g2) - slack)
-    return best
+
+    def probe(t, z):
+        """(t, g, g', g'') at angles t for points z, and the boundary points."""
+        h, w, d2h = (v.reshape(np.shape(t)) for v in _support_values(A, np.ravel(t)))
+        e = np.exp(-1j * t)
+        return np.stack(np.broadcast_arrays(
+            t, (e * z).real - h, (e * (z - w)).imag, -(e * z).real - d2h)), w.ravel()
+
+    grid = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    P, w = probe(grid[:, None], pts)
+    lower = np.maximum(P[1].max(axis=0) - slack, 0.0)
+    # bracket: the best grid angle and its neighbour on the side where g rises
+    j, i = P[1].argmax(axis=0), np.arange(len(pts))
+    step = np.where(P[2, j, i] > 0.0, 1, -1)
+    near, far = P[:, j, i], P[:, (j + step) % n_angles, i]
+    far[0] = grid[j] + step * (grid[1] - grid[0])
+    ends = np.where(step > 0, np.stack([near, far], 1), np.stack([far, near], 1))
+    angles, points, upper = grid, w, _hull_distance(_hull(w), pts)
+    for it in range(refine_iters + 1):
+        act = upper - lower > np.maximum(1e-12 * upper, 4.0 * slack)
+        if gap:
+            act &= lower < upper.min()
+        if it == refine_iters or not act.any():
+            return lower, upper
+        E, i = ends[..., act], np.arange(act.sum())
+        (lo, hi), (g_lo, g_hi), (d_lo, d_hi) = E[0], E[1], E[2]
+        base = E[:, E[1].argmax(axis=0), i]
+        with np.errstate(all="ignore"):
+            newton = base[0] - base[2] / base[3]
+            cross = lo + (g_hi - g_lo - d_hi * (hi - lo)) / (d_lo - d_hi)
+        cross = np.where((lo < cross) & (cross < hi), cross, 0.5 * (lo + hi))
+        t = np.where((lo < newton) & (newton < hi), newton, cross)
+        Q, w = probe(t, pts[act])
+        lower[act] = np.maximum(lower[act], Q[1] - slack[act])
+        E[:, (Q[2] <= 0.0).astype(int), i] = Q
+        ends[..., act] = E
+        # new polygon edges join each new point to its neighbours in angle
+        turn = (t[:, None] - angles) % (2.0 * np.pi)
+        for nb in (turn.argmin(axis=1), (-turn % (2.0 * np.pi)).argmin(axis=1)):
+            dist = _segment_distance(pts[:, None], points[nb], w)
+            upper = np.minimum(upper, dist.min(axis=1))
+        angles, points = np.append(angles, t), np.append(points, w)
+        if np.any(lower[act] == 0.0):  # a point of W(A) gets U = 0 once inside
+            upper = np.minimum(upper, _hull_distance(_hull(points), pts))
 
 
-def numrange_distances(A, points, n_angles=720, refine_iters=_REFINE_ITERS):
-    """Lower bounds on the distances from each point to the numerical range.
-
-    Samples the support function on a uniform angle grid (one batched
-    eigensolve), takes per-point maxima of
-    Re(e^{-i theta} z) - h(theta), and sharpens each maximum with a
-    ternary-search refinement pass on its grid bracket.  Sampling can
-    only underestimate the true distance, which is the safe direction
-    for every certificate built on top of it, and each bound is lowered
-    by a rounding slack of order h eps (||A||_F + |z|) (`_rounding_slack`)
-    so that rounding cannot lift it either.
-    """
+def numrange_distances(A, points, n_angles=_COARSE_ANGLES, refine_iters=_REFINE_ITERS):
+    """Lower bounds on the distances from each point to the numerical range,
+    each within max(1e-12 U, 4 slack) of an upper bound U (`_numrange_bounds`):
+    they converge to rounding for any grid of at least 8 angles, and are
+    lowered by `_rounding_slack` so that rounding cannot lift them."""
     A = _square(A, "A")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    best = _refine(A, pts, *_grid_bounds(A, pts, n_angles), refine_iters)
-    return np.maximum(best, 0.0)
+    return _numrange_bounds(A, pts, n_angles, refine_iters, gap=False)[0]
 
 
-def numrange_gap(A, points, n_angles=720):
-    """min(numrange_distances(A, points)), refining only where it can fall.
-
-    The point with the smallest grid bound is refined first, then, in one
-    batch, every other point whose grid bound is below that refined value.
-    Refinement never lowers a bound, so no point left out can attain the
-    minimum.
-    """
+def numrange_gap(A, points, n_angles=_COARSE_ANGLES):
+    """min(numrange_distances(A, points)), refining only where it can fall:
+    a point stops once its lower bound reaches the smallest upper bound."""
     A = _square(A, "A")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    bound, lo, hi = _grid_bounds(A, pts, n_angles)
-
-    def refined(idx):
-        return _refine(A, pts[idx], bound[idx], lo[idx], hi[idx],
-                       _REFINE_ITERS).min()
-
-    first = bound.argmin()
-    gap = refined([first])
-    rest = np.flatnonzero(bound < gap)
-    rest = rest[rest != first]
-    if rest.size:
-        gap = min(gap, refined(rest))
-    return max(float(gap), 0.0)
+    return float(_numrange_bounds(A, pts, n_angles, _REFINE_ITERS, gap=True)[0].min())
 
 
-def dist_to_numrange(A, z, n_angles=720):
-    """Lower bound on dist(z, W(A)) via support-function sampling.
+def dist_to_numrange(A, z, n_angles=_COARSE_ANGLES):
+    """Lower bound on dist(z, W(A)) from support lines and boundary points.
 
-    Zero when z lies inside the numerical range.  Nondecreasing in
-    n_angles (up to refinement noise) and never exceeds the true
-    distance, by convexity of W(A).
+    Zero when z lies inside the numerical range.  Never exceeds the true
+    distance, by convexity of W(A), and converges to rounding for any
+    grid of at least 8 angles.
     """
     return numrange_gap(A, [complex(z)], n_angles=n_angles)
 
@@ -276,6 +295,20 @@ def _hull(points):
             chain.append(p)
         hull += chain[:-1]
     return np.array(hull)
+
+
+def _segment_distance(z, a, b):
+    """Distance from z to the segment [a, b], broadcast; a point if a = b."""
+    e = b - a
+    t = np.real((z - a) * e.conj()) / np.maximum(np.abs(e) ** 2, np.finfo(float).tiny)
+    return np.abs(z - a - np.clip(t, 0.0, 1.0) * e)
+
+
+def _hull_distance(v, pts):
+    """Distance from each point to the polygon of `_hull` vertices v, 0 inside."""
+    z, w = pts[:, None], np.roll(v, -1)
+    inside = len(v) > 2 and np.all(((w - v).conj() * (z - v)).imag >= 0.0, axis=1)
+    return np.where(inside, 0.0, _segment_distance(z, v, w).min(axis=1))
 
 
 def separation(T, points, sweep):
@@ -303,13 +336,8 @@ def separation(T, points, sweep):
     lam = np.diag(T)
     nu = np.linalg.norm(np.triu(T, 1)) + 4.0 * _rounding_slack(T, pts)
     spectral = (np.abs(lam[:, None] - pts).min(axis=0) - nu).min()
-    # distance to the hull's nearest edge; a one-point hull has edge 0, t = 0
-    v = _hull(lam)
-    z, edge = pts[:, None] - v, np.roll(v, -1) - v
-    t = np.real(z * edge.conj()) / np.maximum(np.abs(edge) ** 2, np.finfo(float).tiny)
-    hull = np.abs(z - np.clip(t, 0.0, 1.0) * edge).min(axis=1)
-    inside = len(v) > 2 and np.all((edge.conj() * z).imag >= 0.0, axis=1)
-    if np.any(inside | (hull == 0.0)):
+    hull = _hull_distance(_hull(lam), pts)
+    if np.any(hull == 0.0):
         numrange = 0.0  # a point in conv(Lambda)
     elif np.all(nu <= 1e-12 * hull):
         numrange = (hull - nu).min()

@@ -24,6 +24,7 @@ from .errors import (
     ZeroQuadraticTermError,
 )
 from .linalg import (
+    _COARSE_ANGLES,
     DEFAULT_TOLERANCES,
     as_matrix,
     numrange_gap,
@@ -100,7 +101,7 @@ def riccati_residual(prob, X):
     return operator_norm(X @ prob.A - prob.C @ X + X @ prob.B @ X - prob.D)
 
 
-def certify(prob, tol=None, n_angles=720):
+def certify(prob, tol=None, n_angles=_COARSE_ANGLES):
     """Contraction certificate for the fixed-point map of the problem.
 
     Computed once per (tol, n_angles) and kept on the problem.  Raises
@@ -154,7 +155,7 @@ def _apply_map(prob, sm, X, tol):
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
                       override_certificate=False, tolerances=None,
-                      n_angles=720):
+                      n_angles=_COARSE_ANGLES):
     """Iterate the integral map to a fixed point.
 
     Starts from x0 (default zero, which lies in every admissible ball)

@@ -67,8 +67,8 @@ class BoundCheck(NamedTuple):
 class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
     (every field but the tolerances), and data derived from them (the
-    measure of C, the Riccati certificate) computed on first use and kept
-    on the problem."""
+    measure of C, the Schur form of A, the norm scale, the Riccati
+    certificate) computed on first use and kept on the problem."""
 
     def __post_init__(self):
         names = [f.name for f in fields(self) if f.name != "tolerances"]
@@ -122,6 +122,11 @@ class _Prepared:
             return T, U
         return self._cached("schur_a", build)
 
+    def norm_scale(self):
+        """max(1, ||A||_2, ||C||_2), computed once."""
+        return self._cached("norm_scale", lambda: max(
+            1.0, operator_norm(self.A), operator_norm(self.C)))
+
 
 @dataclass(frozen=True, eq=False)
 class SylvesterProblem(_Prepared):
@@ -166,8 +171,7 @@ def _separation(prob, tol):
 
 def _require_gap(prob, tol):
     gap = spectral_gap(prob)
-    scale = max(1.0, operator_norm(prob.A), operator_norm(prob.C))
-    if gap <= tol.tol_cluster * scale:
+    if gap <= tol.tol_cluster * prob.norm_scale():
         raise GapViolationError(
             f"spectral gap {gap:.3e} is below the clustering tolerance; "
             "the spectra of A and C effectively overlap")
@@ -428,9 +432,8 @@ def verify_bounds(prob, report, tol=None):
     enorm_x = e_norm(report.X, sm)
     enorm_d = e_norm(prob.D, sm)
     delta = report.gap_numrange
-    scale = max(1.0, operator_norm(prob.A), operator_norm(prob.C))
     checks = {"enorm_vs_numrange": BoundCheck(
-        enorm_d / delta if delta > 1e-12 * scale else math.inf, enorm_x)}
+        enorm_d / delta if delta > 1e-12 * prob.norm_scale() else math.inf, enorm_x)}
     if is_normal(prob.A, tol):
         d = max(_separation(prob, tol))  # 0 gives infinite bounds
         inv_d = 1.0 / d if d > 0 else math.inf

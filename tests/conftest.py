@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from opint import RiccatiProblem, SylvesterProblem, certify, operator_norm
+from opint.linalg import _rounding_slack
 
 
 def random_unitary(rng, n):
@@ -109,6 +110,60 @@ def shift_sweep(eigenvalues):
         for p in range(1, 17):
             for phi in (0.0, 0.5 * np.pi, 0.75 * np.pi):
                 yield lam + 10.0 ** -p * np.exp(1j * phi)
+
+
+def _sweep_support(A, thetas):
+    """Top eigenvalues of the Hermitian parts of exp(-it) A, one batch."""
+    phase = np.exp(-1j * np.atleast_1d(thetas))[:, None, None]
+    return np.linalg.eigvalsh(0.5 * (phase * A + np.conj(
+        np.transpose(phase * A, (0, 2, 1)))))[:, -1]
+
+
+def _sweep_grid_bounds(A, pts, n_angles):
+    """Per-point maxima of Re(e^{-i theta} z) - h(theta) over a uniform
+    grid, less the rounding slack, with the grid bracket around each."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    g = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :]) \
+        - _sweep_support(A, thetas)[:, None]
+    peak = thetas[g.argmax(axis=0)]
+    step = 2.0 * np.pi / n_angles
+    return g.max(axis=0) - _rounding_slack(A, pts), peak - step, peak + step
+
+
+def _sweep_refine(A, pts, best, lo, hi, refine_iters=40):
+    """Raise each bound in `best` by a ternary search on its bracket."""
+    slack = _rounding_slack(A, pts)
+    for _ in range(refine_iters):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        g1 = np.real(np.exp(-1j * m1) * pts) - _sweep_support(A, m1)
+        g2 = np.real(np.exp(-1j * m2) * pts) - _sweep_support(A, m2)
+        keep_low = g1 >= g2
+        hi = np.where(keep_low, m2, hi)
+        lo = np.where(keep_low, lo, m1)
+        best = np.maximum(best, np.maximum(g1, g2) - slack)
+    return best
+
+
+def numrange_gap_sweep(A, points, n_angles=720):
+    """The 720-angle sweep that `linalg.numrange_gap` replaced: a grid
+    bound for every point, a 40-step ternary search for the argmin, then
+    for every point whose grid bound lies below that; the reference that
+    the boundary-point bounds must match."""
+    A = np.asarray(A, dtype=np.complex128)
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    bound, lo, hi = _sweep_grid_bounds(A, pts, n_angles)
+
+    def refined(idx):
+        return _sweep_refine(A, pts[idx], bound[idx], lo[idx], hi[idx]).min()
+
+    first = bound.argmin()
+    gap = refined([first])
+    rest = np.flatnonzero(bound < gap)
+    rest = rest[rest != first]
+    if rest.size:
+        gap = min(gap, refined(rest))
+    return max(float(gap), 0.0)
 
 
 def estimate_lipschitz_loop(F, rect, samples_per_axis):

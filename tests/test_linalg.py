@@ -21,8 +21,8 @@ from opint import (
 import opint.linalg as linalg
 from opint.linalg import numrange_distances, numrange_gap
 
-from conftest import (random_complex, random_normal, shift_sweep,
-                      spectral_norm_guard_raises)
+from conftest import (numrange_gap_sweep, random_complex, random_normal,
+                      shift_sweep, spectral_norm_guard_raises)
 
 
 class TestNorms:
@@ -346,7 +346,9 @@ class TestNumrangeGap:
         monkeypatch.setattr(linalg, "_support_values",
                             lambda A, t: sizes.append(np.size(t)) or real(A, t))
         numrange_gap(A, pts)
-        assert sizes == [720] + [1] * 80
+        # one coarse grid, then at most 8 single-angle steps of one point
+        assert sizes[0] == linalg._COARSE_ANGLES
+        assert 1 <= len(sizes) - 1 <= 8 and set(sizes[1:]) == {1}
 
     def test_near_ties_refine_in_one_batch(self, monkeypatch):
         # points on the unit circle around W(0) = {0}: every grid bound is
@@ -358,7 +360,9 @@ class TestNumrangeGap:
         monkeypatch.setattr(linalg, "_support_values",
                             lambda A, t: sizes.append(np.size(t)) or real(A, t))
         gap = numrange_gap([[0.0]], pts)
-        assert sizes == [720] + [1] * 80 + [11] * 80
+        # one coarse grid, then at most 8 single-angle steps per point
+        assert sizes[0] == linalg._COARSE_ANGLES
+        assert 1 <= len(sizes) - 1 <= 8 and max(sizes[1:]) <= len(pts)
         monkeypatch.setattr(linalg, "_support_values", real)
         assert gap == pytest.approx(
             numrange_distances([[0.0]], pts).min(), rel=1e-13)
@@ -387,6 +391,101 @@ class TestNumrangeGap:
                 gap = numrange_gap(A, pts)
                 assert gap <= exact + 1e-13
                 assert gap >= exact - 1e-9
+
+
+# W(KINK_A) is the hull of the segment [0, 2] and the disc of radius 1/2
+# about 1 + 3i, turned by 0.3 rad.  The nearest points of W to KINK_POINTS
+# lie inside the segment, a flat edge, where the top eigenvalue is double
+# and g has a kink at its maximum.  The distances are 1, 0.5 and 2;
+# KINK_SWEEP holds the 720-angle sweep's values (`numrange_gap_sweep`).
+KINK_A = np.exp(0.3j) * scipy.linalg.block_diag(
+    np.diag([0.0, 2.0]), np.array([[1.0 + 3.0j, 1.0], [0.0, 1.0 + 3.0j]]))
+KINK_POINTS = np.exp(0.3j) * np.array([1.0 - 1.0j, 0.7 - 0.5j, 1.3 - 2.0j])
+KINK_SWEEP = np.array([0.99999999999506, 0.49999999998628, 1.99999999996557])
+
+
+class TestNumrangeBounds:
+    def _bounds(self, A, pts):
+        return linalg._numrange_bounds(np.asarray(A, dtype=complex), pts,
+                                       linalg._COARSE_ANGLES,
+                                       linalg._REFINE_ITERS, gap=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.sampled_from([0.0, 0.1, 1.0, 4.0]))
+    def test_matches_the_sweep_and_brackets_the_distance(self, seed, h, nonnormal):
+        r = np.random.default_rng(seed)
+        A, eigs = random_normal(r, h)
+        A = A + nonnormal * np.triu(random_complex(r, h, h), 1)
+        X = r.standard_normal((h, 200)) + 1j * r.standard_normal((h, 200))
+        X /= np.linalg.norm(X, axis=0)
+        rq = np.einsum("ij,ik,kj->j", X.conj(), A, X)  # points of W(A)
+        # points around W(A), most outside it, and two inside it
+        box = 3.0 * np.linalg.norm(A, 2)
+        pts = np.concatenate([np.trace(A) / h + box * (
+            r.uniform(-1, 1, 6) + 1j * r.uniform(-1, 1, 6)), rq[:2]])
+        lower, upper = self._bounds(A, pts)
+        sweep = np.array([numrange_gap_sweep(A, [z]) for z in pts])
+        assert np.all(lower >= sweep - 1e-12 * sweep)
+        assert numrange_gap(A, pts) >= numrange_gap_sweep(A, pts) * (1.0 - 1e-12)
+        assert np.all(lower <= np.abs(pts[:, None] - rq).min(axis=1) + 1e-13)
+        assert np.all(upper >= lower)
+        if nonnormal == 0.0 and h >= 3:
+            exact = np.array([_hull_distance(eigs, z) for z in pts])
+            assert np.all(lower <= exact + 1e-13)
+            assert np.all(upper >= exact - 1e-13)
+
+    def test_kink_on_a_tilted_flat_edge(self, monkeypatch):
+        sizes = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: sizes.append(np.size(t)) or real(A, t))
+        lower, upper = self._bounds(KINK_A, KINK_POINTS)
+        assert np.all(lower >= KINK_SWEEP * (1.0 - 1e-12))
+        assert np.all(upper - lower <= 1e-10 * upper)
+        # the tangents at the bracket's ends find the kink in a few steps
+        assert sizes[0] == linalg._COARSE_ANGLES and len(sizes) - 1 <= 8
+        monkeypatch.setattr(linalg, "_support_values", real)
+        assert np.array_equal(numrange_distances(KINK_A, KINK_POINTS), lower)
+        for z, ref in zip(KINK_POINTS, KINK_SWEEP):
+            assert numrange_gap_sweep(KINK_A, [z]) == pytest.approx(ref, abs=1e-14)
+            assert dist_to_numrange(KINK_A, z) >= ref * (1.0 - 1e-12)
+
+    def test_flat_edge_from_a_vertex_to_a_disc(self):
+        # W is the hull of 3 and the unit disc; its upper edge runs from 3 to
+        # the tangent point e^{i phi}, which only the steps reach, so U must
+        # come from the polygon's edges, not from the boundary points alone
+        A = scipy.linalg.block_diag([[3.0]], [[0.0, 2.0], [0.0, 0.0]])
+        tangent = np.exp(1j * np.arccos(1.0 / 3.0))
+        normal = -1j * (tangent - 3.0) / abs(tangent - 3.0)  # outward
+        s, d = np.meshgrid([0.1, 0.5, 0.9], [0.01, 0.5, 2.0])
+        pts = (3.0 + s * (tangent - 3.0) + d * normal).ravel()
+        lower, upper = self._bounds(A, pts)
+        assert np.all(lower <= d.ravel())
+        assert np.all(lower >= d.ravel() * (1.0 - 1e-10))
+        assert np.all(upper - lower <= 1e-10 * upper)
+
+    def test_few_steps_on_non_normal_a(self, rng, monkeypatch):
+        # points outside W(A), and points of W(A) just inside its boundary,
+        # between the grid's boundary points: Newton with the coupling term
+        # of g'' takes at most 5 steps here and the point inside stops once
+        # the polygon holds it; without either, up to 19 and 40 steps
+        sizes = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: sizes.append(np.size(t)) or real(A, t))
+        for h in (3, 6, 9, 12):
+            for depth in (1e-4, 1e-9):
+                A, _ = random_normal(rng, h)
+                A = A + np.triu(random_complex(rng, h, h), 1)
+                theta = rng.uniform(0.0, 2.0 * np.pi)
+                inner = real(A, [theta])[1] - depth * np.exp(1j * theta)
+                pts = np.concatenate([inner, np.trace(A) / h + 3.0 * np.linalg.norm(
+                    A, 2) * np.exp(2j * np.pi * rng.random(5))])
+                sizes.clear()
+                lower, upper = self._bounds(A, pts)
+                assert sizes[0] == linalg._COARSE_ANGLES and len(sizes) - 1 <= 8
+                assert lower[0] == upper[0] == 0.0
 
 
 def test_tolerances_validation():

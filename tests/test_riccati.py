@@ -150,7 +150,7 @@ class TestPreparedProblem:
     def test_certificate_once_per_tolerance_and_angles(self, rng):
         prob = make_certified_riccati(rng, 4, 4, normal_a=False)
         cert = certify(prob)
-        assert certify(prob, prob.tolerances, 720) is cert
+        assert certify(prob, prob.tolerances, linalg._COARSE_ANGLES) is cert
         assert certify(prob, n_angles=360) is not cert
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.d = 10.0

@@ -414,6 +414,19 @@ class TestPreparedProblem:
             sm.basis[0, 0] = 0.0
         assert_allclose(sm.basis, decompose_normal(prob.C).basis)
 
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_norms_of_a_and_c_once_per_problem(self, rng, monkeypatch, normal_a):
+        # is_normal takes its own norm of A inside linalg, out of this count
+        prob = make_sylvester(rng, 5, 4, normal_a=normal_a)
+        seen = []
+        real = sylvester.operator_norm
+        monkeypatch.setattr(sylvester, "operator_norm",
+                            lambda M: seen.append(M) or real(M))
+        verify_bounds(prob, solve_spectral(prob))
+        assert sum(M is prob.A for M in seen) == 1
+        assert sum(M is prob.C for M in seen) == 1
+        assert prob.norm_scale() == max(1.0, real(prob.A), real(prob.C))
+
 
 def _clustered_normal(rng, n, mult=4):
     """Normal matrix whose n/mult atoms each have multiplicity mult."""
