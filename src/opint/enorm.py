@@ -24,15 +24,20 @@ def e_norm(Y, sm):
     additive and the operator norm subadditive the partition sum can
     only grow under refinement, so for a finite spectrum the supremum
     over Borel partitions is attained when every atom is its own set.
-    Each term ||Y* P_k Y|| = ||Q_k* Y||^2 is one row block of Q* Y.
+    Each term ||Y* P_k Y|| = ||Q_k* Y||^2 is a row block of Q* Y, with one
+    stacked norm per multiplicity and the squares added in atom order.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] != sm.dim:
         raise ShapeMismatchError(
             f"Y must have {sm.dim} rows to match the measure, got {Y.shape}")
-    W = adjoint(sm.columns(range(len(sm)))) @ Y
-    blocks = np.split(W, np.cumsum(sm.multiplicities)[:-1])
-    return float(np.sqrt(sum(operator_norm(B) ** 2 for B in blocks)))
+    W = adjoint(sm.basis) @ Y
+    norms = np.empty(len(sm))
+    for m in np.unique(sm.multiplicities):
+        atoms = np.flatnonzero(sm.multiplicities == m)
+        blocks = W[np.add.outer(sm._offsets[atoms], np.arange(m))]
+        norms[atoms] = np.linalg.norm(blocks, 2, axis=(-2, -1))
+    return float(np.sqrt(sum(x ** 2 for x in norms.tolist())))
 
 
 def check_enorm_sandwich(Y, sm):

@@ -47,17 +47,10 @@ class Rect:
                 f"rectangle requires a < b and c < d, got "
                 f"[{self.a}, {self.b}) x [{self.c}, {self.d})")
 
-    def contains(self, lam, mu):
-        """Half-open membership test, exact IEEE comparisons."""
-        return self.a <= lam < self.b and self.c <= mu < self.d
-
-    def contains_z(self, z):
-        return self.contains(z.real, z.imag)
-
     def boundary_distance(self, lam, mu):
-        """Distance from (lam, mu) to the edge lines of the rectangle."""
-        return min(abs(lam - self.a), abs(lam - self.b),
-                   abs(mu - self.c), abs(mu - self.d))
+        """Distance from (lam, mu) to the edge lines, elementwise."""
+        return np.minimum.reduce([np.abs(lam - self.a), np.abs(lam - self.b),
+                                  np.abs(mu - self.c), np.abs(mu - self.d)])
 
     @property
     def width(self):
@@ -133,6 +126,15 @@ class SpectralMeasure:
         mu = self.eigenvalues.imag
         mask = (rect.a <= lam) & (lam < rect.b) & (rect.c <= mu) & (mu < rect.d)
         return np.nonzero(mask)[0]
+
+    def near_boundary(self, rect, tol):
+        """A message naming the first eigenvalue within tol_cluster *
+        max(1, radius) of the edge lines of rect, or None if none is."""
+        threshold = tol.tol_cluster * max(1.0, self.spectral_radius)
+        z = self.eigenvalues
+        z = z[rect.boundary_distance(z.real, z.imag) <= threshold]
+        return (f"eigenvalue {z[0]} lies within {threshold:.2e} of the rectangle "
+                "boundary; " if z.size else None)
 
     def bounding_rect(self, pad=1.0):
         """A rectangle clearing every eigenvalue by pad * max(1, radius)."""
@@ -211,13 +213,10 @@ def measure_of_rect(sm, rect, tol=DEFAULT_TOLERANCES):
     flagged with BoundaryEigenvalueWarning: the result is still computed,
     but it is numerically fragile.
     """
-    threshold = tol.tol_cluster * max(1.0, sm.spectral_radius)
-    for z in sm.eigenvalues:
-        if rect.boundary_distance(z.real, z.imag) <= threshold:
-            warnings.warn(
-                f"eigenvalue {z} lies within {threshold:.2e} of the rectangle "
-                "boundary; half-open membership is fragile",
-                BoundaryEigenvalueWarning, stacklevel=2)
+    near = sm.near_boundary(rect, tol)
+    if near:
+        warnings.warn(near + "half-open membership is fragile",
+                      BoundaryEigenvalueWarning, stacklevel=2)
     Q = sm.columns(sm.atoms_in(rect))
     return Q @ Q.conj().T
 

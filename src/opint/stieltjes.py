@@ -235,29 +235,29 @@ def _locate(coords, axis, thresh, shift):
 def _spectral_sum(F, sm, cells, empty_tag):
     """sum F(tag) E(S) over cells (tag_lambda, tag_mu, atoms S).
 
-    Each E(S) = Q_S Q_S* is applied in factored form, (F Q_S) Q_S*, and
-    cells are accumulated in the order given so results are
-    bit-reproducible.  Without cells the result is the zero matrix of
-    the shape of F(empty_tag), as E(empty set) = 0.
+    With E(S) = Q_S Q_S* the whole sum is one factored product,
+    [F(t_1) Q_1, F(t_2) Q_2, ...] [Q_1, Q_2, ...]*, taken in the cell
+    order given, so results are bit-reproducible at a fixed BLAS thread
+    count.  Without cells the result is the zero matrix of the shape of
+    F(empty_tag), as E(empty set) = 0.
     """
-    out = None
+    blocks, order = [], []
     for lam, mu, atoms in cells or [(*empty_tag, [])]:
         value = F(lam, mu)
         if value.ndim != 2 or value.shape[1] != sm.dim:
             raise ShapeMismatchError(
                 f"integrand of shape {value.shape} does not fit a measure on dimension "
                 f"n = {sm.dim}: right integrands are (h x n), left ones (n x h)")
-        Q = sm.columns(atoms)
-        term = (value @ Q) @ Q.conj().T
-        out = term if out is None else out + term
-    return out
+        blocks.append(value @ sm.columns(atoms))
+        order.extend(atoms)
+    return np.concatenate(blocks, axis=1) @ adjoint(sm.columns(order))
 
 
 def _grid_sum(F, sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
     """Right sum over the atoms of sm in rect on a grid of two axes, with
-    the (n_atoms, 2) per-atom tags and atom coordinates.  Cells are
-    accumulated in row-major order and atoms in index order within a
-    cell, so results are bit-reproducible.
+    the (n_atoms, 2) per-atom tags and atom coordinates.  Cells enter the
+    product of `_spectral_sum` in row-major order, atoms in index order
+    within a cell.
     """
     thresh = tol.tol_cluster * max(1.0, sm.spectral_radius)
     atoms = sm.atoms_in(rect)
@@ -280,17 +280,16 @@ def _grid_sum(F, sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
     groups = {}
     for atom, j, k, (xi, zeta) in zip(atoms.tolist(), *cells, tags.tolist()):
         groups.setdefault((j, k), (xi, zeta, []))[2].append(atom)
-    out = _spectral_sum(F, sm, [groups[key] for key in sorted(groups)],
-                        (rect.a, rect.c))
-    return out, tags, np.column_stack(coords)
+    return (_spectral_sum(F, sm, [groups[key] for key in sorted(groups)],
+                          (rect.a, rect.c)), tags, np.column_stack(coords))
 
 
 def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
     """Integral sum  sum_jk F(xi_j, zeta_k) E(cell_jk).
 
-    Cells with zero measure are skipped; occupied cells are accumulated
-    in fixed row-major order (j outer, k inner) so results are
-    bit-reproducible.
+    Cells with zero measure are skipped; occupied cells enter one
+    factored product in fixed row-major order (j outer, k inner), so
+    results are bit-reproducible at a fixed BLAS thread count.
     """
     lp, mp = p.lambda_points, p.mu_points
     rect = Rect(lp[0], lp[-1], mp[0], mp[-1])
@@ -311,12 +310,10 @@ def exact_right_integral(F, sm, rect, tol=DEFAULT_TOLERANCES):
     inside the rectangle.  Raises BoundaryEigenvalueError when an
     eigenvalue sits within tol_cluster of the boundary.
     """
-    threshold = tol.tol_cluster * max(1.0, sm.spectral_radius)
-    for z in sm.eigenvalues:
-        if rect.boundary_distance(z.real, z.imag) <= threshold:
-            raise BoundaryEigenvalueError(
-                f"eigenvalue {z} lies within {threshold:.2e} of the rectangle "
-                "boundary; the exact integral over this rectangle is ill posed")
+    near = sm.near_boundary(rect, tol)
+    if near:
+        raise BoundaryEigenvalueError(
+            near + "the exact integral over this rectangle is ill posed")
     cells = [(sm.eigenvalues[k].real, sm.eigenvalues[k].imag, [k])
              for k in sm.atoms_in(rect)]
     return _spectral_sum(F, sm, cells, (rect.a, rect.c))

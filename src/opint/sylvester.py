@@ -401,8 +401,7 @@ def solve_double_spectral(prob, tol=None):
     gap = _require_gap(prob, tol)
     sm_a = decompose_normal(prob.A, tol)
     sm_c = prob.measure(tol)
-    Q_a = sm_a.columns(range(len(sm_a)))
-    Q_c = sm_c.columns(range(len(sm_c)))
+    Q_a, Q_c = sm_a.basis, sm_c.basis
     z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)
     zeta = np.repeat(sm_c.eigenvalues, sm_c.multiplicities)
     M = (adjoint(Q_c) @ prob.D @ Q_a) / (z[None, :] - zeta[:, None])

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opint import RiccatiProblem, SylvesterProblem, certify, operator_norm
+from opint import (
+    RiccatiProblem,
+    ShapeMismatchError,
+    SylvesterProblem,
+    certify,
+    operator_norm,
+)
 from opint.linalg import _rounding_slack
 
 
@@ -195,6 +201,23 @@ def estimate_lipschitz_loop(F, rect, samples_per_axis):
                                           - values[i1][j2] + values[i2][j2])
                     gamma2 = max(gamma2, mixed / (dl * dm))
     return gamma1, gamma2
+
+
+def spectral_sum_loop(F, sm, cells, empty_tag):
+    """sum F(tag) E(S) over cells (tag_lambda, tag_mu, atoms S), one
+    n x n term (F Q_S) Q_S* added per cell in the order given; the zero
+    matrix of the shape of F(empty_tag) without cells."""
+    out = None
+    for lam, mu, atoms in cells or [(*empty_tag, [])]:
+        value = F(lam, mu)
+        if value.ndim != 2 or value.shape[1] != sm.dim:
+            raise ShapeMismatchError(
+                f"integrand of shape {value.shape} does not fit a measure on dimension "
+                f"n = {sm.dim}: right integrands are (h x n), left ones (n x h)")
+        Q = sm.columns(atoms)
+        term = (value @ Q) @ Q.conj().T
+        out = term if out is None else out + term
+    return out
 
 
 @pytest.fixture

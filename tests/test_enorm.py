@@ -24,7 +24,7 @@ from opint import (
     operator_norm,
 )
 
-from conftest import random_complex, random_normal
+from conftest import random_complex, random_normal, random_unitary
 
 
 def set_partitions(items):
@@ -83,6 +83,31 @@ class TestENorm:
             Y = random_complex(rng, dim, int(rng.integers(1, 4)))
             assert e_norm(Y, sm) == pytest.approx(brute_force_e_norm(Y, sm),
                                                   abs=1e-12)
+
+    def test_equals_one_norm_per_atom_block(self, rng):
+        # simple, 3-fold and 4-fold atoms; every block's norm comes from
+        # one stacked SVD per multiplicity, bit for bit the per-block SVDs
+        eigs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        U = random_unitary(rng, 15)
+        sm = decompose_normal(U @ np.diag(np.repeat(eigs, [1, 3, 1, 4, 1, 3, 1, 1]))
+                              @ U.conj().T)
+        assert sorted(sm.multiplicities) == [1] * 5 + [3, 3, 4]
+        for h in (0, 1, 6, 15):
+            Y = random_complex(rng, 15, h)
+            blocks = np.split(adjoint(sm.basis) @ Y, np.cumsum(sm.multiplicities)[:-1])
+            loop = float(np.sqrt(sum(operator_norm(B) ** 2 for B in blocks)))
+            assert e_norm(Y, sm) == loop
+        assert e_norm(np.zeros((15, 0)), sm) == 0.0
+
+    def test_takes_no_operator_norm(self, rng, monkeypatch):
+        C, _ = random_normal(rng, 12, repeat=True)
+        sm = decompose_normal(C)
+        calls = []
+        for module in (opint.linalg, opint.enorm):
+            monkeypatch.setattr(module, "operator_norm",
+                                lambda M, f=module.operator_norm: calls.append(1) or f(M))
+        e_norm(random_complex(rng, 12, 5), sm)
+        assert calls == []
 
     def test_scaling(self, rng):
         C, _ = random_normal(rng, 5)

@@ -7,13 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from opint import (
+    BoundaryEigenvalueError,
     BoundaryEigenvalueWarning,
     NotNormalError,
+    OperatorFunction,
     Rect,
     SpectralMeasure,
+    Tolerances,
     apply_function,
     decompose_normal,
     e_norm,
+    exact_right_integral,
     hs_norm,
     measure_of_rect,
     operator_norm,
@@ -113,6 +117,29 @@ class TestMeasure:
         sm = decompose_normal(np.diag([1.0, 1j]))
         with pytest.warns(BoundaryEigenvalueWarning):
             measure_of_rect(sm, Rect(0.0, 2.0, -1.0, 1.0))
+
+    def test_boundary_guard_names_the_first_eigenvalue(self):
+        # both atoms lie exactly tol_cluster = 2^-20 from an edge line
+        tol = Tolerances(tol_cluster=2.0 ** -20)
+        sm = SpectralMeasure([0.25 + 0.5j, 0.5 + 0.25j], np.eye(2), [1, 1])
+        at = Rect(0.25 - 2.0 ** -20, 0.5 + 2.0 ** -20, 0.0, 1.0)
+        with pytest.warns(BoundaryEigenvalueWarning) as record:
+            measure_of_rect(sm, at, tol)
+        assert len(record) == 1
+        assert str(record[0].message).startswith("eigenvalue (0.25+0.5j) ")
+        with pytest.raises(BoundaryEigenvalueError, match=r"^eigenvalue \(0.25\+0.5j\) "):
+            exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, at, tol)
+        clear = Rect(0.25 - 2.0 ** -19, 0.5 + 2.0 ** -19, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            measure_of_rect(sm, clear, tol)
+        exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, clear, tol)
+
+    def test_basis_is_every_column(self, rng):
+        C, _ = random_normal(rng, 9, repeat=True)
+        sm = decompose_normal(C)
+        assert len(sm) == 7
+        assert np.array_equal(sm.columns(range(len(sm))), sm.basis)
 
     def test_covering_rect_is_identity(self, rng):
         C, _ = random_normal(rng, 7)

@@ -12,6 +12,7 @@ from opint import (
     NoConvergenceError,
     OperatorFunction,
     Rect,
+    ShapeMismatchError,
     adjoint,
     czero_check,
     decompose_normal,
@@ -29,7 +30,15 @@ from opint import (
     dyadic_level_sum,
 )
 
-from conftest import estimate_lipschitz_loop, random_complex, random_normal
+from opint import stieltjes
+
+from conftest import (
+    estimate_lipschitz_loop,
+    random_complex,
+    random_normal,
+    random_unitary,
+    spectral_sum_loop,
+)
 
 RECT = Rect(-2.0, 2.0, -2.0, 2.0)
 
@@ -249,6 +258,86 @@ class TestOneCellRule:
         sm = diagonal_measure([1e-12 + 0.5j])
         p = GridPartition([-1.0, -1e-8, 0.0, 1.0], [0.0, 1.0], tag_rule="center")
         assert right_sum(z_function(1), sm, p)[0, 0] == 0.5 + 0.5j
+
+
+@st.composite
+def clustered_sum_case(draw):
+    """A measure of n <= 12 dimensions whose eigenvalues repeat among at
+    most n // 2 + 1 atoms in [-1, 1]^2, an integrand of one of three
+    kinds with h x n values (h != n unless scalar), and a partition."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    atoms = rng.uniform(-1.0, 1.0, n // 2 + 1) + 1j * rng.uniform(-1.0, 1.0, n // 2 + 1)
+    U = random_unitary(rng, n)
+    C = U @ np.diag(atoms[rng.integers(len(atoms), size=n)]) @ U.conj().T
+    kind = draw(st.sampled_from(["scalar", "constant", "resolvent"]))
+    h = draw(st.integers(1, 12).filter(lambda h: h != n))
+    if kind == "scalar":
+        F = OperatorFunction.from_scalar(lambda w: w + 0.3 * w * w, n)
+    elif kind == "constant":
+        F = OperatorFunction.constant(random_complex(rng, h, n))
+    else:
+        A, _ = random_normal(rng, n, re=(2.5, 3.5))
+        F = OperatorFunction.resolvent_family(A, random_complex(rng, h, n))
+    p = GridPartition.uniform(GRID_RECTS[0], draw(st.integers(1, 9)),
+                              draw(st.integers(1, 9)),
+                              draw(st.sampled_from(["lower_left", "center"])))
+    return decompose_normal(C), F, p, draw(st.integers(1, 6))
+
+
+def with_cell_loop(fn, *args):
+    """fn(*args) with every Stieltjes sum taken by `spectral_sum_loop`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stieltjes, "_spectral_sum", spectral_sum_loop)
+        return fn(*args)
+
+
+def every_sum(F, sm, p, rect, level):
+    """(function, arguments) of each sum that `_spectral_sum` serves."""
+    G = OperatorFunction(lambda lam, mu: adjoint(F(lam, mu)))
+    return [(right_sum, (F, sm, p)), (dyadic_level_sum, (F, sm, rect, level)),
+            (exact_right_integral, (F, sm, rect)), (left_sum, (G, sm, p))]
+
+
+class TestFactoredSum:
+    """Each Stieltjes sum is one factored product; the per-cell loop it
+    replaced is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clustered_sum_case())
+    def test_matches_cell_loop(self, case):
+        sm, F, p, level = case
+        for fn, args in every_sum(F, sm, p, GRID_RECTS[0], level):
+            J, loop = fn(*args), with_cell_loop(fn, *args)
+            assert J.shape == loop.shape
+            assert operator_norm(J - loop) <= 1e-13 * max(1.0, operator_norm(loop))
+
+    @settings(max_examples=20, deadline=None)
+    @given(clustered_sum_case())
+    def test_empty_rect_gives_zero_of_integrand_shape(self, case):
+        sm, F, _, level = case
+        empty = Rect(5.0, 6.0, 5.0, 6.0)
+        p = GridPartition.uniform(empty, 2, 3)
+        h = F(0.0, 0.0).shape[0]
+        for (fn, args), shape in zip(every_sum(F, sm, p, empty, level),
+                                     [(h, sm.dim)] * 3 + [(sm.dim, h)]):
+            J = fn(*args)
+            assert np.array_equal(J, np.zeros(shape))
+            assert np.array_equal(J, with_cell_loop(fn, *args))
+
+    @pytest.mark.parametrize("value", [np.ones((2, 5)), np.ones(4)])
+    @pytest.mark.parametrize("rect", [GRID_RECTS[0], Rect(5.0, 6.0, 5.0, 6.0)])
+    def test_bad_shape_raises_as_the_loop(self, rng, value, rect):
+        C, _ = random_normal(rng, 4, repeat=True)
+        sm = decompose_normal(C)
+        F = OperatorFunction(lambda lam, mu: value)
+        p = GridPartition.uniform(rect, 3, 2)
+        for fn, args in every_sum(F, sm, p, rect, 2):
+            with pytest.raises(ShapeMismatchError) as factored:
+                fn(*args)
+            with pytest.raises(ShapeMismatchError) as loop:
+                with_cell_loop(fn, *args)
+            assert str(factored.value) == str(loop.value)
 
 
 class TestExactIntegrals:
