@@ -112,9 +112,11 @@ class SpectralMeasure:
         return np.stack([Q @ Q.conj().T for Q in blocks])
 
     def _weighted(self, values):
-        """sum_k values[k] P_k, for one value per atom."""
-        weights = np.repeat(values, self.multiplicities)
-        return (self.basis * weights) @ self.basis.conj().T
+        """sum_k values[k] P_k, for one value per atom, over the atoms
+        whose value is not 0."""
+        S = np.flatnonzero(values)
+        Q = self.columns(S)
+        return (Q * np.repeat(values[S], self.multiplicities[S])) @ Q.conj().T
 
     def reconstruct(self):
         """Sum of zeta_k P_k, which should reproduce the source matrix."""

@@ -9,7 +9,7 @@ the rectangle), which serves as the oracle for the adaptive refinement.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,12 +43,15 @@ class OperatorFunction:
     """An evaluatable operator-valued function of (lambda, mu).
 
     gamma1 / gamma2 optionally record Lipschitz and mixed-difference
-    constants when they are known in closed form.
+    constants when they are known in closed form.  scalar is (f, dim)
+    when the function is f(lambda + i mu) times the dim x dim identity;
+    only `from_scalar` sets it, so it always agrees with evaluate.
     """
 
     evaluate: Callable[[float, float], np.ndarray]
     gamma1: Optional[float] = None
     gamma2: Optional[float] = None
+    scalar: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
@@ -68,8 +71,10 @@ class OperatorFunction:
     def from_scalar(cls, f, dim, gamma1=None, gamma2=None):
         """f(lambda + i mu) times the dim x dim identity."""
         eye = np.eye(dim, dtype=np.complex128)
-        return cls(evaluate=lambda lam, mu: f(complex(lam, mu)) * eye,
-                   gamma1=gamma1, gamma2=gamma2)
+        F = cls(evaluate=lambda lam, mu: f(complex(lam, mu)) * eye,
+                gamma1=gamma1, gamma2=gamma2)
+        F.scalar = (f, dim)
+        return F
 
     @classmethod
     def affine(cls, p, q, dim):
@@ -171,9 +176,10 @@ class ConvergenceReport:
     """Per-level record of an adaptive refinement.
 
     levels holds (mesh, diff_prev) pairs; diff_prev is NaN for the first
-    level.  converged means the final Cauchy difference met the
-    tolerance.  values optionally keeps every level's sum (only when the
-    refinement was asked to retain them).
+    level, and for a scalar integrand an upper bound on the norm of the
+    difference (see `integrate_right`).  converged means the final Cauchy
+    difference met the tolerance.  values optionally keeps every level's
+    sum (only when the refinement was asked to retain them).
     """
 
     levels: list
@@ -239,25 +245,55 @@ def _spectral_sum(F, sm, cells, empty_tag):
     [F(t_1) Q_1, F(t_2) Q_2, ...] [Q_1, Q_2, ...]*, taken in the cell
     order given, so results are bit-reproducible at a fixed BLAS thread
     count.  Without cells the result is the zero matrix of the shape of
-    F(empty_tag), as E(empty set) = 0.
+    F(empty_tag), as E(empty set) = 0.  A scalar integrand F = f I gives
+    sum_k f(tag of atom k) P_k, without forming f(tag) I.
     """
+    if F.scalar is not None:
+        return sm._weighted(_atom_values(F, sm, cells))
     blocks, order = [], []
     for lam, mu, atoms in cells or [(*empty_tag, [])]:
         value = F(lam, mu)
-        if value.ndim != 2 or value.shape[1] != sm.dim:
-            raise ShapeMismatchError(
-                f"integrand of shape {value.shape} does not fit a measure on dimension "
-                f"n = {sm.dim}: right integrands are (h x n), left ones (n x h)")
-        blocks.append(value @ sm.columns(atoms))
+        _check_shape(value.shape, sm)
+        blocks.append(_finite(value, lam, mu) @ sm.columns(atoms))
         order.extend(atoms)
     return np.concatenate(blocks, axis=1) @ adjoint(sm.columns(order))
 
 
-def _grid_sum(F, sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
-    """Right sum over the atoms of sm in rect on a grid of two axes, with
-    the (n_atoms, 2) per-atom tags and atom coordinates.  Cells enter the
-    product of `_spectral_sum` in row-major order, atoms in index order
-    within a cell.
+def _check_shape(shape, sm):
+    if len(shape) != 2 or shape[1] != sm.dim:
+        raise ShapeMismatchError(
+            f"integrand of shape {shape} does not fit a measure on dimension "
+            f"n = {sm.dim}: right integrands are (h x n), left ones (n x h)")
+
+
+def _finite(value, lam, mu):
+    """value, once every entry of it is finite."""
+    bad = np.asarray(value)[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"integrand value {bad[0]} at tag ({lam}, {mu}) "
+                         "is not finite")
+    return value
+
+
+def _atom_values(F, sm, cells):
+    """f(tag) on each atom of the cells for a scalar integrand F = f I,
+    one call per cell, and 0 on the other atoms."""
+    f, dim = F.scalar
+    _check_shape((dim, dim), sm)
+    v = np.zeros(len(sm), dtype=np.complex128)
+    for lam, mu, atoms in cells:
+        v[atoms] = f(complex(lam, mu))
+    if not np.all(np.isfinite(v)):
+        for lam, mu, atoms in cells:
+            _finite(v[atoms[0]], lam, mu)
+    return v
+
+
+def _grid_cells(sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
+    """Occupied cells (tag_lambda, tag_mu, atoms) of the atoms of sm in
+    rect on a grid of two axes, with the (n_atoms, 2) per-atom tags and
+    atom coordinates.  Cells come in row-major order, atoms in index
+    order within a cell.
     """
     thresh = tol.tol_cluster * max(1.0, sm.spectral_radius)
     atoms = sm.atoms_in(rect)
@@ -280,8 +316,7 @@ def _grid_sum(F, sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
     groups = {}
     for atom, j, k, (xi, zeta) in zip(atoms.tolist(), *cells, tags.tolist()):
         groups.setdefault((j, k), (xi, zeta, []))[2].append(atom)
-    return (_spectral_sum(F, sm, [groups[key] for key in sorted(groups)],
-                          (rect.a, rect.c)), tags, np.column_stack(coords))
+    return [groups[key] for key in sorted(groups)], tags, np.column_stack(coords)
 
 
 def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
@@ -293,7 +328,8 @@ def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
     """
     lp, mp = p.lambda_points, p.mu_points
     rect = Rect(lp[0], lp[-1], mp[0], mp[-1])
-    return _grid_sum(F, sm, rect, _explicit_axes(p), tol, p.tag_rule, p.custom_tags)[0]
+    cells = _grid_cells(sm, rect, _explicit_axes(p), tol, p.tag_rule, p.custom_tags)[0]
+    return _spectral_sum(F, sm, cells, (rect.a, rect.c))
 
 
 def left_sum(G, sm, p, tol=DEFAULT_TOLERANCES):
@@ -334,7 +370,8 @@ def dyadic_level_sum(F, sm, rect, level, tol=DEFAULT_TOLERANCES):
     lower-left tags.  The grid is implicit, so deep levels stay cheap."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    return _grid_sum(F, sm, rect, _dyadic_axes(rect, level), tol)[0]
+    cells = _grid_cells(sm, rect, _dyadic_axes(rect, level), tol)[0]
+    return _spectral_sum(F, sm, cells, (rect.a, rect.c))
 
 
 def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
@@ -352,27 +389,50 @@ def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
     integrands therefore still stop within a few levels, while stalled
     comparisons keep refining.
 
+    A scalar integrand f I (`OperatorFunction.from_scalar`) refines on
+    one value v_k = f(tag) per atom, and its Cauchy difference is
+    max_k |v_k - v'_k| (1 + ||Q_S* Q_S - I||_F) for the basis columns
+    Q_S of the atoms in rect.  As ||Q_S D Q_S*|| <= ||Q_S* Q_S|| ||D||,
+    this bounds the spectral norm of the difference from above (and
+    equals it to rounding for a unitary basis), so the test never stops
+    earlier than that norm would.  The n x n sum is formed only for the
+    returned, kept or partial value.
+
     Returns the last sum together with the per-level report (which keeps
     every level's sum when keep_values is set).  Raises
     NoConvergenceError (carrying the partial value and report) when
     max_levels is exhausted, which usually signals an integrand without
-    the required Lipschitz regularity.
+    the required Lipschitz regularity, and ValueError for a tol that is
+    not a finite nonnegative number or an integrand value that is not
+    finite.
     """
     if max_levels < 2:
         raise ValueError("max_levels must be at least 2")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if F.scalar is None:
+        level_value = lambda cells: _spectral_sum(F, sm, cells, (rect.a, rect.c))
+        dense, distance = (lambda J: J), (lambda J, K: operator_norm(J - K))
+    else:
+        Q = sm.columns(sm.atoms_in(rect))
+        # ||Q_S* Q_S||_2 <= 1 + ||Q_S* Q_S - I||_F, computed once per call
+        gram = 1.0 + float(np.linalg.norm(adjoint(Q) @ Q - np.eye(Q.shape[1])))
+        level_value = lambda cells: _atom_values(F, sm, cells)
+        dense, distance = sm._weighted, lambda v, w: gram * float(np.max(np.abs(v - w)))
     levels = []
     values = [] if keep_values else None
     prev = None
     prev_tags = None
     moved = None
     for level in range(1, max_levels + 1):
-        J, tags, coords = _grid_sum(F, sm, rect, _dyadic_axes(rect, level),
-                                    tolerances)
+        cells, tags, coords = _grid_cells(sm, rect, _dyadic_axes(rect, level),
+                                          tolerances)
+        v = level_value(cells)
         mesh = (rect.width + rect.height) / 2 ** level
         if keep_values:
-            values.append(J)
+            values.append(dense(v))
         # the first level has nothing to compare with: NaN fails both tests
-        diff = math.nan if prev is None else operator_norm(J - prev)
+        diff = math.nan if prev is None else distance(v, prev)
         levels.append((mesh, diff))
         if diff == 0.0:
             changed = tags != prev_tags
@@ -381,12 +441,12 @@ def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
         else:
             moved, done = None, diff <= tol
         if done:
-            return J, ConvergenceReport(levels, mesh, True, values)
-        prev, prev_tags = J, tags
+            return dense(v), ConvergenceReport(levels, mesh, True, values)
+        prev, prev_tags = v, tags
     report = ConvergenceReport(levels, levels[-1][0], False, values)
     raise NoConvergenceError(
         f"dyadic refinement did not reach tol = {tol:.2e} within "
-        f"{max_levels} levels", value=prev, report=report)
+        f"{max_levels} levels", value=dense(prev), report=report)
 
 
 def estimate_lipschitz(F, rect, samples_per_axis):

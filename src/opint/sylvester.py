@@ -67,8 +67,9 @@ class BoundCheck(NamedTuple):
 class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
     (every field but the tolerances), and data derived from them (the
-    measure of C, the Schur form of A, the norm scale, the Riccati
-    certificate) computed on first use and kept on the problem."""
+    measures of C and, for the double-spectral sum, of A, the Schur form
+    of A, the norm scale, the Riccati certificate) computed on first use
+    and kept on the problem."""
 
     def __post_init__(self):
         names = [f.name for f in fields(self) if f.name != "tolerances"]
@@ -103,15 +104,19 @@ class _Prepared:
     def measure(self, tol=None):
         """The spectral measure of C, decomposed once per tolerance; its
         arrays are read-only."""
+        return self._measure("C", tol)
+
+    def _measure(self, name, tol=None):
+        """The spectral measure of the matrix `name`, as `measure`."""
         tol = tol or self.tolerances
 
         def build():
-            sm = decompose_normal(self.C, tol)
+            sm = decompose_normal(getattr(self, name), tol)
             for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
                 M.flags.writeable = False
             return sm
 
-        return self._cached(("measure", tol), build)
+        return self._cached(("measure", name, tol), build)
 
     def schur_a(self):
         """The complex Schur form (T, U) of A = U T U*, computed once; both
@@ -399,7 +404,7 @@ def solve_double_spectral(prob, tol=None):
     """
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
-    sm_a = decompose_normal(prob.A, tol)
+    sm_a = prob._measure("A", tol)
     sm_c = prob.measure(tol)
     Q_a, Q_c = sm_a.basis, sm_c.basis
     z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)

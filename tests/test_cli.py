@@ -353,6 +353,26 @@ class TestIntegrateCommand:
         code, _, _ = run(capsys, ["integrate", path, "--function", "sin:1"])
         assert code == 2
 
+    def test_non_finite_function_exits_2(self, tmp_path, capsys):
+        path = write_problem(tmp_path, C=matjson(np.diag([1.0, 1j])),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        code, out, err = run(capsys, ["integrate", path, "--function",
+                                      "poly:1e308,1e308,1e308"])
+        assert code == 2
+        assert out == ""
+        # the exact integral meets f(1) = inf + nan i first
+        assert "integrand value (inf+nanj) at tag (1.0, 0.0) is not finite" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        path = write_problem(tmp_path, C=matjson(np.diag([1.0, 1j])),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        code, out, err = run(capsys, ["integrate", path, "--function",
+                                      "affine:1,2", "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err
+
     # Recorded byte for byte before the explicit-grid and dyadic cell
     # rules were merged.  Atoms sit on dyadic lines of [-2, 2)^2 (one
     # off them in the last case), and 0.3 + 2.7i lies outside the

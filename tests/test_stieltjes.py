@@ -430,6 +430,127 @@ class TestIntegrateRight:
                             tol=1e-10, max_levels=1)
 
 
+def refine(F, sm, rect, max_levels=60):
+    """integrate_right at tol 1e-10 keeping every level: (J, report),
+    with the partial value and report when it does not converge."""
+    try:
+        return integrate_right(F, sm, rect, tol=1e-10, max_levels=max_levels,
+                               keep_values=True)
+    except NoConvergenceError as exc:
+        return exc.value, exc.report
+
+
+@st.composite
+def scalar_case(draw):
+    """An affine or polynomial integrand with nonzero leading terms on a
+    simple or clustered measure of n <= 10 dimensions in [-1.5, 1.5]^2,
+    and a rectangle that holds the spectrum or cuts it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 10))
+    C, _ = random_normal(rng, n, re=(-1.5, 1.5), im=(-1.5, 1.5),
+                         repeat=draw(st.booleans()))
+    if draw(st.booleans()):
+        p, q = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        F = OperatorFunction.affine(p, q, n)
+    else:
+        coeffs = (rng.uniform(-1.0, 1.0, draw(st.integers(2, 4)))
+                  + 1j * rng.uniform(-1.0, 1.0))
+        F = OperatorFunction.polynomial(coeffs, n)
+    rect = draw(st.sampled_from([RECT, Rect(-0.9, 1.3, -1.1, 0.7)]))
+    return decompose_normal(C), F, rect
+
+
+class TestScalarLevels:
+    """A scalar integrand f I refines on one value per atom; the same
+    function without its scalar runs the general path and is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scalar_case())
+    def test_matches_general_path(self, case):
+        sm, F, rect = case
+        assert F.scalar is not None
+        J, report = refine(F, sm, rect)
+        J_ref, ref = refine(OperatorFunction(F.evaluate), sm, rect)
+        assert len(report.levels) == len(ref.levels)
+        assert report.converged == ref.converged
+        assert operator_norm(J - J_ref) <= 1e-13 * max(1.0, operator_norm(J_ref))
+        sup_F = max(operator_norm(K) for K in ref.values)
+        for (mesh, diff), (mesh_ref, diff_ref) in zip(report.levels, ref.levels):
+            assert mesh == mesh_ref
+            assert (math.isnan(diff) and math.isnan(diff_ref)
+                    or abs(diff - diff_ref) <= 1e-12 * max(1.0, sup_F))
+        for level, K in enumerate(report.values, 1):
+            level_sum = dyadic_level_sum(F, sm, rect, level)
+            assert operator_norm(K - level_sum) <= 1e-13 * max(
+                1.0, operator_norm(level_sum))
+
+    def test_diff_bounds_the_dense_difference_for_any_basis(self):
+        # basis 2I: each level sum is 4 diag(v), so the dense difference
+        # is 4 max|dv| and the bound (1 + ||3 I||_F) max|dv| exceeds it
+        n = 4
+        sm = SpectralMeasure([0.3 + 0.1j, -0.7 + 0.4j, 0.2 - 0.9j, -0.5 - 0.6j],
+                             2.0 * np.eye(n), [1] * n)
+        F = OperatorFunction.polynomial([0.5, -1.0, 0.25], n)
+        _, report = refine(F, sm, RECT)
+        diffs = [diff for _, diff in report.levels[1:]]
+        dense = [operator_norm(J - K) for J, K in zip(report.values[1:], report.values)]
+        assert max(dense) > 0.0
+        assert all(diff >= d for diff, d in zip(diffs, dense))
+
+    def test_no_operator_norm_per_level(self, rng, monkeypatch):
+        sm = decompose_normal(random_normal(rng, 6, repeat=True)[0])
+        calls = []
+        real = stieltjes.operator_norm
+        monkeypatch.setattr(stieltjes, "operator_norm",
+                            lambda M: calls.append(1) or real(M))
+        F = OperatorFunction.affine(1.0, 2.0, 6)
+        _, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=60)
+        assert report.converged and len(report.levels) > 2
+        assert calls == []
+        # the general path takes one per level difference
+        _, report = integrate_right(OperatorFunction(F.evaluate), sm, RECT,
+                                    tol=1e-10, max_levels=60)
+        assert len(calls) == len(report.levels) - 1
+
+    @pytest.mark.parametrize("rect", [RECT, Rect(5.0, 6.0, 5.0, 6.0)])
+    def test_dimension_mismatch_raises_as_before(self, rng, rect):
+        sm = decompose_normal(random_normal(rng, 4)[0])
+        F = OperatorFunction.affine(1.0, 2.0, 3)
+        with pytest.raises(ShapeMismatchError) as scalar:
+            integrate_right(F, sm, rect, tol=1e-10, max_levels=10)
+        with pytest.raises(ShapeMismatchError) as general:
+            integrate_right(OperatorFunction(F.evaluate), sm, rect, tol=1e-10,
+                            max_levels=10)
+        assert str(scalar.value) == str(general.value)
+        assert str(scalar.value).startswith(
+            "integrand of shape (3, 3) does not fit a measure on dimension n = 4")
+
+    def test_scalar_is_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            OperatorFunction(lambda lam, mu: np.eye(2), scalar=(abs, 2))
+        assert OperatorFunction.constant(np.eye(2)).scalar is None
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_non_finite_value_names_tag_and_value(self, scalar):
+        sm = decompose_normal(np.diag([-0.5, 0.5]))
+        F = OperatorFunction.from_scalar(
+            lambda z: math.inf if z.real < 0 else 1.0, 2)
+        if not scalar:
+            F = OperatorFunction(F.evaluate)
+        with pytest.raises(ValueError,
+                           match=r"integrand value \(inf.*at tag \(-2\.0, 0\.0\) "
+                                 r"is not finite"):
+            integrate_right(F, sm, RECT, tol=1e-10, max_levels=10)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        sm = decompose_normal(np.diag([0.5, 1j]))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            integrate_right(OperatorFunction.affine(1.0, 2.0, 2), sm, RECT,
+                            tol=tol, max_levels=10)
+
+
 class TestLipschitz:
     def test_affine(self):
         F = OperatorFunction.affine(1.0, 2.0, 3)

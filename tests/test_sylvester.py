@@ -371,6 +371,20 @@ class TestOneDecomposition:
             scipy.linalg.schur(prob.A, output="complex")[0], atoms,
             lambda: numrange_gap(prob.A, atoms))[1]
 
+    def test_double_spectral_decomposes_each_matrix_once(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 4, 5)
+        seen = []
+        real = sylvester.decompose_normal
+        monkeypatch.setattr(sylvester, "decompose_normal",
+                            lambda M, tol: seen.append(M) or real(M, tol))
+        reports = [solve_double_spectral(prob) for _ in range(3)]
+        assert len(seen) == 2
+        assert sum(M is prob.A for M in seen) == sum(M is prob.C for M in seen) == 1
+        assert all(np.array_equal(r.X, reports[0].X) for r in reports)
+        sm_a = prob._measure("A")
+        assert not any(M.flags.writeable for M in
+                       (sm_a.eigenvalues, sm_a.basis, sm_a.multiplicities))
+
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
         (solve_double_spectral, 2)])
