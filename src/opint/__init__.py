@@ -30,10 +30,8 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
-    dist_to_numrange,
     hs_norm,
     is_normal,
-    numrange_support,
     operator_norm,
     resolvent,
 )

@@ -18,8 +18,6 @@ __all__ = [
     "resolvent",
     "normality_defect",
     "is_normal",
-    "numrange_support",
-    "dist_to_numrange",
     "numrange_distances",
     "numrange_gap",
 ]
@@ -131,11 +129,15 @@ def normality_defect(M):
     return operator_norm(adjoint(A) @ A - A @ adjoint(A))
 
 
+def _normal_threshold(norm, tol):
+    """tol_normal ||M||^2, the largest defect of a normal M with ||M|| = norm."""
+    return tol.tol_normal * max(norm ** 2, 1e-300)
+
+
 def is_normal(M, tol=DEFAULT_TOLERANCES):
     """True when the relative normality defect is within tol_normal."""
     A = _square(M, "M")
-    scale = operator_norm(A) ** 2
-    return normality_defect(A) <= tol.tol_normal * max(scale, 1e-300)
+    return normality_defect(A) <= _normal_threshold(operator_norm(A), tol)
 
 
 def _support_values(A, thetas):
@@ -157,12 +159,6 @@ def _support_values(A, thetas):
     coupling = np.divide(np.abs(c[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps),
                          where=gaps > 0.0).sum(axis=1)
     return lam[:, -1], w, 2.0 * coupling - lam[:, -1]
-
-
-def numrange_support(A, theta):
-    """Support function h(theta) = sup over unit x of Re(e^{-i theta} <Ax, x>)."""
-    A = _square(A, "A")
-    return float(_support_values(A, [float(theta)])[0][0])
 
 
 def _rounding_slack(A, pts):
@@ -269,16 +265,6 @@ def numrange_gap(A, points, n_angles=_COARSE_ANGLES):
     return float(_numrange_bounds(A, pts, n_angles, _REFINE_ITERS, gap=True)[0].min())
 
 
-def dist_to_numrange(A, z, n_angles=_COARSE_ANGLES):
-    """Lower bound on dist(z, W(A)) from support lines and boundary points.
-
-    Zero when z lies inside the numerical range.  Never exceeds the true
-    distance, by convexity of W(A), and converges to rounding for any
-    grid of at least 8 angles.
-    """
-    return numrange_gap(A, [complex(z)], n_angles=n_angles)
-
-
 def _hull(points):
     """Counterclockwise vertices of the convex hull of complex points
     (Andrew's monotone chain); one or two if they coincide or are collinear."""
@@ -320,8 +306,10 @@ def separation(T, points, sweep):
     W(A) and W(A) in conv(Lambda) + disc(nu), so dist(zeta, W(A)), at most
     sigma_min(A - zeta), is in [dist(zeta, conv Lambda) - nu, dist(zeta,
     conv Lambda)].  numrange is 0 if a point is in conv(Lambda), the lower
-    end if nu <= 1e-12 dist(zeta, conv Lambda) at every point (as for every
-    normal A), and else sweep(), the angle sweep's bound (`numrange_gap`).
+    end if nu <= 1e-12 dist(zeta, conv Lambda) at every point, and else
+    sweep(), the angle sweep's bound (`numrange_gap`).  For a normal A, nu
+    is rounding that grows like h eps ||A||_F, so the rule skips the sweep
+    for small h only: from about h = 64 it runs for normal A too.
 
     nu = ||N||_F + 4 (h + 8) eps (||T||_F + |zeta|), four `_rounding_slack`s.
     The computed T is the Schur form of A + E under a unitary matrix near

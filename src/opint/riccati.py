@@ -23,15 +23,8 @@ from .errors import (
     SingularResolventError,
     ZeroQuadraticTermError,
 )
-from .linalg import (
-    _COARSE_ANGLES,
-    DEFAULT_TOLERANCES,
-    as_matrix,
-    numrange_gap,
-    operator_norm,
-    separation,
-)
-from .sylvester import BoundCheck, _Prepared, _spectral_solve
+from .linalg import DEFAULT_TOLERANCES, as_matrix, operator_norm
+from .sylvester import BoundCheck, _Prepared, _separation, _spectral_solve
 
 __all__ = [
     "RiccatiProblem",
@@ -101,28 +94,25 @@ def riccati_residual(prob, X):
     return operator_norm(X @ prob.A - prob.C @ X + X @ prob.B @ X - prob.D)
 
 
-def certify(prob, tol=None, n_angles=_COARSE_ANGLES):
+def certify(prob, tol=None):
     """Contraction certificate for the fixed-point map of the problem.
 
-    Computed once per (tol, n_angles) and kept on the problem.  Raises
+    Computed once per tolerance and kept on the problem.  Raises
     ZeroQuadraticTermError when B = 0: the equation is then a plain
     Sylvester equation and should be solved as such.
     """
     tol = tol or prob.tolerances
-    return prob._cached(("certify", tol, n_angles),
-                        lambda: _certify(prob, tol, n_angles))
+    return prob._cached(("certify", tol), lambda: _certify(prob, tol))
 
 
-def _certify(prob, tol, n_angles):
+def _certify(prob, tol):
     norm_b = operator_norm(prob.B)
     if norm_b == 0.0:
         raise ZeroQuadraticTermError(
             "B = 0 turns the equation into a Sylvester equation; "
             "use the sylvester solvers instead")
     sm = prob.measure(tol)
-    spectral, numrange = separation(
-        prob.schur_a()[0], sm.eigenvalues,
-        lambda: numrange_gap(prob.A, sm.eigenvalues, n_angles=n_angles))
+    spectral, numrange = _separation(prob, tol)
     d = max(spectral, numrange)
     mode = "normal_a" if spectral >= numrange else "numerical_range"
     enorm_d = e_norm(prob.D, sm)
@@ -149,13 +139,12 @@ def _apply_map(prob, sm, X, tol):
     """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}; at
     X = 0 on the kept Schur form of A."""
     schur = (scipy.linalg.schur(prob.A + prob.B @ X, output="complex")
-             if X.any() else prob.schur_a())
+             if X.any() else prob.schur("A"))
     return _spectral_solve(schur, sm, prob.D, tol)
 
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
-                      override_certificate=False, tolerances=None,
-                      n_angles=_COARSE_ANGLES):
+                      override_certificate=False, tolerances=None):
     """Iterate the integral map to a fixed point.
 
     Starts from x0 (default zero, which lies in every admissible ball)
@@ -172,7 +161,7 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     tolerances = tolerances or prob.tolerances
-    cert = certify(prob, tolerances, n_angles=n_angles)
+    cert = certify(prob, tolerances)
     if not cert.condition_ok and not override_certificate:
         raise CertificateViolationError(
             "contraction certificate failed: sqrt(||B|| ||D||_E) = "

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
-from .linalg import DEFAULT_TOLERANCES, adjoint, as_matrix, operator_norm
+from .errors import BoundaryEigenvalueWarning, NotNormalError
+from .linalg import (DEFAULT_TOLERANCES, _normal_threshold, _square, adjoint,
+                     as_matrix, normality_defect, operator_norm)
 
 __all__ = [
     "Rect",
@@ -105,12 +106,6 @@ class SpectralMeasure:
             [self.basis[:, :0]] + [self.basis[:, off[k]:off[k + 1]] for k in atoms],
             axis=1)
 
-    @property
-    def projections(self):
-        """Dense (K, dim, dim) tensor of the P_k, built on each access."""
-        blocks = (self.columns([k]) for k in range(len(self)))
-        return np.stack([Q @ Q.conj().T for Q in blocks])
-
     def _weighted(self, values):
         """sum_k values[k] P_k, for one value per atom, over the atoms
         whose value is not 0."""
@@ -137,14 +132,6 @@ class SpectralMeasure:
         z = z[rect.boundary_distance(z.real, z.imag) <= threshold]
         return (f"eigenvalue {z[0]} lies within {threshold:.2e} of the rectangle "
                 "boundary; " if z.size else None)
-
-    def bounding_rect(self, pad=1.0):
-        """A rectangle clearing every eigenvalue by pad * max(1, radius)."""
-        lam = self.eigenvalues.real
-        mu = self.eigenvalues.imag
-        pad = pad * max(1.0, self.spectral_radius)
-        return Rect(float(lam.min() - pad), float(lam.max() + pad),
-                    float(mu.min() - pad), float(mu.max() + pad))
 
 
 def _cluster(values, threshold):
@@ -174,6 +161,31 @@ def _cluster(values, threshold):
     return groups, np.asarray(reps, dtype=np.complex128)
 
 
+def _require_normal(norm, defect, tol):
+    """Raise NotNormalError unless `is_normal`'s test passes for a matrix
+    C with ||C|| = norm and ||C*C - CC*|| = defect."""
+    threshold = _normal_threshold(norm, tol)
+    if defect > threshold:
+        raise NotNormalError(
+            f"matrix is not normal: ||C*C - CC*|| = {defect:.3e} exceeds "
+            f"{tol.tol_normal:.1e} * ||C||^2 = {threshold:.3e}")
+
+
+def _measure_of_schur(T, Z, tol):
+    """The spectral measure of a normal C = Z T Z* from its complex Schur
+    form: clusters the eigenvalues diag(T) and keeps the columns of Z,
+    grouped by cluster and sorted by (real, imaginary) part, as the basis."""
+    raw = np.diag(T).astype(np.complex128)
+    threshold = tol.tol_cluster * max(1.0, float(np.abs(raw).max()))
+    groups, reps = _cluster(raw, threshold)
+
+    order = np.lexsort((reps.imag, reps.real))
+    return SpectralMeasure(
+        eigenvalues=reps[order],
+        basis=Z[:, np.concatenate([groups[g] for g in order])],
+        multiplicities=[len(groups[g]) for g in order])
+
+
 def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     """Spectral measure of a normal matrix.
 
@@ -185,26 +197,9 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
 
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2.
     """
-    A = as_matrix(C, "C")
-    if A.shape[0] != A.shape[1]:
-        raise ShapeMismatchError(f"C must be square, got shape {A.shape}")
-    norm_sq = max(operator_norm(A) ** 2, 1e-300)
-    defect = operator_norm(adjoint(A) @ A - A @ adjoint(A))
-    if defect > tol.tol_normal * norm_sq:
-        raise NotNormalError(
-            f"matrix is not normal: ||C*C - CC*|| = {defect:.3e} exceeds "
-            f"{tol.tol_normal:.1e} * ||C||^2 = {tol.tol_normal * norm_sq:.3e}")
-
-    T, Z = scipy.linalg.schur(A, output="complex")
-    raw = np.diag(T).astype(np.complex128)
-    threshold = tol.tol_cluster * max(1.0, float(np.abs(raw).max()))
-    groups, reps = _cluster(raw, threshold)
-
-    order = np.lexsort((reps.imag, reps.real))
-    return SpectralMeasure(
-        eigenvalues=reps[order],
-        basis=Z[:, np.concatenate([groups[g] for g in order])],
-        multiplicities=[len(groups[g]) for g in order])
+    A = _square(C, "C")
+    _require_normal(operator_norm(A), normality_defect(A), tol)
+    return _measure_of_schur(*scipy.linalg.schur(A, output="complex"), tol)
 
 
 def measure_of_rect(sm, rect, tol=DEFAULT_TOLERANCES):

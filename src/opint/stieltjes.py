@@ -199,7 +199,11 @@ def _explicit_axes(p):
 def _dyadic_axes(rect, level):
     """The uniform 2^level x 2^level grid: line i at lo + i h, and a
     coordinate finds its cell by floor, so a deep level never
-    materializes its lines."""
+    materializes its lines.  Cell indices are int64, so level 62 is the
+    deepest; a deeper one raises ValueError."""
+    if level > 62:
+        raise ValueError(
+            f"level {level} exceeds the largest supported dyadic level, 62")
     n = 2 ** level
     return [(lambda i, lo=lo, h=h: lo + i * h,
              lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64), n)
@@ -403,8 +407,8 @@ def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
     NoConvergenceError (carrying the partial value and report) when
     max_levels is exhausted, which usually signals an integrand without
     the required Lipschitz regularity, and ValueError for a tol that is
-    not a finite nonnegative number or an integrand value that is not
-    finite.
+    not a finite nonnegative number, an integrand value that is not
+    finite, or a level past 62.
     """
     if max_levels < 2:
         raise ValueError("max_levels must be at least 2")

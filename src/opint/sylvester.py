@@ -27,15 +27,16 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
+    _normal_threshold,
     adjoint,
     as_matrix,
     hs_norm,
-    is_normal,
+    normality_defect,
     numrange_gap,
     operator_norm,
     separation,
 )
-from .spectral import decompose_normal
+from .spectral import _measure_of_schur, _require_normal
 
 __all__ = [
     "SylvesterProblem",
@@ -66,10 +67,10 @@ class BoundCheck(NamedTuple):
 
 class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
-    (every field but the tolerances), and data derived from them (the
-    measures of C and, for the double-spectral sum, of A, the Schur form
-    of A, the norm scale, the Riccati certificate) computed on first use
-    and kept on the problem."""
+    (every field but the tolerances), and what every solver, bound check
+    and certificate reads about them, computed on first use and kept: per
+    matrix its Schur form, norm and normality defect; per tolerance the
+    measures built from those Schur forms, the separation, the certificate."""
 
     def __post_init__(self):
         names = [f.name for f in fields(self) if f.name != "tolerances"]
@@ -101,36 +102,44 @@ class _Prepared:
             self._cache[key] = build()
         return self._cache[key]
 
+    def schur(self, name):
+        """The complex Schur form (T, Z) of the matrix `name` = Z T Z*,
+        computed once; both factors are read-only."""
+        def build():
+            T, Z = scipy.linalg.schur(getattr(self, name), output="complex")
+            T.flags.writeable = Z.flags.writeable = False
+            return T, Z
+        return self._cached(("schur", name), build)
+
+    def _normality(self, name):
+        """(||M||_2, ||M*M - MM*||_2) of the matrix `name`, the two numbers
+        `is_normal`'s test reads, computed once."""
+        M = getattr(self, name)
+        return self._cached(("normality", name),
+                            lambda: (operator_norm(M), normality_defect(M)))
+
     def measure(self, tol=None):
         """The spectral measure of C, decomposed once per tolerance; its
         arrays are read-only."""
         return self._measure("C", tol)
 
     def _measure(self, name, tol=None):
-        """The spectral measure of the matrix `name`, as `measure`."""
+        """The spectral measure of the matrix `name`, as `measure`: the
+        test and clustering of `decompose_normal`, on the kept Schur form."""
         tol = tol or self.tolerances
 
         def build():
-            sm = decompose_normal(getattr(self, name), tol)
+            _require_normal(*self._normality(name), tol)
+            sm = _measure_of_schur(*self.schur(name), tol)
             for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
                 M.flags.writeable = False
             return sm
 
         return self._cached(("measure", name, tol), build)
 
-    def schur_a(self):
-        """The complex Schur form (T, U) of A = U T U*, computed once; both
-        factors are read-only."""
-        def build():
-            T, U = scipy.linalg.schur(self.A, output="complex")
-            T.flags.writeable = U.flags.writeable = False
-            return T, U
-        return self._cached("schur_a", build)
-
     def norm_scale(self):
-        """max(1, ||A||_2, ||C||_2), computed once."""
-        return self._cached("norm_scale", lambda: max(
-            1.0, operator_norm(self.A), operator_norm(self.C)))
+        """max(1, ||A||_2, ||C||_2)."""
+        return max(1.0, self._normality("A")[0], self._normality("C")[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,15 +172,16 @@ def sylvester_residual(prob, X):
 
 def spectral_gap(prob):
     """min |lambda - zeta| over the eigenvalues of A and the atoms of C."""
-    lam, atoms = np.diag(prob.schur_a()[0]), prob.measure().eigenvalues
+    lam, atoms = np.diag(prob.schur("A")[0]), prob.measure().eigenvalues
     return float(np.abs(lam[:, None] - atoms).min())
 
 
 def _separation(prob, tol):
-    """`separation` of the atoms of C from A, computed once per tolerance."""
+    """`separation` of the atoms of C from A, computed once per tolerance:
+    the reports' gap_numrange and d, and the Riccati certificate's d."""
     atoms = prob.measure(tol).eigenvalues
     return prob._cached(("separation", tol), lambda: separation(
-        prob.schur_a()[0], atoms, lambda: numrange_gap(prob.A, atoms)))
+        prob.schur("A")[0], atoms, lambda: numrange_gap(prob.A, atoms)))
 
 
 def _require_gap(prob, tol):
@@ -233,7 +243,7 @@ def solve_spectral(prob, tol=None):
     """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
-    X = _spectral_solve(prob.schur_a(), prob.measure(tol), prob.D, tol)
+    X = _spectral_solve(prob.schur("A"), prob.measure(tol), prob.D, tol)
     return _finish(prob, X, "spectral", gap, tol)
 
 
@@ -351,15 +361,15 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
     of XA - CX = D.  Doubles the node count per circle until the
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
-    A and C are reduced to complex Schur form once, C = Z T_C Z* and
-    A = U T_A U*, so each node costs two solves with shifted triangular
+    The kept complex Schur forms C = Z T_C Z* and A = U T_A U* of the
+    problem reduce each node to two solves with shifted triangular
     factors against Z* D U, batched over the nodes of a level.  The node
     sets are nested: a doubling evaluates only the new odd-index nodes
     and adds them, weighted by their circle's radius, to one running sum.
     """
     tol = tol or prob.tolerances
-    T_C, Z = scipy.linalg.schur(prob.C, output="complex")
-    T_A, U = prob.schur_a()
+    T_C, Z = prob.schur("C")
+    T_A, U = prob.schur("A")
     D_t = adjoint(Z) @ prob.D @ U
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
@@ -389,28 +399,24 @@ def solve_contour(prob, n_nodes=32, tol=None):
     """Resolvent contour formula evaluated on automatically built circles."""
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
-    circles = _build_circles(np.diag(prob.schur_a()[0]),
+    circles = _build_circles(np.diag(prob.schur("A")[0]),
                              prob.measure(tol).eigenvalues, gap)
     X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes, tol=tol)
     return _finish(prob, X, "contour", gap, tol)
 
 
 def solve_double_spectral(prob, tol=None):
-    """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k).
-
-    In the eigenbases Q_C, Q_A of the two measures this is one
-    Cauchy-Hadamard quotient, X = Q_C ((Q_C* D Q_A) / (z_j - zeta_k)) Q_A*.
+    """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k), by
+    `_spectral_solve` on the diagonal Schur form A = Q_A diag(z) Q_A* that
+    the measure of A gives (each atom repeated by its multiplicity).
     Requires A normal as well; raises NotNormalError otherwise.
     """
     tol = tol or prob.tolerances
     gap = _require_gap(prob, tol)
     sm_a = prob._measure("A", tol)
-    sm_c = prob.measure(tol)
-    Q_a, Q_c = sm_a.basis, sm_c.basis
-    z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)
-    zeta = np.repeat(sm_c.eigenvalues, sm_c.multiplicities)
-    M = (adjoint(Q_c) @ prob.D @ Q_a) / (z[None, :] - zeta[:, None])
-    return _finish(prob, Q_c @ M @ adjoint(Q_a), "double", gap, tol)
+    schur = np.diag(np.repeat(sm_a.eigenvalues, sm_a.multiplicities)), sm_a.basis
+    X = _spectral_solve(schur, prob.measure(tol), prob.D, tol)
+    return _finish(prob, X, "double", gap, tol)
 
 
 def dual_solution(X):
@@ -438,7 +444,8 @@ def verify_bounds(prob, report, tol=None):
     delta = report.gap_numrange
     checks = {"enorm_vs_numrange": BoundCheck(
         enorm_d / delta if delta > 1e-12 * prob.norm_scale() else math.inf, enorm_x)}
-    if is_normal(prob.A, tol):
+    norm_a, defect_a = prob._normality("A")
+    if defect_a <= _normal_threshold(norm_a, tol):
         d = max(_separation(prob, tol))  # 0 gives infinite bounds
         inv_d = 1.0 / d if d > 0 else math.inf
         checks["enorm_vs_gap"] = BoundCheck(enorm_d * inv_d, enorm_x)

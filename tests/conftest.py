@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from opint import (
+    Rect,
     RiccatiProblem,
     ShapeMismatchError,
     SylvesterProblem,
@@ -218,6 +220,39 @@ def spectral_sum_loop(F, sm, cells, empty_tag):
         term = (value @ Q) @ Q.conj().T
         out = term if out is None else out + term
     return out
+
+
+def projections(sm):
+    """Dense (K, dim, dim) tensor of the projections P_k = Q_k Q_k* of sm."""
+    return np.stack([Q @ Q.conj().T for Q in (sm.columns([k]) for k in range(len(sm)))])
+
+
+def bounding_rect(sm, pad=1.0):
+    """A rectangle clearing every eigenvalue of sm by pad * max(1, radius)."""
+    lam, mu = sm.eigenvalues.real, sm.eigenvalues.imag
+    pad = pad * max(1.0, sm.spectral_radius)
+    return Rect(float(lam.min() - pad), float(lam.max() + pad),
+                float(mu.min() - pad), float(mu.max() + pad))
+
+
+def count_calls(monkeypatch, fn, modules=None):
+    """Wrap fn under every name that holds it in the given modules (every
+    loaded opint module by default); the returned list gets the first
+    argument of each call."""
+    if modules is None:
+        modules = [m for key, m in list(sys.modules.items()) if m is not None
+                   and (key == "opint" or key.startswith("opint."))]
+    seen = []
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[0])
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, wrapper)
+    return seen
 
 
 @pytest.fixture

@@ -373,6 +373,17 @@ class TestIntegrateCommand:
         assert out == ""
         assert "tol must be finite and nonnegative" in err
 
+    def test_grid_levels_past_62_exit_2(self, tmp_path, capsys):
+        path = write_problem(tmp_path,
+                             C=matjson(np.diag([0.311 + 0.013j, -0.573 + 0.771j])),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        argv = ["integrate", path, "--function", "affine:1,2", "--tol", "0"]
+        code, out, err = run(capsys, argv + ["--grid-levels", "63"])
+        assert code == 2 and out == ""
+        assert "largest supported dyadic level, 62" in err
+        code, out, _ = run(capsys, argv + ["--grid-levels", "62"])
+        assert code == 4 and out.splitlines()[-2].startswith("62,")
+
     # Recorded byte for byte before the explicit-grid and dyadic cell
     # rules were merged.  Atoms sit on dyadic lines of [-2, 2)^2 (one
     # off them in the last case), and 0.3 + 2.7i lies outside the

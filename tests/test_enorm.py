@@ -24,7 +24,7 @@ from opint import (
     operator_norm,
 )
 
-from conftest import random_complex, random_normal, random_unitary
+from conftest import projections, random_complex, random_normal, random_unitary
 
 
 def set_partitions(items):
@@ -45,7 +45,7 @@ def brute_force_e_norm(Y, sm):
     for partition in set_partitions(list(range(len(sm)))):
         total = 0.0
         for block in partition:
-            E = sm.projections[block].sum(axis=0)
+            E = projections(sm)[block].sum(axis=0)
             total += operator_norm(adjoint(Y) @ E @ Y)
         best = max(best, total)
     return float(np.sqrt(best))

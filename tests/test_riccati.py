@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -6,12 +7,14 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opint
 import opint.linalg as linalg
 import opint.riccati as riccati
+import opint.spectral as spectral
 import opint.sylvester as sylvester
 from opint import (
     CertificateViolationError,
@@ -21,6 +24,7 @@ from opint import (
     ShapeMismatchError,
     SingularResolventError,
     SylvesterProblem,
+    Tolerances,
     ZeroQuadraticTermError,
     adjoint,
     certify,
@@ -32,11 +36,12 @@ from opint import (
     solve_fixed_point,
     solve_spectral,
 )
-from opint.linalg import DEFAULT_TOLERANCES, numrange_distances, resolvent
+from opint.linalg import (DEFAULT_TOLERANCES, numrange_distances, numrange_gap,
+                          resolvent, separation)
 
-from conftest import (make_certified_riccati, min_sigma, near_normal_case,
-                      random_complex, random_normal, random_unitary, shift_sweep,
-                      spectral_norm_guard_raises)
+from conftest import (bounding_rect, count_calls, make_certified_riccati,
+                      min_sigma, near_normal_case, random_complex, random_normal,
+                      random_unitary, shift_sweep, spectral_norm_guard_raises)
 
 SCALAR = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])
 NEAR_NORMAL = np.array([[3.0, 9e-6], [0.0, 3.0]])
@@ -147,13 +152,22 @@ class TestCertify:
 
 
 class TestPreparedProblem:
-    def test_certificate_once_per_tolerance_and_angles(self, rng):
+    def test_certificate_once_per_tolerance(self, rng):
         prob = make_certified_riccati(rng, 4, 4, normal_a=False)
         cert = certify(prob)
-        assert certify(prob, prob.tolerances, linalg._COARSE_ANGLES) is cert
-        assert certify(prob, n_angles=360) is not cert
+        assert certify(prob, prob.tolerances) is cert
+        other = certify(prob, Tolerances(tol_cluster=1e-6))
+        assert other is not cert and other == cert  # the same atoms
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.d = 10.0
+        # d is the separation the Sylvester reports use, and a fresh one
+        assert cert.d == max(sylvester._separation(prob, prob.tolerances))
+        atoms = decompose_normal(prob.C).eigenvalues
+        assert cert.d == max(separation(
+            scipy.linalg.schur(prob.A, output="complex")[0], atoms,
+            lambda: numrange_gap(prob.A, atoms)))
+        for fn in (certify, solve_fixed_point):
+            assert "n_angles" not in inspect.signature(fn).parameters
 
     def test_matrices_are_read_only_private_copies(self):
         B = np.ones((1, 1), dtype=np.complex128)
@@ -170,24 +184,18 @@ class TestPreparedProblem:
     def test_report_chain_decomposes_and_certifies_once(
             self, rng, monkeypatch, normal_a, gaps):
         prob = make_certified_riccati(rng, 5, 4, normal_a=normal_a)
-        counts = {"decompose": 0, "gap": 0}
-        real_decompose = sylvester.decompose_normal
-        real_gap = riccati.numrange_gap
-
-        def decompose(*args):
-            counts["decompose"] += 1
-            return real_decompose(*args)
-
-        def gap(*args, **kwargs):
-            counts["gap"] += 1
-            return real_gap(*args, **kwargs)
-
-        monkeypatch.setattr(sylvester, "decompose_normal", decompose)
-        monkeypatch.setattr(riccati, "numrange_gap", gap)
+        schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        defects = count_calls(monkeypatch, linalg.normality_defect)
+        measures = count_calls(monkeypatch, spectral._measure_of_schur)
+        sweeps = count_calls(monkeypatch, linalg.numrange_gap)
         certify(prob)
         report = solve_fixed_point(prob)
         posterior_check(prob, report)
-        assert counts == {"decompose": 1, "gap": gaps}
+        assert len(measures) == 1 and len(sweeps) == gaps
+        assert len(defects) == 1 and defects[0] is prob.C
+        # a Schur form of each of A and C, then one of A + BX per later step
+        assert len(schurs) == 2 + report.iterations - 1
+        assert sum(M is prob.A for M in schurs) == sum(M is prob.C for M in schurs) == 1
 
 
 class TestMap:
@@ -206,7 +214,7 @@ class TestMap:
             X = random_complex(rng, 8, 5, scale=0.1)
             M = prob.A + prob.B @ X
             G = OperatorFunction.resolvent_family(M, prob.D)
-            ref = exact_left_integral(G, sm, sm.bounding_rect())
+            ref = exact_left_integral(G, sm, bounding_rect(sm))
             value = riccati._apply_map(prob, sm, X, prob.tolerances)
             assert operator_norm(value - ref) <= 1e-12 * operator_norm(ref)
 

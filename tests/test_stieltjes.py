@@ -34,6 +34,7 @@ from opint import stieltjes
 
 from conftest import (
     estimate_lipschitz_loop,
+    projections,
     random_complex,
     random_normal,
     random_unitary,
@@ -378,8 +379,8 @@ class TestIntegrateRight:
         F = OperatorFunction.affine(1.0, 2.0, 2)
         J, report = integrate_right(F, sm, RECT, tol=1e-12, max_levels=40)
         exact = exact_right_integral(F, sm, RECT)
-        expected = sm.projections[np.argmin(np.abs(sm.eigenvalues - 1))] * 1.0 \
-            + sm.projections[np.argmin(np.abs(sm.eigenvalues - 1j))] * 2.0
+        expected = projections(sm)[np.argmin(np.abs(sm.eigenvalues - 1))] * 1.0 \
+            + projections(sm)[np.argmin(np.abs(sm.eigenvalues - 1j))] * 2.0
         assert report.converged
         assert operator_norm(J - exact) <= 1e-10
         assert operator_norm(J - expected) <= 1e-10
@@ -428,6 +429,23 @@ class TestIntegrateRight:
         with pytest.raises(ValueError):
             integrate_right(OperatorFunction.constant(np.eye(3)), sm, RECT,
                             tol=1e-10, max_levels=1)
+
+
+    def test_levels_past_62_raise_value_error(self):
+        # cell indices are int64: level 63 overflowed inside the cell rule
+        sm = decompose_normal(np.diag([0.311 + 0.013j, -0.573 + 0.771j]))
+        F = OperatorFunction.affine(1.0, 2.0, 2)
+        for call in (lambda: integrate_right(F, sm, RECT, tol=0.0, max_levels=63),
+                     lambda: dyadic_level_sum(F, sm, RECT, 63)):
+            with pytest.raises(ValueError, match="largest supported dyadic level, 62"):
+                call()
+        assert np.all(np.isfinite(dyadic_level_sum(F, sm, RECT, 62)))
+        with pytest.raises(NoConvergenceError) as err:
+            integrate_right(F, sm, RECT, tol=0.0, max_levels=62)
+        assert len(err.value.report.levels) == 62
+        # a refinement that stops before level 63 may still allow more
+        _, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=100)
+        assert report.converged and len(report.levels) < 62
 
 
 def refine(F, sm, rect, max_levels=60):

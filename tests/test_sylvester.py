@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import opint.linalg as linalg
+import opint.spectral as spectral
 import opint.sylvester as sylvester
 from opint.linalg import numrange_gap, separation
 from opint import (
@@ -38,9 +39,9 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import (make_sylvester, min_sigma, near_normal_case,
-                      random_complex, random_normal, random_unitary, shift_sweep,
-                      spectral_norm_guard_raises)
+from conftest import (bounding_rect, count_calls, make_sylvester, min_sigma,
+                      near_normal_case, projections, random_complex, random_normal,
+                      random_unitary, shift_sweep, spectral_norm_guard_raises)
 from test_linalg import _hull_distance
 
 SCALAR = SylvesterProblem([[2.0]], [[0.0]], [[1.0]])
@@ -114,8 +115,12 @@ class TestCrossMethod:
 
     def test_double_requires_normal_a(self, rng):
         prob = make_sylvester(rng, 4, 4, normal_a=False)
-        with pytest.raises(NotNormalError):
+        with pytest.raises(NotNormalError) as err:
             solve_double_spectral(prob)
+        # the measured defect and its threshold, as decompose_normal states them
+        with pytest.raises(NotNormalError) as ref:
+            decompose_normal(prob.A)
+        assert str(err.value) == str(ref.value) and "exceeds" in str(err.value)
 
     def test_linearity_in_d(self, rng):
         h = k = 5
@@ -353,51 +358,88 @@ class TestContourQuadrature:
         assert converged >= 2
 
 
+def _count_factoring(monkeypatch):
+    """Lists of the matrices given to scipy.linalg.schur, operator_norm and
+    normality_defect, and of the Schur factors T the measures are built from."""
+    return (count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg]),
+            count_calls(monkeypatch, operator_norm),
+            count_calls(monkeypatch, linalg.normality_defect),
+            count_calls(monkeypatch, spectral._measure_of_schur))
+
+
+def _once_each(seen, prob):
+    """seen holds prob.A and prob.C, each exactly once."""
+    return (len(seen) == 2 and sum(M is prob.A for M in seen) == 1
+            and sum(M is prob.C for M in seen) == 1)
+
+
 class TestOneDecomposition:
+    # calls: the measures a solve builds, of C and for the double sum of A
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
         (solve_double_spectral, 2)])
     def test_decompose_once_per_matrix(self, rng, monkeypatch, solver, calls):
         prob = make_sylvester(rng, 4, 5)
-        count = []
-        real = sylvester.decompose_normal
-        monkeypatch.setattr(sylvester, "decompose_normal",
-                            lambda *args: count.append(1) or real(*args))
+        schurs, _, _, measures = _count_factoring(monkeypatch)
         report = solver(prob)
-        assert len(count) == calls
+        assert _once_each(schurs, prob)
+        assert len(measures) == calls
+        # every measure is built from the kept Schur form of its matrix
+        kept = [prob.schur("C")[0], prob.schur("A")[0]]
+        assert all(any(T is K for K in kept) for T in measures)
+        monkeypatch.undo()
         # the report is the one a fresh decomposition of C gives
-        atoms = real(prob.C).eigenvalues
+        atoms = decompose_normal(prob.C).eigenvalues
         assert report.gap_numrange == separation(
             scipy.linalg.schur(prob.A, output="complex")[0], atoms,
             lambda: numrange_gap(prob.A, atoms))[1]
 
     def test_double_spectral_decomposes_each_matrix_once(self, rng, monkeypatch):
         prob = make_sylvester(rng, 4, 5)
-        seen = []
-        real = sylvester.decompose_normal
-        monkeypatch.setattr(sylvester, "decompose_normal",
-                            lambda M, tol: seen.append(M) or real(M, tol))
+        schurs, _, defects, measures = _count_factoring(monkeypatch)
         reports = [solve_double_spectral(prob) for _ in range(3)]
-        assert len(seen) == 2
-        assert sum(M is prob.A for M in seen) == sum(M is prob.C for M in seen) == 1
+        verify_bounds(prob, reports[0])
+        assert _once_each(schurs, prob) and _once_each(defects, prob)
+        assert len(measures) == 2
         assert all(np.array_equal(r.X, reports[0].X) for r in reports)
         sm_a = prob._measure("A")
         assert not any(M.flags.writeable for M in
                        (sm_a.eigenvalues, sm_a.basis, sm_a.multiplicities))
+        monkeypatch.undo()
+        ref = decompose_normal(prob.A)
+        for M, R in zip((sm_a.eigenvalues, sm_a.basis, sm_a.multiplicities),
+                        (ref.eigenvalues, ref.basis, ref.multiplicities)):
+            assert np.array_equal(M, R)
 
+    # per report (solve + verify_bounds): a Schur form, a norm and a
+    # normality defect of each of A and C, and the residual; the contour
+    # adds two norms per node doubling, three on this instance (32 to 256
+    # nodes on its one circle)
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
         (solve_double_spectral, 2)])
     def test_solve_and_verify_decompose_c_once(self, rng, monkeypatch,
                                                solver, calls):
-        prob = make_sylvester(rng, 4, 5)
-        seen = []
-        real = sylvester.decompose_normal
-        monkeypatch.setattr(sylvester, "decompose_normal",
-                            lambda M, tol: seen.append(M) or real(M, tol))
+        prob = make_sylvester(rng, 5, 5)
+        schurs, norms, defects, measures = _count_factoring(monkeypatch)
         verify_bounds(prob, solver(prob))
-        assert len(seen) == calls
-        assert sum(M is prob.C for M in seen) == 1
+        assert len(schurs) == 2 and len(defects) == 2
+        assert len(norms) == (11 if solver is solve_contour else 5)
+        assert len(measures) == calls
+        assert sum(T is prob.schur("C")[0] for T in measures) == 1
+        assert _once_each(schurs, prob) and _once_each(defects, prob)
+        assert sum(M is prob.A for M in norms) == sum(M is prob.C for M in norms) == 1
+
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_one_schur_form_for_any_number_of_tolerances(self, rng, monkeypatch,
+                                                         normal_a):
+        prob = make_sylvester(rng, 4, 5, normal_a=normal_a)
+        schurs, _, defects, _ = _count_factoring(monkeypatch)
+        solvers = ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]
+        for tol in (None, Tolerances(tol_cluster=1e-6), Tolerances(tol_solve=1e-9)):
+            for solver in solvers:
+                verify_bounds(prob, solver(prob, tol=tol), tol)
+        assert _once_each(schurs, prob) and _once_each(defects, prob)
 
 
 class TestPreparedProblem:
@@ -414,23 +456,28 @@ class TestPreparedProblem:
 
     def test_measure_once_per_tolerance(self, rng, monkeypatch):
         prob = make_sylvester(rng, 3, 4)
-        count = []
-        real = sylvester.decompose_normal
-        monkeypatch.setattr(sylvester, "decompose_normal",
-                            lambda *args: count.append(1) or real(*args))
+        schurs, _, defects, measures = _count_factoring(monkeypatch)
         sm = prob.measure()
         assert prob.measure() is sm
         assert prob.measure(prob.tolerances) is sm
-        assert len(count) == 1
+        assert len(measures) == 1
         other = prob.measure(Tolerances(tol_cluster=1e-6))
-        assert other is not sm and len(count) == 2
+        assert other is not sm and len(measures) == 2
+        # both from one Schur form of C, after one normality test
+        assert len(schurs) == len(defects) == 1 and schurs[0] is prob.C
         with pytest.raises(ValueError):  # the kept measure cannot be edited
             sm.basis[0, 0] = 0.0
-        assert_allclose(sm.basis, decompose_normal(prob.C).basis)
+        T, Z = prob.schur("C")
+        assert not (T.flags.writeable or Z.flags.writeable)
+        monkeypatch.undo()
+        ref = decompose_normal(prob.C)
+        for M, R in zip((sm.eigenvalues, sm.basis, sm.multiplicities),
+                        (ref.eigenvalues, ref.basis, ref.multiplicities)):
+            assert np.array_equal(M, R)
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_norms_of_a_and_c_once_per_problem(self, rng, monkeypatch, normal_a):
-        # is_normal takes its own norm of A inside linalg, out of this count
+        # normality_defect takes its norm of the commutator inside linalg
         prob = make_sylvester(rng, 5, 4, normal_a=normal_a)
         seen = []
         real = sylvester.operator_norm
@@ -453,7 +500,18 @@ def _clustered_normal(rng, n, mult=4):
 def _resolvent_integral(M, sm, D):
     """The left integral of D (M - z)^{-1}, atom by atom, as in the paper."""
     G = OperatorFunction.resolvent_family(M, D)
-    return exact_left_integral(G, sm, sm.bounding_rect())
+    return exact_left_integral(G, sm, bounding_rect(sm))
+
+
+def _cauchy_hadamard(prob):
+    """The double-spectral sum as one Cauchy-Hadamard quotient in the
+    eigenbases of the measures of A and C,
+    X = Q_C ((Q_C* D Q_A) / (z_j - zeta_k)) Q_A*."""
+    sm_a, sm_c = decompose_normal(prob.A), decompose_normal(prob.C)
+    z = np.repeat(sm_a.eigenvalues, sm_a.multiplicities)
+    zeta = np.repeat(sm_c.eigenvalues, sm_c.multiplicities)
+    M = (adjoint(sm_c.basis) @ prob.D @ sm_a.basis) / (z[None, :] - zeta[:, None])
+    return sm_c.basis @ M @ adjoint(sm_a.basis)
 
 
 class TestSpectralCore:
@@ -517,8 +575,10 @@ class TestSpectralCore:
 
     @pytest.mark.parametrize("fault", ["inexact", "scale", "info", "nan"])
     def test_guard_rejects_faulty_solves(self, rng, monkeypatch, fault):
-        prob = make_sylvester(rng, 4, 5, normal_a=False)
-        solve_spectral(prob)
+        cases = [(solve_spectral, make_sylvester(rng, 4, 5, normal_a=False)),
+                 (solve_double_spectral, make_sylvester(rng, 4, 5))]
+        for solver, prob in cases:
+            solver(prob)
         real = scipy.linalg.lapack.ztrsyl
 
         def faulty(*args):
@@ -534,8 +594,19 @@ class TestSpectralCore:
             return Y, scale, info
 
         monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", faulty)
-        with pytest.raises(SingularResolventError):
-            solve_spectral(prob)
+        for solver, prob in cases:
+            with pytest.raises(SingularResolventError):
+                solver(prob)
+
+    def test_double_spectral_equals_cauchy_hadamard(self, rng):
+        cases = [make_sylvester(rng, h, k) for h, k in ((4, 5), (7, 3), (1, 6))]
+        for _ in range(3):  # 4-fold atoms of A and of C
+            A = _clustered_normal(rng, 8) + 3.0 * np.eye(8)
+            cases.append(SylvesterProblem(A, _clustered_normal(rng, 8),
+                                          random_complex(rng, 8, 8)))
+        for prob in cases:
+            assert_allclose(solve_double_spectral(prob).X, _cauchy_hadamard(prob),
+                            rtol=1e-13, atol=0.0)
 
 
 class TestDual:
@@ -567,7 +638,7 @@ class TestDual:
         Y = dual_solution(solve_spectral(prob).X)
         sm = decompose_normal(prob.C)
         direct = np.zeros((prob.h, prob.k), dtype=complex)
-        for zeta, P in zip(sm.eigenvalues, sm.projections):
+        for zeta, P in zip(sm.eigenvalues, projections(sm)):
             direct -= (resolvent(adjoint(prob.A), np.conj(zeta))
                        @ adjoint(prob.D) @ P)
         assert operator_norm(Y - direct) <= 1e-10
