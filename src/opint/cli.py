@@ -215,15 +215,13 @@ def cmd_integrate(args):
     rect = problem["rect"]
     if rect is None:
         raise InvalidProblemError("integrate requires a rect in the problem file")
-    tolerances = problem["tolerances"]
-    sm = decompose_normal(problem["matrices"]["C"], tolerances)
+    sm = decompose_normal(problem["matrices"]["C"], problem["tolerances"])
     F = _parse_function(args.function, problem, sm.dim)
-    exact = exact_right_integral(F, sm, rect, tolerances)
+    exact = exact_right_integral(F, sm, rect)
 
     try:
         _, report = integrate_right(F, sm, rect, tol=args.tol,
-                                    max_levels=args.grid_levels,
-                                    tolerances=tolerances, keep_values=True)
+                                    max_levels=args.grid_levels, keep_values=True)
         converged = True
     except NoConvergenceError as exc:
         report = exc.report

@@ -10,7 +10,7 @@ measured in.
 import numpy as np
 
 from .errors import BoundViolationError, ShapeMismatchError
-from .linalg import DEFAULT_TOLERANCES, adjoint, hs_norm, operator_norm
+from .linalg import adjoint, hs_norm, operator_norm
 from .stieltjes import OperatorFunction, exact_left_integral
 
 __all__ = ["e_norm", "check_enorm_sandwich", "bounded_integral_bound_check"]
@@ -59,13 +59,13 @@ def check_enorm_sandwich(Y, sm):
     return op, en, hs
 
 
-def bounded_integral_bound_check(Y, F, sm, rect, tol=DEFAULT_TOLERANCES):
+def bounded_integral_bound_check(Y, F, sm, rect):
     """Evaluate both sides of the E-norm bound for a weighted integral.
 
     lhs is the norm of the left integral of  z -> Y F(z)  over rect, rhs
     is ||Y||_E times the sup of ||F|| over the eigenvalues in rect.
     Returns (lhs, rhs), raising BoundViolationError unless lhs <= rhs
-    up to solver slack.
+    up to the measure's solver slack.
     """
     enorm_y = e_norm(Y, sm)  # validates the shape of Y
     Y = np.asarray(Y, dtype=np.complex128)
@@ -76,12 +76,12 @@ def bounded_integral_bound_check(Y, F, sm, rect, tol=DEFAULT_TOLERANCES):
             f"F must return ({h} x {h}) matrices to compose with Y, "
             f"got {probe.shape}")
     weighted = OperatorFunction(lambda lam, mu: Y @ F(lam, mu))
-    lhs = operator_norm(exact_left_integral(weighted, sm, rect, tol))
+    lhs = operator_norm(exact_left_integral(weighted, sm, rect))
     atoms = sm.atoms_in(rect)
     sup_F = max((operator_norm(F(sm.eigenvalues[k].real, sm.eigenvalues[k].imag))
                  for k in atoms), default=0.0)
     rhs = enorm_y * sup_F
-    slack = tol.tol_solve * max(1.0, rhs)
+    slack = sm.tolerances.tol_solve * max(1.0, rhs)
     if not lhs <= rhs + slack:
         raise BoundViolationError(
             f"integral bound violated: {lhs} > {rhs} + {slack}")

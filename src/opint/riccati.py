@@ -23,7 +23,7 @@ from .errors import (
     SingularResolventError,
     ZeroQuadraticTermError,
 )
-from .linalg import DEFAULT_TOLERANCES, as_matrix, operator_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, operator_norm
 from .sylvester import BoundCheck, _Prepared, _separation, _spectral_solve
 
 __all__ = [
@@ -46,7 +46,7 @@ class RiccatiProblem(_Prepared):
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    tolerances: "object" = field(default=DEFAULT_TOLERANCES, repr=False)
+    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,24 @@ def riccati_residual(prob, X):
     return operator_norm(X @ prob.A - prob.C @ X + X @ prob.B @ X - prob.D)
 
 
-def certify(prob, tol=None):
+def certify(prob):
     """Contraction certificate for the fixed-point map of the problem.
 
-    Computed once per tolerance and kept on the problem.  Raises
+    Computed once and kept on the problem.  Raises
     ZeroQuadraticTermError when B = 0: the equation is then a plain
     Sylvester equation and should be solved as such.
     """
-    tol = tol or prob.tolerances
-    return prob._cached(("certify", tol), lambda: _certify(prob, tol))
+    return prob._cached("certify", lambda: _certify(prob))
 
 
-def _certify(prob, tol):
+def _certify(prob):
     norm_b = operator_norm(prob.B)
     if norm_b == 0.0:
         raise ZeroQuadraticTermError(
             "B = 0 turns the equation into a Sylvester equation; "
             "use the sylvester solvers instead")
-    sm = prob.measure(tol)
-    spectral, numrange = _separation(prob, tol)
+    sm = prob.measure()
+    spectral, numrange = _separation(prob)
     d = max(spectral, numrange)
     mode = "normal_a" if spectral >= numrange else "numerical_range"
     enorm_d = e_norm(prob.D, sm)
@@ -135,16 +134,16 @@ def _certify(prob, tol):
         strict_contraction_predicted=strict_predicted)
 
 
-def _apply_map(prob, sm, X, tol):
+def _apply_map(prob, sm, X):
     """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}; at
     X = 0 on the kept Schur form of A."""
     schur = (scipy.linalg.schur(prob.A + prob.B @ X, output="complex")
              if X.any() else prob.schur("A"))
-    return _spectral_solve(schur, sm, prob.D, tol)
+    return _spectral_solve(schur, sm, prob.D)
 
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
-                      override_certificate=False, tolerances=None):
+                      override_certificate=False):
     """Iterate the integral map to a fixed point.
 
     Starts from x0 (default zero, which lies in every admissible ball)
@@ -154,21 +153,23 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     necessary, so best-effort iteration is still offered, with honest
     reporting.
 
-    Raises MaxIterationsError (with the partial report attached) when
-    max_iter is exhausted, and propagates SingularResolventError when an
-    iterate drives A + BX onto the spectrum of C.
+    Raises ValueError for a tol that is not a finite nonnegative number,
+    MaxIterationsError (with the partial report attached) when max_iter
+    is exhausted, and propagates SingularResolventError when an iterate
+    drives A + BX onto the spectrum of C.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    tolerances = tolerances or prob.tolerances
-    cert = certify(prob, tolerances)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    cert = certify(prob)
     if not cert.condition_ok and not override_certificate:
         raise CertificateViolationError(
             "contraction certificate failed: sqrt(||B|| ||D||_E) = "
             f"{math.sqrt(cert.norm_b * cert.enorm_d):.6g} is not below d/2 = "
             f"{cert.d / 2.0:.6g}; pass override_certificate=True to iterate "
             "without a guarantee", certificate=cert)
-    sm = prob.measure(tolerances)
+    sm = prob.measure()
     if x0 is None:
         X = np.zeros((prob.k, prob.h), dtype=np.complex128)
     else:
@@ -180,7 +181,7 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        X_next = _apply_map(prob, sm, X, tolerances)
+        X_next = _apply_map(prob, sm, X)
         step = operator_norm(X_next - X)
         step_norms.append(step)
         X = X_next
@@ -231,7 +232,7 @@ def _sup_resolvent_norm(M, zetas, tol):
     return float(np.max(1.0 / smin))
 
 
-def posterior_check(prob, report, tol=None):
+def posterior_check(prob, report):
     """A-posteriori bounds evaluated on a converged solution.
 
     Returns named BoundCheck entries:
@@ -245,13 +246,13 @@ def posterior_check(prob, report, tol=None):
                                  both present when the certificate
                                  predicted a strict contraction
     """
-    tol = tol or prob.tolerances
     cert = report.certificate
-    sm = prob.measure(tol)
+    sm = prob.measure()
     X = report.X
     enorm_x = e_norm(X, sm)
     enorm_d = cert.enorm_d
-    sup_res = _sup_resolvent_norm(prob.A + prob.B @ X, sm.eigenvalues, tol)
+    sup_res = _sup_resolvent_norm(prob.A + prob.B @ X, sm.eigenvalues,
+                                  prob.tolerances)
     checks = {"aposteriori_sup_resolvent": BoundCheck(enorm_d * sup_res, enorm_x)}
     denom = cert.d - cert.norm_b * operator_norm(X)
     if denom > 0:

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryEigenvalueWarning, NotNormalError
-from .linalg import (DEFAULT_TOLERANCES, _normal_threshold, _square, adjoint,
-                     as_matrix, normality_defect, operator_norm)
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normal_threshold, _square,
+                     adjoint, as_matrix, normality_defect, operator_norm)
 
 __all__ = [
     "Rect",
@@ -76,14 +76,19 @@ class SpectralMeasure:
         `eigenvalues`.
     multiplicities : (K,) int ndarray
         Eigenspace dimensions, i.e. column-block widths; sums to dim.
+    tolerances : Tolerances
+        Those it was clustered with, read by all that is computed against it.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     multiplicities: np.ndarray
+    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
     spectral_radius: float = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.tolerances, Tolerances):
+            raise TypeError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.complex128)
         self.basis = np.asarray(self.basis, dtype=np.complex128)
         self.multiplicities = np.asarray(self.multiplicities, dtype=int)
@@ -124,10 +129,10 @@ class SpectralMeasure:
         mask = (rect.a <= lam) & (lam < rect.b) & (rect.c <= mu) & (mu < rect.d)
         return np.nonzero(mask)[0]
 
-    def near_boundary(self, rect, tol):
+    def near_boundary(self, rect):
         """A message naming the first eigenvalue within tol_cluster *
         max(1, radius) of the edge lines of rect, or None if none is."""
-        threshold = tol.tol_cluster * max(1.0, self.spectral_radius)
+        threshold = self.tolerances.tol_cluster * max(1.0, self.spectral_radius)
         z = self.eigenvalues
         z = z[rect.boundary_distance(z.real, z.imag) <= threshold]
         return (f"eigenvalue {z[0]} lies within {threshold:.2e} of the rectangle "
@@ -183,7 +188,7 @@ def _measure_of_schur(T, Z, tol):
     return SpectralMeasure(
         eigenvalues=reps[order],
         basis=Z[:, np.concatenate([groups[g] for g in order])],
-        multiplicities=[len(groups[g]) for g in order])
+        multiplicities=[len(groups[g]) for g in order], tolerances=tol)
 
 
 def decompose_normal(C, tol=DEFAULT_TOLERANCES):
@@ -193,7 +198,7 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     orthonormal Schur vectors), clusters near-coincident eigenvalues,
     and keeps the Schur vectors, grouped by cluster, as the basis of the
     measure, so each P_k = Q_k Q_k* is Hermitian and idempotent to
-    machine precision.
+    machine precision.  The measure keeps tol as its tolerances.
 
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2.
     """
@@ -202,15 +207,15 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     return _measure_of_schur(*scipy.linalg.schur(A, output="complex"), tol)
 
 
-def measure_of_rect(sm, rect, tol=DEFAULT_TOLERANCES):
+def measure_of_rect(sm, rect):
     """E(rect): the orthogonal projection for a half-open rectangle.
 
     Membership uses exact half-open comparisons on the stored cluster
-    representatives.  Eigenvalues within tol_cluster of the boundary are
-    flagged with BoundaryEigenvalueWarning: the result is still computed,
-    but it is numerically fragile.
+    representatives.  Eigenvalues within the measure's tol_cluster of the
+    boundary are flagged with BoundaryEigenvalueWarning: the result is
+    still computed, but it is numerically fragile.
     """
-    near = sm.near_boundary(rect, tol)
+    near = sm.near_boundary(rect)
     if near:
         warnings.warn(near + "half-open membership is fragile",
                       BoundaryEigenvalueWarning, stacklevel=2)

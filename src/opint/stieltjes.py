@@ -56,7 +56,7 @@ class OperatorFunction:
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
             g = getattr(self, name)
-            if g is not None and g < 0:
+            if g is not None and not g >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def __call__(self, lam, mu):
@@ -142,7 +142,7 @@ class GridPartition:
             if self.custom_tags is None:
                 raise ValueError("custom tag rule requires custom_tags")
             xi, zeta = (np.asarray(t, dtype=float) for t in self.custom_tags)
-            if len(xi) != self.m or len(zeta) != self.n:
+            if xi.shape != (self.m,) or zeta.shape != (self.n,):
                 raise ValueError("custom tag arrays must have one entry per cell")
             for name, axis, t, pts in (("xi", "lambda", xi, self.lambda_points),
                                        ("zeta", "mu", zeta, self.mu_points)):
@@ -293,13 +293,13 @@ def _atom_values(F, sm, cells):
     return v
 
 
-def _grid_cells(sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
+def _grid_cells(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
     """Occupied cells (tag_lambda, tag_mu, atoms) of the atoms of sm in
     rect on a grid of two axes, with the (n_atoms, 2) per-atom tags and
     atom coordinates.  Cells come in row-major order, atoms in index
     order within a cell.
     """
-    thresh = tol.tol_cluster * max(1.0, sm.spectral_radius)
+    thresh = sm.tolerances.tol_cluster * max(1.0, sm.spectral_radius)
     atoms = sm.atoms_in(rect)
     coords = (sm.eigenvalues[atoms].real, sm.eigenvalues[atoms].imag)
     cells, tags = [], []
@@ -323,7 +323,7 @@ def _grid_cells(sm, rect, axes, tol, tag_rule="lower_left", custom_tags=None):
     return [groups[key] for key in sorted(groups)], tags, np.column_stack(coords)
 
 
-def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
+def right_sum(F, sm, p):
     """Integral sum  sum_jk F(xi_j, zeta_k) E(cell_jk).
 
     Cells with zero measure are skipped; occupied cells enter one
@@ -332,25 +332,25 @@ def right_sum(F, sm, p, tol=DEFAULT_TOLERANCES):
     """
     lp, mp = p.lambda_points, p.mu_points
     rect = Rect(lp[0], lp[-1], mp[0], mp[-1])
-    cells = _grid_cells(sm, rect, _explicit_axes(p), tol, p.tag_rule, p.custom_tags)[0]
+    cells = _grid_cells(sm, rect, _explicit_axes(p), p.tag_rule, p.custom_tags)[0]
     return _spectral_sum(F, sm, cells, (rect.a, rect.c))
 
 
-def left_sum(G, sm, p, tol=DEFAULT_TOLERANCES):
+def left_sum(G, sm, p):
     """Integral sum  sum_jk E(cell_jk) G(xi_j, zeta_k), via adjoint
     duality: the adjoint of the right sum of G*."""
     G_star = OperatorFunction(lambda lam, mu: adjoint(G(lam, mu)))
-    return adjoint(right_sum(G_star, sm, p, tol))
+    return adjoint(right_sum(G_star, sm, p))
 
 
-def exact_right_integral(F, sm, rect, tol=DEFAULT_TOLERANCES):
+def exact_right_integral(F, sm, rect):
     """Limit value of the right integral over rect for an atomic measure.
 
     Equals the sum of F(Re zeta_k, Im zeta_k) P_k over the eigenvalues
     inside the rectangle.  Raises BoundaryEigenvalueError when an
-    eigenvalue sits within tol_cluster of the boundary.
+    eigenvalue sits within the measure's tol_cluster of the boundary.
     """
-    near = sm.near_boundary(rect, tol)
+    near = sm.near_boundary(rect)
     if near:
         raise BoundaryEigenvalueError(
             near + "the exact integral over this rectangle is ill posed")
@@ -359,27 +359,26 @@ def exact_right_integral(F, sm, rect, tol=DEFAULT_TOLERANCES):
     return _spectral_sum(F, sm, cells, (rect.a, rect.c))
 
 
-def exact_left_integral(G, sm, rect, tol=DEFAULT_TOLERANCES):
+def exact_left_integral(G, sm, rect):
     """Limit value of the left integral over rect, via adjoint duality.
 
     The adjoint of a right integral of F is the left integral of F*, so
     the left value is computed as adjoint(right integral of G*).
     """
     G_star = OperatorFunction(lambda lam, mu: adjoint(G(lam, mu)))
-    return adjoint(exact_right_integral(G_star, sm, rect, tol))
+    return adjoint(exact_right_integral(G_star, sm, rect))
 
 
-def dyadic_level_sum(F, sm, rect, level, tol=DEFAULT_TOLERANCES):
+def dyadic_level_sum(F, sm, rect, level):
     """Right sum at refinement level l: uniform 2^l x 2^l grid,
     lower-left tags.  The grid is implicit, so deep levels stay cheap."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    cells = _grid_cells(sm, rect, _dyadic_axes(rect, level), tol)[0]
+    cells = _grid_cells(sm, rect, _dyadic_axes(rect, level))[0]
     return _spectral_sum(F, sm, cells, (rect.a, rect.c))
 
 
-def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
-                    keep_values=False):
+def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
     """Right integral over rect by dyadic refinement with lower-left tags.
 
     Level l uses the uniform 2^l x 2^l grid; refinement stops once the
@@ -429,8 +428,7 @@ def integrate_right(F, sm, rect, tol, max_levels, tolerances=DEFAULT_TOLERANCES,
     prev_tags = None
     moved = None
     for level in range(1, max_levels + 1):
-        cells, tags, coords = _grid_cells(sm, rect, _dyadic_axes(rect, level),
-                                          tolerances)
+        cells, tags, coords = _grid_cells(sm, rect, _dyadic_axes(rect, level))
         v = level_value(cells)
         mesh = (rect.width + rect.height) / 2 ** level
         if keep_values:
@@ -490,14 +488,14 @@ def lnest_bound(sup_F, gamma1, gamma2, rect):
     4 sup||F|| + 2 gamma1 (width + height) + gamma2 width height.
     """
     for name, v in (("sup_F", sup_F), ("gamma1", gamma1), ("gamma2", gamma2)):
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"{name} must be nonnegative")
     return (4.0 * sup_F
             + 2.0 * gamma1 * (rect.width + rect.height)
             + gamma2 * rect.width * rect.height)
 
 
-def czero_check(G, sm, C, rect, tol=DEFAULT_TOLERANCES):
+def czero_check(G, sm, C, rect):
     """Residual of the commutation identity for holomorphic integrands:
     the left integral of z G(z) equals C times the left integral of G.
 
@@ -508,6 +506,6 @@ def czero_check(G, sm, C, rect, tol=DEFAULT_TOLERANCES):
     """
     C = np.asarray(C, dtype=np.complex128)
     zG = OperatorFunction(lambda lam, mu: complex(lam, mu) * G(lam, mu))
-    lhs = exact_left_integral(zG, sm, rect, tol)
-    rhs = C @ exact_left_integral(G, sm, rect, tol)
+    lhs = exact_left_integral(zG, sm, rect)
+    rhs = C @ exact_left_integral(G, sm, rect)
     return operator_norm(lhs - rhs)

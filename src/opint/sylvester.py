@@ -27,6 +27,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
+    Tolerances,
     _normal_threshold,
     adjoint,
     as_matrix,
@@ -67,12 +68,15 @@ class BoundCheck(NamedTuple):
 
 class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
-    (every field but the tolerances), and what every solver, bound check
-    and certificate reads about them, computed on first use and kept: per
-    matrix its Schur form, norm and normality defect; per tolerance the
-    measures built from those Schur forms, the separation, the certificate."""
+    (every field but the tolerances, which no call on the problem can
+    replace), and what every solver, bound check and certificate reads
+    about them, computed on first use and kept: per matrix its Schur form,
+    norm, normality defect and spectral measure; the separation; the
+    certificate."""
 
     def __post_init__(self):
+        if not isinstance(self.tolerances, Tolerances):
+            raise TypeError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         names = [f.name for f in fields(self) if f.name != "tolerances"]
         for name in names:
             M = as_matrix(getattr(self, name), name).copy()
@@ -118,24 +122,21 @@ class _Prepared:
         return self._cached(("normality", name),
                             lambda: (operator_norm(M), normality_defect(M)))
 
-    def measure(self, tol=None):
-        """The spectral measure of C, decomposed once per tolerance; its
-        arrays are read-only."""
-        return self._measure("C", tol)
+    def measure(self):
+        """The spectral measure of C, decomposed once; its arrays are read-only."""
+        return self._measure("C")
 
-    def _measure(self, name, tol=None):
+    def _measure(self, name):
         """The spectral measure of the matrix `name`, as `measure`: the
         test and clustering of `decompose_normal`, on the kept Schur form."""
-        tol = tol or self.tolerances
-
         def build():
-            _require_normal(*self._normality(name), tol)
-            sm = _measure_of_schur(*self.schur(name), tol)
+            _require_normal(*self._normality(name), self.tolerances)
+            sm = _measure_of_schur(*self.schur(name), self.tolerances)
             for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
                 M.flags.writeable = False
             return sm
 
-        return self._cached(("measure", name, tol), build)
+        return self._cached(("measure", name), build)
 
     def norm_scale(self):
         """max(1, ||A||_2, ||C||_2)."""
@@ -150,7 +151,7 @@ class SylvesterProblem(_Prepared):
     A: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    tolerances: "object" = field(default=DEFAULT_TOLERANCES, repr=False)
+    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
 
 @dataclass
@@ -176,31 +177,31 @@ def spectral_gap(prob):
     return float(np.abs(lam[:, None] - atoms).min())
 
 
-def _separation(prob, tol):
-    """`separation` of the atoms of C from A, computed once per tolerance:
-    the reports' gap_numrange and d, and the Riccati certificate's d."""
-    atoms = prob.measure(tol).eigenvalues
-    return prob._cached(("separation", tol), lambda: separation(
+def _separation(prob):
+    """`separation` of the atoms of C from A, computed once: the reports'
+    gap_numrange and d, and the Riccati certificate's d."""
+    atoms = prob.measure().eigenvalues
+    return prob._cached("separation", lambda: separation(
         prob.schur("A")[0], atoms, lambda: numrange_gap(prob.A, atoms)))
 
 
-def _require_gap(prob, tol):
+def _require_gap(prob):
     gap = spectral_gap(prob)
-    if gap <= tol.tol_cluster * prob.norm_scale():
+    if gap <= prob.tolerances.tol_cluster * prob.norm_scale():
         raise GapViolationError(
             f"spectral gap {gap:.3e} is below the clustering tolerance; "
             "the spectra of A and C effectively overlap")
     return gap
 
 
-def _finish(prob, X, method, gap, tol):
+def _finish(prob, X, method, gap):
     """Report with the recomputed residual and the numerical-range gap."""
     return SylvesterReport(X=X, residual=sylvester_residual(prob, X),
                            method=method, gap_d=gap,
-                           gap_numrange=_separation(prob, tol)[1])
+                           gap_numrange=_separation(prob)[1])
 
 
-def _spectral_solve(schur, sm, D, tol):
+def _spectral_solve(schur, sm, D):
     """sum_k P_k D (M - zeta_k)^{-1}, the left integral of D (M - z)^{-1}
     against the measure sm, on a complex Schur form schur = (T, U), M = U T U*.
 
@@ -211,9 +212,9 @@ def _spectral_solve(schur, sm, D, tol):
 
     Raises SingularResolventError when ztrsyl perturbs a pivot or rescales,
     when Y is not finite, or when an atom's residual
-    ||Y_k (T - zeta_k) - R_k||_F exceeds tol_solve times the largest row
-    norms of T - zeta_k and of Y_k: the guard of `_guarded_solve`, on the
-    transposed system, for every atom at once.
+    ||Y_k (T - zeta_k) - R_k||_F exceeds the measure's tol_solve times the
+    largest row norms of T - zeta_k and of Y_k: the guard of
+    `_guarded_solve`, on the transposed system, for every atom at once.
     """
     T, U = schur
     zeta = np.repeat(sm.eigenvalues, sm.multiplicities)
@@ -231,7 +232,7 @@ def _spectral_solve(schur, sm, D, tol):
         shifted = np.abs(np.diag(T)[None, :] - sm.eigenvalues[:, None]) ** 2
         rows_t = np.sqrt((upper + shifted).max(axis=1))
         rows_y = np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts)
-        ok = residual <= tol.tol_solve * rows_t * rows_y
+        ok = residual <= sm.tolerances.tol_solve * rows_t * rows_y
     if not ok.all():
         raise SingularResolventError(
             "a triangular solve at an atom of C lost all accuracy "
@@ -239,21 +240,19 @@ def _spectral_solve(schur, sm, D, tol):
     return sm.basis @ Y @ adjoint(U)
 
 
-def solve_spectral(prob, tol=None):
+def solve_spectral(prob):
     """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
-    tol = tol or prob.tolerances
-    gap = _require_gap(prob, tol)
-    X = _spectral_solve(prob.schur("A"), prob.measure(tol), prob.D, tol)
-    return _finish(prob, X, "spectral", gap, tol)
+    gap = _require_gap(prob)
+    X = _spectral_solve(prob.schur("A"), prob.measure(), prob.D)
+    return _finish(prob, X, "spectral", gap)
 
 
-def solve_kronecker(prob, tol=None):
+def solve_kronecker(prob):
     """Direct oracle: one dense solve of the vectorized equation.
 
     Column-stacking turns XA - CX = D into
     (A^T kron I - I kron C) vec(X) = vec(D).
     """
-    tol = tol or prob.tolerances
     h, k = prob.h, prob.k
     K = (np.kron(prob.A.T, np.eye(k, dtype=np.complex128))
          - np.kron(np.eye(h, dtype=np.complex128), prob.C))
@@ -272,13 +271,12 @@ def solve_kronecker(prob, tol=None):
     # the largest column norm of K is a lower bound on ||K||_2
     scale = max(np.linalg.norm(K, axis=0).max() * np.linalg.norm(x),
                 np.linalg.norm(rhs), 1.0)
-    if res > math.sqrt(tol.tol_solve) * scale:
+    if res > math.sqrt(prob.tolerances.tol_solve) * scale:
         raise SingularSystemError(
             f"vectorized solve lost all accuracy (residual {res:.3e}); "
             "spec(A) and spec(C) effectively overlap")
     X = x.reshape((k, h), order="F")
-    gap = spectral_gap(prob)
-    return _finish(prob, X, "kronecker", gap, tol)
+    return _finish(prob, X, "kronecker", spectral_gap(prob))
 
 
 def _build_circles(eig_a, eig_c, gap):
@@ -353,7 +351,7 @@ def _node_sum(T_C, D_t, T_A, z, w, tol):
     return total
 
 
-def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
+def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     """Trapezoidal quadrature of (1/2 pi i) ∮ (z-C)^{-1} D (A-z)^{-1} dz.
 
     The circles are traversed counterclockwise; with winding number one
@@ -367,7 +365,6 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
     sets are nested: a doubling evaluates only the new odd-index nodes
     and adds them, weighted by their circle's radius, to one running sum.
     """
-    tol = tol or prob.tolerances
     T_C, Z = prob.schur("C")
     T_A, U = prob.schur("A")
     D_t = adjoint(Z) @ prob.D @ U
@@ -380,11 +377,12 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
     while True:
         # dz / (2 pi i) = radius e^{it} dt / (2 pi); trapezoid weight 2 pi / n
         w = radii * np.exp(1j * t)
-        acc += _node_sum(T_C, D_t, T_A, (centers + w).ravel(), w.ravel(), tol)
+        acc += _node_sum(T_C, D_t, T_A, (centers + w).ravel(), w.ravel(),
+                         prob.tolerances)
         X = Z @ (acc / n) @ adjoint(U)
         if prev is not None:
             change = operator_norm(X - prev)
-            if change <= tol.tol_quad * max(1.0, operator_norm(X)):
+            if change <= prob.tolerances.tol_quad * max(1.0, operator_norm(X)):
                 return X, n
         if n >= max_nodes:
             raise NoConvergenceError(
@@ -395,28 +393,26 @@ def contour_quadrature(prob, circles, n_nodes=32, tol=None, max_nodes=4096):
         n *= 2
 
 
-def solve_contour(prob, n_nodes=32, tol=None):
+def solve_contour(prob, n_nodes=32):
     """Resolvent contour formula evaluated on automatically built circles."""
-    tol = tol or prob.tolerances
-    gap = _require_gap(prob, tol)
+    gap = _require_gap(prob)
     circles = _build_circles(np.diag(prob.schur("A")[0]),
-                             prob.measure(tol).eigenvalues, gap)
-    X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes, tol=tol)
-    return _finish(prob, X, "contour", gap, tol)
+                             prob.measure().eigenvalues, gap)
+    X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes)
+    return _finish(prob, X, "contour", gap)
 
 
-def solve_double_spectral(prob, tol=None):
+def solve_double_spectral(prob):
     """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k), by
     `_spectral_solve` on the diagonal Schur form A = Q_A diag(z) Q_A* that
     the measure of A gives (each atom repeated by its multiplicity).
     Requires A normal as well; raises NotNormalError otherwise.
     """
-    tol = tol or prob.tolerances
-    gap = _require_gap(prob, tol)
-    sm_a = prob._measure("A", tol)
+    gap = _require_gap(prob)
+    sm_a = prob._measure("A")
     schur = np.diag(np.repeat(sm_a.eigenvalues, sm_a.multiplicities)), sm_a.basis
-    X = _spectral_solve(schur, prob.measure(tol), prob.D, tol)
-    return _finish(prob, X, "double", gap, tol)
+    X = _spectral_solve(schur, prob.measure(), prob.D)
+    return _finish(prob, X, "double", gap)
 
 
 def dual_solution(X):
@@ -424,7 +420,7 @@ def dual_solution(X):
     return -adjoint(X)
 
 
-def verify_bounds(prob, report, tol=None):
+def verify_bounds(prob, report):
     """Check the E-norm and Hilbert-Schmidt bounds on a computed solution.
 
     Populates report.bounds with named BoundCheck entries:
@@ -437,16 +433,15 @@ def verify_bounds(prob, report, tol=None):
       hs_vs_gap           ||X||_2 <= ||D||_2 / d   (A normal only), both with
                           d <= min_k sigma_min(A - zeta_k) from `separation`
     """
-    tol = tol or prob.tolerances
-    sm = prob.measure(tol)
+    sm = prob.measure()
     enorm_x = e_norm(report.X, sm)
     enorm_d = e_norm(prob.D, sm)
     delta = report.gap_numrange
     checks = {"enorm_vs_numrange": BoundCheck(
         enorm_d / delta if delta > 1e-12 * prob.norm_scale() else math.inf, enorm_x)}
     norm_a, defect_a = prob._normality("A")
-    if defect_a <= _normal_threshold(norm_a, tol):
-        d = max(_separation(prob, tol))  # 0 gives infinite bounds
+    if defect_a <= _normal_threshold(norm_a, prob.tolerances):
+        d = max(_separation(prob))  # 0 gives infinite bounds
         inv_d = 1.0 / d if d > 0 else math.inf
         checks["enorm_vs_gap"] = BoundCheck(enorm_d * inv_d, enorm_x)
         checks["hs_vs_gap"] = BoundCheck(hs_norm(prob.D) * inv_d, hs_norm(report.X))

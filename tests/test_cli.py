@@ -241,6 +241,15 @@ class TestRiccatiCommand:
         assert code == 3
         assert "sylvester" in err.lower()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        path = write_problem(tmp_path, A=matjson([[3.0]]), B=matjson([[1.0]]),
+                             C=matjson([[0.0]]), D=matjson([[1.0]]))
+        code, out, err = run(capsys, ["riccati", path, "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err
+
     def test_max_iter_exits_4(self, tmp_path, capsys):
         path = write_problem(tmp_path, A=matjson([[3.0]]), B=matjson([[1.0]]),
                              C=matjson([[0.0]]), D=matjson([[1.0]]))

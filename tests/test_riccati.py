@@ -153,15 +153,16 @@ class TestCertify:
 
 class TestPreparedProblem:
     def test_certificate_once_per_tolerance(self, rng):
-        prob = make_certified_riccati(rng, 4, 4, normal_a=False)
+        base = make_certified_riccati(rng, 4, 4, normal_a=False)
+        prob = RiccatiProblem(base.A, base.B, base.C, base.D,
+                              tolerances=Tolerances(tol_cluster=1e-6))
         cert = certify(prob)
-        assert certify(prob, prob.tolerances) is cert
-        other = certify(prob, Tolerances(tol_cluster=1e-6))
-        assert other is not cert and other == cert  # the same atoms
+        assert certify(prob) is cert and prob._cache["certify"] is cert
+        assert cert == certify(base)  # the same atoms
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.d = 10.0
         # d is the separation the Sylvester reports use, and a fresh one
-        assert cert.d == max(sylvester._separation(prob, prob.tolerances))
+        assert cert.d == max(sylvester._separation(prob))
         atoms = decompose_normal(prob.C).eigenvalues
         assert cert.d == max(separation(
             scipy.linalg.schur(prob.A, output="complex")[0], atoms,
@@ -183,7 +184,9 @@ class TestPreparedProblem:
     @pytest.mark.parametrize("normal_a, gaps", [(False, 1), (True, 0)])
     def test_report_chain_decomposes_and_certifies_once(
             self, rng, monkeypatch, normal_a, gaps):
-        prob = make_certified_riccati(rng, 5, 4, normal_a=normal_a)
+        base = make_certified_riccati(rng, 5, 4, normal_a=normal_a)
+        tol = Tolerances(tol_cluster=1e-6)
+        prob = RiccatiProblem(base.A, base.B, base.C, base.D, tolerances=tol)
         schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
         defects = count_calls(monkeypatch, linalg.normality_defect)
         measures = count_calls(monkeypatch, spectral._measure_of_schur)
@@ -192,6 +195,7 @@ class TestPreparedProblem:
         report = solve_fixed_point(prob)
         posterior_check(prob, report)
         assert len(measures) == 1 and len(sweeps) == gaps
+        assert prob.measure().tolerances is tol
         assert len(defects) == 1 and defects[0] is prob.C
         # a Schur form of each of A and C, then one of A + BX per later step
         assert len(schurs) == 2 + report.iterations - 1
@@ -215,15 +219,14 @@ class TestMap:
             M = prob.A + prob.B @ X
             G = OperatorFunction.resolvent_family(M, prob.D)
             ref = exact_left_integral(G, sm, bounding_rect(sm))
-            value = riccati._apply_map(prob, sm, X, prob.tolerances)
+            value = riccati._apply_map(prob, sm, X)
             assert operator_norm(value - ref) <= 1e-12 * operator_norm(ref)
 
     def test_shift_on_the_spectrum_raises_singular_resolvent(self):
         prob = RiccatiProblem(np.diag([0.5, 2.0]), np.ones((2, 2)),
                               np.diag([0.5, -1.0]), np.ones((2, 2)))
         with pytest.raises(SingularResolventError):
-            riccati._apply_map(prob, prob.measure(), np.zeros((2, 2)),
-                               prob.tolerances)
+            riccati._apply_map(prob, prob.measure(), np.zeros((2, 2)))
 
 
 class TestSolve:
@@ -253,6 +256,16 @@ class TestSolve:
         assert report.converged
         expected = (-3.0 + np.sqrt(21.0)) / 2.0
         assert abs(report.X[0, 0] - expected) <= 1e-10
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        # inf would stop after one step and report converged
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            solve_fixed_point(SCALAR, tol=tol)
+
+    def test_tolerances_must_be_a_tolerances(self):
+        with pytest.raises(TypeError, match="tolerances must be a Tolerances"):
+            RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]], tolerances=None)
 
     def test_max_iterations_carries_report(self):
         prob = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])

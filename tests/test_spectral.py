@@ -122,19 +122,30 @@ class TestMeasure:
     def test_boundary_guard_names_the_first_eigenvalue(self):
         # both atoms lie exactly tol_cluster = 2^-20 from an edge line
         tol = Tolerances(tol_cluster=2.0 ** -20)
-        sm = SpectralMeasure([0.25 + 0.5j, 0.5 + 0.25j], np.eye(2), [1, 1])
+        sm = SpectralMeasure([0.25 + 0.5j, 0.5 + 0.25j], np.eye(2), [1, 1], tol)
         at = Rect(0.25 - 2.0 ** -20, 0.5 + 2.0 ** -20, 0.0, 1.0)
         with pytest.warns(BoundaryEigenvalueWarning) as record:
-            measure_of_rect(sm, at, tol)
+            measure_of_rect(sm, at)
         assert len(record) == 1
         assert str(record[0].message).startswith("eigenvalue (0.25+0.5j) ")
         with pytest.raises(BoundaryEigenvalueError, match=r"^eigenvalue \(0.25\+0.5j\) "):
-            exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, at, tol)
+            exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, at)
         clear = Rect(0.25 - 2.0 ** -19, 0.5 + 2.0 ** -19, 0.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            measure_of_rect(sm, clear, tol)
-        exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, clear, tol)
+            measure_of_rect(sm, clear)
+        exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, clear)
+
+    def test_boundary_guard_reads_the_tolerances_of_the_measure(self):
+        # 5e-7 from the edge b = 1: inside the measure's tol_cluster 1e-6,
+        # outside the default 1e-8
+        sm = decompose_normal(np.diag([0.0, 1.0 + 5e-7]), Tolerances(tol_cluster=1e-6))
+        rect = Rect(-0.5, 1.0, -0.5, 0.5)
+        assert sm.near_boundary(rect)
+        with pytest.warns(BoundaryEigenvalueWarning):
+            measure_of_rect(sm, rect)
+        with pytest.raises(BoundaryEigenvalueError):
+            exact_right_integral(OperatorFunction.constant(np.eye(2)), sm, rect)
 
     def test_basis_is_every_column(self, rng):
         C, _ = random_normal(rng, 9, repeat=True)

@@ -69,9 +69,11 @@ class TestPartition:
             GridPartition([0.0, 1.0], lines)
 
     def test_custom_tags_validated(self):
-        with pytest.raises(ValueError):
-            GridPartition([0.0, 1.0], [0.0, 1.0], tag_rule="custom",
-                          custom_tags=([1.5], [0.5]))
+        # tags outside their cells, and tags that are not 1-D arrays
+        for tags in (([1.5], [0.5]), (0.5, 0.5), ([[0.5]], [0.5])):
+            with pytest.raises(ValueError):
+                GridPartition([0.0, 1.0], [0.0, 1.0], tag_rule="custom",
+                              custom_tags=tags)
         p = GridPartition([0.0, 1.0], [0.0, 1.0], tag_rule="custom",
                           custom_tags=([0.25], [0.75]))
         assert p.custom_tags[0][0] == 0.25
@@ -635,8 +637,15 @@ class TestLnest:
             assert operator_norm(right_sum(F, sm, p)) <= bound + slack
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            lnest_bound(-1.0, 0.0, 0.0, RECT)
+        # negative and NaN inputs are both refused
+        for bad in (-1.0, np.nan):
+            for args in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+                with pytest.raises(ValueError, match="must be nonnegative"):
+                    lnest_bound(*args, RECT)
+            for name in ("gamma1", "gamma2"):
+                with pytest.raises(ValueError, match="must be nonnegative"):
+                    OperatorFunction(lambda lam, mu: np.eye(1),
+                                     **{name: bad})
 
 
 class TestCZero:

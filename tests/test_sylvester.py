@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import opint.enorm as enorm
 import opint.linalg as linalg
+import opint.riccati as riccati
 import opint.spectral as spectral
+import opint.stieltjes as stieltjes
 import opint.sylvester as sylvester
 from opint.linalg import numrange_gap, separation
 from opint import (
@@ -20,6 +24,7 @@ from opint import (
     ShapeMismatchError,
     SingularResolventError,
     SingularSystemError,
+    SpectralMeasure,
     SylvesterProblem,
     Tolerances,
     adjoint,
@@ -433,13 +438,21 @@ class TestOneDecomposition:
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_one_schur_form_for_any_number_of_tolerances(self, rng, monkeypatch,
                                                          normal_a):
-        prob = make_sylvester(rng, 4, 5, normal_a=normal_a)
-        schurs, _, defects, _ = _count_factoring(monkeypatch)
+        # each problem's own tolerances: every solver and bound check on it
+        # reads one Schur form and one measure of each matrix
+        base = make_sylvester(rng, 4, 5, normal_a=normal_a)
         solvers = ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]
-        for tol in (None, Tolerances(tol_cluster=1e-6), Tolerances(tol_solve=1e-9)):
+        for tol in (sylvester.DEFAULT_TOLERANCES, Tolerances(tol_cluster=1e-6),
+                    Tolerances(tol_solve=1e-9)):
+            prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
+            schurs, _, defects, measures = _count_factoring(monkeypatch)
             for solver in solvers:
-                verify_bounds(prob, solver(prob, tol=tol), tol)
-        assert _once_each(schurs, prob) and _once_each(defects, prob)
+                verify_bounds(prob, solver(prob))
+            assert _once_each(schurs, prob) and _once_each(defects, prob)
+            assert len(measures) == (2 if normal_a else 1)
+            assert sum(T is prob.schur("C")[0] for T in measures) == 1
+            assert prob.measure().tolerances is tol
+            monkeypatch.undo()
 
 
 class TestPreparedProblem:
@@ -455,25 +468,51 @@ class TestPreparedProblem:
         assert prob.A[0, 0] == 2.0
 
     def test_measure_once_per_tolerance(self, rng, monkeypatch):
-        prob = make_sylvester(rng, 3, 4)
+        base = make_sylvester(rng, 3, 4)
+        tol = Tolerances(tol_cluster=1e-6)
+        prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
         schurs, _, defects, measures = _count_factoring(monkeypatch)
         sm = prob.measure()
-        assert prob.measure() is sm
-        assert prob.measure(prob.tolerances) is sm
+        assert prob.measure() is sm and sm.tolerances is tol
         assert len(measures) == 1
-        other = prob.measure(Tolerances(tol_cluster=1e-6))
-        assert other is not sm and len(measures) == 2
-        # both from one Schur form of C, after one normality test
+        assert set(prob._cache) == {("normality", "C"), ("schur", "C"),
+                                    ("measure", "C")}
+        # from one Schur form of C, after one normality test
         assert len(schurs) == len(defects) == 1 and schurs[0] is prob.C
         with pytest.raises(ValueError):  # the kept measure cannot be edited
             sm.basis[0, 0] = 0.0
         T, Z = prob.schur("C")
         assert not (T.flags.writeable or Z.flags.writeable)
         monkeypatch.undo()
-        ref = decompose_normal(prob.C)
+        ref = decompose_normal(prob.C, tol)
         for M, R in zip((sm.eigenvalues, sm.basis, sm.multiplicities),
                         (ref.eigenvalues, ref.basis, ref.multiplicities)):
             assert np.array_equal(M, R)
+
+    @pytest.mark.parametrize("tolerances", [None, 1e-6, {"tol_cluster": 1e-6}])
+    def test_tolerances_must_be_a_tolerances(self, tolerances):
+        with pytest.raises(TypeError, match="tolerances must be a Tolerances"):
+            SylvesterProblem([[2.0]], [[0.0]], [[1.0]], tolerances=tolerances)
+        with pytest.raises(TypeError, match="tolerances must be a Tolerances"):
+            SpectralMeasure([0.0], np.eye(1), [1], tolerances=tolerances)
+
+    def test_tolerances_only_where_data_enters(self):
+        # tolerances are fixed with the data, as a field of a problem or a
+        # measure: no function takes a Tolerances, and a tol is taken only
+        # on raw matrices and by the two stopping rules
+        with_tol = set()
+        for module in (linalg, spectral, stieltjes, enorm, sylvester, riccati):
+            for obj in (getattr(module, name) for name in module.__all__):
+                fns = ([getattr(obj, m) for m in dir(obj) if not m.startswith("__")]
+                       if isinstance(obj, type) else [obj])
+                for fn in filter(inspect.isroutine, fns):
+                    params = inspect.signature(fn).parameters
+                    assert "tolerances" not in params, fn
+                    if "tol" in params:
+                        with_tol.add(fn.__name__)
+        assert with_tol == {"decompose_normal", "is_normal", "resolvent",
+                            "resolvent_family", "integrate_right",
+                            "solve_fixed_point"}
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_norms_of_a_and_c_once_per_problem(self, rng, monkeypatch, normal_a):
@@ -543,11 +582,9 @@ class TestSpectralCore:
         sm = decompose_normal(np.diag([lam, 0.5, 0.5]))
         with pytest.raises(SingularResolventError):
             sylvester._spectral_solve(scipy.linalg.schur(M, output="complex"),
-                                      sm, random_complex(rng, 3, 2),
-                                      sylvester.DEFAULT_TOLERANCES)
+                                      sm, random_complex(rng, 3, 2))
 
     def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
-        tol = sylvester.DEFAULT_TOLERANCES
         A0, _ = random_normal(rng, 4)
         matrices = [np.diag([3.0, 2.0 + 1.0j]) + np.diag([0.7], 1),
                     A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1),
@@ -563,7 +600,7 @@ class TestSpectralCore:
                                  for zeta in sm.eigenvalues)
                 try:
                     sylvester._spectral_solve(
-                        scipy.linalg.schur(M, output="complex"), sm, D, tol)
+                        scipy.linalg.schur(M, output="complex"), sm, D)
                     new_raises = False
                 except SingularResolventError:
                     new_raises = True
@@ -691,7 +728,7 @@ class TestSeparation:
         A, C = near_normal_case(seed, h, k, log_scale, log_offset)
         prob = SylvesterProblem(A, C, np.ones((k, h)))
         # both the gated d (the larger bound) and gap_numrange
-        bounds = sylvester._separation(prob, prob.tolerances)
+        bounds = sylvester._separation(prob)
         assert max(bounds) <= min_sigma(A, prob.measure().eigenvalues)
 
     def test_normal_a_gap_numrange_is_the_hull_distance(self, rng):
