@@ -1,10 +1,8 @@
 """Dense complex-matrix primitives shared by every other module."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeMismatchError, SingularResolventError
 
@@ -83,44 +81,51 @@ def adjoint(M):
     return np.asarray(M, dtype=np.complex128).conj().T
 
 
+def _accept_residuals(residual, op_norm, sol_norm, tol, what):
+    """Raise SingularResolventError, naming the first failure, unless each
+    scale op_norm * sol_norm is finite and each Frobenius residual is at
+    most tol_solve times it, for the largest column (or row) norms of the
+    operator and of the solution: at least as strict as ||S X - B|| <=
+    tol_solve ||S|| ||X||.  `solve_kronecker`, the oracle, keeps its looser
+    sqrt(tol_solve) rule and SingularSystemError (exit 3); `posterior_check`
+    needs sigma_min anyway and rejects sigma_min <= tol_solve (sigma_max +
+    |zeta|)."""
+    with np.errstate(all="ignore"):
+        scale = op_norm * sol_norm
+        ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
+    if not ok.all():
+        raise SingularResolventError(
+            f"{what} lost all accuracy (residual {residual[~ok][0]:.3e})")
+
+
+def _guarded_solve(S, B, tol):
+    """S_b^{-1} B_b for a stack of matrices, each accepted by
+    `_accept_residuals` on largest column norms."""
+    try:
+        X = np.linalg.solve(S, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolventError("a shifted matrix is exactly singular") from exc
+    with np.errstate(all="ignore"):
+        residual = np.linalg.norm(S @ X - B, axis=(-2, -1))
+    _accept_residuals(residual, np.linalg.norm(S, axis=-2).max(axis=-1),
+                      np.linalg.norm(X, axis=-2).max(axis=-1), tol, "a shifted solve")
+    return X
+
+
 def resolvent(M, z, tol=DEFAULT_TOLERANCES):
-    """(M - zI)^{-1}, computed by an LU-based solve per column.
+    """(M - zI)^{-1}, by a `_guarded_solve` against I.
 
     Raises SingularResolventError when M - zI is numerically singular,
     i.e. z is within working precision of the spectrum of M.
     """
     A = _square(M, "M")
-    n = A.shape[0]
-    shifted = A - complex(z) * np.eye(n, dtype=np.complex128)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(shifted, check_finite=False)
-            R = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128),
-                                      check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularResolventError(
-            f"M - zI is singular at z = {complex(z)}") from exc
-    if not np.all(np.isfinite(R)):
-        raise SingularResolventError(
-            f"M - zI is numerically singular at z = {complex(z)}")
-    # Backward-stable solves leave a residual ~ eps * kappa; anything far
-    # beyond that means z effectively sits on the spectrum.  The Frobenius
-    # norm is never below the spectral norm and the largest column norm
-    # never above it, so this is at least as strict as
-    # ||(M - z) R - I|| <= tol_solve max(1, ||M - z|| ||R||).
-    residual = np.linalg.norm(shifted @ R - np.eye(n))
-    scale = max(1.0, np.linalg.norm(shifted, axis=0).max()
-                * np.linalg.norm(R, axis=0).max())
-    if residual > tol.tol_solve * scale:
-        raise SingularResolventError(
-            f"resolvent solve at z = {complex(z)} lost all accuracy "
-            f"(residual {residual:.3e})")
+    eye = np.eye(A.shape[0], dtype=np.complex128)
+    shifted = A - complex(z) * eye
     # the residual is relative to ||M - z||, so it misses an M - zI that
     # cancels as a whole: sigma_min <= ||M - z||_F <= tol_solve |z|
     if np.linalg.norm(shifted) <= tol.tol_solve * abs(z):
         raise SingularResolventError(f"M - zI cancels to rounding at z = {complex(z)}")
-    return R
+    return _guarded_solve(shifted[None], eye[None], tol)[0]
 
 
 def normality_defect(M):

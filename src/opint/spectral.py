@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import BoundaryEigenvalueWarning, NotNormalError
+from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
 from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normal_threshold, _square,
                      adjoint, as_matrix, normality_defect, operator_norm)
 
@@ -62,7 +62,7 @@ class Rect:
         return self.d - self.c
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralMeasure:
     """Distinct eigenvalues of a normal matrix with their eigenspaces,
     P_k = Q_k Q_k* for the k-th column block Q_k of `basis`.
@@ -70,14 +70,16 @@ class SpectralMeasure:
     Attributes
     ----------
     eigenvalues : (K,) complex ndarray
-        Distinct (clustered) eigenvalues.
+        Distinct (clustered) eigenvalues, K >= 1.
     basis : (dim, dim) complex ndarray
         Unitary Q whose columns are grouped by atom, in the order of
         `eigenvalues`.
     multiplicities : (K,) int ndarray
-        Eigenspace dimensions, i.e. column-block widths; sums to dim.
+        Eigenspace dimensions, i.e. column-block widths, each >= 1; sums to dim.
     tolerances : Tolerances
         Those it was clustered with, read by all that is computed against it.
+
+    Raises ShapeMismatchError when the shapes do not fit together.
     """
 
     eigenvalues: np.ndarray
@@ -89,11 +91,18 @@ class SpectralMeasure:
     def __post_init__(self):
         if not isinstance(self.tolerances, Tolerances):
             raise TypeError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.complex128)
-        self.basis = np.asarray(self.basis, dtype=np.complex128)
-        self.multiplicities = np.asarray(self.multiplicities, dtype=int)
-        self._offsets = np.concatenate(([0], np.cumsum(self.multiplicities)))
-        self.spectral_radius = float(np.abs(self.eigenvalues).max())
+        z = np.asarray(self.eigenvalues, dtype=np.complex128)
+        Q = np.asarray(self.basis, dtype=np.complex128)
+        m = np.asarray(self.multiplicities, dtype=int)
+        if (z.ndim != 1 or not len(z) or m.shape != z.shape or np.any(m < 1)
+                or Q.shape != (m.sum(),) * 2):
+            raise ShapeMismatchError(
+                f"a measure needs K >= 1 eigenvalues, K multiplicities >= 1 and a "
+                f"square basis of their sum: got {z.shape}, {m.tolist()}, {Q.shape}")
+        for name, value in (("eigenvalues", z), ("basis", Q), ("multiplicities", m),
+                            ("_offsets", np.concatenate(([0], np.cumsum(m)))),
+                            ("spectral_radius", float(np.abs(z).max()))):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.eigenvalues)

@@ -28,6 +28,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _accept_residuals,
+    _guarded_solve,
     _normal_threshold,
     adjoint,
     as_matrix,
@@ -212,9 +214,8 @@ def _spectral_solve(schur, sm, D):
 
     Raises SingularResolventError when ztrsyl perturbs a pivot or rescales,
     when Y is not finite, or when an atom's residual
-    ||Y_k (T - zeta_k) - R_k||_F exceeds the measure's tol_solve times the
-    largest row norms of T - zeta_k and of Y_k: the guard of
-    `_guarded_solve`, on the transposed system, for every atom at once.
+    ||Y_k (T - zeta_k) - R_k||_F fails `_accept_residuals` with the largest
+    row norms of T - zeta_k and of Y_k, for every atom at once.
     """
     T, U = schur
     zeta = np.repeat(sm.eigenvalues, sm.multiplicities)
@@ -231,12 +232,9 @@ def _spectral_solve(schur, sm, D):
         upper = np.linalg.norm(np.triu(T, 1), axis=1) ** 2
         shifted = np.abs(np.diag(T)[None, :] - sm.eigenvalues[:, None]) ** 2
         rows_t = np.sqrt((upper + shifted).max(axis=1))
-        rows_y = np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts)
-        ok = residual <= sm.tolerances.tol_solve * rows_t * rows_y
-    if not ok.all():
-        raise SingularResolventError(
-            "a triangular solve at an atom of C lost all accuracy "
-            f"(residual {residual[~ok][0]:.3e})")
+    _accept_residuals(residual, rows_t,
+                      np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts),
+                      sm.tolerances, "a triangular solve at an atom of C")
     return sm.basis @ Y @ adjoint(U)
 
 
@@ -307,33 +305,6 @@ def _build_circles(eig_a, eig_c, gap):
 # Complex entries in the working arrays of one block of node solves; it
 # caps the memory of a level at any size (about 16 MB per array).
 _NODE_BLOCK = 2 ** 20
-
-
-def _guarded_solve(S, B, tol):
-    """X_b = S_b^{-1} B_b for a stack of matrices, with one residual guard each.
-
-    Raises SingularResolventError when a solve fails, is not finite, or
-    its Frobenius residual exceeds tol_solve |S_b| |X_b|, the product of
-    the largest column norms.  The Frobenius norm is never below the
-    spectral norm and that product never exceeds ||S_b|| ||S_b^{-1}|| ||B_b||,
-    so the guard is at least as strict as the resolvent guard
-    ||S R - I|| <= tol_solve ||S|| ||R|| carried over to X = R B.
-    """
-    try:
-        X = np.linalg.solve(S, B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolventError(
-            "a quadrature node sits on spec(A) or spec(C)") from exc
-    with np.errstate(all="ignore"):
-        residual = np.linalg.norm(S @ X - B, axis=(-2, -1))
-        scale = (np.linalg.norm(S, axis=-2).max(axis=-1)
-                 * np.linalg.norm(X, axis=-2).max(axis=-1))
-        ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
-    if not ok.all():
-        raise SingularResolventError(
-            "a resolvent solve at a quadrature node lost all accuracy "
-            f"(residual {residual[~ok][0]:.3e})")
-    return X
 
 
 def _node_sum(T_C, D_t, T_A, z, w, tol):

@@ -105,12 +105,23 @@ class TestResolvent:
         assert_allclose((M - 0.5j * np.eye(5)) @ R, np.eye(5), atol=1e-12)
 
     def test_guard_rejects_an_inexact_solve(self, rng, monkeypatch):
+        # the solve that linalg._guarded_solve checks, off by 1e-8 relative
         M = np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5)
-        real = scipy.linalg.lu_solve
-        monkeypatch.setattr(scipy.linalg, "lu_solve",
-                            lambda *a, **k: real(*a, **k) * (1.0 + 1e-8))
-        with pytest.raises(SingularResolventError):
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda S, B: real(S, B) * (1.0 + 1e-8))
+        with pytest.raises(SingularResolventError, match="lost all accuracy"):
             resolvent(M, 0.5j)
+
+    def test_matches_an_lu_oracle(self, rng):
+        for n in range(1, 41):
+            for M in (random_complex(rng, n, n), random_normal(rng, n)[0],
+                      np.triu(random_complex(rng, n, n))):
+                z = complex(*rng.standard_normal(2))
+                S = M - z * np.eye(n)
+                ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(n))
+                R = resolvent(M, z)
+                assert np.linalg.norm(R - ref) <= 1e-13 * np.linalg.norm(ref), (n, z)
 
     def test_guard_sweep_at_least_as_strict_as_spectral_norms(self, rng):
         A0, _ = random_normal(rng, 4)

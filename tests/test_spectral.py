@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from opint import (
     NotNormalError,
     OperatorFunction,
     Rect,
+    ShapeMismatchError,
     SpectralMeasure,
     Tolerances,
     apply_function,
@@ -176,6 +178,31 @@ class TestMeasure:
         r12 = Rect(-0.4, 0.3, -2.0, 0.6)
         lhs = measure_of_rect(sm, r1) @ measure_of_rect(sm, r2)
         assert operator_norm(lhs - measure_of_rect(sm, r12)) <= 1e-12
+
+
+class TestMeasureFields:
+    def test_fields_cannot_be_reassigned(self):
+        sm = decompose_normal(np.diag([1.0, 2.0, 2.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sm.tolerances = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sm.eigenvalues = 10 * sm.eigenvalues
+        assert sm.spectral_radius == 2.0
+        assert sm.tolerances == Tolerances()
+
+    @pytest.mark.parametrize("eigenvalues, basis, multiplicities", [
+        ([1.0, 2.0], np.eye(3), [1, 1]),  # a column of no atom
+        ([1.0, 2.0], np.eye(2), [0, 2]),
+        ([1.0, 2.0], np.eye(2), [2, 0]),
+        ([1.0, 2.0], np.eye(2), [1, 2]),  # more columns than the basis has
+        ([1.0, 2.0, 3.0], np.eye(3), [1, 2]),
+        ([], np.eye(0), []),
+        ([[1.0, 2.0]], np.eye(2), [[1, 1]]),
+        ([1.0, 2.0], np.ones((2, 3)), [1, 1]),
+    ])
+    def test_shapes_must_fit(self, eigenvalues, basis, multiplicities):
+        with pytest.raises(ShapeMismatchError):
+            SpectralMeasure(eigenvalues, basis, multiplicities)
 
 
 class TestSpectralFunction:

@@ -347,6 +347,17 @@ class TestContourQuadrature:
         with pytest.raises(SingularResolventError):
             sylvester._guarded_solve(S[None], B, tol)
 
+    def test_resolvent_and_contour_nodes_share_one_guarded_solve(self, rng,
+                                                                  monkeypatch):
+        calls = count_calls(monkeypatch, linalg._guarded_solve)
+        prob = make_sylvester(rng, 4, 3, normal_a=False)
+        resolvent(prob.A, 5.0)
+        assert len(calls) == 1
+        circles = [(complex(z), 0.1) for z in np.linalg.eigvals(prob.C)]
+        _, n = contour_quadrature(prob, circles)
+        # per level (z - T_C) Y = D_t, then (T_A - z)^T W^T = Y^T
+        assert len(calls) == 1 + 2 * (int(np.log2(n // 32)) + 1)
+
     def test_strongly_nonnormal_a_matches_scipy(self, rng):
         converged = 0
         for h, k in ((6, 5), (8, 8), (5, 6)):
