@@ -194,16 +194,13 @@ def _parse_function(spec, problem, dim):
             if name_a not in mats or name_d not in mats:
                 raise InvalidProblemError(
                     f"function spec {spec!r} refers to missing matrices")
-            A, D = mats[name_a], mats[name_d]
+            A = mats[name_a]
+            F = OperatorFunction.resolvent_family(A, mats[name_d], problem["tolerances"])
             if A.shape[1] != dim:
                 raise InvalidProblemError(
                     f"D (A - z)^{{-1}} must have {dim} columns to integrate "
                     f"against this measure; A has {A.shape[1]}")
-            if D.shape[1] != A.shape[0]:
-                raise InvalidProblemError(
-                    f"cannot form D (A - z)^{{-1}} from shapes {D.shape} "
-                    f"and {A.shape}")
-            return OperatorFunction.resolvent_family(A, D, problem["tolerances"])
+            return F
     except (ValueError, ShapeMismatchError) as exc:
         raise InvalidProblemError(f"bad function spec {spec!r}: {exc}") from exc
     raise InvalidProblemError(f"unknown function spec {spec!r}")

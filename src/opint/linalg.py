@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ShapeMismatchError, SingularResolventError
 
@@ -81,42 +82,83 @@ def adjoint(M):
     return np.asarray(M, dtype=np.complex128).conj().T
 
 
-def _accept_residuals(residual, op_norm, sol_norm, tol, what):
-    """Raise SingularResolventError, naming the first failure, unless each
-    scale op_norm * sol_norm is finite and each Frobenius residual is at
-    most tol_solve times it, for the largest column (or row) norms of the
-    operator and of the solution: at least as strict as ||S X - B|| <=
-    tol_solve ||S|| ||X||.  `solve_kronecker`, the oracle, keeps its looser
-    sqrt(tol_solve) rule and SingularSystemError (exit 3); `posterior_check`
-    needs sigma_min anyway and rejects sigma_min <= tol_solve (sigma_max +
-    |zeta|)."""
+def _accept_residuals(residual, op_norm, sol_norm, tol, shifts):
+    """Raise SingularResolventError, naming the shift of the first failing
+    entry, unless each scale op_norm * sol_norm is finite and each
+    Frobenius residual is at most tol_solve times it, for the largest
+    column (or row) norms of the operator and of the solution: at least as
+    strict as ||S X - B|| <= tol_solve ||S|| ||X||.  `solve_kronecker`, the
+    oracle, keeps its looser sqrt(tol_solve) rule and SingularSystemError
+    (exit 3); `posterior_check` needs sigma_min anyway and rejects
+    sigma_min <= tol_solve (sigma_max + |zeta|)."""
     with np.errstate(all="ignore"):
         scale = op_norm * sol_norm
         ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
     if not ok.all():
-        raise SingularResolventError(
-            f"{what} lost all accuracy (residual {residual[~ok][0]:.3e})")
+        i = np.flatnonzero(~ok)[0]
+        raise SingularResolventError(f"the solve at z = {complex(shifts[i])} lost all "
+                                     f"accuracy (residual {residual[i]:.3e})")
 
 
-def _guarded_solve(S, B, tol):
-    """S_b^{-1} B_b for a stack of matrices, each accepted by
-    `_accept_residuals` on largest column norms."""
+def _guarded_solve(S, B, tol, shifts):
+    """S_b^{-1} B_b for a stack of matrices S_b = M_b - shifts[b], each
+    accepted by `_accept_residuals` on largest column norms."""
     try:
         X = np.linalg.solve(S, B)
     except np.linalg.LinAlgError as exc:
-        raise SingularResolventError("a shifted matrix is exactly singular") from exc
+        # slogdet's sign is 0 where the LU meets an exactly zero pivot
+        i = np.argmin(np.abs(np.linalg.slogdet(S)[0]))
+        raise SingularResolventError(
+            f"M - zI is exactly singular at z = {complex(shifts[i])}") from exc
     with np.errstate(all="ignore"):
         residual = np.linalg.norm(S @ X - B, axis=(-2, -1))
     _accept_residuals(residual, np.linalg.norm(S, axis=-2).max(axis=-1),
-                      np.linalg.norm(X, axis=-2).max(axis=-1), tol, "a shifted solve")
+                      np.linalg.norm(X, axis=-2).max(axis=-1), tol, shifts)
     return X
+
+
+def _triangular_resolvents(T, R, shifts, sizes, tol):
+    """Y whose k-th block of sizes[k] rows is R_k (T - shifts[k])^{-1}, for
+    an upper triangular T: Y T - diag(s) Y = R with s = repeat(shifts,
+    sizes), one LAPACK ztrsyl call (Bartels-Stewart, left factor diagonal).
+
+    Raises SingularResolventError, naming the shift, when T - s cancels to
+    rounding as a whole (||T - s||_F <= tol_solve |s|, `resolvent`'s rule,
+    read off the strict upper part and the diagonal of T), when ztrsyl
+    perturbs a pivot or rescales or Y is not finite (at the shift nearest
+    to diag(T)), or when a block's residual ||Y_k (T - s_k) - R_k||_F fails
+    `_accept_residuals` with the largest row norms of T - s_k and of Y_k.
+    """
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    # row i of T - s is the strict upper part of row i and T_ii - s
+    upper = np.linalg.norm(np.triu(T, 1), axis=1) ** 2
+    with np.errstate(all="ignore"):
+        shifted = np.abs(np.diag(T)[None, :] - shifts[:, None]) ** 2
+        cancels = np.sqrt(upper.sum() + shifted.sum(axis=1)) <= tol.tol_solve * np.abs(shifts)
+    if cancels.any():
+        raise SingularResolventError(
+            f"M - zI cancels to rounding at z = {complex(shifts[cancels][0])}")
+    s = np.repeat(shifts, sizes)
+    Y, scale, info = scipy.linalg.lapack.ztrsyl(np.diag(-s), T, R)
+    if info != 0 or scale != 1.0 or not np.all(np.isfinite(Y)):
+        raise SingularResolventError(
+            f"M - zI is singular at z = {complex(shifts[shifted.min(axis=1).argmin()])}")
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(all="ignore"):
+        res_rows = np.linalg.norm(Y @ T - s[:, None] * Y - R, axis=1)
+        residual = np.sqrt(np.add.reduceat(res_rows ** 2, starts))
+        rows_t = np.sqrt((upper + shifted).max(axis=1))
+    _accept_residuals(residual, rows_t,
+                      np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts),
+                      tol, shifts)
+    return Y
 
 
 def resolvent(M, z, tol=DEFAULT_TOLERANCES):
     """(M - zI)^{-1}, by a `_guarded_solve` against I.
 
-    Raises SingularResolventError when M - zI is numerically singular,
-    i.e. z is within working precision of the spectrum of M.
+    Raises SingularResolventError, naming z, when M - zI is numerically
+    singular, i.e. z is within working precision of the spectrum of M.
     """
     A = _square(M, "M")
     eye = np.eye(A.shape[0], dtype=np.complex128)
@@ -125,7 +167,7 @@ def resolvent(M, z, tol=DEFAULT_TOLERANCES):
     # cancels as a whole: sigma_min <= ||M - z||_F <= tol_solve |z|
     if np.linalg.norm(shifted) <= tol.tol_solve * abs(z):
         raise SingularResolventError(f"M - zI cancels to rounding at z = {complex(z)}")
-    return _guarded_solve(shifted[None], eye[None], tol)[0]
+    return _guarded_solve(shifted[None], eye[None], tol, [z])[0]
 
 
 def normality_defect(M):
@@ -199,7 +241,9 @@ def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
     in a bracket where g' = Im(e^{-it}(z - w)) changes sign: Newton's step
     from the better end if it lands inside, else the crossing of the ends'
     tangents, which finds a kink of g (a double top eigenvalue) in a few
-    steps.  A point stops at U - L <= max(1e-12 U, 4 slack), after
+    steps; a bracket at a maximum of g at most 0 that points away from the
+    outward normal at the polygon's nearest point probes that normal
+    instead (a flat W has such a second maximum).  A point stops at U - L <= max(1e-12 U, 4 slack), after
     refine_iters steps, or, with `gap`, once L reaches the least U, as it
     can no longer be the minimum.
     """
@@ -238,9 +282,20 @@ def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
             cross = lo + (g_hi - g_lo - d_hi * (hi - lo)) / (d_lo - d_hi)
         cross = np.where((lo < cross) & (cross < hi), cross, 0.5 * (lo + hi))
         t = np.where((lo < newton) & (newton < hi), newton, cross)
+        # a local maximum of g above 0 is the global one, at the normal
+        # arg(z - p) from the nearest point p of W; one below lies over a
+        # right angle from it (z outside W), so probe the normal instead
+        stray = base[1] <= 0.0
+        if stray.any():
+            normal = np.angle(pts[act] - _hull_nearest(_hull(points), pts[act]))
+            stray &= np.cos(base[0] - normal) < 0.0
+            t = np.where(stray, normal, t)
         Q, w = probe(t, pts[act])
         lower[act] = np.maximum(lower[act], Q[1] - slack[act])
         E[:, (Q[2] <= 0.0).astype(int), i] = Q
+        if stray.any():  # the upper end, within one turn above the lower
+            span = (E[0, 1] - E[0, 0]) % (2.0 * np.pi)
+            E[0, 1, stray] = E[0, 0, stray] + np.where(span > 0.0, span, 2.0 * np.pi)[stray]
         ends[..., act] = E
         # new polygon edges join each new point to its neighbours in angle
         turn = (t[:, None] - angles) % (2.0 * np.pi)
@@ -295,10 +350,21 @@ def _segment_distance(z, a, b):
     return np.abs(z - a - np.clip(t, 0.0, 1.0) * e)
 
 
+def _hull_nearest(v, pts):
+    """The point of the edges of the `_hull` polygon v nearest to each point."""
+    z, e = pts[:, None], np.roll(v, -1) - v
+    t = np.real((z - v) * e.conj()) / np.maximum(np.abs(e) ** 2, np.finfo(float).tiny)
+    near = v + np.clip(t, 0.0, 1.0) * e
+    return near[np.arange(len(pts)), np.abs(z - near).argmin(axis=1)]
+
+
 def _hull_distance(v, pts):
-    """Distance from each point to the polygon of `_hull` vertices v, 0 inside."""
+    """Distance from each point to the polygon of `_hull` vertices v, 0 inside.
+    Edges no longer than rounding (two copies of a vertex) leave out of the
+    inside test: their direction is noise."""
     z, w = pts[:, None], np.roll(v, -1)
-    inside = len(v) > 2 and np.all(((w - v).conj() * (z - v)).imag >= 0.0, axis=1)
+    tiny = np.abs(w - v) <= 16.0 * np.finfo(float).eps * np.abs(v).max(initial=0.0)
+    inside = len(v) > 2 and np.all((((w - v).conj() * (z - v)).imag >= 0.0) | tiny, axis=1)
     return np.where(inside, 0.0, _segment_distance(z, v, w).min(axis=1))
 
 

@@ -93,12 +93,14 @@ class SpectralMeasure:
             raise TypeError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         z = np.asarray(self.eigenvalues, dtype=np.complex128)
         Q = np.asarray(self.basis, dtype=np.complex128)
-        m = np.asarray(self.multiplicities, dtype=int)
+        given = np.asarray(self.multiplicities)
+        m = given.astype(int)
         if (z.ndim != 1 or not len(z) or m.shape != z.shape or np.any(m < 1)
-                or Q.shape != (m.sum(),) * 2):
+                or np.any(m != given) or Q.shape != (m.sum(),) * 2):
             raise ShapeMismatchError(
-                f"a measure needs K >= 1 eigenvalues, K multiplicities >= 1 and a "
-                f"square basis of their sum: got {z.shape}, {m.tolist()}, {Q.shape}")
+                f"a measure needs K >= 1 eigenvalues, K integer multiplicities >= 1 "
+                f"and a square basis of their sum: got {z.shape}, {given.tolist()}, "
+                f"{Q.shape}")
         for name, value in (("eigenvalues", z), ("basis", Q), ("multiplicities", m),
                             ("_offsets", np.concatenate(([0], np.cumsum(m)))),
                             ("spectral_radius", float(np.abs(z).max()))):

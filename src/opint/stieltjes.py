@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     BoundaryEigenvalueError,
     NoConvergenceError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOLERANCES, adjoint, operator_norm, resolvent
+from .linalg import (DEFAULT_TOLERANCES, _square, _triangular_resolvents, adjoint,
+                     as_matrix, operator_norm, resolvent)
 from .spectral import Rect
 
 __all__ = [
@@ -45,13 +47,16 @@ class OperatorFunction:
     gamma1 / gamma2 optionally record Lipschitz and mixed-difference
     constants when they are known in closed form.  scalar is (f, dim)
     when the function is f(lambda + i mu) times the dim x dim identity;
-    only `from_scalar` sets it, so it always agrees with evaluate.
+    only `from_scalar` sets it, so it always agrees with evaluate.  In
+    the same way only `resolvent_family` sets the private record
+    (A, D, tol) of D (A - z)^{-1}, D = I if not given.
     """
 
     evaluate: Callable[[float, float], np.ndarray]
     gamma1: Optional[float] = None
     gamma2: Optional[float] = None
     scalar: Optional[tuple] = field(default=None, init=False, repr=False)
+    _resolvent: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
@@ -97,16 +102,18 @@ class OperatorFunction:
 
     @classmethod
     def resolvent_family(cls, A, D=None, tol=DEFAULT_TOLERANCES):
-        """D (A - z)^{-1} as a function of z = lambda + i mu."""
-        A = np.asarray(A, dtype=np.complex128)
-        if D is not None:
-            D = np.asarray(D, dtype=np.complex128)
-
-        def evaluate(lam, mu):
-            R = resolvent(A, complex(lam, mu), tol)
-            return R if D is None else D @ R
-
-        return cls(evaluate=evaluate)
+        """D (A - z)^{-1} as a function of z = lambda + i mu, for a square,
+        finite A and a D (I if None) with as many columns, else
+        ShapeMismatchError.  A value is one `resolvent`; a Stieltjes sum
+        takes all its tags at once (`_resolvent_sum`)."""
+        A = _square(A, "A").copy()
+        D = np.eye(len(A)) if D is None else as_matrix(D, "D").copy()
+        if D.shape[1] != A.shape[0]:
+            raise ShapeMismatchError(
+                f"cannot form D (A - z)^{{-1}} from shapes {D.shape} and {A.shape}")
+        F = cls(evaluate=lambda lam, mu: D @ resolvent(A, complex(lam, mu), tol))
+        F._resolvent = (A, D, tol)
+        return F
 
 
 @dataclass
@@ -250,10 +257,13 @@ def _spectral_sum(F, sm, cells, empty_tag):
     order given, so results are bit-reproducible at a fixed BLAS thread
     count.  Without cells the result is the zero matrix of the shape of
     F(empty_tag), as E(empty set) = 0.  A scalar integrand F = f I gives
-    sum_k f(tag of atom k) P_k, without forming f(tag) I.
+    sum_k f(tag of atom k) P_k, without forming f(tag) I, and a resolvent
+    family takes all its cells in one solve (`_resolvent_sum`).
     """
     if F.scalar is not None:
         return sm._weighted(_atom_values(F, sm, cells))
+    if F._resolvent is not None:
+        return _resolvent_sum(F, sm, cells)
     blocks, order = [], []
     for lam, mu, atoms in cells or [(*empty_tag, [])]:
         value = F(lam, mu)
@@ -261,6 +271,27 @@ def _spectral_sum(F, sm, cells, empty_tag):
         blocks.append(_finite(value, lam, mu) @ sm.columns(atoms))
         order.extend(atoms)
     return np.concatenate(blocks, axis=1) @ adjoint(sm.columns(order))
+
+
+def _resolvent_sum(F, sm, cells):
+    """sum D (A - tag)^{-1} E(S) over cells for F = D (A - z)^{-1}, the
+    transpose of a left sum of A^T against the measure of C^T: on a Schur
+    form A^T = U T U*, computed once per F, atom k of cell c has the rows
+    Y_k = Q_k^T U (T - t_c)^{-1} of one `_triangular_resolvents` (which
+    names a failing tag), and the sum is D conj(U) Y^T Q_S*."""
+    A, D, tol = F._resolvent
+    _check_shape(D.shape, sm)
+    order = [k for _, _, atoms in cells for k in atoms]
+    if not order:
+        return np.zeros((len(D), sm.dim), dtype=np.complex128)
+    if not hasattr(F, "_schur"):  # once per integrand
+        T, U = scipy.linalg.schur(A.T, output="complex")
+        F._schur = T, U, D @ np.conj(U)
+    T, U, DU = F._schur
+    tags = [complex(lam, mu) for lam, mu, atoms in cells for _ in atoms]
+    Q = sm.columns(order)
+    Y = _triangular_resolvents(T, Q.T @ U, tags, sm.multiplicities[order], tol)
+    return DU @ Y.T @ adjoint(Q)
 
 
 def _check_shape(shape, sm):

@@ -22,15 +22,14 @@ from .errors import (
     GapViolationError,
     NoConvergenceError,
     ShapeMismatchError,
-    SingularResolventError,
     SingularSystemError,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    _accept_residuals,
     _guarded_solve,
     _normal_threshold,
+    _triangular_resolvents,
     adjoint,
     as_matrix,
     hs_norm,
@@ -205,36 +204,12 @@ def _finish(prob, X, method, gap):
 
 def _spectral_solve(schur, sm, D):
     """sum_k P_k D (M - zeta_k)^{-1}, the left integral of D (M - z)^{-1}
-    against the measure sm, on a complex Schur form schur = (T, U), M = U T U*.
-
-    In the eigenbasis Q of the measure the sum is Q Y U*, with block rows
-    Y_k = Q_k* D U (T - zeta_k)^{-1}: Y solves the triangular Sylvester
-    equation Y T - diag(zeta) Y = Q* D U, one LAPACK ztrsyl call
-    (Bartels-Stewart with C already diagonal).
-
-    Raises SingularResolventError when ztrsyl perturbs a pivot or rescales,
-    when Y is not finite, or when an atom's residual
-    ||Y_k (T - zeta_k) - R_k||_F fails `_accept_residuals` with the largest
-    row norms of T - zeta_k and of Y_k, for every atom at once.
-    """
+    against the measure sm, on a complex Schur form schur = (T, U), M = U T U*:
+    Q Y U* for the eigenbasis Q, with block rows Y_k = Q_k* D U (T - zeta_k)^{-1}
+    from one `_triangular_resolvents`, which names a failing atom."""
     T, U = schur
-    zeta = np.repeat(sm.eigenvalues, sm.multiplicities)
-    R = adjoint(sm.basis) @ D @ U
-    Y, scale, info = scipy.linalg.lapack.ztrsyl(np.diag(-zeta), T, R)
-    if info != 0 or scale != 1.0 or not np.all(np.isfinite(Y)):
-        raise SingularResolventError(
-            "M - zeta is singular at an atom of C: spec(M) meets spec(C)")
-    starts = np.cumsum(sm.multiplicities) - sm.multiplicities
-    with np.errstate(all="ignore"):
-        res_rows = np.linalg.norm(Y @ T - zeta[:, None] * Y - R, axis=1)
-        residual = np.sqrt(np.add.reduceat(res_rows ** 2, starts))
-        # row i of T - zeta_k is the strict upper part of row i and T_ii - zeta_k
-        upper = np.linalg.norm(np.triu(T, 1), axis=1) ** 2
-        shifted = np.abs(np.diag(T)[None, :] - sm.eigenvalues[:, None]) ** 2
-        rows_t = np.sqrt((upper + shifted).max(axis=1))
-    _accept_residuals(residual, rows_t,
-                      np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts),
-                      sm.tolerances, "a triangular solve at an atom of C")
+    Y = _triangular_resolvents(T, adjoint(sm.basis) @ D @ U, sm.eigenvalues,
+                               sm.multiplicities, sm.tolerances)
     return sm.basis @ Y @ adjoint(U)
 
 
@@ -315,9 +290,10 @@ def _node_sum(T_C, D_t, T_A, z, w, tol):
     for s in range(0, len(z), step):
         zb = z[s:s + step, None, None]
         B = np.broadcast_to(D_t, (len(zb), k, h))
-        Y = _guarded_solve(zb * np.eye(k) - T_C, B, tol)
+        Y = _guarded_solve(zb * np.eye(k) - T_C, B, tol, zb.ravel())
         # W (T_A - z) = Y is solved as (T_A - z)^T W^T = Y^T
-        Wt = _guarded_solve(T_A.T - zb * np.eye(h), np.swapaxes(Y, 1, 2), tol)
+        Wt = _guarded_solve(T_A.T - zb * np.eye(h), np.swapaxes(Y, 1, 2), tol,
+                            zb.ravel())
         total += np.tensordot(w[s:s + step], Wt, axes=1).T
     return total
 

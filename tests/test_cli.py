@@ -333,6 +333,30 @@ class TestIntegrateCommand:
         assert lines[-1] == "# converged"
         assert float(lines[-2].split(",")[5]) <= 1e-8
 
+    def test_singular_tag_exits_4_naming_it(self, tmp_path, capsys):
+        # spec(A) = spec(C): the exact integral's first tag, 0.25, is singular
+        M = matjson(np.diag([0.25, 0.75]))
+        path = write_problem(tmp_path, C=M, A=M, D=matjson(np.eye(2)),
+                             rect={"a": 0, "b": 1, "c": -0.5, "d": 0.5})
+        code, out, err = run(capsys, ["integrate", path, "--function",
+                                      "resolvent:A,D", "--grid-levels", "6"])
+        assert code == 4
+        assert out == ""
+        assert "at z = (0.25+0j)" in err
+
+    @pytest.mark.parametrize("A, D, message", [
+        (np.ones((2, 3)), np.eye(2), "A must be square"),
+        (np.eye(2), np.ones((2, 3)), "cannot form D (A - z)^{-1}"),
+        (np.eye(3), np.eye(3), "must have 2 columns to integrate"),
+    ])
+    def test_resolvent_shape_errors_exit_2(self, tmp_path, capsys, A, D, message):
+        path = write_problem(tmp_path, C=matjson(np.diag([1.0, 1j])), A=matjson(A),
+                             D=matjson(D), rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        code, out, err = run(capsys, ["integrate", path, "--function", "resolvent:A,D"])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_not_converged_exits_4(self, tmp_path, capsys):
         path = write_problem(tmp_path,
                              C=matjson(np.diag([0.311 + 0.013j, -0.573 + 0.771j])),

@@ -96,6 +96,17 @@ class TestResolvent:
             assert operator_norm(lhs - rhs) <= 1e-10
 
 
+    def test_errors_name_the_shift(self, rng, monkeypatch):
+        with pytest.raises(SingularResolventError,
+                           match=r"exactly singular at z = \(0\.25\+0j\)"):
+            resolvent(np.diag([0.25, 0.75]), 0.25)
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda S, B: real(S, B) * (1.0 + 1e-8))
+        with pytest.raises(SingularResolventError,
+                           match=r"the solve at z = 0\.5j lost all accuracy"):
+            resolvent(np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5), 0.5j)
+
     def test_guard_takes_no_svd(self, rng, monkeypatch):
         def no_svd(M):
             raise AssertionError("operator_norm called")
@@ -478,6 +489,48 @@ class TestNumrangeBounds:
         assert np.all(lower <= d.ravel())
         assert np.all(lower >= d.ravel() * (1.0 - 1e-10))
         assert np.all(upper - lower <= 1e-10 * upper)
+
+    def test_flat_range_brackets_the_far_side(self, monkeypatch):
+        # the draw seed = 283, h = 2, nonnormal = 0 of the test above: W(A)
+        # is a segment and g has two local maxima, +d at the outward normal
+        # from the nearest point and -d opposite; the grid picks -d, and
+        # the bracket alone ended 40 steps at L = 0, U = d
+        r = np.random.default_rng(283)
+        A, _ = random_normal(r, 2)
+        random_complex(r, 2, 2), r.standard_normal((2, 400))
+        box = 3.0 * np.linalg.norm(A, 2)
+        z = (np.trace(A) / 2 + box * (r.uniform(-1, 1, 6)
+                                      + 1j * r.uniform(-1, 1, 6)))[1:2]
+        sizes = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: sizes.append(np.size(t)) or real(A, t))
+        lower, upper = self._bounds(A, z)
+        assert len(sizes) - 1 <= 2
+        sweep = numrange_gap_sweep(A, z)
+        assert sweep == pytest.approx(0.00678, abs=1e-5)
+        assert lower[0] >= sweep * (1.0 - 1e-12)
+        assert upper[0] - lower[0] <= 1e-12 * upper[0]
+        assert numrange_gap(A, z) == lower[0]
+
+    def test_point_of_w_inside_a_polygon_with_repeated_vertices(self, monkeypatch):
+        # a normal A whose grid finds each vertex of W(A) several times,
+        # one rounding apart: the polygon's inside test read the direction
+        # of those rounding-length edges, and a Rayleigh quotient of A,
+        # inside the grid's polygon, took 26 steps to reach U = 0
+        r = np.random.default_rng(3003)
+        A, _ = random_normal(r, 3)
+        random_complex(r, 3, 3)
+        X = r.standard_normal((3, 200)) + 1j * r.standard_normal((3, 200))
+        x = X[:, 0] / np.linalg.norm(X[:, 0])
+        z = np.array([x.conj() @ A @ x])
+        sizes = []
+        real = linalg._support_values
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: sizes.append(np.size(t)) or real(A, t))
+        lower, upper = self._bounds(A, z)
+        assert lower[0] == upper[0] == 0.0
+        assert sizes == [linalg._COARSE_ANGLES]
 
     def test_few_steps_on_non_normal_a(self, rng, monkeypatch):
         # points outside W(A), and points of W(A) just inside its boundary,

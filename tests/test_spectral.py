@@ -199,6 +199,7 @@ class TestMeasureFields:
         ([], np.eye(0), []),
         ([[1.0, 2.0]], np.eye(2), [[1, 1]]),
         ([1.0, 2.0], np.ones((2, 3)), [1, 1]),
+        ([1.0, 2.0], np.eye(2), [1.7, 1.2]),  # truncated to [1, 1] before
     ])
     def test_shapes_must_fit(self, eigenvalues, basis, multiplicities):
         with pytest.raises(ShapeMismatchError):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from opint import (
     BoundaryEigenvalueError,
+    SingularResolventError,
     GridPartition,
     NoConvergenceError,
     OperatorFunction,
@@ -23,6 +24,7 @@ from opint import (
     left_sum,
     lnest_bound,
     operator_norm,
+    resolvent,
     right_sum,
     solve_kronecker,
     SpectralMeasure,
@@ -30,14 +32,19 @@ from opint import (
     dyadic_level_sum,
 )
 
-from opint import stieltjes
+import scipy.linalg
+
+from opint import linalg, stieltjes
 
 from conftest import (
+    bounding_rect,
+    count_calls,
     estimate_lipschitz_loop,
     projections,
     random_complex,
     random_normal,
     random_unitary,
+    shift_sweep,
     spectral_sum_loop,
 )
 
@@ -341,6 +348,171 @@ class TestFactoredSum:
             with pytest.raises(ShapeMismatchError) as loop:
                 with_cell_loop(fn, *args)
             assert str(factored.value) == str(loop.value)
+
+
+# odd multiples of 1/4 lie on dyadic lines of both rectangles from level 3
+RESOLVENT_RECTS = [Rect(-2.0, 2.0, -2.0, 2.0), Rect(-0.5, 1.5, -1.0, 1.0)]
+QUARTERS = np.array([-0.75, -0.25, 0.25, 0.75])
+
+
+@st.composite
+def resolvent_case(draw):
+    """A resolvent family D (A - z)^{-1} with h x n values, h != n, and a
+    normal or non-normal A with spectrum in Re z in (2.5, 3.5); a measure
+    of n <= 12 dimensions whose eigenvalues repeat among n // 2 + 1 atoms
+    in (-1, 1)^2, about half of them on dyadic lines; a rectangle that
+    holds the spectrum or cuts it, a partition of it and a level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    k = n // 2 + 1
+    on_lines = rng.choice(QUARTERS, k) + 1j * rng.choice(QUARTERS, k)
+    atoms = np.where(rng.random(k) < 0.5, on_lines,
+                     rng.uniform(-1.0, 1.0, k) + 1j * rng.uniform(-1.0, 1.0, k))
+    U = random_unitary(rng, n)
+    C = U @ np.diag(atoms[rng.integers(k, size=n)]) @ U.conj().T
+    A, _ = random_normal(rng, n, re=(2.5, 3.5))
+    if draw(st.booleans()):
+        A = A + 0.5 * np.triu(random_complex(rng, n, n), 1)
+    h = draw(st.integers(1, 12).filter(lambda h: h != n))
+    F = OperatorFunction.resolvent_family(A, random_complex(rng, h, n))
+    rect = draw(st.sampled_from(RESOLVENT_RECTS))
+    p = GridPartition.uniform(rect, draw(st.integers(1, 9)), draw(st.integers(1, 9)),
+                              draw(st.sampled_from(["lower_left", "center"])))
+    return decompose_normal(C), F, rect, p, draw(st.integers(1, 8))
+
+
+class TestResolventSums:
+    """A resolvent family sums all its cells in one triangular solve; the
+    per-cell loop of `resolvent` values is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(resolvent_case())
+    def test_sums_match_cell_loop(self, case):
+        sm, F, rect, p, level = case
+        for fn, args in [(right_sum, (F, sm, p)), (dyadic_level_sum, (F, sm, rect, level)),
+                         (exact_right_integral, (F, sm, rect))]:
+            J, loop = fn(*args), with_cell_loop(fn, *args)
+            assert J.shape == loop.shape
+            assert operator_norm(J - loop) <= 1e-13 * max(1.0, operator_norm(loop))
+
+    @settings(max_examples=15, deadline=None)
+    @given(resolvent_case())
+    def test_refinement_matches_cell_loop(self, case):
+        sm, F, rect, _, _ = case
+        J, report = refine(F, sm, rect)
+        J_ref, ref = with_cell_loop(refine, F, sm, rect)
+        assert len(report.levels) == len(ref.levels)
+        assert report.converged == ref.converged
+        # the same exact-zero streaks
+        assert ([diff == 0.0 for _, diff in report.levels]
+                == [diff == 0.0 for _, diff in ref.levels])
+        assert operator_norm(J - J_ref) <= 1e-13 * max(1.0, operator_norm(J_ref))
+
+    @pytest.mark.parametrize("with_d", [True, False])
+    def test_one_schur_form_and_no_resolvent(self, rng, monkeypatch, with_d):
+        C, _ = random_normal(rng, 6, repeat=True)
+        A, _ = random_normal(rng, 6, re=(2.5, 3.5))
+        D = random_complex(rng, 3, 6) if with_d else None
+        sm = decompose_normal(C)
+        schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        resolvents = count_calls(monkeypatch, linalg.resolvent)
+        solves = count_calls(monkeypatch, linalg._guarded_solve)
+        F = OperatorFunction.resolvent_family(A, D)
+        J, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=60)
+        exact = exact_right_integral(F, sm, RECT)
+        dyadic_level_sum(F, sm, RECT, 5)
+        assert report.converged and len(report.levels) > 20
+        assert len(schurs) == 1 and resolvents == [] and solves == []
+        assert operator_norm(J - exact) <= 1e-8 * operator_norm(exact)
+        # F(lambda, mu) and the left sums stay on one resolvent per tag
+        value = F(0.25, 0.5)
+        assert len(resolvents) == 1
+        R = scipy.linalg.inv(A - (0.25 + 0.5j) * np.eye(6))
+        assert_allclose(value, R if D is None else D @ R, rtol=1e-12, atol=1e-14)
+        left = exact_left_integral(OperatorFunction(lambda lam, mu: adjoint(F(lam, mu))),
+                                   sm, RECT)
+        assert len(resolvents) == 1 + len(sm)
+        assert operator_norm(adjoint(left) - exact) <= 1e-13 * operator_norm(exact)
+
+    def test_no_tag_passes_that_resolvent_rejects(self, rng):
+        A0, _ = random_normal(rng, 4)
+        jordan = 2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]), jordan,
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1), 1e4 * A0]
+        swept = hits = 0
+        for M in matrices:
+            far = 10.0 * max(1.0, operator_norm(M)) * (1.0 + 1.0j)
+            for z in shift_sweep(np.linalg.eigvals(M)):
+                try:
+                    resolvent(M, z)
+                    old_raises = False
+                except SingularResolventError:
+                    old_raises = True
+                # a 2-fold atom at z and one far from spec(M), as tags
+                sm = SpectralMeasure([z, far], np.eye(4), [2, 2])
+                F = OperatorFunction.resolvent_family(M)
+                try:
+                    exact_right_integral(F, sm, bounding_rect(sm))
+                    new_raises = False
+                except SingularResolventError as exc:
+                    assert f"z = {complex(z)}" in str(exc)
+                    new_raises = True
+                assert new_raises or not old_raises, (M, z)
+                swept += 1
+                hits += old_raises
+        assert swept == 4 * 4 * 16 * 3
+        assert hits > 0  # the exact hits at p = 16 make the sweep bite
+
+    def test_cancelling_tag_raises(self):
+        z = 0.5 + 0.25j
+        A = z * np.eye(4) + 1e-15 * np.triu(np.ones((4, 4)))
+        sm = SpectralMeasure([z, 5.0], np.eye(4), [2, 2])
+        F = OperatorFunction.resolvent_family(A, np.ones((1, 4)))
+        with pytest.raises(SingularResolventError, match=r"cancels.*z = \(0\.5\+0\.25j\)"):
+            exact_right_integral(F, sm, bounding_rect(sm))
+        p = GridPartition([-1.0, 0.5, 1.0], [0.0, 0.25, 1.0])
+        with pytest.raises(SingularResolventError, match="cancels"):
+            right_sum(F, sm, p)
+
+    @pytest.mark.parametrize("fault", ["inexact", "scale", "info", "nan"])
+    def test_guard_rejects_faulty_solves(self, rng, monkeypatch, fault):
+        sm = decompose_normal(random_normal(rng, 5, repeat=True)[0])
+        A = random_normal(rng, 5, re=(2.5, 3.5))[0] + np.triu(random_complex(rng, 5, 5), 1)
+        F = OperatorFunction.resolvent_family(A, random_complex(rng, 2, 5))
+        dyadic_level_sum(F, sm, RECT, 4)
+        real = scipy.linalg.lapack.ztrsyl
+
+        def faulty(*args):
+            Y, scale, info = real(*args)
+            if fault == "inexact":
+                Y = Y * (1.0 + 1e-8)
+            elif fault == "scale":
+                scale = 0.5
+            elif fault == "info":
+                info = 1
+            else:
+                Y[0, 0] = np.nan
+            return Y, scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", faulty)
+        with pytest.raises(SingularResolventError):
+            dyadic_level_sum(F, sm, RECT, 4)
+
+    @pytest.mark.parametrize("A, D", [
+        (np.ones((2, 3)), None),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), None),
+        (np.eye(2), np.ones((3, 3))),
+        (np.eye(2), np.array([[1.0, np.inf]])),
+    ])
+    def test_family_validates_a_and_d(self, A, D):
+        with pytest.raises(ShapeMismatchError):
+            OperatorFunction.resolvent_family(A, D)
+
+    def test_record_is_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            OperatorFunction(lambda lam, mu: np.eye(2), _resolvent=(np.eye(2), None, None))
+        assert OperatorFunction.constant(np.eye(2))._resolvent is None
+        assert OperatorFunction.affine(1.0, 2.0, 2)._resolvent is None
 
 
 class TestExactIntegrals:

@@ -337,15 +337,16 @@ class TestContourQuadrature:
         tol = sylvester.DEFAULT_TOLERANCES
         with pytest.raises(SingularResolventError):  # 1e10 / 1e-310 overflows
             sylvester._guarded_solve(np.full((1, 1, 1), 1e-310 + 0j),
-                                     np.full((1, 1, 1), 1e10 + 0j), tol)
+                                     np.full((1, 1, 1), 1e10 + 0j), tol, [0.0])
+        # S = M - z for M = triu(...) and z = -3
         S = np.triu(random_complex(rng, 4, 4)) + 3.0 * np.eye(4)
         B = random_complex(rng, 4, 2)[None]
-        sylvester._guarded_solve(S[None], B, tol)
+        sylvester._guarded_solve(S[None], B, tol, [-3.0])
         real_solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda S, B: real_solve(S, B) * (1.0 + 1e-8))
-        with pytest.raises(SingularResolventError):
-            sylvester._guarded_solve(S[None], B, tol)
+        with pytest.raises(SingularResolventError, match=r"at z = \(-3"):
+            sylvester._guarded_solve(S[None], B, tol, [-3.0])
 
     def test_resolvent_and_contour_nodes_share_one_guarded_solve(self, rng,
                                                                   monkeypatch):
