@@ -72,9 +72,17 @@ def operator_norm(M):
     return float(np.linalg.norm(A, 2))
 
 
+def _square_scale(big, count):
+    """big if count squares up to big^2 underflow or overflow, else 1."""
+    fits = np.finfo(float).tiny <= big * big and count * big * big <= np.finfo(float).max
+    return big if 0.0 < big < np.inf and not fits else 1.0
+
+
 def hs_norm(M):
-    """Frobenius norm of M."""
-    return float(np.linalg.norm(np.asarray(M, dtype=np.complex128), "fro"))
+    """Frobenius norm of M, scaled where a square would leave the normal range."""
+    A = np.asarray(M, dtype=np.complex128)
+    s = _square_scale(float(np.abs(A).max(initial=0.0)), A.size)
+    return s * float(np.linalg.norm(A / s, "fro"))
 
 
 def adjoint(M):
@@ -96,8 +104,10 @@ def _accept_residuals(residual, op_norm, sol_norm, tol, shifts):
         ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
     if not ok.all():
         i = np.flatnonzero(~ok)[0]
-        raise SingularResolventError(f"the solve at z = {complex(shifts[i])} lost all "
-                                     f"accuracy (residual {residual[i]:.3e})")
+        why = ("lost all accuracy" if np.isfinite(scale[i])
+               else "cannot be checked: the scale of its residual test overflowed")
+        raise SingularResolventError(f"the solve at z = {complex(shifts[i])} {why} "
+                                     f"(residual {residual[i]:.3e})")
 
 
 def _guarded_solve(S, B, tol, shifts):

@@ -87,6 +87,7 @@ class SpectralMeasure:
     multiplicities: np.ndarray
     tolerances: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
     spectral_radius: float = field(init=False)
+    _edge_tol: float = field(init=False, repr=False)  # tol_cluster * max(1, radius)
 
     def __post_init__(self):
         if not isinstance(self.tolerances, Tolerances):
@@ -101,9 +102,11 @@ class SpectralMeasure:
                 f"a measure needs K >= 1 eigenvalues, K integer multiplicities >= 1 "
                 f"and a square basis of their sum: got {z.shape}, {given.tolist()}, "
                 f"{Q.shape}")
+        radius = float(np.abs(z).max())
+        edge_tol = self.tolerances.tol_cluster * max(1.0, radius)
         for name, value in (("eigenvalues", z), ("basis", Q), ("multiplicities", m),
                             ("_offsets", np.concatenate(([0], np.cumsum(m)))),
-                            ("spectral_radius", float(np.abs(z).max()))):
+                            ("spectral_radius", radius), ("_edge_tol", edge_tol)):
             object.__setattr__(self, name, value)
 
     def __len__(self):
@@ -143,10 +146,9 @@ class SpectralMeasure:
     def near_boundary(self, rect):
         """A message naming the first eigenvalue within tol_cluster *
         max(1, radius) of the edge lines of rect, or None if none is."""
-        threshold = self.tolerances.tol_cluster * max(1.0, self.spectral_radius)
         z = self.eigenvalues
-        z = z[rect.boundary_distance(z.real, z.imag) <= threshold]
-        return (f"eigenvalue {z[0]} lies within {threshold:.2e} of the rectangle "
+        z = z[rect.boundary_distance(z.real, z.imag) <= self._edge_tol]
+        return (f"eigenvalue {z[0]} lies within {self._edge_tol:.2e} of the rectangle "
                 "boundary; " if z.size else None)
 
 

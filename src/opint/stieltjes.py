@@ -49,7 +49,8 @@ class OperatorFunction:
     when the function is f(lambda + i mu) times the dim x dim identity;
     only `from_scalar` sets it, so it always agrees with evaluate.  In
     the same way only `resolvent_family` sets the private record
-    (A, D, tol) of D (A - z)^{-1}, D = I if not given.
+    (A, D, tol) of D (A - z)^{-1}, D = I if not given, and the first
+    Stieltjes sum of it the Schur form (T, U, D conj(U)) of A^T.
     """
 
     evaluate: Callable[[float, float], np.ndarray]
@@ -57,6 +58,7 @@ class OperatorFunction:
     gamma2: Optional[float] = None
     scalar: Optional[tuple] = field(default=None, init=False, repr=False)
     _resolvent: Optional[tuple] = field(default=None, init=False, repr=False)
+    _schur: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
@@ -207,14 +209,18 @@ def _dyadic_axes(rect, level):
     """The uniform 2^level x 2^level grid: line i at lo + i h, and a
     coordinate finds its cell by floor, so a deep level never
     materializes its lines.  Cell indices are int64, so level 62 is the
-    deepest; a deeper one raises ValueError."""
+    deepest; a deeper one raises ValueError, as does a spacing not in (0, inf)."""
     if level > 62:
         raise ValueError(
             f"level {level} exceeds the largest supported dyadic level, 62")
     n = 2 ** level
+    spacing = (rect.width / n, rect.height / n)
+    if not all(0.0 < h < math.inf for h in spacing):
+        raise ValueError(f"the level-{level} grid on {rect} has line spacing "
+                         f"{spacing}, which is not finite and positive")
     return [(lambda i, lo=lo, h=h: lo + i * h,
              lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64), n)
-            for lo, h in ((rect.a, rect.width / n), (rect.c, rect.height / n))]
+            for lo, h in zip((rect.a, rect.c), spacing)]
 
 
 def _locate(coords, axis, thresh, shift):
@@ -249,48 +255,51 @@ def _locate(coords, axis, thresh, shift):
     return cell + rows - 1, pos[rows, cols], moved[rows, cols], moved[rows + 1, cols]
 
 
-def _spectral_sum(F, sm, cells, empty_tag):
-    """sum F(tag) E(S) over cells (tag_lambda, tag_mu, atoms S).
+def _spectral_sum(F, sm, atoms, tags, empty_tag):
+    """sum_k F(tags[k]) P_k over a grid record (atoms k, one tag lambda +
+    i mu each), whose cells are the sets S of atoms with equal tags.
 
     With E(S) = Q_S Q_S* the whole sum is one factored product,
-    [F(t_1) Q_1, F(t_2) Q_2, ...] [Q_1, Q_2, ...]*, taken in the cell
-    order given, so results are bit-reproducible at a fixed BLAS thread
-    count.  Without cells the result is the zero matrix of the shape of
-    F(empty_tag), as E(empty set) = 0.  A scalar integrand F = f I gives
-    sum_k f(tag of atom k) P_k, without forming f(tag) I, and a resolvent
-    family takes all its cells in one solve (`_resolvent_sum`).
+    [F(t_1) Q_1, F(t_2) Q_2, ...] [Q_1, Q_2, ...]*, cells in tag order
+    (row-major on a grid), atoms in index order within a cell, so results
+    are bit-reproducible at a fixed BLAS thread count.  Without atoms the
+    result is the zero matrix of the shape of F(empty_tag), as E(empty
+    set) = 0.  A scalar integrand F = f I gives sum_k f(tags[k]) P_k,
+    without forming f(tag) I, and a resolvent family takes the atoms, in
+    the same order, in one solve (`_resolvent_sum`).
     """
     if F.scalar is not None:
-        return sm._weighted(_atom_values(F, sm, cells))
+        return sm._weighted(_atom_values(F, sm, atoms, tags))
+    cells, cell_of = np.unique(tags, return_inverse=True)
+    by_cell = np.argsort(cell_of, kind="stable")
     if F._resolvent is not None:
-        return _resolvent_sum(F, sm, cells)
-    blocks, order = [], []
-    for lam, mu, atoms in cells or [(*empty_tag, [])]:
-        value = F(lam, mu)
+        return _resolvent_sum(F, sm, atoms[by_cell], tags[by_cell])
+    order = atoms[by_cell]
+    blocks = []
+    for t, S in zip(cells.tolist() or [complex(*empty_tag)],
+                    np.split(order, np.cumsum(np.bincount(cell_of))[:-1])):
+        value = F(t.real, t.imag)
         _check_shape(value.shape, sm)
-        blocks.append(_finite(value, lam, mu) @ sm.columns(atoms))
-        order.extend(atoms)
+        blocks.append(_finite(value, t) @ sm.columns(S))
     return np.concatenate(blocks, axis=1) @ adjoint(sm.columns(order))
 
 
-def _resolvent_sum(F, sm, cells):
-    """sum D (A - tag)^{-1} E(S) over cells for F = D (A - z)^{-1}, the
+def _resolvent_sum(F, sm, atoms, tags):
+    """sum_k D (A - tags[k])^{-1} P_k for F = D (A - z)^{-1}, the
     transpose of a left sum of A^T against the measure of C^T: on a Schur
-    form A^T = U T U*, computed once per F, atom k of cell c has the rows
-    Y_k = Q_k^T U (T - t_c)^{-1} of one `_triangular_resolvents` (which
-    names a failing tag), and the sum is D conj(U) Y^T Q_S*."""
+    form A^T = U T U*, computed once per F, atom k has the rows
+    Y_k = Q_k^T U (T - tags[k])^{-1} of one `_triangular_resolvents`
+    (which names a failing tag), and the sum is D conj(U) Y^T Q_S*."""
     A, D, tol = F._resolvent
     _check_shape(D.shape, sm)
-    order = [k for _, _, atoms in cells for k in atoms]
-    if not order:
+    if not len(atoms):
         return np.zeros((len(D), sm.dim), dtype=np.complex128)
-    if not hasattr(F, "_schur"):  # once per integrand
+    if F._schur is None:
         T, U = scipy.linalg.schur(A.T, output="complex")
         F._schur = T, U, D @ np.conj(U)
     T, U, DU = F._schur
-    tags = [complex(lam, mu) for lam, mu, atoms in cells for _ in atoms]
-    Q = sm.columns(order)
-    Y = _triangular_resolvents(T, Q.T @ U, tags, sm.multiplicities[order], tol)
+    Q = sm.columns(atoms)
+    Y = _triangular_resolvents(T, Q.T @ U, tags, sm.multiplicities[atoms], tol)
     return DU @ Y.T @ adjoint(Q)
 
 
@@ -301,57 +310,45 @@ def _check_shape(shape, sm):
             f"n = {sm.dim}: right integrands are (h x n), left ones (n x h)")
 
 
-def _finite(value, lam, mu):
+def _finite(value, tag):
     """value, once every entry of it is finite."""
     bad = np.asarray(value)[~np.isfinite(value)]
     if bad.size:
-        raise ValueError(f"integrand value {bad[0]} at tag ({lam}, {mu}) "
+        raise ValueError(f"integrand value {bad[0]} at tag ({tag.real}, {tag.imag}) "
                          "is not finite")
     return value
 
 
-def _atom_values(F, sm, cells):
-    """f(tag) on each atom of the cells for a scalar integrand F = f I,
-    one call per cell, and 0 on the other atoms."""
+def _atom_values(F, sm, atoms, tags):
+    """f(tags[k]) on each atom k of a grid record for a scalar integrand
+    F = f I, one call per cell, and 0 on the other atoms."""
     f, dim = F.scalar
     _check_shape((dim, dim), sm)
+    cells, cell_of = np.unique(tags, return_inverse=True)
+    values = np.array([f(t) for t in cells.tolist()], dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        _finite(values[bad[0]], cells[bad[0]])
     v = np.zeros(len(sm), dtype=np.complex128)
-    for lam, mu, atoms in cells:
-        v[atoms] = f(complex(lam, mu))
-    if not np.all(np.isfinite(v)):
-        for lam, mu, atoms in cells:
-            _finite(v[atoms[0]], lam, mu)
+    v[atoms] = values[cell_of]
     return v
 
 
-def _grid_cells(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
-    """Occupied cells (tag_lambda, tag_mu, atoms) of the atoms of sm in
-    rect on a grid of two axes, with the (n_atoms, 2) per-atom tags and
-    atom coordinates.  Cells come in row-major order, atoms in index
-    order within a cell.
-    """
-    thresh = sm.tolerances.tol_cluster * max(1.0, sm.spectral_radius)
+def _grid_tags(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
+    """The record of a grid of two axes: the atoms of sm in rect, in index
+    order, and the tag lambda + i mu of the cell that holds each."""
     atoms = sm.atoms_in(rect)
-    coords = (sm.eigenvalues[atoms].real, sm.eigenvalues[atoms].imag)
-    cells, tags = [], []
-    for d, (x, axis) in enumerate(zip(coords, axes)):
-        cell, lower, lower_moved, upper_moved = _locate(x, axis, thresh, 2.0 * thresh)
+    tags = sm.eigenvalues[atoms]  # a copy: each axis of it becomes the tags
+    for d, (x, axis) in enumerate(zip((tags.real, tags.imag), axes)):
+        cell, lower, lower_moved, upper_moved = _locate(x, axis, sm._edge_tol,
+                                                        2.0 * sm._edge_tol)
         # a lower line moved down keeps the original corner as tag (still
         # in the cell, and an atom sitting exactly on a grid line is then
         # tagged at its own coordinate); one moved up becomes the tag
-        if tag_rule == "lower_left":
-            tag = np.maximum(lower, lower_moved)
-        elif tag_rule == "center":
-            tag = 0.5 * (lower_moved + upper_moved)
-        else:
-            tag = custom_tags[d][cell]
-        cells.append(cell.tolist())
-        tags.append(tag)
-    tags = np.column_stack(tags)
-    groups = {}
-    for atom, j, k, (xi, zeta) in zip(atoms.tolist(), *cells, tags.tolist()):
-        groups.setdefault((j, k), (xi, zeta, []))[2].append(atom)
-    return [groups[key] for key in sorted(groups)], tags, np.column_stack(coords)
+        x[:] = (np.maximum(lower, lower_moved) if tag_rule == "lower_left" else
+                0.5 * (lower_moved + upper_moved) if tag_rule == "center" else
+                custom_tags[d][cell])
+    return atoms, tags
 
 
 def right_sum(F, sm, p):
@@ -363,8 +360,8 @@ def right_sum(F, sm, p):
     """
     lp, mp = p.lambda_points, p.mu_points
     rect = Rect(lp[0], lp[-1], mp[0], mp[-1])
-    cells = _grid_cells(sm, rect, _explicit_axes(p), p.tag_rule, p.custom_tags)[0]
-    return _spectral_sum(F, sm, cells, (rect.a, rect.c))
+    record = _grid_tags(sm, rect, _explicit_axes(p), p.tag_rule, p.custom_tags)
+    return _spectral_sum(F, sm, *record, (rect.a, rect.c))
 
 
 def left_sum(G, sm, p):
@@ -385,9 +382,8 @@ def exact_right_integral(F, sm, rect):
     if near:
         raise BoundaryEigenvalueError(
             near + "the exact integral over this rectangle is ill posed")
-    cells = [(sm.eigenvalues[k].real, sm.eigenvalues[k].imag, [k])
-             for k in sm.atoms_in(rect)]
-    return _spectral_sum(F, sm, cells, (rect.a, rect.c))
+    atoms = sm.atoms_in(rect)
+    return _spectral_sum(F, sm, atoms, sm.eigenvalues[atoms], (rect.a, rect.c))
 
 
 def exact_left_integral(G, sm, rect):
@@ -405,8 +401,8 @@ def dyadic_level_sum(F, sm, rect, level):
     lower-left tags.  The grid is implicit, so deep levels stay cheap."""
     if level < 1:
         raise ValueError("level must be at least 1")
-    cells = _grid_cells(sm, rect, _dyadic_axes(rect, level))[0]
-    return _spectral_sum(F, sm, cells, (rect.a, rect.c))
+    record = _grid_tags(sm, rect, _dyadic_axes(rect, level))
+    return _spectral_sum(F, sm, *record, (rect.a, rect.c))
 
 
 def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
@@ -438,29 +434,31 @@ def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
     max_levels is exhausted, which usually signals an integrand without
     the required Lipschitz regularity, and ValueError for a tol that is
     not a finite nonnegative number, an integrand value that is not
-    finite, or a level past 62.
+    finite, or a level past 62 or whose grid spacing is not finite.
     """
     if max_levels < 2:
         raise ValueError("max_levels must be at least 2")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    atoms = sm.atoms_in(rect)
     if F.scalar is None:
-        level_value = lambda cells: _spectral_sum(F, sm, cells, (rect.a, rect.c))
+        level_value = lambda tags: _spectral_sum(F, sm, atoms, tags, (rect.a, rect.c))
         dense, distance = (lambda J: J), (lambda J, K: operator_norm(J - K))
     else:
-        Q = sm.columns(sm.atoms_in(rect))
+        Q = sm.columns(atoms)
         # ||Q_S* Q_S||_2 <= 1 + ||Q_S* Q_S - I||_F, computed once per call
         gram = 1.0 + float(np.linalg.norm(adjoint(Q) @ Q - np.eye(Q.shape[1])))
-        level_value = lambda cells: _atom_values(F, sm, cells)
+        level_value = lambda tags: _atom_values(F, sm, atoms, tags)
         dense, distance = sm._weighted, lambda v, w: gram * float(np.max(np.abs(v - w)))
+    coords = sm.eigenvalues[atoms].view(float)  # (lambda, mu) of each atom
     levels = []
     values = [] if keep_values else None
     prev = None
     prev_tags = None
     moved = None
     for level in range(1, max_levels + 1):
-        cells, tags, coords = _grid_cells(sm, rect, _dyadic_axes(rect, level))
-        v = level_value(cells)
+        tags = _grid_tags(sm, rect, _dyadic_axes(rect, level))[1]
+        v = level_value(tags)
         mesh = (rect.width + rect.height) / 2 ** level
         if keep_values:
             values.append(dense(v))
@@ -468,9 +466,10 @@ def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
         diff = math.nan if prev is None else distance(v, prev)
         levels.append((mesh, diff))
         if diff == 0.0:
-            changed = tags != prev_tags
+            # per axis: the real and the imaginary part of each tag
+            changed = tags.view(float) != prev_tags.view(float)
             moved = changed if moved is None else (moved | changed)
-            done = bool(np.all(moved | (tags == coords)))
+            done = bool(np.all(moved | (tags.view(float) == coords)))
         else:
             moved, done = None, diff <= tol
         if done:

@@ -14,6 +14,7 @@ from opint import (
     operator_norm,
 )
 from opint.linalg import _rounding_slack
+from opint.stieltjes import _locate
 
 
 def random_unitary(rng, n):
@@ -205,7 +206,48 @@ def estimate_lipschitz_loop(F, rect, samples_per_axis):
     return gamma1, gamma2
 
 
-def spectral_sum_loop(F, sm, cells, empty_tag):
+def grid_cells_dict(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
+    """Occupied cells (tag_lambda, tag_mu, atoms) of the atoms of sm in
+    rect on a grid of two axes, the way the cells were once built: one
+    dict entry per (j, k) cell, filled atom by atom, then row-major, with
+    atoms in index order within a cell."""
+    thresh = sm.tolerances.tol_cluster * max(1.0, sm.spectral_radius)
+    atoms = sm.atoms_in(rect)
+    coords = (sm.eigenvalues[atoms].real, sm.eigenvalues[atoms].imag)
+    cells, tags = [], []
+    for d, (x, axis) in enumerate(zip(coords, axes)):
+        cell, lower, lower_moved, upper_moved = _locate(x, axis, thresh, 2.0 * thresh)
+        if tag_rule == "lower_left":
+            tag = np.maximum(lower, lower_moved)
+        elif tag_rule == "center":
+            tag = 0.5 * (lower_moved + upper_moved)
+        else:
+            tag = custom_tags[d][cell]
+        cells.append(cell.tolist())
+        tags.append(tag.tolist())
+    groups = {}
+    for atom, j, k, xi, zeta in zip(atoms.tolist(), *cells, *tags):
+        groups.setdefault((j, k), (xi, zeta, []))[2].append(atom)
+    return [groups[key] for key in sorted(groups)]
+
+
+def record_cells(atoms, tags):
+    """A grid record grouped into cells (tag_lambda, tag_mu, atoms S) by a
+    dict: the atoms with equal tags, cells in tag order, atoms in index
+    order within a cell."""
+    groups = {}
+    for atom, tag in zip(np.asarray(atoms).tolist(), np.asarray(tags).tolist()):
+        groups.setdefault((tag.real, tag.imag), []).append(atom)
+    return [(*key, sorted(groups[key])) for key in sorted(groups)]
+
+
+def spectral_sum_loop(F, sm, atoms, tags, empty_tag):
+    """sum_k F(tags[k]) P_k over a grid record, by `cell_sum_loop` over
+    its `record_cells`."""
+    return cell_sum_loop(F, sm, record_cells(atoms, tags), empty_tag)
+
+
+def cell_sum_loop(F, sm, cells, empty_tag):
     """sum F(tag) E(S) over cells (tag_lambda, tag_mu, atoms S), one
     n x n term (F Q_S) Q_S* added per cell in the order given; the zero
     matrix of the shape of F(empty_tag) without cells."""

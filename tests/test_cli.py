@@ -296,6 +296,32 @@ class TestEnormCommand:
         assert out == "" and "exceeds" in err
 
 
+class TestHugeEntries:
+    """Entries near 1e200, whose squares overflow, on C = diag(0, 1) or I."""
+
+    BIG = 1e200 * np.ones((2, 2))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_enorm(self, tmp_path, capsys, scale):
+        path = write_problem(tmp_path, C=matjson(np.eye(2)),
+                             Y=matjson(scale * np.ones((2, 2))))
+        code, out, _ = run(capsys, ["enorm", path])
+        assert code == 0
+        for value in json.loads(out).values():
+            assert value == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("argv,exit_code,message", [
+        (["riccati"], 3, ""),
+        (["sylvester", "--method", "kronecker"], 0, ""),
+        (["sylvester"], 4, "the scale of its residual test overflowed")])
+    def test_solvers(self, tmp_path, capsys, argv, exit_code, message):
+        path = write_problem(tmp_path, A=matjson(np.diag([3.0, 4.0])),
+                             B=matjson(np.eye(2)), C=matjson(np.diag([0.0, 1.0])),
+                             D=matjson(self.BIG))
+        code, _, err = run(capsys, argv[:1] + [path] + argv[1:])
+        assert code == exit_code and message in err
+
+
 class TestIntegrateCommand:
     def test_affine_study(self, tmp_path, capsys):
         path = write_problem(tmp_path, C=matjson(np.diag([1.0, 1j])),
@@ -459,6 +485,26 @@ class TestIntegrateCommand:
         code, out, _ = run(capsys, ["integrate", path] + argv)
         assert code == exit_code
         assert out == csv
+
+    @pytest.mark.parametrize("atoms,argv,exit_code,csv", GOLDEN)
+    def test_output_is_byte_stable_under_optimized_python(self, tmp_path, atoms, argv,
+                                                          exit_code, csv):
+        path = write_problem(tmp_path, C=matjson(np.diag(atoms)),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+        cmd = [sys.executable, "-O", "-m", "opint", "integrate", path] + argv
+        out = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == exit_code, out.stderr
+        assert out.stdout == csv
+
+    def test_overflowing_rect_exits_2(self, tmp_path, capsys):
+        # the width of [-1e308, 1e308) is inf: an IndexError exited 1
+        path = write_problem(tmp_path, C=matjson(np.diag([0.5 + 0.25j, -1.0])),
+                             rect={"a": -1e308, "b": 1e308, "c": -2, "d": 2})
+        code, out, err = run(capsys, ["integrate", path, "--function", "affine:1,2"])
+        assert code == 2 and out == ""
+        assert "line spacing (inf, 2.0), which is not finite and positive" in err
 
     def test_missing_rect_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, C=matjson(np.eye(2)))

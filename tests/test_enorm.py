@@ -126,6 +126,22 @@ class TestENorm:
         assert e_norm(alpha * Y, sm) == pytest.approx(
             abs(alpha) * e_norm(Y, sm), rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norms_leave_no_square_out_of_range(self, scale):
+        # squared, 1e200 overflowed (OverflowError) and 1e-200 underflowed to 0
+        sm = decompose_normal(np.eye(2))
+        Y = scale * np.ones((2, 2))
+        for value in (e_norm(Y, sm), opint.hs_norm(Y)):
+            assert value == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
+        op, en, hs = check_enorm_sandwich(Y, sm)
+        assert op == pytest.approx(en, rel=1e-15, abs=0.0)
+        assert en == pytest.approx(hs, rel=1e-15, abs=0.0)
+        # two atoms, one of them far below the other
+        sm = decompose_normal(np.diag([0.0, 1.0]))
+        Y = np.array([[scale, scale], [1.0, 1.0]])
+        expected = np.sqrt(2.0) * np.hypot(scale, 1.0)
+        assert e_norm(Y, sm) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_projection_contracts(self, rng):
         C, _ = random_normal(rng, 6)
         sm = decompose_normal(C)

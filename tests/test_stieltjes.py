@@ -38,12 +38,15 @@ from opint import linalg, stieltjes
 
 from conftest import (
     bounding_rect,
+    cell_sum_loop,
     count_calls,
     estimate_lipschitz_loop,
+    grid_cells_dict,
     projections,
     random_complex,
     random_normal,
     random_unitary,
+    record_cells,
     shift_sweep,
     spectral_sum_loop,
 )
@@ -268,6 +271,80 @@ class TestOneCellRule:
         sm = diagonal_measure([1e-12 + 0.5j])
         p = GridPartition([-1.0, -1e-8, 0.0, 1.0], [0.0, 1.0], tag_rule="center")
         assert right_sum(z_function(1), sm, p)[0, 0] == 0.5 + 0.5j
+
+
+@st.composite
+def grid_record_case(draw):
+    """A measure of n <= 18 dimensions on a random basis whose atoms, of
+    multiplicity 1 to 3, sit in GRID_RECTS[0] on, near or off dyadic
+    lines (some on the same point); an integrand of one of the three
+    routes (scalar, general h x n, resolvent); and a grid: an explicit
+    partition with one of the three tag rules, its lines at times on or
+    1e-12 beside atoms, or a dyadic level from 1 to 62."""
+    rect = GRID_RECTS[0]
+    z = np.array(draw(st.lists(st.builds(complex, grid_coordinate(rect.a, rect.b),
+                                         grid_coordinate(rect.c, rect.d)),
+                               min_size=2, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = z[rng.integers(len(z), size=rng.integers(1, 7))]  # repeats stack atoms
+    m = rng.integers(1, 4, size=len(z))
+    n = int(m.sum())
+    sm = SpectralMeasure(z, random_unitary(rng, n), m)
+    kind = draw(st.sampled_from(["scalar", "matrix", "resolvent"]))
+    if kind == "scalar":
+        F = OperatorFunction.from_scalar(lambda w: w + 0.3 * w * w, n)
+    elif kind == "matrix":
+        M = random_complex(rng, 3, n), random_complex(rng, 3, n)
+        F = OperatorFunction(lambda lam, mu: M[0] + complex(lam, mu) * M[1])
+    else:
+        A, _ = random_normal(rng, n, re=(2.5, 3.5))
+        F = OperatorFunction.resolvent_family(A, random_complex(rng, 3, n))
+    rule = draw(st.sampled_from(["lower_left", "center", "custom", "dyadic"]))
+    if rule == "dyadic":
+        level = draw(st.one_of(st.integers(1, 6), st.integers(1, 62)))
+        return sm, F, rect, stieltjes._dyadic_axes(rect, level), {}
+    lines = []
+    for lo, hi, coord in ((rect.a, rect.b, z.real), (rect.c, rect.d, z.imag)):
+        inner = np.linspace(lo, hi, draw(st.integers(1, 9)) + 1)[1:-1]
+        if draw(st.booleans()):  # lines through atoms or 1e-12 beside them
+            inner = coord + draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        inner = inner[(lo < inner) & (inner < hi)]
+        lines.append(np.unique(np.concatenate(([lo, hi], inner))))
+    tags = None
+    if rule == "custom":
+        # inside each cell, also one a single ulp wide
+        tags = tuple(np.minimum(pts[:-1] + rng.uniform(0.0, 0.9, len(pts) - 1)
+                                * np.diff(pts), np.nextafter(pts[1:], -np.inf))
+                     for pts in lines)
+    p = GridPartition(*lines, tag_rule=rule, custom_tags=tags)
+    rule = {"tag_rule": rule, "custom_tags": tags}
+    return sm, F, rect, stieltjes._explicit_axes(p), rule
+
+
+class TestGridRecord:
+    """A grid is one tag per atom; grouping the atoms by tag gives the
+    cells that were once built with a dict, and every sum over the record
+    equals the per-cell loop over those cells."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_record_case())
+    def test_groups_into_the_dict_cells(self, case):
+        sm, F, rect, axes, rule = case
+        atoms, tags = stieltjes._grid_tags(sm, rect, axes, **rule)
+        assert np.array_equal(atoms, sm.atoms_in(rect)) and tags.dtype == np.complex128
+        cells = grid_cells_dict(sm, rect, axes, **rule)
+        # cells whose tags coincide after rounding merge into one
+        merged = {}
+        for lam, mu, S in cells:
+            merged.setdefault((lam, mu), []).extend(S)
+        grouped = record_cells(atoms, tags)
+        assert grouped == [(*key, sorted(merged[key])) for key in sorted(merged)]
+        if len(merged) == len(cells):
+            assert grouped == cells  # the same cells, tags and order
+        J = stieltjes._spectral_sum(F, sm, atoms, tags, (rect.a, rect.c))
+        for loop in (cell_sum_loop(F, sm, cells, (rect.a, rect.c)),
+                     spectral_sum_loop(F, sm, atoms, tags, (rect.a, rect.c))):
+            assert operator_norm(J - loop) <= 1e-13 * max(1.0, operator_norm(loop))
 
 
 @st.composite
@@ -620,6 +697,20 @@ class TestIntegrateRight:
         # a refinement that stops before level 63 may still allow more
         _, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=100)
         assert report.converged and len(report.levels) < 62
+
+    def test_overflowing_grid_spacing_raises_value_error(self):
+        # the width of [-1e308, 1e308) is inf, so every dyadic line was NaN
+        sm = diagonal_measure([-1.0, 0.5 + 0.25j])
+        F = OperatorFunction.affine(1.0, 2.0, 2)
+        wide = Rect(-1e308, 1e308, -2.0, 2.0)
+        for call in (lambda: integrate_right(F, sm, wide, tol=1e-10, max_levels=10),
+                     lambda: dyadic_level_sum(F, sm, wide, 1)):
+            with pytest.raises(ValueError, match=r"spacing \(inf, 2\.0\), which is not"):
+                call()
+        # explicit lines over the same span stay valid: the tags are
+        # (-1e308, 0) for -1 and (0, 0) for 0.5 + 0.25i
+        J = right_sum(F, sm, GridPartition([-1e308, 0.0, 1e308], [-2.0, 0.0, 2.0]))
+        assert np.array_equal(J, np.diag([-1e308, 0.0]))
 
 
 def refine(F, sm, rect, max_levels=60):

@@ -596,6 +596,18 @@ class TestSpectralCore:
             sylvester._spectral_solve(scipy.linalg.schur(M, output="complex"),
                                       sm, random_complex(rng, 3, 2))
 
+    def test_overflowed_guard_scale_is_named(self):
+        # the row norms of Y (about 1e200) overflow when squared, so the
+        # residual test has no finite scale; it is not a loss of accuracy
+        prob = SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]),
+                                1e200 * np.ones((2, 2)))
+        with pytest.raises(SingularResolventError,
+                           match=r"at z = 0j cannot be checked: the scale of its "
+                                 r"residual test overflowed \(residual 0\.000e\+00\)"):
+            solve_spectral(prob)
+        # the oracle's solution passes its bound checks without overflow
+        assert all(c.ok for c in verify_bounds(prob, solve_kronecker(prob)).values())
+
     def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
         A0, _ = random_normal(rng, 4)
         matrices = [np.diag([3.0, 2.0 + 1.0j]) + np.diag([0.7], 1),
