@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeMismatchError, SingularResolventError
 
@@ -78,11 +77,19 @@ def _square_scale(big, count):
     return big if 0.0 < big < np.inf and not fits else 1.0
 
 
+def _row_squares(M):
+    """(s, the squared row norms of M / s), s the `_square_scale` of the real
+    and imaginary parts of M: no sum of them overflows, and s = 1 in range."""
+    V = np.ascontiguousarray(M).view(np.float64)
+    s = _square_scale(float(np.abs(V).max(initial=0.0)), V.size)
+    V = V / s
+    return s, np.einsum("ij,ij->i", V, V)
+
+
 def hs_norm(M):
     """Frobenius norm of M, scaled where a square would leave the normal range."""
-    A = np.asarray(M, dtype=np.complex128)
-    s = _square_scale(float(np.abs(A).max(initial=0.0)), A.size)
-    return s * float(np.linalg.norm(A / s, "fro"))
+    s, rows = _row_squares(np.asarray(M, dtype=np.complex128))
+    return s * float(np.sqrt(rows.sum()))
 
 
 def adjoint(M):
@@ -110,57 +117,60 @@ def _accept_residuals(residual, op_norm, sol_norm, tol, shifts):
                                      f"(residual {residual[i]:.3e})")
 
 
-def _guarded_solve(S, B, tol, shifts):
-    """S_b^{-1} B_b for a stack of matrices S_b = M_b - shifts[b], each
-    accepted by `_accept_residuals` on largest column norms."""
+def _guarded_solve(S, B, tol, z):
+    """S^{-1} B for S = M - z, accepted by `_accept_residuals` on largest column norms."""
     try:
         X = np.linalg.solve(S, B)
     except np.linalg.LinAlgError as exc:
-        # slogdet's sign is 0 where the LU meets an exactly zero pivot
-        i = np.argmin(np.abs(np.linalg.slogdet(S)[0]))
         raise SingularResolventError(
-            f"M - zI is exactly singular at z = {complex(shifts[i])}") from exc
+            f"M - zI is exactly singular at z = {complex(z)}") from exc
     with np.errstate(all="ignore"):
-        residual = np.linalg.norm(S @ X - B, axis=(-2, -1))
-    _accept_residuals(residual, np.linalg.norm(S, axis=-2).max(axis=-1),
-                      np.linalg.norm(X, axis=-2).max(axis=-1), tol, shifts)
+        norms = [np.linalg.norm(M, axis=0).max(keepdims=True) for M in (S, X)]
+        _accept_residuals(np.linalg.norm(S @ X - B, keepdims=True)[0], *norms, tol, [z])
     return X
+
+
+def _substitute(T, R, s):
+    """Y with Y T - diag(s) Y = R for an upper triangular T, one column per step
+    for all rows, Y_j = (R_j - Y_{<j} T_{<j,j}) / (T_jj - s): O(rows n^2) in n steps."""
+    Yt, Rt, d = np.empty((len(T), len(R)), dtype=np.complex128), R.T, np.diag(T)
+    for j in range(len(T)):
+        Yt[j] = (Rt[j] - T[:j, j] @ Yt[:j]) / (d[j] - s)
+    return np.ascontiguousarray(Yt.T)
 
 
 def _triangular_resolvents(T, R, shifts, sizes, tol):
     """Y whose k-th block of sizes[k] rows is R_k (T - shifts[k])^{-1}, for
-    an upper triangular T: Y T - diag(s) Y = R with s = repeat(shifts,
-    sizes), one LAPACK ztrsyl call (Bartels-Stewart, left factor diagonal).
+    an upper triangular T and a complex array of shifts: Y T - diag(s) Y =
+    R, s = repeat(shifts, sizes), by one `_substitute` (Bartels-Stewart with
+    the left factor diagonal); every shifted solve but `resolvent`'s.
 
     Raises SingularResolventError, naming the shift, when T - s cancels to
     rounding as a whole (||T - s||_F <= tol_solve |s|, `resolvent`'s rule,
-    read off the strict upper part and the diagonal of T), when ztrsyl
-    perturbs a pivot or rescales or Y is not finite (at the shift nearest
-    to diag(T)), or when a block's residual ||Y_k (T - s_k) - R_k||_F fails
-    `_accept_residuals` with the largest row norms of T - s_k and of Y_k.
+    read off the strict upper part and the diagonal of T), when Y is not
+    finite (at the shift nearest to diag(T)), or when a block's residual
+    ||Y_k (T - s_k) - R_k||_F fails `_accept_residuals` with the largest
+    row norms of T - s_k and of Y_k, all summed by `_row_squares`.
     """
-    shifts = np.asarray(shifts, dtype=np.complex128)
+    n, diff = len(T), np.diag(T) - shifts[:, None]
     # row i of T - s is the strict upper part of row i and T_ii - s
-    upper = np.linalg.norm(np.triu(T, 1), axis=1) ** 2
+    c, sq = _row_squares(np.concatenate([np.triu(T, 1), diff]))
     with np.errstate(all="ignore"):
-        shifted = np.abs(np.diag(T)[None, :] - shifts[:, None]) ** 2
-        cancels = np.sqrt(upper.sum() + shifted.sum(axis=1)) <= tol.tol_solve * np.abs(shifts)
+        shifted = np.abs(diff / c) ** 2
+        cancels = c * np.sqrt(sq[:n].sum() + sq[n:]) <= tol.tol_solve * np.abs(shifts)
     if cancels.any():
         raise SingularResolventError(
             f"M - zI cancels to rounding at z = {complex(shifts[cancels][0])}")
-    s = np.repeat(shifts, sizes)
-    Y, scale, info = scipy.linalg.lapack.ztrsyl(np.diag(-s), T, R)
-    if info != 0 or scale != 1.0 or not np.all(np.isfinite(Y)):
-        raise SingularResolventError(
-            f"M - zI is singular at z = {complex(shifts[shifted.min(axis=1).argmin()])}")
-    starts = np.cumsum(sizes) - sizes
+    s, starts = np.repeat(shifts, sizes), np.cumsum(sizes) - sizes
     with np.errstate(all="ignore"):
-        res_rows = np.linalg.norm(Y @ T - s[:, None] * Y - R, axis=1)
-        residual = np.sqrt(np.add.reduceat(res_rows ** 2, starts))
-        rows_t = np.sqrt((upper + shifted).max(axis=1))
-    _accept_residuals(residual, rows_t,
-                      np.maximum.reduceat(np.linalg.norm(Y, axis=1), starts),
-                      tol, shifts)
+        Y = _substitute(T, R, s)
+        if not np.all(np.isfinite(Y)):
+            raise SingularResolventError(
+                f"M - zI is singular at z = {complex(shifts[shifted.min(axis=1).argmin()])}")
+        (r, res), (y, rows) = _row_squares(Y @ T - s[:, None] * Y - R), _row_squares(Y)
+        _accept_residuals(r * np.sqrt(np.add.reduceat(res, starts)),
+                          c * np.sqrt((sq[:n] + shifted).max(axis=1)),
+                          y * np.sqrt(np.maximum.reduceat(rows, starts)), tol, shifts)
     return Y
 
 
@@ -177,7 +187,7 @@ def resolvent(M, z, tol=DEFAULT_TOLERANCES):
     # cancels as a whole: sigma_min <= ||M - z||_F <= tol_solve |z|
     if np.linalg.norm(shifted) <= tol.tol_solve * abs(z):
         raise SingularResolventError(f"M - zI cancels to rounding at z = {complex(z)}")
-    return _guarded_solve(shifted[None], eye[None], tol, [z])[0]
+    return _guarded_solve(shifted, eye, tol, z)
 
 
 def normality_defect(M):

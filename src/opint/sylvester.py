@@ -27,7 +27,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    _guarded_solve,
     _normal_threshold,
     _triangular_resolvents,
     adjoint,
@@ -240,10 +239,10 @@ def solve_kronecker(prob):
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             "vectorized system is singular: spec(A) and spec(C) overlap")
-    res = np.linalg.norm(K @ x - rhs)
-    # the largest column norm of K is a lower bound on ||K||_2
-    scale = max(np.linalg.norm(K, axis=0).max() * np.linalg.norm(x),
-                np.linalg.norm(rhs), 1.0)
+    res = hs_norm((K @ x - rhs)[None])
+    # the largest column norm of K bounds ||K||_2 below; hs_norm scales ||x||
+    scale = max(float(np.linalg.norm(K, axis=0).max()) * hs_norm(x[None]),
+                hs_norm(prob.D), 1.0)
     if res > math.sqrt(prob.tolerances.tol_solve) * scale:
         raise SingularSystemError(
             f"vectorized solve lost all accuracy (residual {res:.3e}); "
@@ -282,19 +281,19 @@ def _build_circles(eig_a, eig_c, gap):
 _NODE_BLOCK = 2 ** 20
 
 
-def _node_sum(T_C, D_t, T_A, z, w, tol):
-    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}, in blocks of nodes."""
-    k, h = D_t.shape
+def _node_sum(T_Cr, R_C, T_A, z, w, tol):
+    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}: per block of nodes, one
+    `_triangular_resolvents` for (Y^T P)(T_Cr - z) = R_C, with T_Cr = P T_C^T P,
+    R_C = -D_t^T P and P the index reversal, and one for W (T_A - z) = Y."""
+    h, k = R_C.shape
     step = max(1, _NODE_BLOCK // (k + h) ** 2)
-    total = np.zeros_like(D_t)
+    total = np.zeros((k, h), dtype=np.complex128)
     for s in range(0, len(z), step):
-        zb = z[s:s + step, None, None]
-        B = np.broadcast_to(D_t, (len(zb), k, h))
-        Y = _guarded_solve(zb * np.eye(k) - T_C, B, tol, zb.ravel())
-        # W (T_A - z) = Y is solved as (T_A - z)^T W^T = Y^T
-        Wt = _guarded_solve(T_A.T - zb * np.eye(h), np.swapaxes(Y, 1, 2), tol,
-                            zb.ravel())
-        total += np.tensordot(w[s:s + step], Wt, axes=1).T
+        zb = z[s:s + step]
+        Yr = _triangular_resolvents(T_Cr, np.tile(R_C, (len(zb), 1)), zb, [h] * len(zb), tol)
+        Y = Yr.reshape(-1, h, k)[:, :, ::-1].transpose(0, 2, 1).reshape(-1, h)
+        W = _triangular_resolvents(T_A, Y, zb, [k] * len(zb), tol)
+        total += np.tensordot(w[s:s + step], W.reshape(-1, k, h), axes=1)
     return total
 
 
@@ -307,24 +306,25 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
     The kept complex Schur forms C = Z T_C Z* and A = U T_A U* of the
-    problem reduce each node to two solves with shifted triangular
-    factors against Z* D U, batched over the nodes of a level.  The node
-    sets are nested: a doubling evaluates only the new odd-index nodes
-    and adds them, weighted by their circle's radius, to one running sum.
+    problem reduce each node to two triangular solves against Z* D U,
+    batched over blocks of nodes by `_node_sum` (T_C reversed and transposed
+    is formed once).  The node sets are nested: a doubling evaluates only
+    the new odd-index nodes and adds them, weighted by their circle's
+    radius, to one running sum.
     """
     T_C, Z = prob.schur("C")
     T_A, U = prob.schur("A")
-    D_t = adjoint(Z) @ prob.D @ U
+    T_Cr, R_C = T_C.T[::-1, ::-1].copy(), -(adjoint(Z) @ prob.D @ U).T[:, ::-1]
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
     n = max(int(n_nodes), 4)
     t = 2.0 * np.pi * np.arange(n) / n
-    acc = np.zeros_like(D_t)
+    acc = np.zeros_like(R_C.T)
     prev = None
     while True:
         # dz / (2 pi i) = radius e^{it} dt / (2 pi); trapezoid weight 2 pi / n
         w = radii * np.exp(1j * t)
-        acc += _node_sum(T_C, D_t, T_A, (centers + w).ravel(), w.ravel(),
+        acc += _node_sum(T_Cr, R_C, T_A, (centers + w).ravel(), w.ravel(),
                          prob.tolerances)
         X = Z @ (acc / n) @ adjoint(U)
         if prev is not None:

@@ -13,6 +13,8 @@ from opint import (
     certify,
     operator_norm,
 )
+import opint.linalg as linalg
+import opint.sylvester as sylvester
 from opint.linalg import _rounding_slack
 from opint.stieltjes import _locate
 
@@ -87,6 +89,49 @@ def near_normal_case(seed, h, k, log_scale, log_offset):
             + 10.0 ** log_offset * np.exp(2j * np.pi * r.random(k)))
     V = random_unitary(r, k)
     return A, V @ np.diag(zeta) @ V.conj().T
+
+
+def ring_sylvester(rng, h, k):
+    """SylvesterProblem with spec(C) on the unit circle and one eigenvalue
+    of A near its centre, so the contour takes one circle per atom."""
+    phi = 2.0 * np.pi * (np.arange(k) + rng.uniform(-0.2, 0.2, k)) / k
+    U, V = random_unitary(rng, k), random_unitary(rng, h)
+    lam = np.concatenate([[0.05 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))],
+                          rng.uniform(2.5, 3.5, h - 1) + 1j * rng.uniform(-0.5, 0.5, h - 1)])
+    return SylvesterProblem(V @ np.diag(lam) @ V.conj().T,
+                            U @ np.diag(np.exp(1j * phi)) @ U.conj().T,
+                            random_complex(rng, k, h))
+
+
+def node_sum_lu(T_C, D_t, T_A, z, w):
+    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1} by batched dense LU
+    solves of the shifted factors, in the blocks of nodes `sylvester._node_sum`
+    takes, unguarded: the oracle for its triangular solves."""
+    k, h = D_t.shape
+    step = max(1, sylvester._NODE_BLOCK // (k + h) ** 2)
+    total = np.zeros_like(D_t)
+    for s in range(0, len(z), step):
+        zb = z[s:s + step, None, None]
+        Y = np.linalg.solve(zb * np.eye(k) - T_C, np.broadcast_to(D_t, (len(zb), k, h)))
+        # W (T_A - z) = Y is solved as (T_A - z)^T W^T = Y^T
+        Wt = np.linalg.solve(T_A.T - zb * np.eye(h), np.swapaxes(Y, 1, 2))
+        total += np.tensordot(w[s:s + step], Wt, axes=1).T
+    return total
+
+
+def faulty_substitute(fault):
+    """`linalg._substitute` with its solution off by 1e-8 relative
+    ("inexact") or with a NaN entry ("nan")."""
+    real = linalg._substitute
+
+    def faulty(T, R, s):
+        Y = real(T, R, s)
+        if fault == "inexact":
+            return Y * (1.0 + 1e-8)
+        Y[0, 0] = np.nan
+        return Y
+
+    return faulty
 
 
 def min_sigma(A, points):

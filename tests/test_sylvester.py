@@ -4,7 +4,6 @@ import inspect
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -44,9 +43,10 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import (bounding_rect, count_calls, make_sylvester, min_sigma,
-                      near_normal_case, projections, random_complex, random_normal,
-                      random_unitary, shift_sweep, spectral_norm_guard_raises)
+from conftest import (bounding_rect, count_calls, faulty_substitute, make_sylvester,
+                      min_sigma, near_normal_case, node_sum_lu, projections,
+                      random_complex, random_normal, random_unitary, ring_sylvester,
+                      shift_sweep, spectral_norm_guard_raises)
 from test_linalg import _hull_distance
 
 SCALAR = SylvesterProblem([[2.0]], [[0.0]], [[1.0]])
@@ -198,6 +198,17 @@ class TestKroneckerGuard:
         with pytest.raises(SingularSystemError):
             solve_kronecker(prob)
 
+    def test_guard_rejects_an_inexact_solve_near_overflow(self, monkeypatch):
+        # ||x|| of a solution near 1e200 overflows unless the test scales it
+        prob = SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]),
+                                1e200 * np.ones((2, 2)))
+        solve_kronecker(prob)
+        real_solve = scipy.linalg.solve
+        monkeypatch.setattr(scipy.linalg, "solve",
+                            lambda K, b: real_solve(K, b) * (1.0 + 1e-3))
+        with pytest.raises(SingularSystemError, match="lost all accuracy"):
+            solve_kronecker(prob)
+
 
 class TestContourConstruction:
     def test_empty_contour_gives_zero(self, rng):
@@ -334,30 +345,60 @@ class TestContourQuadrature:
             contour_quadrature(prob, [(lam - r, r)])
 
     def test_guard_rejects_inexact_and_infinite_solves(self, rng, monkeypatch):
-        tol = sylvester.DEFAULT_TOLERANCES
+        tol = linalg.DEFAULT_TOLERANCES
         with pytest.raises(SingularResolventError):  # 1e10 / 1e-310 overflows
-            sylvester._guarded_solve(np.full((1, 1, 1), 1e-310 + 0j),
-                                     np.full((1, 1, 1), 1e10 + 0j), tol, [0.0])
+            linalg._guarded_solve(np.full((1, 1), 1e-310 + 0j),
+                                  np.full((1, 1), 1e10 + 0j), tol, 0.0)
         # S = M - z for M = triu(...) and z = -3
         S = np.triu(random_complex(rng, 4, 4)) + 3.0 * np.eye(4)
-        B = random_complex(rng, 4, 2)[None]
-        sylvester._guarded_solve(S[None], B, tol, [-3.0])
+        B = random_complex(rng, 4, 2)
+        linalg._guarded_solve(S, B, tol, -3.0)
         real_solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda S, B: real_solve(S, B) * (1.0 + 1e-8))
         with pytest.raises(SingularResolventError, match=r"at z = \(-3"):
-            sylvester._guarded_solve(S[None], B, tol, [-3.0])
+            linalg._guarded_solve(S, B, tol, -3.0)
 
     def test_resolvent_and_contour_nodes_share_one_guarded_solve(self, rng,
                                                                   monkeypatch):
-        calls = count_calls(monkeypatch, linalg._guarded_solve)
+        guarded = count_calls(monkeypatch, linalg._guarded_solve)
+        calls = count_calls(monkeypatch, linalg._triangular_resolvents)
+        accepted = count_calls(monkeypatch, linalg._accept_residuals)
         prob = make_sylvester(rng, 4, 3, normal_a=False)
         resolvent(prob.A, 5.0)
-        assert len(calls) == 1
+        assert len(guarded) == 1 and calls == [] and len(accepted) == 1
         circles = [(complex(z), 0.1) for z in np.linalg.eigvals(prob.C)]
         _, n = contour_quadrature(prob, circles)
-        # per level (z - T_C) Y = D_t, then (T_A - z)^T W^T = Y^T
-        assert len(calls) == 1 + 2 * (int(np.log2(n // 32)) + 1)
+        # one block per level: (Y^T P)(P T_C^T P - z) = -D_t^T P, then W (T_A - z) = Y,
+        # each accepted by the residual rule that accepts `resolvent`'s solve
+        assert len(guarded) == 1 and len(calls) == 2 * (int(np.log2(n // 32)) + 1)
+        assert len(accepted) == 1 + len(calls)
+
+    def test_triangular_nodes_match_lu_nodes(self, rng, monkeypatch):
+        shapes = [(4, 4, True), (4, 6, False), (6, 4, True), (6, 6, False),
+                  (10, 10, True), (10, 10, False), (12, 16, False), (24, 24, True)]
+        probs = [make_sylvester(rng, h, k, normal_a=normal) for h, k, normal in shapes]
+        probs += [ring_sylvester(rng, 8, 12), _strongly_nonnormal(rng, 6, 5),
+                  _strongly_nonnormal(rng, 8, 8)]
+
+        def contour(prob):
+            eig_a = np.diag(prob.schur("A")[0])
+            circles = sylvester._build_circles(eig_a, prob.measure().eigenvalues,
+                                               spectral_gap(prob))
+            try:
+                return (*contour_quadrature(prob, circles), len(circles))
+            except NoConvergenceError as exc:
+                return exc.value, None, len(circles)
+
+        found = [contour(prob) for prob in probs]
+        # the oracle receives T_C and D_t back from their exact reversals
+        monkeypatch.setattr(sylvester, "_node_sum", lambda T_Cr, R_C, T_A, z, w, tol:
+                            node_sum_lu(T_Cr[::-1, ::-1].T, -R_C[:, ::-1].T, T_A, z, w))
+        for prob, (X, n, circles) in zip(probs, found):
+            X_lu, n_lu, _ = contour(prob)
+            assert n == n_lu
+            assert operator_norm(X - X_lu) <= 1e-13 * operator_norm(X_lu)
+        assert found[len(shapes)][2] == 12  # the ring takes one circle per atom
 
     def test_strongly_nonnormal_a_matches_scipy(self, rng):
         converged = 0
@@ -597,16 +638,23 @@ class TestSpectralCore:
                                       sm, random_complex(rng, 3, 2))
 
     def test_overflowed_guard_scale_is_named(self):
-        # the row norms of Y (about 1e200) overflow when squared, so the
-        # residual test has no finite scale; it is not a loss of accuracy
+        # the row norms of Y (about 1e200) overflow when squared; the guard
+        # scales them, and every solver gives the oracle's solution
         prob = SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]),
                                 1e200 * np.ones((2, 2)))
+        ref = solve_kronecker(prob)
+        for solver in (solve_spectral, solve_contour, solve_double_spectral):
+            assert_allclose(solver(prob).X, ref.X, rtol=1e-13, atol=0.0)
+        # the oracle's solution passes its bound checks without overflow
+        assert all(c.ok for c in verify_bounds(prob, ref).values())
+        # here ||T - 0|| ||Y|| is about 1e8 * 8e306: the scale of the test
+        # itself overflows, which is not a loss of accuracy
+        prob = SylvesterProblem([[3.0, 1e8], [0.0, 4.0]], np.diag([0.0, 1.0]),
+                                1e300 * np.ones((2, 2)))
         with pytest.raises(SingularResolventError,
                            match=r"at z = 0j cannot be checked: the scale of its "
-                                 r"residual test overflowed \(residual 0\.000e\+00\)"):
+                                 r"residual test overflowed"):
             solve_spectral(prob)
-        # the oracle's solution passes its bound checks without overflow
-        assert all(c.ok for c in verify_bounds(prob, solve_kronecker(prob)).values())
 
     def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
         A0, _ = random_normal(rng, 4)
@@ -634,27 +682,14 @@ class TestSpectralCore:
         assert swept == (2 + 4 + 4) * 16 * 3
         assert hits > 0  # the exact hits at p = 16 make the sweep bite
 
-    @pytest.mark.parametrize("fault", ["inexact", "scale", "info", "nan"])
+    @pytest.mark.parametrize("fault", ["inexact", "nan"])
     def test_guard_rejects_faulty_solves(self, rng, monkeypatch, fault):
         cases = [(solve_spectral, make_sylvester(rng, 4, 5, normal_a=False)),
-                 (solve_double_spectral, make_sylvester(rng, 4, 5))]
+                 (solve_double_spectral, make_sylvester(rng, 4, 5)),
+                 (solve_contour, make_sylvester(rng, 4, 5, normal_a=False))]
         for solver, prob in cases:
             solver(prob)
-        real = scipy.linalg.lapack.ztrsyl
-
-        def faulty(*args):
-            Y, scale, info = real(*args)
-            if fault == "inexact":
-                Y = Y * (1.0 + 1e-8)
-            elif fault == "scale":
-                scale = 0.5
-            elif fault == "info":
-                info = 1
-            else:
-                Y[0, 0] = np.nan
-            return Y, scale, info
-
-        monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", faulty)
+        monkeypatch.setattr(linalg, "_substitute", faulty_substitute(fault))
         for solver, prob in cases:
             with pytest.raises(SingularResolventError):
                 solver(prob)
