@@ -155,28 +155,52 @@ class SpectralMeasure:
 def _cluster(values, threshold):
     """Group values by centroid linkage with the given merge threshold.
 
-    Merges the first pair of cluster representatives (the means of their
-    members) within the threshold and starts over, until all are further
+    Merges the lexicographically first pair (i, j) of live cluster
+    representatives within the threshold into i, whose representative
+    becomes the mean of its members in group order, until all are further
     apart, so repeated eigenvalues coming out of a floating-point
     eigensolver collapse into one atom.  A chain is not merged end to
     end: [1, 1 + 0.8t, 1 + 1.6t] gives two clusters.
+
+    partner[i] is the smallest live j > i within the threshold of i (n
+    if none), so the next pair is (i, partner[i]) for the first i that
+    has one.  A merge moves only rep i: it gives the live k < i, which
+    had no partner, i if it is now within the threshold, and only i and
+    the k whose partner was j look for a new one.  Distances are the
+    hypot of the parts, as abs of a complex scalar takes them; the first
+    partners come from blocks of rows of about 2^16 pairs.
     """
-    groups = [[i] for i in range(len(values))]
-    reps = list(values)
-    merged = True
-    while merged and len(groups) > 1:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if abs(reps[i] - reps[j]) <= threshold:
-                    groups[i] = groups[i] + groups[j]
-                    reps[i] = np.mean([values[m] for m in groups[i]])
-                    del groups[j], reps[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return groups, np.asarray(reps, dtype=np.complex128)
+    n = len(values)
+    reps = np.array(values, dtype=np.complex128)
+    if n <= 256:  # one block, and most spectra have every pair beyond the threshold
+        d = reps[:, None] - reps
+        if np.count_nonzero(np.hypot(d.real, d.imag) > threshold) == n * (n - 1):
+            return [[k] for k in range(n)], reps
+    live = np.ones(n, dtype=bool)
+
+    def partners(rows):
+        d = reps[rows, None] - reps
+        hit = (np.hypot(d.real, d.imag) <= threshold) & live & (np.arange(n) > rows[:, None])
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+
+    step = max(1, 2 ** 16 // n)
+    partner = np.concatenate([partners(np.arange(k, min(k + step, n)))
+                              for k in range(0, n, step)])
+    groups = [[k] for k in range(n)]
+    while (pending := np.flatnonzero(partner < n)).size:
+        i = pending[0]
+        j = partner[i]
+        groups[i] += groups[j]
+        reps[i] = np.mean(values[groups[i]])
+        live[j], partner[j] = False, n
+        d = reps - reps[i]
+        near = np.flatnonzero(live & (np.hypot(d.real, d.imag) <= threshold)).tolist()
+        partner[[k for k in near if k < i]] = i
+        partner[i] = next((m for m in near if m > i), n)
+        stale = np.flatnonzero(partner == j)
+        if stale.size:
+            partner[stale] = partners(stale)
+    return [groups[k] for k in np.flatnonzero(live)], reps[live]
 
 
 def _require_normal(norm, defect, tol):

@@ -8,6 +8,7 @@ matrices the limit has a closed form (sum over the eigenvalues inside
 the rectangle), which serves as the oracle for the adaptive refinement.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -15,11 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    BoundaryEigenvalueError,
-    NoConvergenceError,
-    ShapeMismatchError,
-)
+from .errors import BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError
 from .linalg import (DEFAULT_TOLERANCES, _square, _triangular_resolvents, adjoint,
                      as_matrix, operator_norm, resolvent)
 from .spectral import Rect
@@ -91,16 +88,10 @@ class OperatorFunction:
 
     @classmethod
     def polynomial(cls, coeffs, dim):
-        """Scalar polynomial sum_i c_i z^i times the identity."""
-        coeffs = [complex(c) for c in coeffs]
-
-        def f(z):
-            acc = 0.0 + 0.0j
-            for c in reversed(coeffs):
-                acc = acc * z + c
-            return acc
-
-        return cls.from_scalar(f, dim)
+        """Scalar polynomial sum_i c_i z^i times the identity, by Horner's rule."""
+        coeffs = [complex(c) for c in reversed(coeffs)]
+        return cls.from_scalar(lambda z: functools.reduce(lambda acc, c: acc * z + c,
+                                                          coeffs, 0j), dim)
 
     @classmethod
     def resolvent_family(cls, A, D=None, tol=DEFAULT_TOLERANCES):
@@ -170,13 +161,11 @@ class GridPartition:
     @property
     def mesh(self):
         """Partition norm: max lambda-cell width plus max mu-cell width."""
-        return float(np.diff(self.lambda_points).max()
-                     + np.diff(self.mu_points).max())
+        return float(np.diff(self.lambda_points).max() + np.diff(self.mu_points).max())
 
     @classmethod
     def uniform(cls, rect, m, n, tag_rule="lower_left"):
-        return cls(np.linspace(rect.a, rect.b, m + 1),
-                   np.linspace(rect.c, rect.d, n + 1),
+        return cls(np.linspace(rect.a, rect.b, m + 1), np.linspace(rect.c, rect.d, n + 1),
                    tag_rule=tag_rule)
 
 
@@ -206,40 +195,47 @@ def _explicit_axes(p):
 
 
 def _dyadic_axes(rect, level):
-    """The uniform 2^level x 2^level grid: line i at lo + i h, and a
-    coordinate finds its cell by floor, so a deep level never
-    materializes its lines.  Cell indices are int64, so level 62 is the
-    deepest; a deeper one raises ValueError, as does a spacing not in (0, inf)."""
-    if level > 62:
+    """The uniform 2^l x 2^l grid of l = level, or of each l of a 1-D
+    array of levels up to the first invalid one, on a leading level axis:
+    line i at lo + i h, and a coordinate finds its cell by floor, so a
+    deep level never materializes its lines.  Cell indices are int64, so
+    level 62 is the deepest; a deeper first level raises ValueError, as
+    does a spacing not in (0, inf)."""
+    levels = np.reshape(level, -1)
+    spacing = np.array([[rect.width], [rect.height]]) / 2.0 ** np.minimum(levels, 63)
+    stop = np.argmin(np.append((levels <= 62) & np.all(
+        (0.0 < spacing) & (spacing < math.inf), axis=0), False))
+    if stop == 0:
         raise ValueError(
-            f"level {level} exceeds the largest supported dyadic level, 62")
-    n = 2 ** level
-    spacing = (rect.width / n, rect.height / n)
-    if not all(0.0 < h < math.inf for h in spacing):
-        raise ValueError(f"the level-{level} grid on {rect} has line spacing "
-                         f"{spacing}, which is not finite and positive")
+            f"level {levels[0]} exceeds the largest supported dyadic level, 62"
+            if levels[0] > 62 else f"the level-{levels[0]} grid on {rect} has line spacing "
+            f"{tuple(spacing[:, 0].tolist())}, which is not finite and positive")
+    shape = (stop, 1) if np.ndim(level) else ()
     return [(lambda i, lo=lo, h=h: lo + i * h,
-             lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64), n)
-            for lo, h in zip((rect.a, rect.c), spacing)]
+             lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64),
+             (2 ** levels[:stop]).reshape(shape))
+            for lo, h in zip((rect.a, rect.c), spacing[:, :stop].reshape(2, *shape))]
 
 
 def _locate(coords, axis, thresh, shift):
     """Cell of each coordinate on one (line, raw cell, cell count) axis,
     the original and moved position of its lower line, and the moved
-    position of its upper line.
+    position of its upper line, on the axis' leading level axis if it
+    has one.
 
     An interior line within thresh of a coordinate moves by shift away
     from the nearest one (ties go to the smaller), keeping half-open
     membership far from floating-point ties, unless the shift could
     reorder it against its neighbours (room < 4 shift).  Only lines next
-    to occupied cells are generated: O(K log K) for K coordinates.
+    to occupied cells are generated: O(K log K) for K coordinates, which
+    are sorted once for every level.
     """
     line, raw_cell, ncells = axis
     cell = np.minimum(np.maximum(raw_cell(coords), 0), ncells - 1)
     # rows hold lines cell - 2 .. cell + 3: the inner four bound every
     # cell an atom can end up in, and the outer two give their room.
     # Clipping repeats the edge lines, so they get no room and never move.
-    pos = line(np.minimum(np.maximum(cell + np.arange(-2, 4)[:, None], 0), ncells))
+    pos = line(np.minimum(np.maximum(np.add.outer(np.arange(-2, 4), cell), 0), ncells))
     room = np.minimum(pos[1:-1] - pos[:-2], pos[2:] - pos[1:-1])
     pos = pos[1:-1]
     near = np.concatenate(([-np.inf], np.sort(coords), [np.inf]))
@@ -251,8 +247,8 @@ def _locate(coords, axis, thresh, shift):
     # only a moved line re-decides membership: the raw cell stands
     # against the lines that stay put
     rows = 1 + (hit[2] & (coords >= moved[2])) - (hit[1] & (coords < moved[1]))
-    cols = np.arange(len(coords))
-    return cell + rows - 1, pos[rows, cols], moved[rows, cols], moved[rows + 1, cols]
+    at = lambda a, r: np.take_along_axis(a, r[None], axis=0)[0]
+    return cell + rows - 1, at(pos, rows), at(moved, rows), at(moved, rows + 1)
 
 
 def _spectral_sum(F, sm, atoms, tags, empty_tag):
@@ -336,19 +332,21 @@ def _atom_values(F, sm, atoms, tags):
 
 def _grid_tags(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
     """The record of a grid of two axes: the atoms of sm in rect, in index
-    order, and the tag lambda + i mu of the cell that holds each."""
+    order, and the tag lambda + i mu of the cell that holds each, with
+    the axes' leading level axis if they have one."""
     atoms = sm.atoms_in(rect)
-    tags = sm.eigenvalues[atoms]  # a copy: each axis of it becomes the tags
-    for d, (x, axis) in enumerate(zip((tags.real, tags.imag), axes)):
+    z = sm.eigenvalues[atoms]
+    parts = []
+    for d, (x, axis) in enumerate(zip((z.real, z.imag), axes)):
         cell, lower, lower_moved, upper_moved = _locate(x, axis, sm._edge_tol,
                                                         2.0 * sm._edge_tol)
         # a lower line moved down keeps the original corner as tag (still
         # in the cell, and an atom sitting exactly on a grid line is then
         # tagged at its own coordinate); one moved up becomes the tag
-        x[:] = (np.maximum(lower, lower_moved) if tag_rule == "lower_left" else
-                0.5 * (lower_moved + upper_moved) if tag_rule == "center" else
-                custom_tags[d][cell])
-    return atoms, tags
+        parts.append(np.maximum(lower, lower_moved) if tag_rule == "lower_left" else
+                     0.5 * (lower_moved + upper_moved) if tag_rule == "center" else
+                     custom_tags[d][cell])
+    return atoms, np.stack(parts, axis=-1).view(np.complex128)[..., 0]
 
 
 def right_sum(F, sm, p):
@@ -387,11 +385,8 @@ def exact_right_integral(F, sm, rect):
 
 
 def exact_left_integral(G, sm, rect):
-    """Limit value of the left integral over rect, via adjoint duality.
-
-    The adjoint of a right integral of F is the left integral of F*, so
-    the left value is computed as adjoint(right integral of G*).
-    """
+    """Limit value of the left integral over rect, via adjoint duality:
+    the adjoint of the exact right integral of G*."""
     G_star = OperatorFunction(lambda lam, mu: adjoint(G(lam, mu)))
     return adjoint(exact_right_integral(G_star, sm, rect))
 
@@ -403,6 +398,17 @@ def dyadic_level_sum(F, sm, rect, level):
         raise ValueError("level must be at least 1")
     record = _grid_tags(sm, rect, _dyadic_axes(rect, level))
     return _spectral_sum(F, sm, *record, (rect.a, rect.c))
+
+
+def _level_tags(sm, rect, max_levels):
+    """The tags of dyadic levels 1 .. max_levels in turn, located eight
+    levels at a time (few past the one that stops a refinement); a level
+    that `_dyadic_axes` rejects raises once it is reached."""
+    level = 1
+    while level <= max_levels:
+        levels = np.arange(level, min(level + 8, max_levels + 1))
+        yield from (tags := _grid_tags(sm, rect, _dyadic_axes(rect, levels))[1])
+        level += len(tags)
 
 
 def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
@@ -453,11 +459,8 @@ def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
     coords = sm.eigenvalues[atoms].view(float)  # (lambda, mu) of each atom
     levels = []
     values = [] if keep_values else None
-    prev = None
-    prev_tags = None
-    moved = None
-    for level in range(1, max_levels + 1):
-        tags = _grid_tags(sm, rect, _dyadic_axes(rect, level))[1]
+    prev = prev_tags = moved = None
+    for level, tags in enumerate(_level_tags(sm, rect, max_levels), 1):
         v = level_value(tags)
         mesh = (rect.width + rect.height) / 2 ** level
         if keep_values:
@@ -490,10 +493,8 @@ def estimate_lipschitz(F, rect, samples_per_axis):
     if samples_per_axis < 3:
         raise ValueError("samples_per_axis must be at least 3")
     s = samples_per_axis
-    lams = np.linspace(rect.a, rect.b, s)
-    mus = np.linspace(rect.c, rect.d, s)
-    values = np.array([[F(lam, mu) for mu in mus] for lam in lams],
-                      dtype=np.complex128)
+    lams, mus = np.linspace(rect.a, rect.b, s), np.linspace(rect.c, rect.d, s)
+    values = np.array([[F(lam, mu) for mu in mus] for lam in lams], dtype=np.complex128)
 
     def peak(diffs, denom):
         # one stacked spectral norm per row of pairs at a nonzero distance
@@ -520,8 +521,7 @@ def lnest_bound(sup_F, gamma1, gamma2, rect):
     for name, v in (("sup_F", sup_F), ("gamma1", gamma1), ("gamma2", gamma2)):
         if not v >= 0:
             raise ValueError(f"{name} must be nonnegative")
-    return (4.0 * sup_F
-            + 2.0 * gamma1 * (rect.width + rect.height)
+    return (4.0 * sup_F + 2.0 * gamma1 * (rect.width + rect.height)
             + gamma2 * rect.width * rect.height)
 
 

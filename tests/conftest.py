@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -16,7 +17,6 @@ from opint import (
 import opint.linalg as linalg
 import opint.sylvester as sylvester
 from opint.linalg import _rounding_slack
-from opint.stieltjes import _locate
 
 
 def random_unitary(rng, n):
@@ -251,6 +251,104 @@ def estimate_lipschitz_loop(F, rect, samples_per_axis):
     return gamma1, gamma2
 
 
+# The grid cell rule one level at a time and the clustering by restarted
+# scans: the oracles that `stieltjes._locate` on a block of levels and
+# `spectral._cluster` must match bit for bit.
+
+def dyadic_axes_per_level(rect, level):
+    """The uniform 2^level x 2^level grid: line i at lo + i h, and a
+    coordinate finds its cell by floor, so a deep level never
+    materializes its lines.  Cell indices are int64, so level 62 is the
+    deepest; a deeper one raises ValueError, as does a spacing not in (0, inf)."""
+    if level > 62:
+        raise ValueError(
+            f"level {level} exceeds the largest supported dyadic level, 62")
+    n = 2 ** level
+    spacing = (rect.width / n, rect.height / n)
+    if not all(0.0 < h < math.inf for h in spacing):
+        raise ValueError(f"the level-{level} grid on {rect} has line spacing "
+                         f"{spacing}, which is not finite and positive")
+    return [(lambda i, lo=lo, h=h: lo + i * h,
+             lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64), n)
+            for lo, h in zip((rect.a, rect.c), spacing)]
+
+
+def locate_per_level(coords, axis, thresh, shift):
+    """Cell of each coordinate on one (line, raw cell, cell count) axis,
+    the original and moved position of its lower line, and the moved
+    position of its upper line.
+
+    An interior line within thresh of a coordinate moves by shift away
+    from the nearest one (ties go to the smaller), keeping half-open
+    membership far from floating-point ties, unless the shift could
+    reorder it against its neighbours (room < 4 shift).  Only lines next
+    to occupied cells are generated: O(K log K) for K coordinates.
+    """
+    line, raw_cell, ncells = axis
+    cell = np.minimum(np.maximum(raw_cell(coords), 0), ncells - 1)
+    # rows hold lines cell - 2 .. cell + 3: the inner four bound every
+    # cell an atom can end up in, and the outer two give their room.
+    # Clipping repeats the edge lines, so they get no room and never move.
+    pos = line(np.minimum(np.maximum(cell + np.arange(-2, 4)[:, None], 0), ncells))
+    room = np.minimum(pos[1:-1] - pos[:-2], pos[2:] - pos[1:-1])
+    pos = pos[1:-1]
+    near = np.concatenate(([-np.inf], np.sort(coords), [np.inf]))
+    k = np.searchsorted(near, pos)
+    below, above = near[k - 1], near[k]
+    nearest = np.where(above - pos < pos - below, above, below)
+    hit = (np.abs(nearest - pos) <= thresh) & (4.0 * shift <= room)
+    moved = np.where(hit, np.where(nearest >= pos, pos - shift, pos + shift), pos)
+    # only a moved line re-decides membership: the raw cell stands
+    # against the lines that stay put
+    rows = 1 + (hit[2] & (coords >= moved[2])) - (hit[1] & (coords < moved[1]))
+    cols = np.arange(len(coords))
+    return cell + rows - 1, pos[rows, cols], moved[rows, cols], moved[rows + 1, cols]
+
+
+def grid_tags_per_level(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
+    """The record of a grid of two axes: the atoms of sm in rect, in index
+    order, and the tag lambda + i mu of the cell that holds each."""
+    atoms = sm.atoms_in(rect)
+    tags = sm.eigenvalues[atoms]  # a copy: each axis of it becomes the tags
+    for d, (x, axis) in enumerate(zip((tags.real, tags.imag), axes)):
+        cell, lower, lower_moved, upper_moved = locate_per_level(x, axis, sm._edge_tol,
+                                                                 2.0 * sm._edge_tol)
+        # a lower line moved down keeps the original corner as tag (still
+        # in the cell, and an atom sitting exactly on a grid line is then
+        # tagged at its own coordinate); one moved up becomes the tag
+        x[:] = (np.maximum(lower, lower_moved) if tag_rule == "lower_left" else
+                0.5 * (lower_moved + upper_moved) if tag_rule == "center" else
+                custom_tags[d][cell])
+    return atoms, tags
+
+
+def cluster_restart_loop(values, threshold):
+    """Group values by centroid linkage with the given merge threshold.
+
+    Merges the first pair of cluster representatives (the means of their
+    members) within the threshold and starts over, until all are further
+    apart, so repeated eigenvalues coming out of a floating-point
+    eigensolver collapse into one atom.  A chain is not merged end to
+    end: [1, 1 + 0.8t, 1 + 1.6t] gives two clusters.
+    """
+    groups = [[i] for i in range(len(values))]
+    reps = list(values)
+    merged = True
+    while merged and len(groups) > 1:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if abs(reps[i] - reps[j]) <= threshold:
+                    groups[i] = groups[i] + groups[j]
+                    reps[i] = np.mean([values[m] for m in groups[i]])
+                    del groups[j], reps[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return groups, np.asarray(reps, dtype=np.complex128)
+
+
 def grid_cells_dict(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
     """Occupied cells (tag_lambda, tag_mu, atoms) of the atoms of sm in
     rect on a grid of two axes, the way the cells were once built: one
@@ -261,7 +359,8 @@ def grid_cells_dict(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
     coords = (sm.eigenvalues[atoms].real, sm.eigenvalues[atoms].imag)
     cells, tags = [], []
     for d, (x, axis) in enumerate(zip(coords, axes)):
-        cell, lower, lower_moved, upper_moved = _locate(x, axis, thresh, 2.0 * thresh)
+        cell, lower, lower_moved, upper_moved = locate_per_level(x, axis, thresh,
+                                                                 2.0 * thresh)
         if tag_rule == "lower_left":
             tag = np.maximum(lower, lower_moved)
         elif tag_rule == "center":

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opint import (
@@ -27,8 +29,10 @@ from opint import (
     spectral_invariant_residuals,
 )
 
-from conftest import (bounding_rect, projections, random_complex, random_normal,
-                      random_unitary)
+from opint.spectral import _cluster
+
+from conftest import (bounding_rect, cluster_restart_loop, projections, random_complex,
+                      random_normal, random_unitary)
 
 
 class TestDecompose:
@@ -104,6 +108,60 @@ class TestDecompose:
             for i in range(len(eigs)):
                 for j in range(i + 1, len(eigs)):
                     assert abs(eigs[i] - eigs[j]) > thresh
+
+
+@st.composite
+def near_duplicates(draw):
+    """Values near up to 6 centres in [-1, 1]^2: each centre starts a
+    chain of 1 to 5 values a spacing s apart along a random direction, or
+    is ringed by 1 to 5 values s away from it, so that a merged pair of
+    them can come within reach of the centre.  The values are exact or
+    jittered by up to s / 50 and in shuffled order; the threshold lies on
+    either side of s, or is 2 s or 3 s."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = 10.0 ** draw(st.floats(-10.0, -2.0))
+    values = []
+    for c in rng.uniform(-1.0, 1.0, 6) + 1j * rng.uniform(-1.0, 1.0, 6):
+        m = rng.integers(1, 6)
+        steps = (np.arange(m) * np.exp(2j * np.pi * rng.random()) if rng.random() < 0.5
+                 else np.append(0.0, np.exp(2j * np.pi * rng.random(m))))
+        values.extend(c + s * steps)
+    values = np.array(values[:draw(st.integers(1, len(values)))])
+    if draw(st.booleans()):
+        values = values + s / 50.0 * (rng.uniform(-1.0, 1.0, len(values))
+                                      + 1j * rng.uniform(-1.0, 1.0, len(values)))
+    factor = draw(st.sampled_from([0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.02, 2.0, 3.0]))
+    return values[rng.permutation(len(values))], factor * s
+
+
+class TestCluster:
+    """`_cluster` keeps the partner of each representative instead of
+    restarting its scan after a merge; the restart loop is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_duplicates())
+    def test_matches_restart_loop(self, case):
+        values, threshold = case
+        groups, reps = _cluster(values, threshold)
+        oracle_groups, oracle_reps = cluster_restart_loop(values, threshold)
+        assert groups == oracle_groups
+        assert reps.tobytes() == oracle_reps.tobytes()
+
+    def test_jittered_pairs_at_scale(self):
+        # 2000 values in 1000 pairs 1e-12 apart, 1e-3 or more between pairs
+        rng = np.random.default_rng(2000)
+        side = np.arange(1000)
+        centres = (side % 40 + 1j * (side // 40)) * 0.01 + 0.004 * rng.random(1000)
+        values = np.repeat(centres, 2) + 1e-12 * np.exp(2j * np.pi * rng.random(2000))
+        values = values[rng.permutation(2000)]
+        groups, reps = _cluster(values, 1e-8)
+        assert sorted(len(g) for g in groups) == [2] * 1000
+        # each mean lies half a pair's spread, at most 1e-12, from a member
+        assert np.all(np.abs(reps - values[[g[0] for g in groups]]) <= 1.01e-12)
+        # the restart loop is too slow at n = 2000: compare on 300 of them
+        groups, reps = _cluster(values[:300], 1e-8)
+        oracle_groups, oracle_reps = cluster_restart_loop(values[:300], 1e-8)
+        assert groups == oracle_groups and reps.tobytes() == oracle_reps.tobytes()
 
 
 class TestMeasure:

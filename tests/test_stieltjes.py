@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -29,6 +29,7 @@ from opint import (
     solve_kronecker,
     SpectralMeasure,
     SylvesterProblem,
+    Tolerances,
     dyadic_level_sum,
 )
 
@@ -40,9 +41,11 @@ from conftest import (
     bounding_rect,
     cell_sum_loop,
     count_calls,
+    dyadic_axes_per_level,
     estimate_lipschitz_loop,
     faulty_substitute,
     grid_cells_dict,
+    grid_tags_per_level,
     projections,
     random_complex,
     random_normal,
@@ -348,6 +351,110 @@ class TestGridRecord:
             assert operator_norm(J - loop) <= 1e-13 * max(1.0, operator_norm(loop))
 
 
+LOW_OR_ANY_LEVEL = st.one_of(st.integers(1, 8), st.integers(1, 62))
+
+
+@st.composite
+def edge_coordinate(draw, lo, hi):
+    """(x, m): a point on a dyadic line of a level from 1 to 62, most of
+    them low, and how many edge tolerances m to move it off the line:
+    none, well within, at or either side of one, or well beyond."""
+    level = draw(LOW_OR_ANY_LEVEL)
+    x = lo + draw(st.integers(0, 2 ** level)) * ((hi - lo) / 2 ** level)
+    m = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 4.0]))
+    return x, m * draw(st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def level_block_case(draw):
+    """One simple atom per point of up to 8 on a grid rectangle, each
+    coordinate a `grid_coordinate` or an `edge_coordinate` (so points
+    share coordinates, and at times the whole point), and the rectangle."""
+    rect = draw(st.sampled_from(GRID_RECTS + RESOLVENT_RECTS))
+    axis = lambda lo, hi: st.one_of(grid_coordinate(lo, hi).map(lambda x: (x, 0.0)),
+                                    edge_coordinate(lo, hi))
+    points = draw(st.lists(st.tuples(axis(rect.a, rect.b), axis(rect.c, rect.d)),
+                           min_size=1, max_size=8))
+    points = points + draw(st.lists(st.sampled_from(points), max_size=2))
+    z = np.array([complex(x, y) for (x, _), (y, _) in points])
+    off = np.array([complex(mx, my) for (_, mx), (_, my) in points])
+    return diagonal_measure(z + diagonal_measure(z)._edge_tol * off), rect
+
+
+def same_record(record, oracle):
+    """Whether two grid records are equal bit for bit."""
+    return (np.array_equal(record[0], oracle[0])
+            and record[1].tobytes() == oracle[1].tobytes())
+
+
+class TestLevelBlocks:
+    """A refinement locates a block of dyadic levels in one pass, with
+    each level's arithmetic; the per-level cell rule is the oracle, bit
+    for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(level_block_case(), LOW_OR_ANY_LEVEL, st.integers(1, 12))
+    def test_block_equals_each_level(self, case, start, length):
+        sm, rect = case
+        atoms, tags = stieltjes._grid_tags(sm, rect, stieltjes._dyadic_axes(
+            rect, np.arange(start, start + length)))
+        assert tags.shape == (min(length, 63 - start), len(atoms))
+        for level, row in enumerate(tags, start):
+            oracle = grid_tags_per_level(sm, rect, dyadic_axes_per_level(rect, level))
+            assert same_record((atoms, row), oracle), level
+            record = stieltjes._grid_tags(sm, rect, stieltjes._dyadic_axes(rect, level))
+            assert same_record(record, oracle), level
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_block_case(), LOW_OR_ANY_LEVEL)
+    def test_refinement_tags_equal_each_level(self, case, max_levels):
+        sm, rect = case
+        tags = list(stieltjes._level_tags(sm, rect, max_levels))
+        assert len(tags) == max_levels
+        for level, row in enumerate(tags, 1):
+            oracle = grid_tags_per_level(sm, rect, dyadic_axes_per_level(rect, level))
+            assert row.tobytes() == oracle[1].tobytes(), level
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_block_case(), st.integers(1, 10))
+    def test_uniform_partition_equals_level(self, case, level):
+        sm, rect = case
+        p = GridPartition.uniform(rect, 2 ** level, 2 ** level)
+        assert same_record(stieltjes._grid_tags(sm, rect, stieltjes._explicit_axes(p)),
+                           grid_tags_per_level(sm, rect, dyadic_axes_per_level(rect, level)))
+
+    def test_exact_ties_with_the_tolerances(self):
+        # with tol_cluster = 2^-30 and |z| <= 1 two atoms lie exactly one
+        # edge tolerance either side of the line 0 of [-1, 1), which moves
+        # away from the smaller; at level 28 its room, 2^-27, is exactly
+        # four of its shifts
+        t = 2.0 ** -30
+        z = [t + 0.5j, -t - 0.25j, 0.5 + 1j * t, -0.5 - 1j * t]
+        sm = SpectralMeasure(z, np.eye(4), np.ones(4, dtype=int), Tolerances(tol_cluster=t))
+        rect = Rect(-1.0, 1.0, -1.0, 1.0)
+        atoms, tags = stieltjes._grid_tags(sm, rect, stieltjes._dyadic_axes(
+            rect, np.arange(1, 63)))
+        for level, row in enumerate(tags, 1):
+            oracle = grid_tags_per_level(sm, rect, dyadic_axes_per_level(rect, level))
+            assert same_record((atoms, row), oracle), level
+        # the line moved up is the tag; at level 28 0.5 is a line
+        assert tags[0, 0] == complex(-1.0, 2 * t) and tags[27, 0] == complex(-8 * t, 0.5)
+
+    def test_block_ends_before_an_invalid_level(self):
+        sm = diagonal_measure([0.25 + 0.5j, -1.0])
+        axes = stieltjes._dyadic_axes(RECT, np.arange(58, 70))
+        assert stieltjes._grid_tags(sm, RECT, axes)[1].shape == (5, 2)
+        with pytest.raises(ValueError, match="level 63 exceeds"):
+            stieltjes._dyadic_axes(RECT, np.arange(63, 70))
+        # a width of 2^-1064 spaces level 10 by the least subnormal, 2^-1074,
+        # and level 11 by 0
+        tiny = Rect(0.0, 2.0 ** -1064, -1.0, 1.0)
+        assert stieltjes._grid_tags(sm, tiny, stieltjes._dyadic_axes(
+            tiny, np.arange(5, 15)))[1].shape == (6, 0)
+        with pytest.raises(ValueError, match=r"level-11 grid .* spacing \(0\.0, "):
+            stieltjes._dyadic_axes(tiny, np.arange(11, 15))
+
+
 @st.composite
 def clustered_sum_case(draw):
     """A measure of n <= 12 dimensions whose eigenvalues repeat among at
@@ -433,15 +540,10 @@ RESOLVENT_RECTS = [Rect(-2.0, 2.0, -2.0, 2.0), Rect(-0.5, 1.5, -1.0, 1.0)]
 QUARTERS = np.array([-0.75, -0.25, 0.25, 0.75])
 
 
-@st.composite
-def resolvent_case(draw):
-    """A resolvent family D (A - z)^{-1} with h x n values, h != n, and a
-    normal or non-normal A with spectrum in Re z in (2.5, 3.5); a measure
-    of n <= 12 dimensions whose eigenvalues repeat among n // 2 + 1 atoms
-    in (-1, 1)^2, about half of them on dyadic lines; a rectangle that
-    holds the spectrum or cuts it, a partition of it and a level."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(1, 12))
+def resolvent_measure_and_family(seed, n, non_normal, h):
+    """The measure of C and the family D (A - z)^{-1} of `resolvent_case`
+    for the seed of its generator, its n, whether A is non-normal and h."""
+    rng = np.random.default_rng(seed)
     k = n // 2 + 1
     on_lines = rng.choice(QUARTERS, k) + 1j * rng.choice(QUARTERS, k)
     atoms = np.where(rng.random(k) < 0.5, on_lines,
@@ -449,14 +551,31 @@ def resolvent_case(draw):
     U = random_unitary(rng, n)
     C = U @ np.diag(atoms[rng.integers(k, size=n)]) @ U.conj().T
     A, _ = random_normal(rng, n, re=(2.5, 3.5))
-    if draw(st.booleans()):
+    if non_normal:
         A = A + 0.5 * np.triu(random_complex(rng, n, n), 1)
-    h = draw(st.integers(1, 12).filter(lambda h: h != n))
-    F = OperatorFunction.resolvent_family(A, random_complex(rng, h, n))
+    return decompose_normal(C), OperatorFunction.resolvent_family(A, random_complex(rng, h, n))
+
+
+@st.composite
+def resolvent_case(draw):
+    """A resolvent family D (A - z)^{-1} with h x n values, h != n, and a
+    normal or non-normal A with spectrum in Re z in (2.5, 3.5); a measure
+    of n <= 12 dimensions whose eigenvalues repeat among n // 2 + 1 atoms
+    in (-1, 1)^2, about half of them on dyadic lines; a rectangle that
+    holds the spectrum or cuts it, a partition of it and a level."""
+    seed, n = draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 12))
+    sm, F = resolvent_measure_and_family(seed, n, draw(st.booleans()),
+                                         draw(st.integers(1, 12).filter(lambda h: h != n)))
     rect = draw(st.sampled_from(RESOLVENT_RECTS))
     p = GridPartition.uniform(rect, draw(st.integers(1, 9)), draw(st.integers(1, 9)),
                               draw(st.sampled_from(["lower_left", "center"])))
-    return decompose_normal(C), F, rect, p, draw(st.integers(1, 8))
+    return sm, F, rect, p, draw(st.integers(1, 8))
+
+
+# atoms -0.75 - 0.25i (twice) and 0.25 - 0.75i, a few ulps off their dyadic
+# lines, whose tags stay on those lines until level 54
+STALLED_TAGS_CASE = (*resolvent_measure_and_family(3372, 3, True, 1), RESOLVENT_RECTS[0],
+                     GridPartition.uniform(RESOLVENT_RECTS[0], 1, 1), 1)
 
 
 class TestResolventSums:
@@ -475,16 +594,30 @@ class TestResolventSums:
 
     @settings(max_examples=15, deadline=None)
     @given(resolvent_case())
+    @example(STALLED_TAGS_CASE)
     def test_refinement_matches_cell_loop(self, case):
         sm, F, rect, _, _ = case
         J, report = refine(F, sm, rect)
         J_ref, ref = with_cell_loop(refine, F, sm, rect)
-        assert len(report.levels) == len(ref.levels)
-        assert report.converged == ref.converged
-        # the same exact-zero streaks
-        assert ([diff == 0.0 for _, diff in report.levels]
-                == [diff == 0.0 for _, diff in ref.levels])
         assert operator_norm(J - J_ref) <= 1e-13 * max(1.0, operator_norm(J_ref))
+        # every level both runs computed: the same mesh, sums that agree to
+        # 1e-13, and so Cauchy differences that agree to 2e-13 of the scale
+        scale = max(1.0, max(operator_norm(V) for V in ref.values))
+        for (mesh, diff), (mesh_ref, diff_ref), V, V_ref in zip(
+                report.levels, ref.levels, report.values, ref.values):
+            assert mesh == mesh_ref
+            assert operator_norm(V - V_ref) <= 1e-13 * max(1.0, operator_norm(V_ref))
+            assert (math.isnan(diff) and math.isnan(diff_ref)
+                    or abs(diff - diff_ref) <= 2e-13 * scale)
+        # the runs part only where that rounding decides the stop: a tag
+        # that moves by an ulp changes one route's sum and leaves the
+        # other's bit for bit, so one route ends on a difference <= tol
+        # while the other goes on with an exact zero, or the two
+        # differences lie on either side of tol
+        if (len(report.levels), report.converged) != (len(ref.levels), ref.converged):
+            last = min(len(report.levels), len(ref.levels)) - 1
+            diff, diff_ref = report.levels[last][1], ref.levels[last][1]
+            assert 0.0 in (diff, diff_ref) or abs(max(diff, diff_ref) - 1e-10) <= 2e-13 * scale
 
     @pytest.mark.parametrize("with_d", [True, False])
     def test_one_schur_form_and_no_resolvent(self, rng, monkeypatch, with_d):
@@ -684,6 +817,24 @@ class TestIntegrateRight:
         # a refinement that stops before level 63 may still allow more
         _, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=100)
         assert report.converged and len(report.levels) < 62
+
+    def test_max_levels_past_62_is_fine_when_it_converges_first(self):
+        sm = decompose_normal(np.diag([0.311 + 0.013j, -0.573 + 0.771j]))
+        F = OperatorFunction.affine(1.0, 2.0, 2)
+        J, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=63)
+        assert report.converged and len(report.levels) < 62
+        assert operator_norm(J - exact_right_integral(F, sm, RECT)) <= 1e-9
+
+    def test_bad_spacing_raises_once_its_level_is_reached(self):
+        # levels 1 .. 10 of [0, 2^-1064) are spaced down to 2^-1074, and
+        # level 11 by 0: each of the ten levels evaluates F once
+        tiny = Rect(0.0, 2.0 ** -1064, -1.0, 1.0)
+        seen = []
+        F = OperatorFunction(lambda lam, mu: seen.append(mu) or np.array([[mu + 0j]]))
+        with pytest.raises(ValueError, match=r"level-11 grid .* not finite and positive"):
+            integrate_right(F, diagonal_measure([1.0j / 3.0]), tiny, tol=0.0,
+                            max_levels=20)
+        assert len(seen) == 10
 
     def test_overflowing_grid_spacing_raises_value_error(self):
         # the width of [-1e308, 1e308) is inf, so every dyadic line was NaN
