@@ -33,11 +33,7 @@ from .errors import (
 from .probfile import load_problem, matrix_to_json
 from .riccati import RiccatiProblem, posterior_check, solve_fixed_point
 from .spectral import decompose_normal, spectral_invariant_residuals
-from .stieltjes import (
-    OperatorFunction,
-    exact_right_integral,
-    integrate_right,
-)
+from .stieltjes import OperatorFunction, _refinement, exact_right_integral
 from .linalg import operator_norm
 from .sylvester import (
     SylvesterProblem,
@@ -215,20 +211,12 @@ def cmd_integrate(args):
     sm = decompose_normal(problem["matrices"]["C"], problem["tolerances"])
     F = _parse_function(args.function, problem, sm.dim)
     exact = exact_right_integral(F, sm, rect)
-
-    try:
-        _, report = integrate_right(F, sm, rect, tol=args.tol,
-                                    max_levels=args.grid_levels, keep_values=True)
-        converged = True
-    except NoConvergenceError as exc:
-        report = exc.report
-        converged = False
-
+    # one refinement pass: each level's sum lives only for its row
     lines = ["level,m,n,mesh,diff_prev,err_vs_exact"]
-    for i, ((mesh, diff), J) in enumerate(zip(report.levels, report.values)):
-        ncells = 2 ** (i + 1)
-        err = operator_norm(J - exact)
-        lines.append(f"{i + 1},{ncells},{ncells},{mesh!r},{diff!r},{err!r}")
+    for i, ((mesh, diff), value, converged) in enumerate(
+            _refinement(F, sm, rect, args.tol, args.grid_levels), 1):
+        err = operator_norm(value() - exact)
+        lines.append(f"{i},{2 ** i},{2 ** i},{mesh!r},{diff!r},{err!r}")
     lines.append("# converged" if converged else "# not-converged")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE

@@ -149,12 +149,13 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
     rounding as a whole (||T - s||_F <= tol_solve |s|, `resolvent`'s rule,
     read off the strict upper part and the diagonal of T), when Y is not
     finite (at the shift nearest to diag(T)), or when a block's residual
-    ||Y_k (T - s_k) - R_k||_F fails `_accept_residuals` with the largest
-    row norms of T - s_k and of Y_k, all summed by `_row_squares`.
+    ||Y_k (T - s_k) - R_k||_F, formed on T - s_k itself (no |s_k| rounds
+    into it), fails `_accept_residuals` with the largest row norms of
+    T - s_k and of Y_k, all summed by `_row_squares`.
     """
-    n, diff = len(T), np.diag(T) - shifts[:, None]
+    n, N, diff = len(T), np.triu(T, 1), np.diag(T) - shifts[:, None]
     # row i of T - s is the strict upper part of row i and T_ii - s
-    c, sq = _row_squares(np.concatenate([np.triu(T, 1), diff]))
+    c, sq = _row_squares(np.concatenate([N, diff]))
     with np.errstate(all="ignore"):
         shifted = np.abs(diff / c) ** 2
         cancels = c * np.sqrt(sq[:n].sum() + sq[n:]) <= tol.tol_solve * np.abs(shifts)
@@ -167,7 +168,8 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
         if not np.all(np.isfinite(Y)):
             raise SingularResolventError(
                 f"M - zI is singular at z = {complex(shifts[shifted.min(axis=1).argmin()])}")
-        (r, res), (y, rows) = _row_squares(Y @ T - s[:, None] * Y - R), _row_squares(Y)
+        r, res = _row_squares(Y @ N + Y * np.repeat(diff, sizes, axis=0) - R)
+        y, rows = _row_squares(Y)
         _accept_residuals(r * np.sqrt(np.add.reduceat(res, starts)),
                           c * np.sqrt((sq[:n] + shifted).max(axis=1)),
                           y * np.sqrt(np.maximum.reduceat(rows, starts)), tol, shifts)
@@ -196,15 +198,20 @@ def normality_defect(M):
     return operator_norm(adjoint(A) @ A - A @ adjoint(A))
 
 
-def _normal_threshold(norm, tol):
-    """tol_normal ||M||^2, the largest defect of a normal M with ||M|| = norm."""
-    return tol.tol_normal * max(norm ** 2, 1e-300)
+def _normality(M, norm, tol):
+    """(norm, s, ||M'*M' - M'M'*||_2, tol_normal ||M'||^2) for M' = M / s and
+    ||M||_2 = norm: the scale-free test is decided on M', where s = 1 unless
+    norm^2 leaves the float range (`_square_scale`), else a power of two."""
+    s = 2.0 ** int(np.frexp(_square_scale(norm, len(M)))[1] - 1)
+    return (norm, s, normality_defect(M if s == 1.0 else M / s),
+            tol.tol_normal * max((norm / s) ** 2, 1e-300))
 
 
 def is_normal(M, tol=DEFAULT_TOLERANCES):
     """True when the relative normality defect is within tol_normal."""
     A = _square(M, "M")
-    return normality_defect(A) <= _normal_threshold(operator_norm(A), tol)
+    _, _, defect, threshold = _normality(A, operator_norm(A), tol)
+    return defect <= threshold
 
 
 def _support_values(A, thetas):

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
-from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normal_threshold, _square,
-                     adjoint, as_matrix, normality_defect, operator_norm)
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normality, _square, adjoint,
+                     as_matrix, operator_norm)
 
 __all__ = [
     "Rect",
@@ -203,14 +203,14 @@ def _cluster(values, threshold):
     return [groups[k] for k in np.flatnonzero(live)], reps[live]
 
 
-def _require_normal(norm, defect, tol):
-    """Raise NotNormalError unless `is_normal`'s test passes for a matrix
-    C with ||C|| = norm and ||C*C - CC*|| = defect."""
-    threshold = _normal_threshold(norm, tol)
-    if defect > threshold:
+def _require_normal(s, defect, threshold, tol):
+    """Raise NotNormalError unless `is_normal`'s test passes on the last
+    three entries of C's `_normality`; a NaN defect fails it."""
+    if not defect <= threshold:
         raise NotNormalError(
             f"matrix is not normal: ||C*C - CC*|| = {defect:.3e} exceeds "
-            f"{tol.tol_normal:.1e} * ||C||^2 = {threshold:.3e}")
+            f"{tol.tol_normal:.1e} * ||C||^2 = {threshold:.3e}"
+            + ("" if s == 1.0 else f", both for C / 2^{np.frexp(s)[1] - 1}"))
 
 
 def _measure_of_schur(T, Z, tol):
@@ -240,7 +240,7 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2.
     """
     A = _square(C, "C")
-    _require_normal(operator_norm(A), normality_defect(A), tol)
+    _require_normal(*_normality(A, operator_norm(A), tol)[1:], tol)
     return _measure_of_schur(*scipy.linalg.schur(A, output="complex"), tol)
 
 

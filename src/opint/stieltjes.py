@@ -176,14 +176,12 @@ class ConvergenceReport:
     levels holds (mesh, diff_prev) pairs; diff_prev is NaN for the first
     level, and for a scalar integrand an upper bound on the norm of the
     difference (see `integrate_right`).  converged means the final Cauchy
-    difference met the tolerance.  values optionally keeps every level's
-    sum (only when the refinement was asked to retain them).
+    difference met the tolerance.
     """
 
     levels: list
     final_mesh: float
     converged: bool
-    values: Optional[list] = None
 
 
 def _explicit_axes(p):
@@ -411,7 +409,44 @@ def _level_tags(sm, rect, max_levels):
         level += len(tags)
 
 
-def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
+def _refinement(F, sm, rect, tol, max_levels):
+    """Each level of `integrate_right` in turn: (mesh, diff_prev), its sum as a
+    zero-argument callable, and whether it stops the refinement."""
+    if max_levels < 2:
+        raise ValueError("max_levels must be at least 2")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    atoms = sm.atoms_in(rect)
+    if F.scalar is None:
+        level_value = lambda tags: _spectral_sum(F, sm, atoms, tags, (rect.a, rect.c))
+        dense, distance = (lambda J: J), (lambda J, K: operator_norm(J - K))
+    else:
+        Q = sm.columns(atoms)
+        # ||Q_S* Q_S||_2 <= 1 + ||Q_S* Q_S - I||_F, computed once per call
+        gram = 1.0 + float(np.linalg.norm(adjoint(Q) @ Q - np.eye(Q.shape[1])))
+        level_value = lambda tags: _atom_values(F, sm, atoms, tags)
+        dense, distance = sm._weighted, lambda v, w: gram * float(np.max(np.abs(v - w)))
+    coords = sm.eigenvalues[atoms].view(float)  # (lambda, mu) of each atom
+    prev = prev_tags = moved = None
+    for level, tags in enumerate(_level_tags(sm, rect, max_levels), 1):
+        v = level_value(tags)
+        mesh = (rect.width + rect.height) / 2 ** level
+        # the first level has nothing to compare with: NaN fails both tests
+        diff = math.nan if prev is None else distance(v, prev)
+        if diff == 0.0:
+            # per axis: the real and the imaginary part of each tag
+            changed = tags.view(float) != prev_tags.view(float)
+            moved = changed if moved is None else (moved | changed)
+            done = bool(np.all(moved | (tags.view(float) == coords)))
+        else:
+            moved, done = None, diff <= tol
+        yield (mesh, diff), functools.partial(dense, v), done
+        if done:
+            return
+        prev, prev_tags = v, tags
+
+
+def integrate_right(F, sm, rect, tol, max_levels):
     """Right integral over rect by dyadic refinement with lower-left tags.
 
     Level l uses the uniform 2^l x 2^l grid; refinement stops once the
@@ -432,56 +467,24 @@ def integrate_right(F, sm, rect, tol, max_levels, keep_values=False):
     this bounds the spectral norm of the difference from above (and
     equals it to rounding for a unitary basis), so the test never stops
     earlier than that norm would.  The n x n sum is formed only for the
-    returned, kept or partial value.
+    returned or partial value.  `opint integrate` runs the same levels
+    (`_refinement`) and forms each level's sum once, as it prints it.
 
-    Returns the last sum together with the per-level report (which keeps
-    every level's sum when keep_values is set).  Raises
+    Returns the last sum together with the per-level report.  Raises
     NoConvergenceError (carrying the partial value and report) when
     max_levels is exhausted, which usually signals an integrand without
     the required Lipschitz regularity, and ValueError for a tol that is
     not a finite nonnegative number, an integrand value that is not
     finite, or a level past 62 or whose grid spacing is not finite.
     """
-    if max_levels < 2:
-        raise ValueError("max_levels must be at least 2")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    atoms = sm.atoms_in(rect)
-    if F.scalar is None:
-        level_value = lambda tags: _spectral_sum(F, sm, atoms, tags, (rect.a, rect.c))
-        dense, distance = (lambda J: J), (lambda J, K: operator_norm(J - K))
-    else:
-        Q = sm.columns(atoms)
-        # ||Q_S* Q_S||_2 <= 1 + ||Q_S* Q_S - I||_F, computed once per call
-        gram = 1.0 + float(np.linalg.norm(adjoint(Q) @ Q - np.eye(Q.shape[1])))
-        level_value = lambda tags: _atom_values(F, sm, atoms, tags)
-        dense, distance = sm._weighted, lambda v, w: gram * float(np.max(np.abs(v - w)))
-    coords = sm.eigenvalues[atoms].view(float)  # (lambda, mu) of each atom
     levels = []
-    values = [] if keep_values else None
-    prev = prev_tags = moved = None
-    for level, tags in enumerate(_level_tags(sm, rect, max_levels), 1):
-        v = level_value(tags)
-        mesh = (rect.width + rect.height) / 2 ** level
-        if keep_values:
-            values.append(dense(v))
-        # the first level has nothing to compare with: NaN fails both tests
-        diff = math.nan if prev is None else distance(v, prev)
-        levels.append((mesh, diff))
-        if diff == 0.0:
-            # per axis: the real and the imaginary part of each tag
-            changed = tags.view(float) != prev_tags.view(float)
-            moved = changed if moved is None else (moved | changed)
-            done = bool(np.all(moved | (tags.view(float) == coords)))
-        else:
-            moved, done = None, diff <= tol
+    for level, value, done in _refinement(F, sm, rect, tol, max_levels):
+        levels.append(level)
         if done:
-            return dense(v), ConvergenceReport(levels, mesh, True, values)
-        prev, prev_tags = v, tags
-    report = ConvergenceReport(levels, levels[-1][0], False, values)
+            return value(), ConvergenceReport(levels, level[0], True)
     raise NoConvergenceError(
-        f"dyadic refinement did not reach tol = {tol:.2e} within "
-        f"{max_levels} levels", value=dense(prev), report=report)
+        f"dyadic refinement did not reach tol = {tol:.2e} within {max_levels} levels",
+        value=value(), report=ConvergenceReport(levels, level[0], False))
 
 
 def estimate_lipschitz(F, rect, samples_per_axis):

@@ -27,12 +27,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    _normal_threshold,
+    _normality,
     _triangular_resolvents,
     adjoint,
     as_matrix,
     hs_norm,
-    normality_defect,
     numrange_gap,
     operator_norm,
     separation,
@@ -116,11 +115,11 @@ class _Prepared:
         return self._cached(("schur", name), build)
 
     def _normality(self, name):
-        """(||M||_2, ||M*M - MM*||_2) of the matrix `name`, the two numbers
-        `is_normal`'s test reads, computed once."""
+        """`linalg._normality` of the matrix `name`: its norm, and the scale,
+        defect and threshold of `is_normal`'s test, computed once."""
         M = getattr(self, name)
         return self._cached(("normality", name),
-                            lambda: (operator_norm(M), normality_defect(M)))
+                            lambda: _normality(M, operator_norm(M), self.tolerances))
 
     def measure(self):
         """The spectral measure of C, decomposed once; its arrays are read-only."""
@@ -130,7 +129,7 @@ class _Prepared:
         """The spectral measure of the matrix `name`, as `measure`: the
         test and clustering of `decompose_normal`, on the kept Schur form."""
         def build():
-            _require_normal(*self._normality(name), self.tolerances)
+            _require_normal(*self._normality(name)[1:], self.tolerances)
             sm = _measure_of_schur(*self.schur(name), self.tolerances)
             for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
                 M.flags.writeable = False
@@ -386,8 +385,8 @@ def verify_bounds(prob, report):
     delta = report.gap_numrange
     checks = {"enorm_vs_numrange": BoundCheck(
         enorm_d / delta if delta > 1e-12 * prob.norm_scale() else math.inf, enorm_x)}
-    norm_a, defect_a = prob._normality("A")
-    if defect_a <= _normal_threshold(norm_a, prob.tolerances):
+    _, _, defect_a, threshold_a = prob._normality("A")
+    if defect_a <= threshold_a:
         d = max(_separation(prob))  # 0 gives infinite bounds
         inv_d = 1.0 / d if d > 0 else math.inf
         checks["enorm_vs_gap"] = BoundCheck(enorm_d * inv_d, enorm_x)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import opint
 from opint.cli import main
 from opint.probfile import load_problem, matrix_from_json, matrix_to_json
-from opint import InvalidProblemError, operator_norm
+from opint import InvalidProblemError, SpectralMeasure, operator_norm
 
 from conftest import make_certified_riccati, random_normal
 
@@ -310,6 +311,14 @@ class TestHugeEntries:
         for value in json.loads(out).values():
             assert value == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
 
+    def test_spectral(self, tmp_path, capsys):
+        path = write_problem(tmp_path, C=matjson(1e200 * np.diag([1.0, 2.0, 3.0j])))
+        code, out, _ = run(capsys, ["spectral", path])
+        assert code == 0
+        report = json.loads(out)
+        assert report["eigenvalues"] == [[0.0, 3e200], [1e200, 0.0], [2e200, 0.0]]
+        assert report["multiplicities"] == [1, 1, 1]
+
     @pytest.mark.parametrize("argv,exit_code,message", [
         (["riccati"], 3, ""),
         (["sylvester", "--method", "kronecker"], 0, ""),
@@ -411,6 +420,28 @@ class TestIntegrateCommand:
         assert lines[-1] == "# converged"
         assert len(lines) - 2 > 20
         assert float(lines[-2].split(",")[5]) <= 1e-9
+
+    def test_holds_two_level_sums_at_most(self, tmp_path, capsys, monkeypatch):
+        # every n x n sum of an affine integrand is one _weighted: alive at
+        # once are the exact integral and the level being printed
+        arrays, alive = [], []
+        weighted = SpectralMeasure._weighted
+
+        def tracked(sm, values):
+            out = weighted(sm, values)
+            arrays.append(weakref.ref(out))
+            alive.append(sum(ref() is not None for ref in arrays))
+            return out
+
+        monkeypatch.setattr(SpectralMeasure, "_weighted", tracked)
+        path = write_problem(tmp_path,
+                             C=matjson(np.diag([0.311 + 0.013j, -0.573 + 0.771j, 0.5])),
+                             rect={"a": -2, "b": 2, "c": -2, "d": 2})
+        code, out, _ = run(capsys, ["integrate", path, "--function", "affine:1,2"])
+        assert code == 0
+        assert max(alive) == 2
+        # and each level's sum is formed once
+        assert len(arrays) == 1 + len(out.strip().splitlines()) - 2 > 20
 
     def test_bad_function_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, C=matjson(np.eye(2)),

@@ -211,6 +211,36 @@ class TestResolventCancellation:
         assert hits > 0 and extra > 0
 
 
+class TestTriangularGuard:
+    """`_triangular_resolvents` forms its residual on T - s, so it refuses
+    only shifts that fail sigma_min > tol_solve (sigma_max + |z|), even
+    where |z| >> ||T - z||."""
+
+    def test_refuses_only_singular_shifts(self, rng):
+        A0, _ = random_normal(rng, 4)
+        z = 0.5 + 0.25j
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]),
+                    2.0 * np.eye(4) + np.diag(np.ones(3), 1),
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1), 1e4 * A0,
+                    TestResolventCancellation.CANCELLING]
+        # 1 x 1 cases with a - z = z rho e^{i phi}, refused before
+        matrices += [np.array([[z * (1.0 + rho * np.exp(1j * phi))]])
+                     for rho in (1e-6, 1e-7) for phi in np.linspace(0.0, 6.0, 12)]
+        refused = 0
+        for M in matrices:
+            T, _ = scipy.linalg.schur(M, output="complex")
+            n = len(M)
+            for shift in list(shift_sweep(np.diag(T))) + [z]:
+                try:
+                    linalg._triangular_resolvents(T, np.eye(n), np.array([shift]),
+                                                  np.array([n]), Tolerances())
+                except SingularResolventError:
+                    sigma = np.linalg.svd(M - shift * np.eye(n), compute_uv=False)
+                    assert not sigma[-1] > 1e-10 * (sigma[0] + abs(shift)), (M, shift)
+                    refused += 1
+        assert refused > 0
+
+
 class TestHull:
     @pytest.mark.parametrize("points, hull", [
         ([1.0 + 1j], [1.0 + 1j]),

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_sylvester
+from opint import OperatorFunction, Rect
+
+from conftest import make_certified_riccati, make_sylvester
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,3 +55,19 @@ def test_extras_read_real_calls(spans, rng):
     args = (prob, [(complex(z), 0.1) for z in np.linalg.eigvals(prob.C)])
     extra = spans.EXTRAS["sylvester.contour_quadrature"](fn, args, {}, fn(*args))
     assert extra["circles"] == 3 and extra["nodes"] >= 3 * 32
+
+
+def test_extras_read_real_reports(spans, rng):
+    fn = _traced("spectral.decompose_normal")
+    C = np.diag([0.5, 0.5, 1j])
+    sm = fn(C)
+    assert spans.EXTRAS["spectral.decompose_normal"](fn, (C,), {}, sm) == {"atoms": 2, "n": 3}
+    fn = _traced("stieltjes.integrate_right")
+    args = (OperatorFunction.affine(1.0, 2.0, 3), sm, Rect(-2.0, 2.0, -2.0, 2.0))
+    kwargs = {"tol": 1e-10, "max_levels": 60}
+    extra = spans.EXTRAS["stieltjes.integrate_right"](fn, args, kwargs, fn(*args, **kwargs))
+    assert extra["levels"] >= 2
+    fn = _traced("riccati.solve_fixed_point")
+    prob = make_certified_riccati(rng, 3, 3)
+    extra = spans.EXTRAS["riccati.solve_fixed_point"](fn, (prob,), {}, fn(prob))
+    assert extra["iterations"] >= 1

@@ -23,12 +23,14 @@ from opint import (
     e_norm,
     exact_right_integral,
     hs_norm,
+    is_normal,
     measure_of_rect,
     operator_norm,
     spectral_function,
     spectral_invariant_residuals,
 )
 
+import opint.linalg as linalg
 from opint.spectral import _cluster
 
 from conftest import (bounding_rect, cluster_restart_loop, projections, random_complex,
@@ -55,6 +57,28 @@ class TestDecompose:
     def test_nilpotent_raises(self):
         with pytest.raises(NotNormalError):
             decompose_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e150, 1e-200])
+    def test_normality_decided_on_a_rescaled_copy(self, scale):
+        # squares of 1e200 overflow and of 1e-200 underflow: the test reads
+        # C / 2^k there, where the defect is finite (a NaN would fail it);
+        # at 1e150 it reads C itself, with the numbers it always took
+        C = scale * np.diag([1.0, 2.0, 3.0j])
+        norm, s, defect, threshold = linalg._normality(C, operator_norm(C), Tolerances())
+        assert defect <= threshold
+        if scale == 1e150:
+            assert s == 1.0 and defect == linalg.normality_defect(C)
+            assert threshold == 1e-10 * norm ** 2
+        else:
+            assert 1.0 <= norm / s < 2.0
+        if scale > 1.0:
+            sm = decompose_normal(C)
+            assert_allclose(sm.eigenvalues, scale * np.array([3.0j, 1.0, 2.0]), rtol=1e-15)
+        jordan = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert is_normal(C) and not is_normal(jordan)
+        with pytest.raises(NotNormalError, match=r"exceeds .*= [0-9.e+-]+"
+                           + ("$" if scale == 1e150 else r", both for C / 2\^")):
+            decompose_normal(jordan)
 
     def test_eigensolver_noise_is_clustered(self, rng):
         C, _ = random_normal(rng, 6, repeat=True)

@@ -597,14 +597,14 @@ class TestResolventSums:
     @example(STALLED_TAGS_CASE)
     def test_refinement_matches_cell_loop(self, case):
         sm, F, rect, _, _ = case
-        J, report = refine(F, sm, rect)
-        J_ref, ref = with_cell_loop(refine, F, sm, rect)
+        J, report, sums = refine(F, sm, rect)
+        J_ref, ref, sums_ref = with_cell_loop(refine, F, sm, rect)
         assert operator_norm(J - J_ref) <= 1e-13 * max(1.0, operator_norm(J_ref))
         # every level both runs computed: the same mesh, sums that agree to
         # 1e-13, and so Cauchy differences that agree to 2e-13 of the scale
-        scale = max(1.0, max(operator_norm(V) for V in ref.values))
+        scale = max(1.0, max(operator_norm(V) for V in sums_ref))
         for (mesh, diff), (mesh_ref, diff_ref), V, V_ref in zip(
-                report.levels, ref.levels, report.values, ref.values):
+                report.levels, ref.levels, sums, sums_ref):
             assert mesh == mesh_ref
             assert operator_norm(V - V_ref) <= 1e-13 * max(1.0, operator_norm(V_ref))
             assert (math.isnan(diff) and math.isnan(diff_ref)
@@ -852,13 +852,16 @@ class TestIntegrateRight:
 
 
 def refine(F, sm, rect, max_levels=60):
-    """integrate_right at tol 1e-10 keeping every level: (J, report),
-    with the partial value and report when it does not converge."""
+    """integrate_right at tol 1e-10: (J, report, sums), with the partial
+    value and report when it does not converge, and the sum of each
+    reported level from `dyadic_level_sum`, which `TestLevelBlocks` pins
+    to the refinement's levels bit for bit."""
     try:
-        return integrate_right(F, sm, rect, tol=1e-10, max_levels=max_levels,
-                               keep_values=True)
+        J, report = integrate_right(F, sm, rect, tol=1e-10, max_levels=max_levels)
     except NoConvergenceError as exc:
-        return exc.value, exc.report
+        J, report = exc.value, exc.report
+    return J, report, [dyadic_level_sum(F, sm, rect, level)
+                       for level in range(1, len(report.levels) + 1)]
 
 
 @st.composite
@@ -890,20 +893,21 @@ class TestScalarLevels:
     def test_matches_general_path(self, case):
         sm, F, rect = case
         assert F.scalar is not None
-        J, report = refine(F, sm, rect)
-        J_ref, ref = refine(OperatorFunction(F.evaluate), sm, rect)
+        J, report, sums = refine(F, sm, rect)
+        J_ref, ref, sums_ref = refine(OperatorFunction(F.evaluate), sm, rect)
         assert len(report.levels) == len(ref.levels)
         assert report.converged == ref.converged
         assert operator_norm(J - J_ref) <= 1e-13 * max(1.0, operator_norm(J_ref))
-        sup_F = max(operator_norm(K) for K in ref.values)
+        sup_F = max(operator_norm(K) for K in sums_ref)
         for (mesh, diff), (mesh_ref, diff_ref) in zip(report.levels, ref.levels):
             assert mesh == mesh_ref
             assert (math.isnan(diff) and math.isnan(diff_ref)
                     or abs(diff - diff_ref) <= 1e-12 * max(1.0, sup_F))
-        for level, K in enumerate(report.values, 1):
-            level_sum = dyadic_level_sum(F, sm, rect, level)
-            assert operator_norm(K - level_sum) <= 1e-13 * max(
-                1.0, operator_norm(level_sum))
+        # the value returned is its level's sum, and each level's sum on
+        # one value per atom matches the general path's
+        assert np.array_equal(J, sums[-1])
+        for K, K_ref in zip(sums, sums_ref):
+            assert operator_norm(K - K_ref) <= 1e-13 * max(1.0, operator_norm(K_ref))
 
     def test_diff_bounds_the_dense_difference_for_any_basis(self):
         # basis 2I: each level sum is 4 diag(v), so the dense difference
@@ -912,9 +916,9 @@ class TestScalarLevels:
         sm = SpectralMeasure([0.3 + 0.1j, -0.7 + 0.4j, 0.2 - 0.9j, -0.5 - 0.6j],
                              2.0 * np.eye(n), [1] * n)
         F = OperatorFunction.polynomial([0.5, -1.0, 0.25], n)
-        _, report = refine(F, sm, RECT)
+        _, report, sums = refine(F, sm, RECT)
         diffs = [diff for _, diff in report.levels[1:]]
-        dense = [operator_norm(J - K) for J, K in zip(report.values[1:], report.values)]
+        dense = [operator_norm(J - K) for J, K in zip(sums[1:], sums)]
         assert max(dense) > 0.0
         assert all(diff >= d for diff, d in zip(diffs, dense))
 

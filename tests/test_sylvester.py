@@ -682,6 +682,19 @@ class TestSpectralCore:
         assert swept == (2 + 4 + 4) * 16 * 3
         assert hits > 0  # the exact hits at p = 16 make the sweep bite
 
+    @pytest.mark.parametrize("rho", [1e-6, 1e-7])
+    def test_shift_far_larger_than_its_distance_is_solved(self, rng, rho):
+        # A = [[a]] with a - zeta = zeta rho e^{i phi}: the residual formed
+        # as Y T - zeta Y rounded on |zeta| |Y| >> tol_solve |a - zeta| |Y|
+        # and refused these exact solves, X = D / (a - C)
+        z = 0.5 + 0.25j
+        C = np.diag([z, -1.0])
+        for phi in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
+            a = z * (1.0 + rho * np.exp(1j * phi))
+            for D in (np.ones((2, 1)), random_complex(rng, 2, 1)):
+                X = solve_spectral(SylvesterProblem([[a]], C, D)).X
+                assert_allclose(X, D / (a - np.diag(C))[:, None], rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("fault", ["inexact", "nan"])
     def test_guard_rejects_faulty_solves(self, rng, monkeypatch, fault):
         cases = [(solve_spectral, make_sylvester(rng, 4, 5, normal_a=False)),
