@@ -16,6 +16,7 @@ from .errors import (
     CertificateViolationError,
     ContourConstructionError,
     GapViolationError,
+    InsufficientMemoryError,
     InvalidProblemError,
     MaxIterationsError,
     NoConvergenceError,

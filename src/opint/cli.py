@@ -2,8 +2,8 @@
 
 Subcommands ingest a JSON problem file, dispatch to the library, and
 emit JSON reports (CSV for the integration convergence study).  Exit
-codes: 0 success, 2 invalid input, 3 mathematical precondition
-violated, 4 non-convergence.
+codes: 0 success, 2 invalid input or a problem too large for memory,
+3 mathematical precondition violated, 4 non-convergence.
 """
 
 import argparse
@@ -21,6 +21,7 @@ from .errors import (
     CertificateViolationError,
     ContourConstructionError,
     GapViolationError,
+    InsufficientMemoryError,
     InvalidProblemError,
     MaxIterationsError,
     NoConvergenceError,
@@ -272,7 +273,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidProblemError, ShapeMismatchError, ValueError) as exc:
+    except (InvalidProblemError, ShapeMismatchError, InsufficientMemoryError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (NotNormalError, GapViolationError, SingularSystemError,

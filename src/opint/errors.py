@@ -33,6 +33,11 @@ class SingularSystemError(OpintError):
     """The vectorized linear system is singular, i.e. the spectra overlap."""
 
 
+class InsufficientMemoryError(OpintError):
+    """A dense system would need more memory than the OS reports
+    available, so it is refused before anything is allocated."""
+
+
 class ContourConstructionError(OpintError):
     """No admissible family of circles separating the two spectra was
     found."""

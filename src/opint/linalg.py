@@ -77,6 +77,20 @@ def _square_scale(big, count):
     return big if 0.0 < big < np.inf and not fits else 1.0
 
 
+def _pow2_scale(big, count):
+    """The power of two at or below `_square_scale(big, count)`: 1 in range,
+    and dividing by it is exact."""
+    return 2.0 ** int(np.frexp(_square_scale(big, count))[1] - 1)
+
+
+def _distance_scale(M, pts):
+    """`_pow2_scale` of the largest entry of M or point: the distance bounds
+    sum M.size squares of entries and square differences of points, so
+    8 (M.size + 1) squares of it must stay in range."""
+    big = max(np.abs(M).max(initial=0.0), np.abs(pts).max(initial=0.0))
+    return _pow2_scale(float(big), 8 * (M.size + 1))
+
+
 def _row_squares(M):
     """(s, the squared row norms of M / s), s the `_square_scale` of the real
     and imaginary parts of M: no sum of them overflows, and s = 1 in range."""
@@ -202,7 +216,7 @@ def _normality(M, norm, tol):
     """(norm, s, ||M'*M' - M'M'*||_2, tol_normal ||M'||^2) for M' = M / s and
     ||M||_2 = norm: the scale-free test is decided on M', where s = 1 unless
     norm^2 leaves the float range (`_square_scale`), else a power of two."""
-    s = 2.0 ** int(np.frexp(_square_scale(norm, len(M)))[1] - 1)
+    s = _pow2_scale(norm, len(M))
     return (norm, s, normality_defect(M if s == 1.0 else M / s),
             tol.tol_normal * max((norm / s) ** 2, 1e-300))
 
@@ -272,10 +286,13 @@ def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
     outward normal at the polygon's nearest point probes that normal
     instead (a flat W has such a second maximum).  A point stops at U - L <= max(1e-12 U, 4 slack), after
     refine_iters steps, or, with `gap`, once L reaches the least U, as it
-    can no longer be the minimum.
+    can no longer be the minimum.  A and the points are divided by their
+    `_distance_scale` first, and the bounds multiplied back.
     """
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
+    s = _distance_scale(A, pts)
+    A, pts = A / s, pts / s
     slack = _rounding_slack(A, pts)
 
     def probe(t, z):
@@ -300,7 +317,7 @@ def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
         if gap:
             act &= lower < upper.min()
         if it == refine_iters or not act.any():
-            return lower, upper
+            return lower * s, upper * s
         E, i = ends[..., act], np.arange(act.sum())
         (lo, hi), (g_lo, g_hi), (d_lo, d_hi) = E[0], E[1], E[2]
         base = E[:, E[1].argmax(axis=0), i]
@@ -417,8 +434,12 @@ def separation(T, points, sweep):
     hull distances, a few operations on numbers up to ||T||_F + |zeta|,
     are high by at most 8 eps (||T||_F + |zeta|).  For p(h) <= 3h + 24 the
     sum is within the allowance: to first order no rounding lifts a bound.
+    Both are computed on T and the points divided by their `_distance_scale`
+    and multiplied back, so they scale exactly with a power of two.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    s = _distance_scale(T, pts)
+    T, pts = T / s, pts / s
     lam = np.diag(T)
     nu = np.linalg.norm(np.triu(T, 1)) + 4.0 * _rounding_slack(T, pts)
     spectral = (np.abs(lam[:, None] - pts).min(axis=0) - nu).min()
@@ -428,5 +449,5 @@ def separation(T, points, sweep):
     elif np.all(nu <= 1e-12 * hull):
         numrange = (hull - nu).min()
     else:
-        numrange = sweep()
-    return max(float(spectral), 0.0), max(float(numrange), 0.0)
+        numrange = sweep() / s
+    return max(float(spectral), 0.0) * s, max(float(numrange), 0.0) * s

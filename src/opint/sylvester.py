@@ -9,7 +9,6 @@ separated, which every method checks first.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -20,6 +19,7 @@ from .enorm import e_norm
 from .errors import (
     ContourConstructionError,
     GapViolationError,
+    InsufficientMemoryError,
     NoConvergenceError,
     ShapeMismatchError,
     SingularSystemError,
@@ -218,21 +218,52 @@ def solve_spectral(prob):
     return _finish(prob, X, "spectral", gap)
 
 
+def _available_memory():
+    """Bytes the OS reports available: MemAvailable from /proc/meminfo (inf
+    where that is missing), capped by the headroom under a cgroup v2 memory
+    limit."""
+    def read(path):
+        try:
+            with open(path) as f:
+                return f.read()
+        except OSError:
+            return ""
+
+    avail = math.inf
+    for line in read("/proc/meminfo").splitlines():
+        if line.startswith("MemAvailable:"):
+            avail = int(line.split()[1]) * 1024
+    limit = read("/sys/fs/cgroup/memory.max").strip()
+    if limit.isdigit():
+        avail = min(avail, int(limit) - int(read("/sys/fs/cgroup/memory.current") or 0))
+    return avail
+
+
 def solve_kronecker(prob):
-    """Direct oracle: one dense solve of the vectorized equation.
+    """Direct oracle: one dense LU solve (LAPACK zgesv) of the vectorized equation.
 
     Column-stacking turns XA - CX = D into
-    (A^T kron I - I kron C) vec(X) = vec(D).
+    (A^T kron I - I kron C) vec(X) = vec(D).  K is assembled once, in place,
+    as an (h, k, h, k) array: entry ((p, i), (q, j)) is A[q, p] delta_ij -
+    delta_pq C[i, j].  K and LAPACK's copy of it need 2 (hk)^2 complex
+    entries; a problem whose two copies exceed the memory the OS reports
+    available is refused before either is allocated.
     """
     h, k = prob.h, prob.k
-    K = (np.kron(prob.A.T, np.eye(k, dtype=np.complex128))
-         - np.kron(np.eye(h, dtype=np.complex128), prob.C))
+    need, avail = 2 * (h * k) ** 2 * 16, _available_memory()  # 16 bytes per entry
+    if need > avail:
+        raise InsufficientMemoryError(
+            f"the vectorized system needs {need} bytes (K and its LU copy), "
+            f"but only {avail} bytes are available")
+    K = np.zeros((h, k, h, k), dtype=np.complex128)
+    p, i = np.arange(h), np.arange(k)
+    K[p, :, p, :] = -prob.C
+    K[:, i, :, i] += prob.A.T
+    K = K.reshape(h * k, h * k)
     rhs = prob.D.flatten(order="F")
     try:
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            x = scipy.linalg.solve(K, rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        x = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "vectorized system is singular: spec(A) and spec(C) overlap") from exc
     if not np.all(np.isfinite(x)):

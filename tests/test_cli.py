@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import opint
+import opint.sylvester as sylvester
 from opint.cli import main
 from opint.probfile import load_problem, matrix_from_json, matrix_to_json
 from opint import InvalidProblemError, SpectralMeasure, operator_norm
@@ -335,6 +337,52 @@ class TestHugeEntries:
             X = matrix_from_json(json.loads(out)["X"])
             exact = self.BIG / (np.diag(A)[None, :] - np.diag(C)[:, None])
             assert np.allclose(X, exact, rtol=1e-13, atol=0.0)
+
+
+class TestKroneckerMemory:
+    """A Kronecker system beyond the available memory exits 2 before its
+    (hk)^2 matrix exists; h = k = 24 under a budget of 1000 bytes."""
+
+    NEED = 2 * (24 * 24) ** 2 * 16
+    MESSAGE = (f"error: the vectorized system needs {NEED} bytes (K and its LU copy), "
+               "but only 1000 bytes are available\n")
+
+    def problem(self, tmp_path, rng):
+        A, _ = random_normal(rng, 24, re=(2.0, 4.0))
+        C, _ = random_normal(rng, 24)
+        return write_problem(tmp_path, A=matjson(A), C=matjson(C), D=matjson(np.ones((24, 24))))
+
+    def test_exits_2_naming_the_bytes(self, tmp_path, capsys, rng, monkeypatch):
+        path = self.problem(tmp_path, rng)
+        monkeypatch.setattr(sylvester, "_available_memory", lambda: 1000)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["sylvester", path, "--method", "kronecker"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", self.MESSAGE)
+        assert peak < (24 * 24) ** 2 * 16
+
+    def test_exits_2_under_optimized_python(self, tmp_path, rng):
+        path = self.problem(tmp_path, rng)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+        script = textwrap.dedent(f"""
+            import tracemalloc
+            import opint.sylvester
+            from opint.cli import main
+            assert False, "python -O should have stripped this assert"
+            opint.sylvester._available_memory = lambda: 1000
+            tracemalloc.start()
+            code = main(["sylvester", {path!r}, "--method", "kronecker"])
+            print(code, tracemalloc.get_traced_memory()[1])
+        """)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0 and out.stderr == self.MESSAGE, out.stderr
+        code, peak = map(int, out.stdout.split())
+        assert code == 2 and peak < (24 * 24) ** 2 * 16
 
 
 class TestIntegrateCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import opint.sylvester as sylvester
 from opint.linalg import numrange_gap, separation
 from opint import (
     GapViolationError,
+    InsufficientMemoryError,
     NoConvergenceError,
     NotNormalError,
     OperatorFunction,
@@ -192,8 +194,8 @@ class TestKroneckerGuard:
 
     def test_guard_rejects_an_inexact_solve(self, rng, monkeypatch):
         prob = make_sylvester(rng, 3, 4)
-        real_solve = scipy.linalg.solve
-        monkeypatch.setattr(scipy.linalg, "solve",
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
                             lambda K, b: real_solve(K, b) * (1.0 + 1e-4))
         with pytest.raises(SingularSystemError):
             solve_kronecker(prob)
@@ -203,11 +205,36 @@ class TestKroneckerGuard:
         prob = SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]),
                                 1e200 * np.ones((2, 2)))
         solve_kronecker(prob)
-        real_solve = scipy.linalg.solve
-        monkeypatch.setattr(scipy.linalg, "solve",
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
                             lambda K, b: real_solve(K, b) * (1.0 + 1e-3))
         with pytest.raises(SingularSystemError, match="lost all accuracy"):
             solve_kronecker(prob)
+
+    @pytest.mark.parametrize("h, k", [(1, 3), (3, 1), (4, 5), (5, 4)])
+    def test_matches_the_kron_oracle(self, rng, h, k):
+        # non-normal A and a non-symmetric normal C: a transposed block fails
+        prob = make_sylvester(rng, h, k, normal_a=False)
+        K = (np.kron(prob.A.T, np.eye(k, dtype=complex))
+             - np.kron(np.eye(h, dtype=complex), prob.C))
+        x = np.linalg.solve(K, prob.D.flatten(order="F"))
+        assert np.array_equal(solve_kronecker(prob).X, x.reshape((k, h), order="F"))
+
+    def test_refuses_a_system_beyond_available_memory(self, rng, monkeypatch):
+        prob = make_sylvester(rng, 24, 24)
+        need = 2 * (24 * 24) ** 2 * 16
+        monkeypatch.setattr(sylvester, "_available_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InsufficientMemoryError,
+                               match=f"needs {need} bytes .* only {need - 1} bytes"):
+                solve_kronecker(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (24 * 24) ** 2 * 16  # no K was allocated
+        monkeypatch.setattr(sylvester, "_available_memory", lambda: need)
+        assert solve_kronecker(prob).residual <= 1e-10
 
 
 class TestContourConstruction:
@@ -830,6 +857,34 @@ class TestSeparation:
         prob = make_sylvester(rng, 5, 4, normal_a=False)
         verify_bounds(prob, solve_spectral(prob))
         assert calls  # the sweep of a non-normal A goes through the patch
+
+    @pytest.mark.parametrize("normal", [True, False])
+    def test_scales_exactly_with_a_power_of_two(self, rng, normal):
+        T = np.triu(random_complex(rng, 5, 5))
+        if normal:
+            T = np.diag(np.diag(T)) + 1e-14 * np.triu(T, 1)
+        pts = 10.0 + random_complex(rng, 4, 1).ravel()
+        sweeps = []
+
+        def bounds(c):
+            sweep = lambda: sweeps.append(c) or numrange_gap(c * T, c * pts)
+            return np.array(separation(c * T, c * pts, sweep))
+
+        base = bounds(1.0)
+        assert (len(sweeps) > 0) != normal
+        for c in (2.0 ** 600, 2.0 ** -600):
+            assert np.array_equal(bounds(c), c * base)
+
+    def test_huge_entries_keep_a_finite_gap(self):
+        # squares of 1e200 overflow; the parent reported gap_numrange = 0
+        prob = SylvesterProblem(1e200 * np.diag([5.0, 6.0]),
+                                1e200 * np.diag([1.0, 2.0, 3.0j]), 1e200 * np.ones((3, 2)))
+        report = solve_spectral(prob)
+        assert report.gap_d == pytest.approx(3e200, rel=1e-14)
+        assert report.gap_numrange == pytest.approx(3e200, rel=1e-12)
+        checks = verify_bounds(prob, report)
+        assert set(checks) == {"enorm_vs_numrange", "enorm_vs_gap", "hs_vs_gap"}
+        assert all(np.isfinite(c.bound) and c.ok for c in checks.values())
 
 
 def test_report_residual_is_recomputed(rng):
