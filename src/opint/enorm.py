@@ -10,7 +10,7 @@ measured in.
 import numpy as np
 
 from .errors import BoundViolationError, ShapeMismatchError
-from .linalg import _square_scale, adjoint, hs_norm, operator_norm
+from .linalg import _pow2_scale, adjoint, hs_norm, operator_norm
 from .stieltjes import OperatorFunction, exact_left_integral
 
 __all__ = ["e_norm", "check_enorm_sandwich", "bounded_integral_bound_check"]
@@ -26,7 +26,7 @@ def e_norm(Y, sm):
     over Borel partitions is attained when every atom is its own set.
     Each term ||Y* P_k Y|| = ||Q_k* Y||^2 is a row block of Q* Y, with one
     stacked norm per multiplicity and the squares added in atom order,
-    scaled by the largest where a square would leave the normal range.
+    scaled by a power of two where a square would leave the normal range.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] != sm.dim:
@@ -38,7 +38,7 @@ def e_norm(Y, sm):
         atoms = np.flatnonzero(sm.multiplicities == m)
         blocks = W[np.add.outer(sm._offsets[atoms], np.arange(m))]
         norms[atoms] = np.linalg.norm(blocks, 2, axis=(-2, -1))
-    s = _square_scale(float(norms.max()), len(norms))
+    s = _pow2_scale(float(norms.max()), len(norms))
     return s * float(np.sqrt(sum((x / s) ** 2 for x in norms.tolist())))
 
 

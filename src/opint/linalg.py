@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ShapeMismatchError, SingularResolventError
 
@@ -71,16 +72,11 @@ def operator_norm(M):
     return float(np.linalg.norm(A, 2))
 
 
-def _square_scale(big, count):
-    """big if count squares up to big^2 underflow or overflow, else 1."""
-    fits = np.finfo(float).tiny <= big * big and count * big * big <= np.finfo(float).max
-    return big if 0.0 < big < np.inf and not fits else 1.0
-
-
 def _pow2_scale(big, count):
-    """The power of two at or below `_square_scale(big, count)`: 1 in range,
-    and dividing by it is exact."""
-    return 2.0 ** int(np.frexp(_square_scale(big, count))[1] - 1)
+    """1 if count squares up to big^2 stay in the normal float range, else
+    the power of two at or below big, by which dividing is exact."""
+    fits = np.finfo(float).tiny <= big * big and count * big * big <= np.finfo(float).max
+    return 2.0 ** int(np.frexp(big)[1] - 1) if 0.0 < big < np.inf and not fits else 1.0
 
 
 def _distance_scale(M, pts):
@@ -92,10 +88,10 @@ def _distance_scale(M, pts):
 
 
 def _row_squares(M):
-    """(s, the squared row norms of M / s), s the `_square_scale` of the real
+    """(s, the squared row norms of M / s), s the `_pow2_scale` of the real
     and imaginary parts of M: no sum of them overflows, and s = 1 in range."""
     V = np.ascontiguousarray(M).view(np.float64)
-    s = _square_scale(float(np.abs(V).max(initial=0.0)), V.size)
+    s = _pow2_scale(float(np.abs(V).max(initial=0.0)), V.size)
     V = V / s
     return s, np.einsum("ij,ij->i", V, V)
 
@@ -111,39 +107,6 @@ def adjoint(M):
     return np.asarray(M, dtype=np.complex128).conj().T
 
 
-def _accept_residuals(residual, op_norm, sol_norm, tol, shifts):
-    """Raise SingularResolventError, naming the shift of the first failing
-    entry, unless each scale op_norm * sol_norm is finite and each
-    Frobenius residual is at most tol_solve times it, for the largest
-    column (or row) norms of the operator and of the solution: at least as
-    strict as ||S X - B|| <= tol_solve ||S|| ||X||.  `solve_kronecker`, the
-    oracle, keeps its looser sqrt(tol_solve) rule and SingularSystemError
-    (exit 3); `posterior_check` needs sigma_min anyway and rejects
-    sigma_min <= tol_solve (sigma_max + |zeta|)."""
-    with np.errstate(all="ignore"):
-        scale = op_norm * sol_norm
-        ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
-    if not ok.all():
-        i = np.flatnonzero(~ok)[0]
-        why = ("lost all accuracy" if np.isfinite(scale[i])
-               else "cannot be checked: the scale of its residual test overflowed")
-        raise SingularResolventError(f"the solve at z = {complex(shifts[i])} {why} "
-                                     f"(residual {residual[i]:.3e})")
-
-
-def _guarded_solve(S, B, tol, z):
-    """S^{-1} B for S = M - z, accepted by `_accept_residuals` on largest column norms."""
-    try:
-        X = np.linalg.solve(S, B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolventError(
-            f"M - zI is exactly singular at z = {complex(z)}") from exc
-    with np.errstate(all="ignore"):
-        norms = [np.linalg.norm(M, axis=0).max(keepdims=True) for M in (S, X)]
-        _accept_residuals(np.linalg.norm(S @ X - B, keepdims=True)[0], *norms, tol, [z])
-    return X
-
-
 def _substitute(T, R, s):
     """Y with Y T - diag(s) Y = R for an upper triangular T, one column per step
     for all rows, Y_j = (R_j - Y_{<j} T_{<j,j}) / (T_jj - s): O(rows n^2) in n steps."""
@@ -157,15 +120,18 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
     """Y whose k-th block of sizes[k] rows is R_k (T - shifts[k])^{-1}, for
     an upper triangular T and a complex array of shifts: Y T - diag(s) Y =
     R, s = repeat(shifts, sizes), by one `_substitute` (Bartels-Stewart with
-    the left factor diagonal); every shifted solve but `resolvent`'s.
+    the left factor diagonal).  Every shifted solve of the package is one
+    of these on a complex Schur form.
 
-    Raises SingularResolventError, naming the shift, when T - s cancels to
-    rounding as a whole (||T - s||_F <= tol_solve |s|, `resolvent`'s rule,
-    read off the strict upper part and the diagonal of T), when Y is not
-    finite (at the shift nearest to diag(T)), or when a block's residual
-    ||Y_k (T - s_k) - R_k||_F, formed on T - s_k itself (no |s_k| rounds
-    into it), fails `_accept_residuals` with the largest row norms of
-    T - s_k and of Y_k, all summed by `_row_squares`.
+    Raises SingularResolventError, naming the shift of the first failing
+    block: when T - s cancels to rounding as a whole, ||T - s||_F <=
+    tol_solve |s| (read off the strict upper part and the diagonal of T),
+    which a residual relative to ||T - s|| misses; when Y is not finite (at
+    the shift nearest to diag(T)); and unless the scale ||T - s_k|| ||Y_k||,
+    largest row norms, is finite and the Frobenius residual ||Y_k (T - s_k)
+    - R_k||_F, formed on T - s_k itself (no |s_k| rounds into it), is at
+    most tol_solve times it: at least as strict as ||S Y - R|| <= tol_solve
+    ||S|| ||Y||.  Every sum of squares is taken by `_row_squares`.
     """
     n, N, diff = len(T), np.triu(T, 1), np.diag(T) - shifts[:, None]
     # row i of T - s is the strict upper part of row i and T_ii - s
@@ -184,26 +150,26 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
                 f"M - zI is singular at z = {complex(shifts[shifted.min(axis=1).argmin()])}")
         r, res = _row_squares(Y @ N + Y * np.repeat(diff, sizes, axis=0) - R)
         y, rows = _row_squares(Y)
-        _accept_residuals(r * np.sqrt(np.add.reduceat(res, starts)),
-                          c * np.sqrt((sq[:n] + shifted).max(axis=1)),
-                          y * np.sqrt(np.maximum.reduceat(rows, starts)), tol, shifts)
+        residual = r * np.sqrt(np.add.reduceat(res, starts))
+        scale = (c * np.sqrt((sq[:n] + shifted).max(axis=1))
+                 * (y * np.sqrt(np.maximum.reduceat(rows, starts))))
+        ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        why = ("lost all accuracy" if np.isfinite(scale[i])
+               else "cannot be checked: the scale of its residual test overflowed")
+        raise SingularResolventError(f"the solve at z = {complex(shifts[i])} {why} "
+                                     f"(residual {residual[i]:.3e})")
     return Y
 
 
 def resolvent(M, z, tol=DEFAULT_TOLERANCES):
-    """(M - zI)^{-1}, by a `_guarded_solve` against I.
-
-    Raises SingularResolventError, naming z, when M - zI is numerically
-    singular, i.e. z is within working precision of the spectrum of M.
-    """
-    A = _square(M, "M")
-    eye = np.eye(A.shape[0], dtype=np.complex128)
-    shifted = A - complex(z) * eye
-    # the residual is relative to ||M - z||, so it misses an M - zI that
-    # cancels as a whole: sigma_min <= ||M - z||_F <= tol_solve |z|
-    if np.linalg.norm(shifted) <= tol.tol_solve * abs(z):
-        raise SingularResolventError(f"M - zI cancels to rounding at z = {complex(z)}")
-    return _guarded_solve(shifted, eye, tol, z)
+    """(M - zI)^{-1} = Y U* on a complex Schur form M = U T U*, where
+    Y (T - z) = U is one `_triangular_resolvents`: it raises
+    SingularResolventError, naming z, when M - zI is numerically singular,
+    i.e. z is within working precision of the spectrum of M."""
+    T, U = scipy.linalg.schur(_square(M, "M"), output="complex")
+    return _triangular_resolvents(T, U, np.array([complex(z)]), [len(T)], tol) @ adjoint(U)
 
 
 def normality_defect(M):
@@ -215,7 +181,7 @@ def normality_defect(M):
 def _normality(M, norm, tol):
     """(norm, s, ||M'*M' - M'M'*||_2, tol_normal ||M'||^2) for M' = M / s and
     ||M||_2 = norm: the scale-free test is decided on M', where s = 1 unless
-    norm^2 leaves the float range (`_square_scale`), else a power of two."""
+    norm^2 leaves the float range, else a power of two (`_pow2_scale`)."""
     s = _pow2_scale(norm, len(M))
     return (norm, s, normality_defect(M if s == 1.0 else M / s),
             tol.tol_normal * max((norm / s) ** 2, 1e-300))

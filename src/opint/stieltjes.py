@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError
 from .linalg import (DEFAULT_TOLERANCES, _square, _triangular_resolvents, adjoint,
-                     as_matrix, operator_norm, resolvent)
+                     as_matrix, operator_norm)
 from .spectral import Rect
 
 __all__ = [
@@ -46,8 +46,8 @@ class OperatorFunction:
     when the function is f(lambda + i mu) times the dim x dim identity;
     only `from_scalar` sets it, so it always agrees with evaluate.  In
     the same way only `resolvent_family` sets the private record
-    (A, D, tol) of D (A - z)^{-1}, D = I if not given, and the first
-    Stieltjes sum of it the Schur form (T, U, D conj(U)) of A^T.
+    (T, U, D conj(U), tol) of D (A - z)^{-1}, D = I if not given, for its
+    complex Schur form A^T = U T U*.
     """
 
     evaluate: Callable[[float, float], np.ndarray]
@@ -55,7 +55,6 @@ class OperatorFunction:
     gamma2: Optional[float] = None
     scalar: Optional[tuple] = field(default=None, init=False, repr=False)
     _resolvent: Optional[tuple] = field(default=None, init=False, repr=False)
-    _schur: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
@@ -97,15 +96,20 @@ class OperatorFunction:
     def resolvent_family(cls, A, D=None, tol=DEFAULT_TOLERANCES):
         """D (A - z)^{-1} as a function of z = lambda + i mu, for a square,
         finite A and a D (I if None) with as many columns, else
-        ShapeMismatchError.  A value is one `resolvent`; a Stieltjes sum
-        takes all its tags at once (`_resolvent_sum`)."""
-        A = _square(A, "A").copy()
-        D = np.eye(len(A)) if D is None else as_matrix(D, "D").copy()
+        ShapeMismatchError.  A^T = U T U* is put in complex Schur form once:
+        a value is D conj(U) Y^T for the one row block Y = U (T - z)^{-1} of
+        `_triangular_resolvents`, and a Stieltjes sum takes all its tags in
+        one such solve (`_resolvent_sum`)."""
+        A = _square(A, "A")
+        D = np.eye(len(A)) if D is None else as_matrix(D, "D")
         if D.shape[1] != A.shape[0]:
             raise ShapeMismatchError(
                 f"cannot form D (A - z)^{{-1}} from shapes {D.shape} and {A.shape}")
-        F = cls(evaluate=lambda lam, mu: D @ resolvent(A, complex(lam, mu), tol))
-        F._resolvent = (A, D, tol)
+        T, U = scipy.linalg.schur(A.T, output="complex")
+        DU = D @ np.conj(U)
+        F = cls(evaluate=lambda lam, mu: DU @ _triangular_resolvents(
+            T, U, np.array([complex(lam, mu)]), [len(T)], tol).T)
+        F._resolvent = T, U, DU, tol
         return F
 
 
@@ -280,18 +284,14 @@ def _spectral_sum(F, sm, atoms, tags, empty_tag):
 
 def _resolvent_sum(F, sm, atoms, tags):
     """sum_k D (A - tags[k])^{-1} P_k for F = D (A - z)^{-1}, the
-    transpose of a left sum of A^T against the measure of C^T: on a Schur
-    form A^T = U T U*, computed once per F, atom k has the rows
+    transpose of a left sum of A^T against the measure of C^T: on the
+    family's Schur form A^T = U T U*, atom k has the rows
     Y_k = Q_k^T U (T - tags[k])^{-1} of one `_triangular_resolvents`
     (which names a failing tag), and the sum is D conj(U) Y^T Q_S*."""
-    A, D, tol = F._resolvent
-    _check_shape(D.shape, sm)
+    T, U, DU, tol = F._resolvent
+    _check_shape(DU.shape, sm)
     if not len(atoms):
-        return np.zeros((len(D), sm.dim), dtype=np.complex128)
-    if F._schur is None:
-        T, U = scipy.linalg.schur(A.T, output="complex")
-        F._schur = T, U, D @ np.conj(U)
-    T, U, DU = F._schur
+        return np.zeros((len(DU), sm.dim), dtype=np.complex128)
     Q = sm.columns(atoms)
     Y = _triangular_resolvents(T, Q.T @ U, tags, sm.multiplicities[atoms], tol)
     return DU @ Y.T @ adjoint(Q)

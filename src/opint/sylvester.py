@@ -22,12 +22,15 @@ from .errors import (
     InsufficientMemoryError,
     NoConvergenceError,
     ShapeMismatchError,
+    SingularResolventError,
     SingularSystemError,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _distance_scale,
     _normality,
+    _pow2_scale,
     _triangular_resolvents,
     adjoint,
     as_matrix,
@@ -270,8 +273,12 @@ def solve_kronecker(prob):
         raise SingularSystemError(
             "vectorized system is singular: spec(A) and spec(C) overlap")
     res = hs_norm((K @ x - rhs)[None])
-    # the largest column norm of K bounds ||K||_2 below; hs_norm scales ||x||
-    scale = max(float(np.linalg.norm(K, axis=0).max()) * hs_norm(x[None]),
+    # the largest column norm of K bounds ||K||_2 below; it is taken on K,
+    # no longer needed, divided in place by its `_pow2_scale`
+    V = K.view(np.float64)
+    s = _pow2_scale(float(max(V.max(), -V.min())), V.size)
+    K /= s
+    scale = max(s * float(np.linalg.norm(K, axis=0).max()) * hs_norm(x[None]),
                 hs_norm(prob.D), 1.0)
     if res > math.sqrt(prob.tolerances.tol_solve) * scale:
         raise SingularSystemError(
@@ -336,7 +343,8 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
     The kept complex Schur forms C = Z T_C Z* and A = U T_A U* of the
-    problem reduce each node to two triangular solves against Z* D U,
+    problem, T_A, T_C, D and the circles divided by one `_distance_scale`
+    (1 in range), reduce each node to two triangular solves against Z* D U,
     batched over blocks of nodes by `_node_sum` (T_C reversed and transposed
     is formed once).  The node sets are nested: a doubling evaluates only
     the new odd-index nodes and adds them, weighted by their circle's
@@ -344,9 +352,13 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     """
     T_C, Z = prob.schur("C")
     T_A, U = prob.schur("A")
-    T_Cr, R_C = T_C.T[::-1, ::-1].copy(), -(adjoint(Z) @ prob.D @ U).T[:, ::-1]
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
+    # X solves the equation for A / s, C / s and D / s too, where the nodes'
+    # integrand, about |D| / |A| |C|, cannot underflow for A and C near 1e200
+    s = _distance_scale(T_A, np.append(T_C, centers))
+    T_A, T_C, centers, radii = T_A / s, T_C / s, centers / s, radii / s
+    T_Cr, R_C = T_C.T[::-1, ::-1].copy(), -(adjoint(Z) @ (prob.D / s) @ U).T[:, ::-1]
     n = max(int(n_nodes), 4)
     t = 2.0 * np.pi * np.arange(n) / n
     acc = np.zeros_like(R_C.T)
@@ -354,8 +366,14 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     while True:
         # dz / (2 pi i) = radius e^{it} dt / (2 pi); trapezoid weight 2 pi / n
         w = radii * np.exp(1j * t)
-        acc += _node_sum(T_Cr, R_C, T_A, (centers + w).ravel(), w.ravel(),
-                         prob.tolerances)
+        try:
+            acc += _node_sum(T_Cr, R_C, T_A, (centers + w).ravel(), w.ravel(),
+                             prob.tolerances)
+        except SingularResolventError as exc:
+            if s != 1.0:  # exc names the shift on the divided contour
+                raise SingularResolventError(f"{exc}, with A, C and the contour divided "
+                                             f"by 2^{int(np.log2(s))}") from exc
+            raise
         X = Z @ (acc / n) @ adjoint(U)
         if prev is not None:
             change = operator_norm(X - prev)

@@ -158,6 +158,24 @@ def spectral_norm_guard_raises(M, z, tol_solve=1e-10):
     return not residual <= tol_solve * scale
 
 
+def lu_resolvent_raises(M, z, tol_solve=1e-10):
+    """Whether the LU resolvent guard rejects z: M - zI that cancels to
+    rounding as a whole, ||M - z||_F <= tol_solve |z|; an LU solve of
+    (M - z) R = I that is singular; or a Frobenius residual that is not at
+    most tol_solve times a finite ||M - z|| ||R||, largest column norms."""
+    S = np.asarray(M, dtype=np.complex128) - complex(z) * np.eye(len(M), dtype=np.complex128)
+    if np.linalg.norm(S) <= tol_solve * abs(z):
+        return True
+    with np.errstate(all="ignore"):
+        try:
+            R = np.linalg.solve(S, np.eye(len(M), dtype=np.complex128))
+        except np.linalg.LinAlgError:
+            return True
+        scale = np.linalg.norm(S, axis=0).max() * np.linalg.norm(R, axis=0).max()
+        residual = np.linalg.norm(S @ R - np.eye(len(M)))
+    return not (np.isfinite(scale) and residual <= tol_solve * scale)
+
+
 def shift_sweep(eigenvalues):
     """z = lam + 10^-p e^{i phi} for p = 1..16 and three angles."""
     for lam in eigenvalues:

@@ -338,6 +338,20 @@ class TestHugeEntries:
             exact = self.BIG / (np.diag(A)[None, :] - np.diag(C)[:, None])
             assert np.allclose(X, exact, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("method", ["kronecker", "spectral", "contour", "double"])
+    @pytest.mark.parametrize("d", [1.0, 1e200])
+    def test_solvers_on_huge_a_and_c(self, tmp_path, capsys, method, d):
+        # the contour's node integrand is about d / 1e400, below the float
+        # range for d = 1, unless the solver scales the problem
+        A, C = 1e200 * np.diag([5.0, 6.0]), 1e200 * np.diag([1.0, 2.0, 3.0j])
+        D = d * np.ones((3, 2))
+        path = write_problem(tmp_path, A=matjson(A), C=matjson(C), D=matjson(D))
+        code, out, err = run(capsys, ["sylvester", path, "--method", method])
+        assert (code, err) == (0, "")
+        X = matrix_from_json(json.loads(out)["X"])
+        exact = D / (np.diag(A)[None, :] - np.diag(C)[:, None])
+        assert np.allclose(X, exact, rtol=1e-13, atol=0.0)
+
 
 class TestKroneckerMemory:
     """A Kronecker system beyond the available memory exits 2 before its

@@ -39,9 +39,9 @@ from opint import (
 from opint.linalg import (DEFAULT_TOLERANCES, numrange_distances, numrange_gap,
                           resolvent, separation)
 
-from conftest import (bounding_rect, count_calls, make_certified_riccati,
-                      min_sigma, near_normal_case, random_complex, random_normal,
-                      random_unitary, shift_sweep, spectral_norm_guard_raises)
+from conftest import (bounding_rect, count_calls, lu_resolvent_raises,
+                      make_certified_riccati, min_sigma, near_normal_case, random_complex,
+                      random_normal, random_unitary, shift_sweep, spectral_norm_guard_raises)
 
 SCALAR = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])
 NEAR_NORMAL = np.array([[3.0, 9e-6], [0.0, 3.0]])
@@ -363,8 +363,8 @@ class TestPosterior:
         assert riccati._sup_resolvent_norm(M, zetas, DEFAULT_TOLERANCES) == whole
 
     def test_singular_shift_sweep_at_least_as_strict_as_lu(self, rng):
-        # no shift passes where an LU inverse (linalg.resolvent) or the
-        # spectral-norm residual guard would have raised
+        # no shift passes where the guarded LU inverse or the spectral-norm
+        # residual guard would have raised
         A0, _ = random_normal(rng, 4)
         jordan = 2.0 * np.eye(4) + np.diag(np.ones(3), 1)
         matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]), jordan,
@@ -372,11 +372,7 @@ class TestPosterior:
         hits = 0
         for M in matrices:
             for z in shift_sweep(np.linalg.eigvals(M)):
-                old_raises = spectral_norm_guard_raises(M, z)
-                try:
-                    resolvent(M, z)
-                except SingularResolventError:
-                    old_raises = True
+                old_raises = spectral_norm_guard_raises(M, z) or lu_resolvent_raises(M, z)
                 try:
                     riccati._sup_resolvent_norm(M, np.array([z]), DEFAULT_TOLERANCES)
                     new_raises = False

@@ -24,7 +24,6 @@ from opint import (
     left_sum,
     lnest_bound,
     operator_norm,
-    resolvent,
     right_sum,
     solve_kronecker,
     SpectralMeasure,
@@ -46,6 +45,7 @@ from conftest import (
     faulty_substitute,
     grid_cells_dict,
     grid_tags_per_level,
+    lu_resolvent_raises,
     projections,
     random_complex,
     random_normal,
@@ -580,7 +580,7 @@ STALLED_TAGS_CASE = (*resolvent_measure_and_family(3372, 3, True, 1), RESOLVENT_
 
 class TestResolventSums:
     """A resolvent family sums all its cells in one triangular solve; the
-    per-cell loop of `resolvent` values is the oracle."""
+    per-cell loop of its values, one triangular solve per tag, is the oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(resolvent_case())
@@ -627,22 +627,25 @@ class TestResolventSums:
         sm = decompose_normal(C)
         schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
         resolvents = count_calls(monkeypatch, linalg.resolvent)
-        solves = count_calls(monkeypatch, linalg._guarded_solve)
+        solves = count_calls(monkeypatch, linalg._triangular_resolvents)
         F = OperatorFunction.resolvent_family(A, D)
         J, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=60)
         exact = exact_right_integral(F, sm, RECT)
         dyadic_level_sum(F, sm, RECT, 5)
         assert report.converged and len(report.levels) > 20
-        assert len(schurs) == 1 and resolvents == [] and solves == []
+        assert len(schurs) == 1 and resolvents == []
         assert operator_norm(J - exact) <= 1e-8 * operator_norm(exact)
-        # F(lambda, mu) and the left sums stay on one resolvent per tag
+        # F(lambda, mu) and the left sums take one triangular solve per tag
+        # on the same Schur form
+        before = len(solves)
         value = F(0.25, 0.5)
-        assert len(resolvents) == 1
+        assert len(solves) == before + 1
         R = scipy.linalg.inv(A - (0.25 + 0.5j) * np.eye(6))
         assert_allclose(value, R if D is None else D @ R, rtol=1e-12, atol=1e-14)
         left = exact_left_integral(OperatorFunction(lambda lam, mu: adjoint(F(lam, mu))),
                                    sm, RECT)
-        assert len(resolvents) == 1 + len(sm)
+        assert len(solves) == before + 1 + len(sm)
+        assert len(schurs) == 1 and resolvents == []
         assert operator_norm(adjoint(left) - exact) <= 1e-13 * operator_norm(exact)
 
     def test_no_tag_passes_that_resolvent_rejects(self, rng):
@@ -654,11 +657,7 @@ class TestResolventSums:
         for M in matrices:
             far = 10.0 * max(1.0, operator_norm(M)) * (1.0 + 1.0j)
             for z in shift_sweep(np.linalg.eigvals(M)):
-                try:
-                    resolvent(M, z)
-                    old_raises = False
-                except SingularResolventError:
-                    old_raises = True
+                old_raises = lu_resolvent_raises(M, z)
                 # a 2-fold atom at z and one far from spec(M), as tags
                 sm = SpectralMeasure([z, far], np.eye(4), [2, 2])
                 F = OperatorFunction.resolvent_family(M)
@@ -710,6 +709,50 @@ class TestResolventSums:
             OperatorFunction(lambda lam, mu: np.eye(2), _resolvent=(np.eye(2), None, None))
         assert OperatorFunction.constant(np.eye(2))._resolvent is None
         assert OperatorFunction.affine(1.0, 2.0, 2)._resolvent is None
+
+
+class TestResolventValues:
+    """A value F(lambda, mu) of a resolvent family is one triangular solve
+    on the Schur form the family keeps; a dense LU inverse is the oracle."""
+
+    @pytest.mark.parametrize("non_normal", [False, True])
+    def test_values_match_an_lu_inverse(self, rng, monkeypatch, non_normal):
+        schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        resolvents = count_calls(monkeypatch, linalg.resolvent)
+        for n in (1, 2, 5, 12, 24):
+            A, _ = random_normal(rng, n)
+            if non_normal:
+                A = A + 0.5 * np.triu(random_complex(rng, n, n), 1)
+            D = random_complex(rng, 3, n)
+            F = OperatorFunction.resolvent_family(A, D)
+            for z in rng.standard_normal(5) + 1j * rng.standard_normal(5):
+                S = A - z * np.eye(n)
+                ref = D @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(n))
+                value = F(z.real, z.imag)
+                assert np.linalg.norm(value - ref) <= 1e-13 * np.linalg.norm(ref), (n, z)
+        assert len(schurs) == 5 and resolvents == []
+
+    def test_refuses_every_shift_an_lu_inverse_refuses(self, rng):
+        A0, _ = random_normal(rng, 4)
+        jordan = 2.0 * np.eye(4) + np.diag(np.ones(3), 1)
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]), jordan,
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1), 1e4 * A0]
+        swept = hits = 0
+        for M in matrices:
+            F = OperatorFunction.resolvent_family(M)
+            for z in shift_sweep(np.linalg.eigvals(M)):
+                old_raises = lu_resolvent_raises(M, z)
+                try:
+                    F(z.real, z.imag)
+                    new_raises = False
+                except SingularResolventError as exc:
+                    assert f"z = {complex(z)}" in str(exc)
+                    new_raises = True
+                assert new_raises or not old_raises, (M, z)
+                swept += 1
+                hits += old_raises
+        assert swept == 4 * 4 * 16 * 3
+        assert hits > 0  # the exact hits at p = 16 make the sweep bite
 
 
 class TestExactIntegrals:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import (bounding_rect, count_calls, faulty_substitute, make_sylvester,
-                      min_sigma, near_normal_case, node_sum_lu, projections,
+from conftest import (bounding_rect, count_calls, faulty_substitute, lu_resolvent_raises,
+                      make_sylvester, min_sigma, near_normal_case, node_sum_lu, projections,
                       random_complex, random_normal, random_unitary, ring_sylvester,
                       shift_sweep, spectral_norm_guard_raises)
 from test_linalg import _hull_distance
@@ -201,15 +202,22 @@ class TestKroneckerGuard:
             solve_kronecker(prob)
 
     def test_guard_rejects_an_inexact_solve_near_overflow(self, monkeypatch):
-        # ||x|| of a solution near 1e200 overflows unless the test scales it
-        prob = SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]),
-                                1e200 * np.ones((2, 2)))
-        solve_kronecker(prob)
+        # ||x|| of a solution near 1e200, and the column norms of a K with
+        # entries near 1e200, overflow unless the test scales them
+        probs = [SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]),
+                                  1e200 * np.ones((2, 2))),
+                 SylvesterProblem(1e200 * np.diag([5.0, 6.0]),
+                                  1e200 * np.diag([1.0, 2.0, 3j]), 1e200 * np.ones((3, 2)))]
+        for prob in probs:
+            solve_kronecker(prob)
         real_solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda K, b: real_solve(K, b) * (1.0 + 1e-3))
-        with pytest.raises(SingularSystemError, match="lost all accuracy"):
-            solve_kronecker(prob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for prob in probs:
+                with pytest.raises(SingularSystemError, match="lost all accuracy"):
+                    solve_kronecker(prob)
 
     @pytest.mark.parametrize("h, k", [(1, 3), (3, 1), (4, 5), (5, 4)])
     def test_matches_the_kron_oracle(self, rng, h, k):
@@ -343,12 +351,8 @@ class TestContourQuadrature:
                     for phi in (0.0, 0.5 * np.pi, 0.75 * np.pi):
                         z = lam + 10.0 ** -p * np.exp(1j * phi)
                         node = (z - r) + r
-                        try:
-                            resolvent(prob.A, node)
-                            resolvent(prob.C, node)
-                            old_raises = False
-                        except SingularResolventError:
-                            old_raises = True
+                        old_raises = (lu_resolvent_raises(prob.A, node)
+                                      or lu_resolvent_raises(prob.C, node))
                         try:
                             contour_quadrature(prob, [(z - r, r)],
                                                n_nodes=4, max_nodes=4)
@@ -371,35 +375,38 @@ class TestContourQuadrature:
         with pytest.raises(SingularResolventError):
             contour_quadrature(prob, [(lam - r, r)])
 
+    def test_refusal_on_a_divided_contour_names_the_scale(self):
+        # A, C and the circle near 1e200 are divided by 2^666 first, and node 0
+        # hits the eigenvalue 5e200 of A, which is 1.633... on that scale
+        prob = SylvesterProblem(1e200 * np.diag([5.0, 6.0]), 1e200 * np.diag([1.0, 2.0]),
+                                np.ones((2, 2)))
+        with pytest.raises(SingularResolventError,
+                           match=r"singular at z = \(1\.633.*divided by 2\^666$"):
+            contour_quadrature(prob, [(4e200, 1e200)], n_nodes=4, max_nodes=4)
+
     def test_guard_rejects_inexact_and_infinite_solves(self, rng, monkeypatch):
-        tol = linalg.DEFAULT_TOLERANCES
+        tol, zero = linalg.DEFAULT_TOLERANCES, np.zeros(1, dtype=complex)
         with pytest.raises(SingularResolventError):  # 1e10 / 1e-310 overflows
-            linalg._guarded_solve(np.full((1, 1), 1e-310 + 0j),
-                                  np.full((1, 1), 1e10 + 0j), tol, 0.0)
-        # S = M - z for M = triu(...) and z = -3
-        S = np.triu(random_complex(rng, 4, 4)) + 3.0 * np.eye(4)
-        B = random_complex(rng, 4, 2)
-        linalg._guarded_solve(S, B, tol, -3.0)
-        real_solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda S, B: real_solve(S, B) * (1.0 + 1e-8))
+            linalg._triangular_resolvents(np.full((1, 1), 1e-310 + 0j),
+                                          np.full((1, 1), 1e10 + 0j), zero, [1], tol)
+        # T - z for T = triu(...) and z = -3
+        T, R, z = np.triu(random_complex(rng, 4, 4)), random_complex(rng, 2, 4), zero - 3.0
+        linalg._triangular_resolvents(T, R, z, [2], tol)
+        monkeypatch.setattr(linalg, "_substitute", faulty_substitute("inexact"))
         with pytest.raises(SingularResolventError, match=r"at z = \(-3"):
-            linalg._guarded_solve(S, B, tol, -3.0)
+            linalg._triangular_resolvents(T, R, z, [2], tol)
 
     def test_resolvent_and_contour_nodes_share_one_guarded_solve(self, rng,
                                                                   monkeypatch):
-        guarded = count_calls(monkeypatch, linalg._guarded_solve)
         calls = count_calls(monkeypatch, linalg._triangular_resolvents)
-        accepted = count_calls(monkeypatch, linalg._accept_residuals)
         prob = make_sylvester(rng, 4, 3, normal_a=False)
         resolvent(prob.A, 5.0)
-        assert len(guarded) == 1 and calls == [] and len(accepted) == 1
+        assert len(calls) == 1
         circles = [(complex(z), 0.1) for z in np.linalg.eigvals(prob.C)]
         _, n = contour_quadrature(prob, circles)
         # one block per level: (Y^T P)(P T_C^T P - z) = -D_t^T P, then W (T_A - z) = Y,
-        # each accepted by the residual rule that accepts `resolvent`'s solve
-        assert len(guarded) == 1 and len(calls) == 2 * (int(np.log2(n // 32)) + 1)
-        assert len(accepted) == 1 + len(calls)
+        # each the triangular solve that gives `resolvent`'s value
+        assert len(calls) == 1 + 2 * (int(np.log2(n // 32)) + 1)
 
     def test_triangular_nodes_match_lu_nodes(self, rng, monkeypatch):
         shapes = [(4, 4, True), (4, 6, False), (6, 4, True), (6, 6, False),
