@@ -116,25 +116,50 @@ def _substitute(T, R, s):
     return np.ascontiguousarray(Yt.T)
 
 
+def _hessenberg_solve(H, R, shifts, sizes):
+    """Y whose k-th block of sizes[k] rows is R_k (H - shifts[k])^{-1}, for an
+    upper Hessenberg H, one banded LU (LAPACK zgbsv) per block: Y_k (H - s)
+    = R_k is (J (H - s)^T J)(J Y_k^T) = J R_k^T, J the index reversal, whose
+    matrix is upper Hessenberg again, one subdiagonal and n - 1 superdiagonals
+    in an (n + 2) x n band array, copied per block.  O(rows n^2) in all; a
+    block whose U factor is exactly singular comes back NaN."""
+    n, Y = len(H), np.empty(R.shape, dtype=np.complex128)
+    # band.T is LAPACK's band array of A = J H^T J: A_ij at band[j, n + i - j],
+    # flat offset n + i + (n + 1) j, the diagonal in band[:, n]
+    band = np.zeros((n, n + 2), dtype=np.complex128)
+    band.reshape(-1)[n:].reshape(n, n + 1)[:, :n] = H[::-1, ::-1]
+    for s, lo, hi in zip(shifts, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+        ab = band.copy()
+        ab[:, n] -= s
+        _, _, x, info = scipy.linalg.lapack.zgbsv(1, n - 1, ab.T, R[lo:hi, ::-1].T,
+                                                  overwrite_ab=True)
+        Y[lo:hi] = x.T[:, ::-1] if info == 0 else np.nan
+    return Y
+
+
 def _triangular_resolvents(T, R, shifts, sizes, tol):
     """Y whose k-th block of sizes[k] rows is R_k (T - shifts[k])^{-1}, for
-    an upper triangular T and a complex array of shifts: Y T - diag(s) Y =
-    R, s = repeat(shifts, sizes), by one `_substitute` (Bartels-Stewart with
-    the left factor diagonal).  Every shifted solve of the package is one
-    of these on a complex Schur form.
+    an upper triangular or upper Hessenberg T and a complex array of
+    shifts: Y T - diag(s) Y = R, s = repeat(shifts, sizes).  A triangular T
+    (no subdiagonal) takes one `_substitute` (Bartels-Stewart with the left
+    factor diagonal), a Hessenberg one `_hessenberg_solve`.  Every shifted
+    solve of the package is one of these, on a complex Schur form or, where
+    no eigenvalue is read, a Hessenberg form.
 
     Raises SingularResolventError, naming the shift of the first failing
     block: when T - s cancels to rounding as a whole, ||T - s||_F <=
-    tol_solve |s| (read off the strict upper part and the diagonal of T),
-    which a residual relative to ||T - s|| misses; when Y is not finite (at
-    the shift nearest to diag(T)); and unless the scale ||T - s_k|| ||Y_k||,
-    largest row norms, is finite and the Frobenius residual ||Y_k (T - s_k)
-    - R_k||_F, formed on T - s_k itself (no |s_k| rounds into it), is at
-    most tol_solve times it: at least as strict as ||S Y - R|| <= tol_solve
-    ||S|| ||Y||.  Every sum of squares is taken by `_row_squares`.
+    tol_solve |s| (read off N, the off-diagonal part of T, and the diagonal
+    of T), which a residual relative to ||T - s|| misses; when Y is not
+    finite (at the shift of a non-finite block nearest to diag(T)); and
+    unless the scale ||T - s_k|| ||Y_k||, largest row norms, is finite and
+    the Frobenius residual ||Y_k (T - s_k) - R_k||_F, formed on T - s_k
+    itself (no |s_k| rounds into it), is at most tol_solve times it: at
+    least as strict as ||S Y - R|| <= tol_solve ||S|| ||Y||.  Every sum of
+    squares is taken by `_row_squares`.
     """
-    n, N, diff = len(T), np.triu(T, 1), np.diag(T) - shifts[:, None]
-    # row i of T - s is the strict upper part of row i and T_ii - s
+    n, N, diff = len(T), T.copy(), np.diag(T) - shifts[:, None]
+    np.fill_diagonal(N, 0.0)
+    # row i of T - s is row i of N and T_ii - s
     c, sq = _row_squares(np.concatenate([N, diff]))
     with np.errstate(all="ignore"):
         shifted = np.abs(diff / c) ** 2
@@ -144,10 +169,13 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
             f"M - zI cancels to rounding at z = {complex(shifts[cancels][0])}")
     s, starts = np.repeat(shifts, sizes), np.cumsum(sizes) - sizes
     with np.errstate(all="ignore"):
-        Y = _substitute(T, R, s)
+        Y = (_hessenberg_solve(T, R, shifts, sizes) if T.diagonal(-1).any()
+             else _substitute(T, R, s))
         if not np.all(np.isfinite(Y)):
+            bad = np.logical_or.reduceat(~np.isfinite(Y).all(axis=1), starts)
+            nearest = np.where(bad, shifted.min(axis=1), np.inf).argmin()
             raise SingularResolventError(
-                f"M - zI is singular at z = {complex(shifts[shifted.min(axis=1).argmin()])}")
+                f"M - zI is singular at z = {complex(shifts[nearest])}")
         r, res = _row_squares(Y @ N + Y * np.repeat(diff, sizes, axis=0) - R)
         y, rows = _row_squares(Y)
         residual = r * np.sqrt(np.add.reduceat(res, starts))
@@ -164,12 +192,12 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
 
 
 def resolvent(M, z, tol=DEFAULT_TOLERANCES):
-    """(M - zI)^{-1} = Y U* on a complex Schur form M = U T U*, where
-    Y (T - z) = U is one `_triangular_resolvents`: it raises
+    """(M - zI)^{-1} = Y U* on a Hessenberg form M = U H U*, where
+    Y (H - z) = U is one `_triangular_resolvents`: it raises
     SingularResolventError, naming z, when M - zI is numerically singular,
     i.e. z is within working precision of the spectrum of M."""
-    T, U = scipy.linalg.schur(_square(M, "M"), output="complex")
-    return _triangular_resolvents(T, U, np.array([complex(z)]), [len(T)], tol) @ adjoint(U)
+    H, U = scipy.linalg.hessenberg(_square(M, "M"), calc_q=True)
+    return _triangular_resolvents(H, U, np.array([complex(z)]), [len(H)], tol) @ adjoint(U)
 
 
 def normality_defect(M):

@@ -89,9 +89,11 @@ class RiccatiReport:
 
 
 def riccati_residual(prob, X):
-    """||XA - CX + XBX - D|| recomputed from scratch."""
+    """||XA - CX + XBX - D|| recomputed from scratch; inf when it overflows."""
     X = np.asarray(X, dtype=np.complex128)
-    return operator_norm(X @ prob.A - prob.C @ X + X @ prob.B @ X - prob.D)
+    with np.errstate(all="ignore"):
+        R = X @ prob.A - prob.C @ X + X @ prob.B @ X - prob.D
+    return operator_norm(R) if np.isfinite(R).all() else math.inf
 
 
 def certify(prob):
@@ -115,17 +117,20 @@ def _certify(prob):
     d = max(spectral, numrange)
     mode = "normal_a" if spectral >= numrange else "numerical_range"
     enorm_d = e_norm(prob.D, sm)
-    bd = norm_b * enorm_d
-    condition_ok = math.sqrt(bd) < d / 2.0
+    # sqrt(||B||) sqrt(||D||_E), h + disc = d - ||B|| r_min and r_min without
+    # its cancellation: no product of mismatched scales leaves the float range
+    g, h = math.sqrt(norm_b) * math.sqrt(enorm_d), d / 2.0
+    condition_ok = g < h
     if condition_ok:
-        disc = math.sqrt(d * d / 4.0 - bd)
-        r_min = (d / 2.0 - disc) / norm_b
-        r_max = (d - math.sqrt(bd)) / norm_b
-        q_at_rmin = bd / (d - norm_b * r_min) ** 2
+        disc = math.sqrt(h - g) * math.sqrt(h + g)
+        r_min = enorm_d / (h + disc)
+        r_max = (d - g) / norm_b
+        q_at_rmin = (g / (h + disc)) ** 2
     else:
         r_min = r_max = q_at_rmin = math.nan
-    strict_predicted = ((norm_b < d / 2.0 and norm_b + enorm_d < d)
-                        or (norm_b >= d / 2.0 and enorm_d < d * d / (4.0 * norm_b)))
+    # ||D||_E < d^2 / (4 ||B||) is the condition itself
+    strict_predicted = ((norm_b < h and norm_b + enorm_d < d)
+                        or (norm_b >= h and condition_ok))
     return ContractionCertificate(
         mode=mode, d=d, norm_b=norm_b, enorm_d=enorm_d,
         condition_ok=condition_ok, r_min=r_min, r_max=r_max,
@@ -135,11 +140,15 @@ def _certify(prob):
 
 
 def _apply_map(prob, sm, X):
-    """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}; at
-    X = 0 on the kept Schur form of A."""
-    schur = (scipy.linalg.schur(prob.A + prob.B @ X, output="complex")
-             if X.any() else prob.schur("A"))
-    return _spectral_solve(schur, sm, prob.D)
+    """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}: at
+    X = 0 on the kept Schur form of A, else on a Hessenberg form of A + BX,
+    whose eigenvalues are never read; None when A + BX is not finite."""
+    if not X.any():
+        return _spectral_solve(prob.schur("A"), sm, prob.D)
+    with np.errstate(all="ignore"):
+        M = prob.A + prob.B @ X
+    return (_spectral_solve(scipy.linalg.hessenberg(M, calc_q=True), sm, prob.D)
+            if np.isfinite(M).all() else None)
 
 
 def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
@@ -155,8 +164,8 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
 
     Raises ValueError for a tol that is not a finite nonnegative number,
     MaxIterationsError (with the partial report attached) when max_iter
-    is exhausted, and propagates SingularResolventError when an iterate
-    drives A + BX onto the spectrum of C.
+    is exhausted or A + BX overflows, and propagates SingularResolventError
+    when an iterate drives A + BX onto the spectrum of C.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -166,7 +175,7 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     if not cert.condition_ok and not override_certificate:
         raise CertificateViolationError(
             "contraction certificate failed: sqrt(||B|| ||D||_E) = "
-            f"{math.sqrt(cert.norm_b * cert.enorm_d):.6g} is not below d/2 = "
+            f"{math.sqrt(cert.norm_b) * math.sqrt(cert.enorm_d):.6g} is not below d/2 = "
             f"{cert.d / 2.0:.6g}; pass override_certificate=True to iterate "
             "without a guarantee", certificate=cert)
     sm = prob.measure()
@@ -179,23 +188,25 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
                 f"x0 must be ({prob.k} x {prob.h}), got {X.shape}")
     step_norms = []
     converged = False
-    iterations = 0
+    why = f"did not converge in {max_iter} steps"
     for iterations in range(1, max_iter + 1):
         X_next = _apply_map(prob, sm, X)
+        if X_next is None:
+            why = f"diverged: A + BX is not finite at step {iterations}"
+            break
         step = operator_norm(X_next - X)
         step_norms.append(step)
         X = X_next
         if step <= tol * max(1.0, operator_norm(X)):
             converged = True
             break
-    report = RiccatiReport(X=X, iterations=iterations,
+    report = RiccatiReport(X=X, iterations=len(step_norms),
                            residual=riccati_residual(prob, X),
                            enorm_x=e_norm(X, sm), certificate=cert,
                            converged=converged, step_norms=step_norms)
     if not converged:
-        raise MaxIterationsError(
-            f"fixed-point iteration did not converge in {max_iter} steps "
-            f"(last step {step_norms[-1]:.3e})", report=report)
+        last = f" (last step {step_norms[-1]:.3e})" if step_norms else ""
+        raise MaxIterationsError(f"fixed-point iteration {why}{last}", report=report)
     return report
 
 

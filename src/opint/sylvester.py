@@ -205,9 +205,10 @@ def _finish(prob, X, method, gap):
 
 def _spectral_solve(schur, sm, D):
     """sum_k P_k D (M - zeta_k)^{-1}, the left integral of D (M - z)^{-1}
-    against the measure sm, on a complex Schur form schur = (T, U), M = U T U*:
-    Q Y U* for the eigenbasis Q, with block rows Y_k = Q_k* D U (T - zeta_k)^{-1}
-    from one `_triangular_resolvents`, which names a failing atom."""
+    against the measure sm, on schur = (T, U), M = U T U*, with T a complex
+    Schur form (upper triangular) or an upper Hessenberg form: Q Y U* for the
+    eigenbasis Q, with block rows Y_k = Q_k* D U (T - zeta_k)^{-1} from one
+    `_triangular_resolvents`, which names a failing atom."""
     T, U = schur
     Y = _triangular_resolvents(T, adjoint(sm.basis) @ D @ U, sm.eigenvalues,
                                sm.multiplicities, sm.tolerances)
@@ -319,9 +320,10 @@ _NODE_BLOCK = 2 ** 20
 
 
 def _node_sum(T_Cr, R_C, T_A, z, w, tol):
-    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}: per block of nodes, one
-    `_triangular_resolvents` for (Y^T P)(T_Cr - z) = R_C, with T_Cr = P T_C^T P,
-    R_C = -D_t^T P and P the index reversal, and one for W (T_A - z) = Y."""
+    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}, T_A and T_C complex
+    Schur forms: per block of nodes, one `_triangular_resolvents` for
+    (Y^T P)(T_Cr - z) = R_C, with T_Cr = P T_C^T P, R_C = -D_t^T P and P the
+    index reversal, and one for W (T_A - z) = Y."""
     h, k = R_C.shape
     step = max(1, _NODE_BLOCK // (k + h) ** 2)
     total = np.zeros((k, h), dtype=np.complex128)

@@ -119,13 +119,13 @@ def node_sum_lu(T_C, D_t, T_A, z, w):
     return total
 
 
-def faulty_substitute(fault):
-    """`linalg._substitute` with its solution off by 1e-8 relative
-    ("inexact") or with a NaN entry ("nan")."""
-    real = linalg._substitute
+def faulty_solve(fault, name="_substitute"):
+    """The solve `linalg.<name>` (`_substitute` or `_hessenberg_solve`) with
+    its solution off by 1e-8 relative ("inexact") or with a NaN entry ("nan")."""
+    real = getattr(linalg, name)
 
-    def faulty(T, R, s):
-        Y = real(T, R, s)
+    def faulty(*args):
+        Y = real(*args)
         if fault == "inexact":
             return Y * (1.0 + 1e-8)
         Y[0, 0] = np.nan

@@ -260,6 +260,32 @@ class TestRiccatiCommand:
                                   "--max-iter", "2"])
         assert code == 4
 
+    def test_diverging_iterate_exits_4(self, tmp_path, capsys):
+        # B X_1 overflows, so the second step has no finite A + BX to solve on
+        A = 1e-20 * np.random.default_rng(0).standard_normal((2, 2))
+        path = write_problem(tmp_path, A=matjson(A), B=matjson(1e200 * np.ones((2, 2))),
+                             C=matjson(1e20 * np.diag([1.0, 2.0j])),
+                             D=matjson(1e200 * np.ones((2, 2))))
+        code, out, err = run(capsys, ["riccati", path, "--override-certificate",
+                                      "--max-iter", "30"])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: fixed-point iteration diverged: "
+                              "A + BX is not finite at step 2 (last step ")
+
+    def test_tiny_entries_certify_and_solve(self, tmp_path, capsys):
+        # d^2 / 4 and (d - ||B|| r_min)^2 underflow unless the certificate scales
+        path = write_problem(tmp_path, A=matjson([[1e-200 * (1 + 1j)]]),
+                             B=matjson(1e-300 * np.ones((1, 3))),
+                             C=matjson(1e-300 * np.diag([1.0, 2.0j, -1.5])),
+                             D=matjson(1e-200 * np.ones((3, 1))))
+        code, out, err = run(capsys, ["riccati", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["certificate"]["condition_ok"] and report["converged"]
+        # X = D A^{-1} up to terms 1e-100 smaller
+        X = matrix_from_json(report["X"])
+        assert np.allclose(X, 0.5 - 0.5j, rtol=1e-15, atol=0.0)
+
 
 class TestEnormCommand:
     def test_triple(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +21,8 @@ from opint import (
 import opint.linalg as linalg
 from opint.linalg import numrange_distances, numrange_gap
 
-from conftest import (faulty_substitute, numrange_gap_sweep, random_complex,
-                      random_normal, shift_sweep, spectral_norm_guard_raises)
+from conftest import (faulty_solve, lu_resolvent_raises, numrange_gap_sweep,
+                      random_complex, random_normal, shift_sweep, spectral_norm_guard_raises)
 
 
 class TestNorms:
@@ -100,10 +102,11 @@ class TestResolvent:
         with pytest.raises(SingularResolventError,
                            match=r"singular at z = \(0\.25\+0j\)"):
             resolvent(np.diag([0.25, 0.75]), 0.25)
-        monkeypatch.setattr(linalg, "_substitute", faulty_substitute("inexact"))
+        monkeypatch.setattr(linalg, "_hessenberg_solve",
+                            faulty_solve("inexact", "_hessenberg_solve"))
         with pytest.raises(SingularResolventError,
                            match=r"the solve at z = 0\.5j lost all accuracy"):
-            resolvent(np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5), 0.5j)
+            resolvent(random_complex(rng, 5, 5) + 3.0 * np.eye(5), 0.5j)
 
     def test_guard_takes_no_svd(self, rng, monkeypatch):
         def no_svd(M):
@@ -114,9 +117,10 @@ class TestResolvent:
         assert_allclose((M - 0.5j * np.eye(5)) @ R, np.eye(5), atol=1e-12)
 
     def test_guard_rejects_an_inexact_solve(self, rng, monkeypatch):
-        # the substitution that the triangular solve checks, off by 1e-8 relative
-        M = np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5)
-        monkeypatch.setattr(linalg, "_substitute", faulty_substitute("inexact"))
+        # the banded solve on the Hessenberg form, off by 1e-8 relative
+        M = random_complex(rng, 5, 5) + 3.0 * np.eye(5)
+        monkeypatch.setattr(linalg, "_hessenberg_solve",
+                            faulty_solve("inexact", "_hessenberg_solve"))
         with pytest.raises(SingularResolventError, match="lost all accuracy"):
             resolvent(M, 0.5j)
 
@@ -235,6 +239,83 @@ class TestTriangularGuard:
                     assert not sigma[-1] > 1e-10 * (sigma[0] + abs(shift)), (M, shift)
                     refused += 1
         assert refused > 0
+
+
+class TestHessenbergSolve:
+    """`_hessenberg_solve`, one banded LU per block, which
+    `_triangular_resolvents` takes on a form with a nonzero subdiagonal."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 48])
+    def test_matches_an_lu_inverse(self, rng, n):
+        H, _ = scipy.linalg.hessenberg(random_complex(rng, n, n), calc_q=True)
+        # ||H|| <= 1, so ||(H - z)^{-1}|| <= 2 at |z| = 1.5
+        shifts = 1.5 * np.exp(2j * np.pi * rng.random(4))
+        sizes = np.array([1, 3, 2, 5])
+        R = random_complex(rng, sizes.sum(), n)
+        solves = [linalg._hessenberg_solve(H, R, shifts, sizes)]
+        if n > 1:  # the guarded entry point takes the same solve
+            assert np.diag(H, -1).all()
+            solves.append(linalg._triangular_resolvents(H, R, shifts, sizes, Tolerances()))
+            assert np.array_equal(solves[0], solves[1])
+        for Y in solves:
+            for z, lo, m in zip(shifts, np.cumsum(sizes) - sizes, sizes):
+                inv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(H - z * np.eye(n)),
+                                            np.eye(n))
+                ref = R[lo:lo + m] @ inv
+                assert np.linalg.norm(Y[lo:lo + m] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_refuses_every_shift_an_lu_inverse_refuses(self, rng):
+        # the four sweep matrices, by their triangular (Schur) forms T, moved
+        # to H = E T E^{-1} for E = I + e_1 e_0^T + e_3 e_2^T: upper Hessenberg
+        # with a subdiagonal and the eigenvalues of T, exact for the first two
+        A0, _ = random_normal(rng, 4)
+        matrices = [np.diag([3.0, 2.0 + 1.0j, 1e3, -1e-3j]),
+                    2.0 * np.eye(4) + np.diag(np.ones(3), 1),
+                    A0 + 0.5 * np.triu(random_complex(rng, 4, 4), 1), 1e4 * A0]
+        E = np.eye(4, dtype=complex)
+        E[1, 0] = E[3, 2] = 1.0
+        refused = 0
+        for M in matrices:
+            T = scipy.linalg.schur(M, output="complex")[0] if np.tril(M, -1).any() else M
+            H = E @ T @ (2.0 * np.eye(4) - E)
+            assert np.diag(H, -1).any() and not np.tril(H, -2).any()
+            for z in shift_sweep(np.diag(T)):
+                if lu_resolvent_raises(H, z):
+                    with pytest.raises(SingularResolventError,
+                                       match=re.escape(f"z = {complex(z)}")):
+                        linalg._triangular_resolvents(H, np.eye(4), np.array([z]), [4],
+                                                      Tolerances())
+                    refused += 1
+        assert refused > 0
+
+    def test_singular_and_cancelling_shifts_name_the_atom(self):
+        tol, R = Tolerances(), np.ones((4, 2), dtype=complex)
+        # H - 0 = ones((2, 2)) meets an exactly zero pivot (info = 2); the
+        # solve at 1.001, nearer to diag(H), is finite and not named
+        H, shifts, sizes = np.ones((2, 2), dtype=complex), np.array([1.001, 0.0, 7.0j]), [1, 2, 1]
+        Y = linalg._hessenberg_solve(H, R, shifts, sizes)
+        assert np.isnan(Y[1:3]).all() and np.isfinite(Y[[0, 3]]).all()
+        with pytest.raises(SingularResolventError, match=r"M - zI is singular at z = 0j"):
+            linalg._triangular_resolvents(H, R, shifts, sizes, tol)
+        z = 0.5 + 0.25j
+        H = z * np.eye(4) + 1e-15 * np.triu(np.ones((4, 4)), -1)
+        with pytest.raises(SingularResolventError,
+                           match=r"cancels to rounding at z = \(0\.5\+0\.25j\)"):
+            linalg._triangular_resolvents(H, np.ones((5, 4), dtype=complex),
+                                          np.array([3.0, z]), [2, 3], tol)
+
+    def test_holds_one_band_array_at_a_time(self, rng):
+        # 400 shifts on n = 40: all bands at once would take 10.8 MB
+        n, K = 40, 400
+        H, _ = scipy.linalg.hessenberg(random_complex(rng, n, n), calc_q=True)
+        R, shifts = random_complex(rng, K, n), 1.5 * np.exp(2j * np.pi * rng.random(K))
+        tracemalloc.start()
+        try:
+            linalg._hessenberg_solve(H, R, shifts, np.ones(K, dtype=int))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # Y is 256 kB, one band 27 kB
 
 
 class TestHull:

@@ -64,6 +64,52 @@ class TestCertify:
         # ||B|| = 1 < d/2 and ||B|| + ||D||_E = 2 < 3
         assert cert.strict_contraction_predicted
 
+    @pytest.mark.parametrize("power", [-900, -520, 520, 900])
+    def test_radii_are_scale_free(self, rng, power):
+        # X solves the equation for t A, t B, t C and t D too, so the radii and
+        # q do not move, though d^2 / 4 or ||B|| ||D||_E leave the float range;
+        # one atom, which no clustering tolerance can merge at a small t
+        prob, t = make_certified_riccati(rng, 4, 1), 2.0 ** power
+        ref = certify(prob)
+        cert = certify(RiccatiProblem(t * prob.A, t * prob.B, t * prob.C, t * prob.D))
+        assert cert.condition_ok
+        assert cert.strict_contraction_predicted == ref.strict_contraction_predicted
+        for name in ("r_min", "r_max", "q_at_rmin"):
+            assert getattr(cert, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_opposite_scales_of_b_and_d(self, rng, power):
+        # t B and D / t leave d and ||B|| ||D||_E as they are, so the condition
+        # and q, and divide both radii by t, though ||B|| and ||D||_E then lie
+        # 2^1200 apart
+        prob, t = make_certified_riccati(rng, 4, 3), 2.0 ** power
+        ref = certify(prob)
+        cert = certify(RiccatiProblem(prob.A, t * prob.B, prob.C, prob.D / t))
+        assert cert.condition_ok and ref.condition_ok
+        assert cert.q_at_rmin == pytest.approx(ref.q_at_rmin, rel=1e-12)
+        for name in ("r_min", "r_max"):
+            assert t * getattr(cert, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+
+    def test_mismatched_scales_decide_the_condition(self):
+        # ||B|| ||D||_E = 1 < d^2 / 4 with ||B|| = 1e-200: r_min = 1e200 / (1.5 +
+        # sqrt(1.25)) and q = 1 / (1.5 + sqrt(1.25))^2
+        cert = certify(RiccatiProblem([[3.0]], [[1e-200]], [[0.0]], [[1e200]]))
+        assert cert.condition_ok and not cert.strict_contraction_predicted
+        root = 1.5 + np.sqrt(1.25)
+        assert cert.r_min == pytest.approx(1e200 / root, rel=1e-13)
+        assert cert.r_max == pytest.approx(2e200, rel=1e-13)
+        assert cert.q_at_rmin == pytest.approx(1.0 / root ** 2, rel=1e-13)
+        # sqrt(||B|| ||D||_E) = 1e35 is far above d / 2 = 5e-101
+        cert = certify(RiccatiProblem([[1e-100]], [[1e200]], [[0.0]], [[1e-130]]))
+        assert not cert.condition_ok and not cert.strict_contraction_predicted
+        assert np.isnan(cert.r_min) and np.isnan(cert.q_at_rmin)
+
+    def test_r_min_does_not_cancel(self):
+        # (d/2 - sqrt(d^2/4 - ||B|| ||D||_E)) / ||B|| is 0 in floats here, below
+        # the solution's norm 1/3 + O(1e-17)
+        cert = certify(RiccatiProblem([[3.0]], [[1e-17]], [[0.0]], [[1.0]]))
+        assert cert.r_min == pytest.approx(1.0 / 3.0, rel=1e-13)
+
     def test_zero_d(self):
         cert = certify(RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[0.0]]))
         assert cert.condition_ok
@@ -188,6 +234,7 @@ class TestPreparedProblem:
         tol = Tolerances(tol_cluster=1e-6)
         prob = RiccatiProblem(base.A, base.B, base.C, base.D, tolerances=tol)
         schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        hessenbergs = count_calls(monkeypatch, scipy.linalg.hessenberg, [scipy.linalg])
         defects = count_calls(monkeypatch, linalg.normality_defect)
         measures = count_calls(monkeypatch, spectral._measure_of_schur)
         sweeps = count_calls(monkeypatch, linalg.numrange_gap)
@@ -197,9 +244,11 @@ class TestPreparedProblem:
         assert len(measures) == 1 and len(sweeps) == gaps
         assert prob.measure().tolerances is tol
         assert len(defects) == 1 and defects[0] is prob.C
-        # a Schur form of each of A and C, then one of A + BX per later step
-        assert len(schurs) == 2 + report.iterations - 1
+        # a Schur form of each of A and C, then a Hessenberg form of A + BX
+        # per later step
+        assert len(schurs) == 2
         assert sum(M is prob.A for M in schurs) == sum(M is prob.C for M in schurs) == 1
+        assert len(hessenbergs) == report.iterations - 1 > 0
 
 
 class TestMap:
@@ -256,6 +305,18 @@ class TestSolve:
         assert report.converged
         expected = (-3.0 + np.sqrt(21.0)) / 2.0
         assert abs(report.X[0, 0] - expected) <= 1e-10
+
+    def test_overflowing_iterate_stops_with_the_last_finite_one(self):
+        # B X_1 is about 1e380: the iteration stops before solving on it
+        prob = RiccatiProblem(1e-20 * np.random.default_rng(0).standard_normal((2, 2)),
+                              1e200 * np.ones((2, 2)), 1e20 * np.diag([1.0, 2.0j]),
+                              1e200 * np.ones((2, 2)))
+        with pytest.raises(MaxIterationsError, match="diverged: A [+] BX is not finite "
+                                                     "at step 2") as err:
+            solve_fixed_point(prob, override_certificate=True, max_iter=30)
+        report = err.value.report
+        assert report.iterations == len(report.step_norms) == 1 and not report.converged
+        assert np.isfinite(report.X).all() and report.residual == np.inf
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
     def test_bad_tol_rejected(self, tol):

@@ -42,7 +42,7 @@ from conftest import (
     count_calls,
     dyadic_axes_per_level,
     estimate_lipschitz_loop,
-    faulty_substitute,
+    faulty_solve,
     grid_cells_dict,
     grid_tags_per_level,
     lu_resolvent_raises,
@@ -690,7 +690,7 @@ class TestResolventSums:
         A = random_normal(rng, 5, re=(2.5, 3.5))[0] + np.triu(random_complex(rng, 5, 5), 1)
         F = OperatorFunction.resolvent_family(A, random_complex(rng, 2, 5))
         dyadic_level_sum(F, sm, RECT, 4)
-        monkeypatch.setattr(linalg, "_substitute", faulty_substitute(fault))
+        monkeypatch.setattr(linalg, "_substitute", faulty_solve(fault))
         with pytest.raises(SingularResolventError):
             dyadic_level_sum(F, sm, RECT, 4)
 

@@ -46,7 +46,7 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import (bounding_rect, count_calls, faulty_substitute, lu_resolvent_raises,
+from conftest import (bounding_rect, count_calls, faulty_solve, lu_resolvent_raises,
                       make_sylvester, min_sigma, near_normal_case, node_sum_lu, projections,
                       random_complex, random_normal, random_unitary, ring_sylvester,
                       shift_sweep, spectral_norm_guard_raises)
@@ -392,7 +392,7 @@ class TestContourQuadrature:
         # T - z for T = triu(...) and z = -3
         T, R, z = np.triu(random_complex(rng, 4, 4)), random_complex(rng, 2, 4), zero - 3.0
         linalg._triangular_resolvents(T, R, z, [2], tol)
-        monkeypatch.setattr(linalg, "_substitute", faulty_substitute("inexact"))
+        monkeypatch.setattr(linalg, "_substitute", faulty_solve("inexact"))
         with pytest.raises(SingularResolventError, match=r"at z = \(-3"):
             linalg._triangular_resolvents(T, R, z, [2], tol)
 
@@ -736,7 +736,7 @@ class TestSpectralCore:
                  (solve_contour, make_sylvester(rng, 4, 5, normal_a=False))]
         for solver, prob in cases:
             solver(prob)
-        monkeypatch.setattr(linalg, "_substitute", faulty_substitute(fault))
+        monkeypatch.setattr(linalg, "_substitute", faulty_solve(fault))
         for solver, prob in cases:
             with pytest.raises(SingularResolventError):
                 solver(prob)
