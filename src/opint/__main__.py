@@ -1,5 +1,5 @@
 import sys
 
-from ._entry import main
+from .cli import main
 
 sys.exit(main())

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands ingest a JSON problem file, dispatch to the library, and
-emit JSON reports (CSV for the integration convergence study).  Exit
-codes: 0 success, 2 invalid input or a problem too large for memory,
+`main` reads the problem file, checks the matrices the subcommand needs,
+and writes the subcommand's report once: JSON for a dict, the CSV text
+of the integration convergence study as it is.  Each `cmd_*` maps
+(problem, args) to (report, exit code).  Exit codes: 0 success, 2
+invalid input, a problem too large for memory or an unwritable report,
 3 mathematical precondition violated, 4 non-convergence.
 """
 
@@ -73,84 +75,45 @@ def _clean(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(text, output):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(report, output):
-    _emit(json.dumps(_clean(report), indent=2) + "\n", output)
-
-
-def _require(problem, keys):
-    missing = [k for k in keys if k not in problem["matrices"]]
-    if missing:
-        raise InvalidProblemError(
-            f"problem file is missing matrices: {', '.join(missing)}")
-
-
 def _bounds_json(checks):
     return {name: {"bound": chk.bound, "observed": chk.observed, "ok": chk.ok}
             for name, chk in checks.items()}
 
 
-def _with_seed(report, problem):
-    if problem.get("seed") is not None:
-        report["seed"] = problem["seed"]
-    return report
-
-
-def cmd_spectral(args):
-    problem = load_problem(args.file)
-    _require(problem, ["C"])
+def cmd_spectral(problem, args):
     C = problem["matrices"]["C"]
     sm = decompose_normal(C, problem["tolerances"])
-    report = {
+    return {
         "dim": sm.dim,
         "eigenvalues": [[z.real, z.imag] for z in sm.eigenvalues],
         "multiplicities": [int(m) for m in sm.multiplicities],
         "residuals": spectral_invariant_residuals(sm, C),
-    }
-    _emit_json(_with_seed(report, problem), args.output)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_enorm(args):
-    problem = load_problem(args.file)
-    _require(problem, ["C", "Y"])
+def cmd_enorm(problem, args):
     sm = decompose_normal(problem["matrices"]["C"], problem["tolerances"])
     op, en, hs = check_enorm_sandwich(problem["matrices"]["Y"], sm)
-    report = {"op_norm": op, "e_norm": en, "hs_norm": hs}
-    _emit_json(_with_seed(report, problem), args.output)
-    return EXIT_OK
+    return {"op_norm": op, "e_norm": en, "hs_norm": hs}, EXIT_OK
 
 
-def cmd_sylvester(args):
-    problem = load_problem(args.file)
-    _require(problem, ["A", "C", "D"])
+def cmd_sylvester(problem, args):
     m = problem["matrices"]
     prob = SylvesterProblem(m["A"], m["C"], m["D"],
                             tolerances=problem["tolerances"])
     report = _SOLVERS[args.method](prob)
     verify_bounds(prob, report)
-    payload = {
+    return {
         "method": report.method,
         "X": matrix_to_json(report.X),
         "residual": report.residual,
         "gap_d": report.gap_d,
         "gap_numrange": report.gap_numrange,
         "bounds": _bounds_json(report.bounds),
-    }
-    _emit_json(_with_seed(payload, problem), args.output)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_riccati(args):
-    problem = load_problem(args.file)
-    _require(problem, ["A", "B", "C", "D"])
+def cmd_riccati(problem, args):
     m = problem["matrices"]
     prob = RiccatiProblem(m["A"], m["B"], m["C"], m["D"],
                           tolerances=problem["tolerances"])
@@ -158,12 +121,11 @@ def cmd_riccati(args):
         report = solve_fixed_point(prob, tol=args.tol, max_iter=args.max_iter,
                                    override_certificate=args.override_certificate)
     except CertificateViolationError as exc:
-        # the failed certificate itself goes to stdout so callers can inspect it
-        _emit_json({"certificate": vars(exc.certificate), "error": str(exc)},
-                   args.output)
-        return EXIT_PRECONDITION
+        # the failed certificate itself is the report, so callers can inspect it
+        return ({"certificate": vars(exc.certificate), "error": str(exc)},
+                EXIT_PRECONDITION)
     checks = posterior_check(prob, report)
-    payload = {
+    return {
         "certificate": vars(report.certificate),
         "X": matrix_to_json(report.X),
         "iterations": report.iterations,
@@ -171,9 +133,7 @@ def cmd_riccati(args):
         "enorm_x": report.enorm_x,
         "converged": report.converged,
         "posterior": _bounds_json(checks),
-    }
-    _emit_json(_with_seed(payload, problem), args.output)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _parse_function(spec, problem, dim):
@@ -203,9 +163,7 @@ def _parse_function(spec, problem, dim):
     raise InvalidProblemError(f"unknown function spec {spec!r}")
 
 
-def cmd_integrate(args):
-    problem = load_problem(args.file)
-    _require(problem, ["C"])
+def cmd_integrate(problem, args):
     rect = problem["rect"]
     if rect is None:
         raise InvalidProblemError("integrate requires a rect in the problem file")
@@ -219,8 +177,7 @@ def cmd_integrate(args):
         err = operator_norm(value() - exact)
         lines.append(f"{i},{2 ** i},{2 ** i},{mesh!r},{diff!r},{err!r}")
     lines.append("# converged" if converged else "# not-converged")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return "\n".join(lines) + "\n", EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def build_parser():
@@ -233,18 +190,18 @@ def build_parser():
     p = sub.add_parser("spectral", help="spectral measure of a normal matrix")
     p.add_argument("file", help="problem file with matrix C")
     p.add_argument("--output", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_spectral)
+    p.set_defaults(func=cmd_spectral, needs=("C",))
 
     p = sub.add_parser("enorm", help="operator, E-, and Hilbert-Schmidt norms")
     p.add_argument("file", help="problem file with matrices C and Y")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_enorm)
+    p.set_defaults(func=cmd_enorm, needs=("C", "Y"))
 
     p = sub.add_parser("sylvester", help="solve XA - CX = D")
     p.add_argument("file", help="problem file with matrices A, C, D")
     p.add_argument("--method", choices=sorted(_SOLVERS), default="spectral")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_sylvester)
+    p.set_defaults(func=cmd_sylvester, needs=("A", "C", "D"))
 
     p = sub.add_parser("riccati", help="solve XA - CX + XBX = D by fixed point")
     p.add_argument("file", help="problem file with matrices A, B, C, D")
@@ -253,7 +210,7 @@ def build_parser():
     p.add_argument("--override-certificate", action="store_true",
                    help="iterate even when the contraction certificate fails")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_riccati)
+    p.set_defaults(func=cmd_riccati, needs=("A", "B", "C", "D"))
 
     p = sub.add_parser("integrate",
                        help="dyadic convergence study of a right integral")
@@ -264,15 +221,19 @@ def build_parser():
     p.add_argument("--grid-levels", type=int, default=60)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_integrate)
+    p.set_defaults(func=cmd_integrate, needs=("C",))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        problem = load_problem(args.file)
+        missing = [k for k in args.needs if k not in problem["matrices"]]
+        if missing:
+            raise InvalidProblemError(
+                f"problem file is missing matrices: {', '.join(missing)}")
+        report, code = args.func(problem, args)
     except (InvalidProblemError, ShapeMismatchError, InsufficientMemoryError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -286,6 +247,20 @@ def main(argv=None):
             SingularResolventError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    if isinstance(report, dict):
+        if problem.get("seed") is not None:
+            report["seed"] = problem["seed"]
+        report = json.dumps(_clean(report), indent=2) + "\n"
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def check_enorm_sandwich(Y, sm):
     op = operator_norm(Y)
     en = e_norm(Y, sm)
     hs = hs_norm(Y)
-    slack = 1e-12 * max(1.0, op, en, hs)
+    slack = 1e-12 * max(op, en, hs)
     if not op <= en + slack:
         raise BoundViolationError(f"||Y|| = {op} exceeds ||Y||_E = {en}")
     if not en <= hs + slack:

@@ -265,10 +265,11 @@ def posterior_check(prob, report):
     sup_res = _sup_resolvent_norm(prob.A + prob.B @ X, sm.eigenvalues,
                                   prob.tolerances)
     checks = {"aposteriori_sup_resolvent": BoundCheck(enorm_d * sup_res, enorm_x)}
-    denom = cert.d - cert.norm_b * operator_norm(X)
+    norm_x = operator_norm(X)
+    denom = cert.d - cert.norm_b * norm_x
     if denom > 0:
         checks["aposteriori_gap"] = BoundCheck(enorm_d / denom, enorm_x)
     if cert.strict_contraction_predicted:
         checks["strict_enorm_lt_1"] = BoundCheck(1.0, enorm_x)
-        checks["strict_norm_order"] = BoundCheck(enorm_x, operator_norm(X))
+        checks["strict_norm_order"] = BoundCheck(enorm_x, norm_x)
     return checks

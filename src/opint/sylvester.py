@@ -65,7 +65,7 @@ class BoundCheck(NamedTuple):
 
     @property
     def ok(self):
-        return self.observed <= self.bound + 1e-12 * max(1.0, abs(self.bound))
+        return self.observed <= self.bound + 1e-12 * abs(self.bound)
 
 
 class _Prepared:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import opint
+import opint.cli as cli
 import opint.sylvester as sylvester
 from opint.cli import main
 from opint.probfile import load_problem, matrix_from_json, matrix_to_json
@@ -223,12 +225,13 @@ class TestRiccatiCommand:
 
     def test_uncertified_prints_certificate(self, tmp_path, capsys):
         path = write_problem(tmp_path, A=matjson([[3.0]]), B=matjson([[2.0]]),
-                             C=matjson([[0.0]]), D=matjson([[2.0]]))
+                             C=matjson([[0.0]]), D=matjson([[2.0]]), seed=12345)
         code, out, _ = run(capsys, ["riccati", path])
         assert code == 3
         payload = json.loads(out)
         assert payload["certificate"]["condition_ok"] is False
         assert payload["certificate"]["r_min"] is None  # NaN serialized as null
+        assert payload["seed"] == 12345
 
     def test_uncertified_with_override(self, tmp_path, capsys):
         path = write_problem(tmp_path, A=matjson([[3.0]]), B=matjson([[1.0]]),
@@ -645,15 +648,62 @@ class TestSeedEcho:
         assert json.loads(out)["seed"] == 12345
 
 
-def test_entry_point_sets_thread_env(monkeypatch, tmp_path, capsys):
-    from opint._entry import main as entry_main
-    monkeypatch.setenv("OPINT_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    path = write_problem(tmp_path, C=matjson(np.eye(2)))
-    code = entry_main(["spectral", path])
-    capsys.readouterr()
-    assert code == 0
-    assert os.environ.get("OMP_NUM_THREADS") == "2"
+class TestFrontEnd:
+    """`main` reads each problem file and writes each report once."""
+
+    ARGVS = [["spectral"], ["enorm"], ["riccati"],
+             ["integrate", "--function", "affine:1,2"]] + [
+        ["sylvester", "--method", m] for m in ("spectral", "kronecker", "contour", "double")]
+
+    def problem(self, tmp_path):
+        return write_problem(tmp_path, A=matjson([[3.0]]), B=matjson([[1.0]]),
+                             C=matjson([[0.0]]), D=matjson([[1.0]]), Y=matjson([[2.0]]),
+                             rect={"a": -1.0, "b": 1.0, "c": -1.0, "d": 1.0}, seed=5)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: "-".join(argv[::2]))
+    def test_loads_the_problem_once(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_problem(path)
+
+        monkeypatch.setattr(cli, "load_problem", counting_load)
+        path = self.problem(tmp_path)
+        code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+        assert (code, err) == (0, "")
+        assert calls == [path]
+        if argv[0] != "integrate":
+            assert json.loads(out)["seed"] == 5
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: "-".join(argv[::2]))
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        path = self.problem(tmp_path)
+        out_path = str(tmp_path / "missing" / "report.out")
+        code, out, err = run(capsys, argv[:1] + [path] + argv[1:] + ["--output", out_path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write report: ")
+        assert out_path in err
+
+
+def test_import_seeds_thread_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(PYTHONPATH=src, OPINT_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", "import opint, os; print(os.environ['OMP_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "2"
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["opint"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: one thread anyway")

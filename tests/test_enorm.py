@@ -228,6 +228,14 @@ class TestBoundViolation:
         with pytest.raises(BoundViolationError, match="exceeds"):
             check_enorm_sandwich(np.eye(2), broken_measure())
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_sandwich_slack_scales_with_the_norms(self, scale):
+        with pytest.raises(BoundViolationError, match="exceeds"):
+            check_enorm_sandwich(scale * np.eye(2), broken_measure())
+        sm = decompose_normal(np.diag([0.0, 1.0]))
+        assert check_enorm_sandwich(scale * np.diag([3.0, 4.0]), sm) == \
+            pytest.approx((4.0 * scale, 5.0 * scale, 5.0 * scale), rel=1e-15, abs=0)
+
     def test_integral_bound_raises(self):
         # lhs = ||sum_k P_k|| = 4 exceeds rhs = ||I||_E = sqrt(8)
         with pytest.raises(BoundViolationError, match="integral bound"):

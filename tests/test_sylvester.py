@@ -818,6 +818,26 @@ class TestBounds:
                                                              rel=1e-12)
         assert all(chk.ok for chk in checks.values()), checks
 
+    def test_slack_is_relative(self):
+        assert not sylvester.BoundCheck(1e-12, 1.19e-12).ok
+        assert sylvester.BoundCheck(1e-12, 1e-12 * (1 + 5e-13)).ok
+        assert sylvester.BoundCheck(1.0, 1.0 + 5e-13).ok
+        assert not sylvester.BoundCheck(1.0, 1.0 + 2e-12).ok
+
+    def test_verdicts_do_not_depend_on_the_scale_of_d(self):
+        # X scales with D, and so does every bound.  Here ||X|| exceeds each
+        # bound by 19 % (C = 1e-9 diag(1, -1) is one atom at 0, so d = 3e-9
+        # overstates the true 2e-9); at D = 1e-20 both sides are near 1e-12,
+        # where an absolute slack of 1e-12 read the same checks as passing
+        verdicts = []
+        for scale in (1e-20, 1e-9):
+            prob = SylvesterProblem([[3e-9]], 1e-9 * np.diag([1.0, -1.0]),
+                                    scale * np.ones((2, 1)))
+            checks = verify_bounds(prob, solve_kronecker(prob))
+            assert set(checks) == {"enorm_vs_numrange", "enorm_vs_gap", "hs_vs_gap"}
+            verdicts.append({name: chk.ok for name, chk in checks.items()})
+        assert verdicts[0] == verdicts[1]
+
     def test_hs_bound_sharp_scalar(self):
         d = 2.0
         prob = SylvesterProblem([[d]], [[0.0]], [[1.0]])
