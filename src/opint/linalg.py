@@ -1,5 +1,6 @@
 """Dense complex-matrix primitives shared by every other module."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,35 @@ def _row_squares(M):
     and imaginary parts of M: no sum of them overflows, and s = 1 in range."""
     V = np.ascontiguousarray(M).view(np.float64)
     s = _pow2_scale(float(np.abs(V).max(initial=0.0)), V.size)
-    V = V / s
+    if s != 1.0:
+        V = V / s
     return s, np.einsum("ij,ij->i", V, V)
+
+
+def _norm_bounds(M):
+    """(lo, hi) around operator_norm(M), m x n, from `_row_squares`: the
+    largest row norm and ||M||_F / sqrt(min(m, n)) bound ||M||_2 below and
+    ||M||_F above (Higham, Accuracy and Stability, 2nd ed., 6.2), widened by
+    mu = (m + n)^3 eps to hold for the computed SVD value: the sums of 2mn
+    squares err by 2mn eps (Higham, 3.1), and LAPACK's sigma_max by
+    c mn sqrt(min(m, n)) eps ||M||_2, c small (Householder bidiagonalization,
+    Higham, Thm. 19.4); (m + n)^3 >= 8 mn sqrt(min(m, n))."""
+    s, rows = _row_squares(M)
+    mu, total = sum(M.shape) ** 3 * float(np.finfo(float).eps), float(rows.sum())
+    lo = s * max(float(np.sqrt(rows.max())), float(np.sqrt(total / min(M.shape))))
+    return lo * (1.0 - mu), s * float(np.sqrt(total)) * (1.0 + mu)
+
+
+def _norm_test(test, mats, norms=None):
+    """test(*norms()), the operator norms of mats by SVD unless norms is
+    given, for a test monotone in each: a value it takes at every corner of
+    the mats' `_norm_bounds` it takes between them, and norms() is not called."""
+    bounds = [_norm_bounds(M) for M in mats]
+    if np.isfinite(bounds).all():
+        verdicts = {test(*corner) for corner in itertools.product(*bounds)}
+        if len(verdicts) == 1:
+            return verdicts.pop()
+    return test(*(norms() if norms else map(operator_norm, mats)))
 
 
 def hs_norm(M):
@@ -216,8 +244,13 @@ def _normality(M, norm, tol):
 
 
 def is_normal(M, tol=DEFAULT_TOLERANCES):
-    """True when the relative normality defect is within tol_normal."""
+    """True when the relative normality defect is within tol_normal: the
+    test of `_normality`, decided by `_norm_test` where `_pow2_scale` is 1
+    at both ends of M's `_norm_bounds`, so that the test reads M itself."""
     A = _square(M, "M")
+    if all(0.0 < b < np.inf and _pow2_scale(b, len(A)) == 1.0 for b in _norm_bounds(A)):
+        return _norm_test(lambda defect, norm: defect <= tol.tol_normal * max(norm ** 2, 1e-300),
+                          (adjoint(A) @ A - A @ adjoint(A), A))
     _, _, defect, threshold = _normality(A, operator_norm(A), tol)
     return defect <= threshold
 

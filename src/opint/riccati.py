@@ -23,7 +23,7 @@ from .errors import (
     SingularResolventError,
     ZeroQuadraticTermError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, operator_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, _norm_test, as_matrix, operator_norm
 from .sylvester import BoundCheck, _Prepared, _separation, _spectral_solve
 
 __all__ = [
@@ -197,7 +197,7 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
         step = operator_norm(X_next - X)
         step_norms.append(step)
         X = X_next
-        if step <= tol * max(1.0, operator_norm(X)):
+        if _norm_test(lambda norm: step <= tol * max(1.0, norm), (X,)):
             converged = True
             break
     report = RiccatiReport(X=X, iterations=len(step_norms),

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
 from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normality, _square, adjoint,
-                     as_matrix, operator_norm)
+                     as_matrix, is_normal, operator_norm)
 
 __all__ = [
     "Rect",
@@ -168,14 +168,16 @@ def _cluster(values, threshold):
     had no partner, i if it is now within the threshold, and only i and
     the k whose partner was j look for a new one.  Distances are the
     hypot of the parts, as abs of a complex scalar takes them; the first
-    partners come from blocks of rows of about 2^16 pairs.
+    partners come from blocks of rows of about 2^16 pairs.  Up to n = 256
+    `_cliques` reads most spectra off one table of distances instead.
     """
     n = len(values)
     reps = np.array(values, dtype=np.complex128)
-    if n <= 256:  # one block, and most spectra have every pair beyond the threshold
+    if n <= 256:
         d = reps[:, None] - reps
-        if np.count_nonzero(np.hypot(d.real, d.imag) > threshold) == n * (n - 1):
-            return [[k] for k in range(n)], reps
+        found = _cliques(values, reps, np.hypot(d.real, d.imag), threshold)
+        if found is not None:
+            return found
     live = np.ones(n, dtype=bool)
 
     def partners(rows):
@@ -203,10 +205,49 @@ def _cluster(values, threshold):
     return [groups[k] for k in np.flatnonzero(live)], reps[live]
 
 
-def _require_normal(s, defect, threshold, tol):
-    """Raise NotNormalError unless `is_normal`'s test passes on the last
-    three entries of C's `_normality`; a NaN defect fails it."""
-    if not defect <= threshold:
+def _cliques(values, reps, dist, threshold):
+    """`_cluster`'s result read off the table dist of the distances between
+    reps, the values as complex, or None (a chain, or a clique within reach
+    of another's mean).  Where the pairs within the threshold form cliques
+    far apart, the merge loop joins each clique p_0 < p_1 < ... into p_0 in
+    that order, as a mean of members stays within a clique's diameter D of
+    each member: one group per clique, members ascending, rep their np.mean,
+    in the order of first members.
+
+    Margins: with V = max |value|, a table distance is off by at most
+    6 eps V and np.mean of m <= n values by 2 n eps V.  So with slack =
+    (4 n + 12) eps V, D and A the largest distance within and the smallest
+    beyond the threshold, a mean is within D + slack of its clique and
+    A - 2 D - 2 slack from the others.  The table is read when D + slack <=
+    threshold < A - 2 D - 2 slack, which also makes the pairs cliques (two
+    values near a third are 2 D + slack apart at most), or when no pair is
+    within the threshold.
+    """
+    n = len(reps)
+    near = dist <= threshold
+    first = near.argmax(axis=1)  # the smallest member of each one's clique
+    heads = np.flatnonzero(first == np.arange(n))
+    if len(heads) == n:
+        return [[k] for k in range(n)], reps
+    diam = float(np.where(near, dist, 0.0).max())
+    apart = float(np.where(near, np.inf, dist).min())
+    slack = (4 * n + 12) * np.finfo(float).eps * float(np.abs(reps).max())
+    if not (diam + slack <= threshold < apart - 2.0 * diam - 2.0 * slack):
+        return None
+    order = np.argsort(first, kind="stable")  # by first member, each ascending
+    groups = [g.tolist() for g in np.split(order, np.cumsum(np.bincount(first)[heads])[:-1])]
+    out = reps[heads]
+    for k, g in enumerate(groups):
+        if len(g) > 1:
+            out[k] = np.mean(values[g])
+    return groups, out
+
+
+def _require_normal(C, normal, tol):
+    """Raise NotNormalError unless normal, C's `is_normal`; the message
+    gives the numbers of the SVD test (`_normality`), taken for it."""
+    if not normal:
+        _, s, defect, threshold = _normality(C, operator_norm(C), tol)
         raise NotNormalError(
             f"matrix is not normal: ||C*C - CC*|| = {defect:.3e} exceeds "
             f"{tol.tol_normal:.1e} * ||C||^2 = {threshold:.3e}"
@@ -237,10 +278,12 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     measure, so each P_k = Q_k Q_k* is Hermitian and idempotent to
     machine precision.  The measure keeps tol as its tolerances.
 
-    Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2.
+    Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2, with
+    the two SVDs only where Frobenius and row-norm bounds on both norms
+    straddle the threshold or leave the float range, or for the message.
     """
     A = _square(C, "C")
-    _require_normal(*_normality(A, operator_norm(A), tol)[1:], tol)
+    _require_normal(A, is_normal(A, tol), tol)
     return _measure_of_schur(*scipy.linalg.schur(A, output="complex"), tol)
 
 

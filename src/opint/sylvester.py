@@ -29,12 +29,13 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     _distance_scale,
-    _normality,
+    _norm_test,
     _pow2_scale,
     _triangular_resolvents,
     adjoint,
     as_matrix,
     hs_norm,
+    is_normal,
     numrange_gap,
     operator_norm,
     separation,
@@ -73,8 +74,8 @@ class _Prepared:
     (every field but the tolerances, which no call on the problem can
     replace), and what every solver, bound check and certificate reads
     about them, computed on first use and kept: per matrix its Schur form,
-    norm, normality defect and spectral measure; the separation; the
-    certificate."""
+    normality verdict and spectral measure; the norm scale, where bounds
+    cannot decide a test against it; the separation; the certificate."""
 
     def __post_init__(self):
         if not isinstance(self.tolerances, Tolerances):
@@ -118,11 +119,10 @@ class _Prepared:
         return self._cached(("schur", name), build)
 
     def _normality(self, name):
-        """`linalg._normality` of the matrix `name`: its norm, and the scale,
-        defect and threshold of `is_normal`'s test, computed once."""
+        """`is_normal` of the matrix `name`, computed once."""
         M = getattr(self, name)
         return self._cached(("normality", name),
-                            lambda: _normality(M, operator_norm(M), self.tolerances))
+                            lambda: is_normal(M, self.tolerances))
 
     def measure(self):
         """The spectral measure of C, decomposed once; its arrays are read-only."""
@@ -132,7 +132,7 @@ class _Prepared:
         """The spectral measure of the matrix `name`, as `measure`: the
         test and clustering of `decompose_normal`, on the kept Schur form."""
         def build():
-            _require_normal(*self._normality(name)[1:], self.tolerances)
+            _require_normal(getattr(self, name), self._normality(name), self.tolerances)
             sm = _measure_of_schur(*self.schur(name), self.tolerances)
             for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
                 M.flags.writeable = False
@@ -141,8 +141,16 @@ class _Prepared:
         return self._cached(("measure", name), build)
 
     def norm_scale(self):
-        """max(1, ||A||_2, ||C||_2)."""
-        return max(1.0, self._normality("A")[0], self._normality("C")[0])
+        """max(1, ||A||_2, ||C||_2), computed once."""
+        return self._cached("norm_scale", lambda: max(
+            1.0, operator_norm(self.A), operator_norm(self.C)))
+
+    def _scale_test(self, test):
+        """test(norm_scale()) for a test monotone in it, by `_norm_test` on
+        the norms of A and C; norm_scale() stands in for both where their
+        bounds cannot decide it."""
+        return _norm_test(lambda a, c: test(max(1.0, a, c)), (self.A, self.C),
+                          lambda: (self.norm_scale(),) * 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +197,7 @@ def _separation(prob):
 
 def _require_gap(prob):
     gap = spectral_gap(prob)
-    if gap <= prob.tolerances.tol_cluster * prob.norm_scale():
+    if prob._scale_test(lambda scale: gap <= prob.tolerances.tol_cluster * scale):
         raise GapViolationError(
             f"spectral gap {gap:.3e} is below the clustering tolerance; "
             "the spectra of A and C effectively overlap")
@@ -377,10 +385,10 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
                                              f"by 2^{int(np.log2(s))}") from exc
             raise
         X = Z @ (acc / n) @ adjoint(U)
-        if prev is not None:
-            change = operator_norm(X - prev)
-            if change <= prob.tolerances.tol_quad * max(1.0, operator_norm(X)):
-                return X, n
+        if prev is not None and _norm_test(
+                lambda change, norm: change <= prob.tolerances.tol_quad * max(1.0, norm),
+                (X - prev, X)):
+            return X, n
         if n >= max_nodes:
             raise NoConvergenceError(
                 f"contour quadrature failed to converge with {n} nodes",
@@ -435,9 +443,9 @@ def verify_bounds(prob, report):
     enorm_d = e_norm(prob.D, sm)
     delta = report.gap_numrange
     checks = {"enorm_vs_numrange": BoundCheck(
-        enorm_d / delta if delta > 1e-12 * prob.norm_scale() else math.inf, enorm_x)}
-    _, _, defect_a, threshold_a = prob._normality("A")
-    if defect_a <= threshold_a:
+        enorm_d / delta if prob._scale_test(lambda scale: delta > 1e-12 * scale)
+        else math.inf, enorm_x)}
+    if prob._normality("A"):
         d = max(_separation(prob))  # 0 gives infinite bounds
         inv_d = 1.0 / d if d > 0 else math.inf
         checks["enorm_vs_gap"] = BoundCheck(enorm_d * inv_d, enorm_x)

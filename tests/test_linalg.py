@@ -21,8 +21,9 @@ from opint import (
 import opint.linalg as linalg
 from opint.linalg import numrange_distances, numrange_gap
 
-from conftest import (faulty_solve, lu_resolvent_raises, numrange_gap_sweep,
-                      random_complex, random_normal, shift_sweep, spectral_norm_guard_raises)
+from conftest import (count_calls, faulty_solve, lu_resolvent_raises, numrange_gap_sweep,
+                      random_complex, random_normal, random_unitary, shift_sweep,
+                      spectral_norm_guard_raises)
 
 
 class TestNorms:
@@ -55,6 +56,107 @@ class TestNorms:
             op, hs = operator_norm(M), hs_norm(M)
             assert op <= hs * (1 + 1e-12)
             assert hs <= np.sqrt(min(rows, cols)) * op * (1 + 1e-12)
+
+
+class TestNormBounds:
+    """`_norm_bounds` brackets the norm the SVD computes, and `_norm_test`
+    takes that SVD only where the bounds leave its test open."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([-600, -40, 0, 40, 600]),
+           st.sampled_from(["dense", "rank one", "one row"]))
+    def test_brackets_the_computed_norm(self, seed, m, n, k, kind):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, m, n)
+        if kind == "rank one":  # ||M||_2 = ||M||_F
+            M = np.outer(M[:, 0], M[0])
+        elif kind == "one row":  # ||M||_2 = its largest row norm
+            M[1:] = 0.0
+        M = M * 2.0 ** k
+        lo, hi = linalg._norm_bounds(M)
+        assert 0.0 < lo <= operator_norm(M) <= hi
+        assert hi <= lo * np.sqrt(min(m, n)) * (1.0 + 1e-9)
+
+    def test_svd_only_where_the_corners_differ(self, monkeypatch):
+        M = np.diag([3.0, 4.0])  # largest row 4, ||M||_F = 5
+        norms = count_calls(monkeypatch, operator_norm, [linalg])
+        assert linalg._norm_test(lambda x: x <= 5.1, (M,))
+        assert not linalg._norm_test(lambda x: x <= 3.9, (M,))
+        assert not linalg._norm_test(lambda x, y: x * y <= 15.0, (M, M))
+        assert not norms
+        assert linalg._norm_test(lambda x: x <= 4.5, (M,)) and norms[0] is M
+        assert not linalg._norm_test(lambda x: x <= 4.5, (M,), lambda: (4.6,))
+        assert len(norms) == 1
+
+
+def _near_threshold(rng, n, target, tol):
+    """C = Q (Lambda + t N) Q* with t placed so that ||C*C - CC*||_2 is
+    target tol_normal ||C||_2^2, and the ratio reached."""
+    lam = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    N, Q = np.triu(random_complex(rng, n, n), 1), random_unitary(rng, n)
+    t = 1e-10
+    for _ in range(6):
+        C = Q @ (np.diag(lam) + t * N) @ adjoint(Q)
+        ratio = linalg.normality_defect(C) / (tol.tol_normal * operator_norm(C) ** 2)
+        t *= target / ratio
+    return C, ratio
+
+
+class TestNormalVerdict:
+    """`is_normal` against the SVD test of `_normality`."""
+
+    @staticmethod
+    def _check(C, tol):
+        """The verdict is the SVD test's, and the SVD test runs exactly
+        where `_pow2_scale` may not be 1 or the bounds straddle the
+        threshold; True when it ran."""
+        with pytest.MonkeyPatch.context() as mp:
+            svds = count_calls(mp, operator_norm, [linalg])
+            verdict = linalg.is_normal(C, tol)
+        _, _, defect, threshold = linalg._normality(C, operator_norm(C), tol)
+        assert verdict == (defect <= threshold)
+        n, (lo, hi) = len(C), linalg._norm_bounds(C)
+        if all(0.0 < b < np.inf and linalg._pow2_scale(b, n) == 1.0 for b in (lo, hi)):
+            G = adjoint(C) @ C - C @ adjoint(C)
+            corners = {d <= tol.tol_normal * max(m ** 2, 1e-300)
+                       for d in linalg._norm_bounds(G) for m in (lo, hi)}
+            assert bool(svds) == (len(corners) == 2)
+        else:
+            assert svds
+        return bool(svds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.floats(1.0 - 1e-3, 1.0 + 1e-3),
+           st.sampled_from([-600, -40, 40, 600]))
+    def test_matches_the_svd_test_at_the_threshold(self, seed, n, target, k):
+        tol = Tolerances()
+        C, ratio = _near_threshold(np.random.default_rng(seed), n, target, tol)
+        assert abs(ratio / target - 1.0) < 1e-4
+        assert self._check(C * 2.0 ** k, tol)
+
+    @pytest.mark.parametrize("k", [-600, -40, 0, 40, 600])
+    @pytest.mark.parametrize("C", [
+        [[1.0, 9e-6], [0.0, 1.0]],  # passes: on a repeated eigenvalue the defect is 8e-11
+        [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],  # a Jordan block
+        np.diag([1.0, 2.0, 3.0j])], ids=["departure", "jordan", "diagonal"])
+    def test_examples(self, C, k):
+        C = np.asarray(C, dtype=np.complex128) * 2.0 ** k
+        straddles = self._check(C, Tolerances())
+        assert straddles == (abs(k) == 600 or C[0, 1] == 9e-6 * 2.0 ** k)
+
+    def test_rank_one_within_ulps_of_the_threshold(self):
+        # C = u v*: ||C||_2 = ||C||_F and, for n = 2, ||C*C - CC*||_2 is
+        # its largest row norm, so both bounds are tight to rounding.  With
+        # tol_normal a few ulps about the computed ratio, only the margin of
+        # `_norm_bounds` keeps a bound from deciding against the SVD test.
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            C = np.outer(u, (u + 1e-3 * rng.standard_normal(2)).conj())
+            ratio = linalg.normality_defect(C) / operator_norm(C) ** 2
+            for j in range(-6, 7):
+                assert self._check(C, Tolerances(tol_normal=ratio * (1.0 + j * 2.0 ** -52)))
 
 
 class TestAdjoint:

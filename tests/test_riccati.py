@@ -235,7 +235,8 @@ class TestPreparedProblem:
         prob = RiccatiProblem(base.A, base.B, base.C, base.D, tolerances=tol)
         schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
         hessenbergs = count_calls(monkeypatch, scipy.linalg.hessenberg, [scipy.linalg])
-        defects = count_calls(monkeypatch, linalg.normality_defect)
+        verdicts = count_calls(monkeypatch, linalg.is_normal)
+        norms = count_calls(monkeypatch, operator_norm)
         measures = count_calls(monkeypatch, spectral._measure_of_schur)
         sweeps = count_calls(monkeypatch, linalg.numrange_gap)
         certify(prob)
@@ -243,7 +244,12 @@ class TestPreparedProblem:
         posterior_check(prob, report)
         assert len(measures) == 1 and len(sweeps) == gaps
         assert prob.measure().tolerances is tol
-        assert len(defects) == 1 and defects[0] is prob.C
+        assert len(verdicts) == 1 and verdicts[0] is prob.C
+        # the norms of B, of each step, of the residual and of X, and no
+        # norm of C or of its commutator: the bounds decide its verdict
+        # and every stop test
+        assert len(norms) == 1 + report.iterations + 2
+        assert norms[0] is prob.B and not any(M is prob.C for M in norms)
         # a Schur form of each of A and C, then a Hessenberg form of A + BX
         # per later step
         assert len(schurs) == 2
@@ -334,6 +340,28 @@ class TestSolve:
             solve_fixed_point(prob, tol=1e-14, max_iter=2)
         assert err.value.report is not None
         assert not err.value.report.converged
+
+    def test_stop_test_from_bounds_matches_the_svd_rule(self, rng, monkeypatch):
+        # (A, B / s, C, s D) is solved by s X: at s = 2^6, ||X|| > 1 lets its
+        # bounds straddle a stop test, which the SVD of X then decides.  With
+        # bounds (0, inf) every test takes that SVD, as it always did.
+        base = make_certified_riccati(rng, 6, 8, normal_a=False)
+        s = 2.0 ** 6
+        prob = RiccatiProblem(base.A, base.B / s, base.C, base.D * s)
+        first = solve_fixed_point(prob)
+        ratio = first.step_norms[-1] / operator_norm(first.X)
+        straddled = 0
+        for tol in (1e-10, 1e-6, ratio, ratio * (1.0 - 1e-15), ratio * (1.0 + 1e-15)):
+            with monkeypatch.context() as mp:
+                norms = count_calls(mp, operator_norm)
+                fast = solve_fixed_point(prob, tol=tol)
+            straddled += len(norms) > fast.iterations + 1  # the steps, the residual
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_norm_bounds", lambda M: (0.0, np.inf))
+                slow = solve_fixed_point(prob, tol=tol)
+            assert fast.X.tobytes() == slow.X.tobytes()
+            assert fast.step_norms == slow.step_norms and fast.iterations == slow.iterations
+        assert straddled >= 3
 
     def test_two_starts_agree(self, rng):
         for _ in range(5):

@@ -31,10 +31,10 @@ from opint import (
 )
 
 import opint.linalg as linalg
-from opint.spectral import _cluster
+from opint.spectral import _cliques, _cluster
 
-from conftest import (bounding_rect, cluster_restart_loop, projections, random_complex,
-                      random_normal, random_unitary)
+from conftest import (bounding_rect, cluster_restart_loop, count_calls, projections,
+                      random_complex, random_normal, random_unitary)
 
 
 class TestDecompose:
@@ -100,6 +100,15 @@ class TestDecompose:
         sm = decompose_normal(np.diag([1.0, 1.0 + 0.8e-8, 1.0 + 1.6e-8]))
         assert len(sm) == 2
         assert sorted(sm.multiplicities) == [1, 2]
+
+    def test_normal_matrix_takes_no_svd(self, rng, monkeypatch):
+        # the bounds decide the normality test; the Schur form is the only
+        # factorization
+        C, _ = random_normal(rng, 64)
+        norms = count_calls(monkeypatch, operator_norm)
+        verdicts = count_calls(monkeypatch, linalg.is_normal)
+        sm = decompose_normal(C)
+        assert len(sm) == 64 and len(verdicts) == 1 and not norms
 
     def test_factored_measure_memory(self, rng):
         # a dense projection tensor of 400 simple atoms would take 1 GB
@@ -186,6 +195,102 @@ class TestCluster:
         groups, reps = _cluster(values[:300], 1e-8)
         oracle_groups, oracle_reps = cluster_restart_loop(values[:300], 1e-8)
         assert groups == oracle_groups and reps.tobytes() == oracle_reps.tobytes()
+
+
+def _distances(values):
+    d = values[:, None] - values
+    return np.hypot(d.real, d.imag)
+
+
+def _arc(rng, c, t):
+    """c and 1 to 4 values on a short arc of radius t about it, each moved
+    by ulps towards c until its computed distance is within t."""
+    values = [c]
+    for z in c + t * np.exp(2j * np.pi * rng.random()
+                            + 1j * 10.0 ** rng.uniform(-5, -3) * np.arange(1, rng.integers(2, 6))):
+        while abs(z - c) > t:
+            z = complex(np.nextafter(z.real, c.real), np.nextafter(z.imag, c.imag))
+        values.append(z)
+    return values
+
+
+@st.composite
+def isolated_cliques(draw):
+    """(values, threshold t, whether a chain is among them): 1 to 8 groups
+    in shuffled order around centres 6.5 t or more apart.  A group is a
+    centre and 0 to 4 values within 0.45 t of it; or an `_arc`, a clique
+    whose diameter is within ulps of t; or a pair rho t apart and a value
+    beyond t from both but within t of their mean; or a chain [c,
+    c + 0.8 t e, c + 1.6 t e]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = 10.0 ** draw(st.floats(-10.0, -2.0))
+    kinds = draw(st.lists(st.sampled_from(["small", "arc", "reach", "chain"]),
+                          min_size=1, max_size=8))
+    values = []
+    for i, kind in enumerate(kinds):
+        c = complex(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)) + 6.5 * t * (i % 3 + 1j * (i // 3))
+        e = np.exp(2j * np.pi * rng.random())
+        if kind == "small":
+            m = rng.integers(0, 5)
+            values += [c, *(c + 0.45 * t * rng.random(m) * np.exp(2j * np.pi * rng.random(m)))]
+        elif kind == "arc":
+            values += _arc(rng, c, t)
+        elif kind == "reach":
+            rho = rng.uniform(0.5, 0.99)
+            values += [c, c + rho * t * e,
+                       c + 0.5 * rho * t * e + 1j * e * t * rng.uniform(np.sqrt(1 - rho ** 2 / 4), 1)]
+        else:
+            values += [c, c + 0.8 * t * e, c + 1.6 * t * e]
+    values = np.array(values)
+    return values[rng.permutation(len(values))], t, "chain" in kinds
+
+
+class TestCliques:
+    """`_cliques` reads the merge loop's result off the distance table, or
+    leaves the spectrum to the loop; the restart loop is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(isolated_cliques())
+    def test_matches_restart_loop(self, case):
+        values, threshold, chain = case
+        groups, reps = _cluster(values, threshold)
+        oracle_groups, oracle_reps = cluster_restart_loop(values, threshold)
+        assert groups == oracle_groups
+        assert reps.tobytes() == oracle_reps.tobytes()
+        if chain:  # not a clique: the loop
+            assert _cliques(values, values, _distances(values), threshold) is None
+
+    def test_reads_clustered_spectra_in_one_pass(self):
+        # 300 permuted spectra of 4-fold atoms with eigensolver-sized noise
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            k = int(rng.integers(1, 17))
+            atoms = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
+            values = np.repeat(atoms, 4) + 1e-15 * (rng.standard_normal(4 * k)
+                                                    + 1j * rng.standard_normal(4 * k))
+            values = values[rng.permutation(4 * k)]
+            found = _cliques(values, values, _distances(values), 1e-8)
+            oracle_groups, oracle_reps = cluster_restart_loop(values, 1e-8)
+            assert found is not None and found[0] == oracle_groups
+            assert found[1].tobytes() == oracle_reps.tobytes()
+
+    def test_arcs_within_ulps_of_the_threshold(self):
+        # the mean of two values at t from c can round to beyond t from it
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            t = 10.0 ** rng.uniform(-9, -7)
+            values = np.array(_arc(rng, complex(*rng.uniform(0.5, 1.0, 2)), t))
+            values = values[rng.permutation(len(values))]
+            groups, reps = _cluster(values, t)
+            oracle_groups, oracle_reps = cluster_restart_loop(values, t)
+            assert groups == oracle_groups and reps.tobytes() == oracle_reps.tobytes()
+
+    def test_a_mean_within_reach_of_another_clique(self):
+        # 0 and 2 merge, and their mean 1 is 1.9 from 1 + 1.9i, which is
+        # beyond 2.1 from both
+        values = np.array([0.0, 2.0, 1.0 + 1.9j])
+        assert _cliques(values, values, _distances(values), 2.1) is None
+        assert _cluster(values, 2.1)[0] == [[0, 1, 2]]
 
 
 class TestMeasure:

@@ -335,6 +335,30 @@ class TestContourQuadrature:
         levels = int(np.log2(n // 32)) + 1
         assert len(calls) <= 2 * levels  # the stopping rule only
 
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_stop_test_from_bounds_matches_the_svd_rule(self, rng, monkeypatch, normal_a):
+        # tol_quad at the ratio of the first change (32 to 64 nodes) to
+        # ||X|| puts that test inside the bounds' bracket, where the SVDs
+        # decide it; with bounds (0, inf) every test takes them, as it
+        # always did
+        prob = make_sylvester(rng, 5, 6, normal_a=normal_a)
+        circles = [(complex(z), 0.3) for z in np.linalg.eigvals(prob.C)]
+        X32, X64 = (pytest.raises(NoConvergenceError, contour_quadrature, prob, circles,
+                                  max_nodes=n).value.value for n in (32, 64))
+        ratio = operator_norm(X64 - X32) / max(1.0, operator_norm(X64))
+        straddled = 0
+        for tol_quad in (1e-12, 1e-9, ratio, ratio * (1.0 - 1e-15), ratio * (1.0 + 1e-15)):
+            p = SylvesterProblem(prob.A, prob.C, prob.D, tolerances=Tolerances(tol_quad=tol_quad))
+            with monkeypatch.context() as mp:
+                norms = count_calls(mp, operator_norm)
+                fast = contour_quadrature(p, circles)
+            straddled += bool(norms)
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_norm_bounds", lambda M: (0.0, np.inf))
+                slow = contour_quadrature(p, circles)
+            assert fast[0].tobytes() == slow[0].tobytes() and fast[1] == slow[1]
+        assert straddled >= 2
+
     def test_guard_sweep_at_least_as_strict_as_resolvent(self, rng):
         # node 0 of the circle (z - r, r) sits at z = lam + 10^-p e^{i phi}
         exact = SylvesterProblem(np.diag([3.0, 2.0 + 1.0j]),
@@ -452,10 +476,10 @@ class TestContourQuadrature:
 
 def _count_factoring(monkeypatch):
     """Lists of the matrices given to scipy.linalg.schur, operator_norm and
-    normality_defect, and of the Schur factors T the measures are built from."""
+    is_normal, and of the Schur factors T the measures are built from."""
     return (count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg]),
             count_calls(monkeypatch, operator_norm),
-            count_calls(monkeypatch, linalg.normality_defect),
+            count_calls(monkeypatch, linalg.is_normal),
             count_calls(monkeypatch, spectral._measure_of_schur))
 
 
@@ -488,10 +512,10 @@ class TestOneDecomposition:
 
     def test_double_spectral_decomposes_each_matrix_once(self, rng, monkeypatch):
         prob = make_sylvester(rng, 4, 5)
-        schurs, _, defects, measures = _count_factoring(monkeypatch)
+        schurs, _, verdicts, measures = _count_factoring(monkeypatch)
         reports = [solve_double_spectral(prob) for _ in range(3)]
         verify_bounds(prob, reports[0])
-        assert _once_each(schurs, prob) and _once_each(defects, prob)
+        assert _once_each(schurs, prob) and _once_each(verdicts, prob)
         assert len(measures) == 2
         assert all(np.array_equal(r.X, reports[0].X) for r in reports)
         sm_a = prob._measure("A")
@@ -503,24 +527,25 @@ class TestOneDecomposition:
                         (ref.eigenvalues, ref.basis, ref.multiplicities)):
             assert np.array_equal(M, R)
 
-    # per report (solve + verify_bounds): a Schur form, a norm and a
-    # normality defect of each of A and C, and the residual; the contour
-    # adds two norms per node doubling, three on this instance (32 to 256
-    # nodes on its one circle)
+    # per report (solve + verify_bounds): a Schur form and a normality
+    # verdict of each of A and C, and the residual's norm; the bounds decide
+    # the verdicts, the gap and numerical-range tests against the norms of
+    # A and C, and the contour's three stop tests (32 to 256 nodes on its
+    # one circle) on this instance, so no other norm is taken
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
         (solve_double_spectral, 2)])
     def test_solve_and_verify_decompose_c_once(self, rng, monkeypatch,
                                                solver, calls):
         prob = make_sylvester(rng, 5, 5)
-        schurs, norms, defects, measures = _count_factoring(monkeypatch)
+        schurs, norms, verdicts, measures = _count_factoring(monkeypatch)
         verify_bounds(prob, solver(prob))
-        assert len(schurs) == 2 and len(defects) == 2
-        assert len(norms) == (11 if solver is solve_contour else 5)
+        assert len(schurs) == 2 and len(verdicts) == 2
+        assert len(norms) == 1
         assert len(measures) == calls
         assert sum(T is prob.schur("C")[0] for T in measures) == 1
-        assert _once_each(schurs, prob) and _once_each(defects, prob)
-        assert sum(M is prob.A for M in norms) == sum(M is prob.C for M in norms) == 1
+        assert _once_each(schurs, prob) and _once_each(verdicts, prob)
+        assert "norm_scale" not in prob._cache
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_one_schur_form_for_any_number_of_tolerances(self, rng, monkeypatch,
@@ -532,10 +557,10 @@ class TestOneDecomposition:
         for tol in (sylvester.DEFAULT_TOLERANCES, Tolerances(tol_cluster=1e-6),
                     Tolerances(tol_solve=1e-9)):
             prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
-            schurs, _, defects, measures = _count_factoring(monkeypatch)
+            schurs, _, verdicts, measures = _count_factoring(monkeypatch)
             for solver in solvers:
                 verify_bounds(prob, solver(prob))
-            assert _once_each(schurs, prob) and _once_each(defects, prob)
+            assert _once_each(schurs, prob) and _once_each(verdicts, prob)
             assert len(measures) == (2 if normal_a else 1)
             assert sum(T is prob.schur("C")[0] for T in measures) == 1
             assert prob.measure().tolerances is tol
@@ -558,14 +583,16 @@ class TestPreparedProblem:
         base = make_sylvester(rng, 3, 4)
         tol = Tolerances(tol_cluster=1e-6)
         prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
-        schurs, _, defects, measures = _count_factoring(monkeypatch)
+        schurs, norms, verdicts, measures = _count_factoring(monkeypatch)
         sm = prob.measure()
         assert prob.measure() is sm and sm.tolerances is tol
         assert len(measures) == 1
         assert set(prob._cache) == {("normality", "C"), ("schur", "C"),
                                     ("measure", "C")}
-        # from one Schur form of C, after one normality test
-        assert len(schurs) == len(defects) == 1 and schurs[0] is prob.C
+        # from one Schur form of C, after one normality verdict, which the
+        # bounds decide with no SVD
+        assert len(schurs) == len(verdicts) == 1 and schurs[0] is prob.C
+        assert verdicts[0] is prob.C and not norms
         with pytest.raises(ValueError):  # the kept measure cannot be edited
             sm.basis[0, 0] = 0.0
         T, Z = prob.schur("C")
@@ -603,16 +630,18 @@ class TestPreparedProblem:
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_norms_of_a_and_c_once_per_problem(self, rng, monkeypatch, normal_a):
-        # normality_defect takes its norm of the commutator inside linalg
+        # the bounds decide the report's tests against norm_scale(); asked
+        # for, it takes each norm once
         prob = make_sylvester(rng, 5, 4, normal_a=normal_a)
         seen = []
         real = sylvester.operator_norm
         monkeypatch.setattr(sylvester, "operator_norm",
                             lambda M: seen.append(M) or real(M))
         verify_bounds(prob, solve_spectral(prob))
+        assert not any(M is prob.A or M is prob.C for M in seen)
+        assert prob.norm_scale() == prob.norm_scale() == max(1.0, real(prob.A), real(prob.C))
         assert sum(M is prob.A for M in seen) == 1
         assert sum(M is prob.C for M in seen) == 1
-        assert prob.norm_scale() == max(1.0, real(prob.A), real(prob.C))
 
 
 def _clustered_normal(rng, n, mult=4):
