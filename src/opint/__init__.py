@@ -21,77 +21,10 @@ def _seed_thread_env():
 
 _seed_thread_env()
 
-from .errors import (
-    BoundaryEigenvalueError,
-    BoundaryEigenvalueWarning,
-    BoundViolationError,
-    CertificateViolationError,
-    ContourConstructionError,
-    GapViolationError,
-    InsufficientMemoryError,
-    InvalidProblemError,
-    MaxIterationsError,
-    NoConvergenceError,
-    NotNormalError,
-    OpintError,
-    ShapeMismatchError,
-    SingularResolventError,
-    SingularSystemError,
-    ZeroQuadraticTermError,
-)
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    adjoint,
-    hs_norm,
-    is_normal,
-    operator_norm,
-    resolvent,
-)
-from .spectral import (
-    Rect,
-    SpectralMeasure,
-    apply_function,
-    decompose_normal,
-    measure_of_rect,
-    spectral_function,
-    spectral_invariant_residuals,
-)
-from .stieltjes import (
-    ConvergenceReport,
-    GridPartition,
-    OperatorFunction,
-    czero_check,
-    dyadic_level_sum,
-    estimate_lipschitz,
-    exact_left_integral,
-    exact_right_integral,
-    integrate_right,
-    left_sum,
-    lnest_bound,
-    right_sum,
-)
-from .enorm import bounded_integral_bound_check, check_enorm_sandwich, e_norm
-from .sylvester import (
-    BoundCheck,
-    SylvesterProblem,
-    SylvesterReport,
-    contour_quadrature,
-    dual_solution,
-    solve_contour,
-    solve_double_spectral,
-    solve_kronecker,
-    solve_spectral,
-    spectral_gap,
-    sylvester_residual,
-    verify_bounds,
-)
-from .riccati import (
-    ContractionCertificate,
-    RiccatiProblem,
-    RiccatiReport,
-    certify,
-    posterior_check,
-    riccati_residual,
-    solve_fixed_point,
-)
+from .errors import *
+from .linalg import *
+from .spectral import *
+from .stieltjes import *
+from .enorm import *
+from .sylvester import *
+from .riccati import *

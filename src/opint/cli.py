@@ -4,8 +4,9 @@
 and writes the subcommand's report once: JSON for a dict, the CSV text
 of the integration convergence study as it is.  Each `cmd_*` maps
 (problem, args) to (report, exit code).  Exit codes: 0 success, 2
-invalid input, a problem too large for memory or an unwritable report,
-3 mathematical precondition violated, 4 non-convergence.
+invalid input or an unwritable report, 4 an integration study that did
+not converge; a failure exits with its error class's `exit_code`
+(`errors.py`: 2 invalid input, 3 precondition, 4 non-convergence).
 """
 
 import argparse
@@ -17,22 +18,8 @@ import numpy as np
 
 from . import __version__
 from .enorm import check_enorm_sandwich
-from .errors import (
-    BoundaryEigenvalueError,
-    BoundViolationError,
-    CertificateViolationError,
-    ContourConstructionError,
-    GapViolationError,
-    InsufficientMemoryError,
-    InvalidProblemError,
-    MaxIterationsError,
-    NoConvergenceError,
-    NotNormalError,
-    ShapeMismatchError,
-    SingularResolventError,
-    SingularSystemError,
-    ZeroQuadraticTermError,
-)
+from .errors import (CertificateViolationError, InvalidProblemError, OpintError,
+                     ShapeMismatchError)
 from .probfile import load_problem, matrix_to_json
 from .riccati import RiccatiProblem, posterior_check, solve_fixed_point
 from .spectral import decompose_normal, spectral_invariant_residuals
@@ -49,7 +36,6 @@ from .sylvester import (
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
-EXIT_PRECONDITION = 3
 EXIT_NO_CONVERGENCE = 4
 
 _SOLVERS = {
@@ -123,7 +109,7 @@ def cmd_riccati(problem, args):
     except CertificateViolationError as exc:
         # the failed certificate itself is the report, so callers can inspect it
         return ({"certificate": vars(exc.certificate), "error": str(exc)},
-                EXIT_PRECONDITION)
+                exc.exit_code)
     checks = posterior_check(prob, report)
     return {
         "certificate": vars(report.certificate),
@@ -234,19 +220,9 @@ def main(argv=None):
             raise InvalidProblemError(
                 f"problem file is missing matrices: {', '.join(missing)}")
         report, code = args.func(problem, args)
-    except (InvalidProblemError, ShapeMismatchError, InsufficientMemoryError,
-            ValueError) as exc:
+    except (OpintError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (NotNormalError, GapViolationError, SingularSystemError,
-            ZeroQuadraticTermError, BoundaryEigenvalueError,
-            ContourConstructionError, BoundViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (NoConvergenceError, MaxIterationsError,
-            SingularResolventError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return getattr(exc, "exit_code", EXIT_INVALID_INPUT)
     if isinstance(report, dict):
         if problem.get("seed") is not None:
             report["seed"] = problem["seed"]

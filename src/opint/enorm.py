@@ -7,13 +7,27 @@ quantity all solvability certificates for the quadratic equation are
 measured in.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import BoundViolationError, ShapeMismatchError
 from .linalg import _pow2_scale, adjoint, hs_norm, operator_norm
 from .stieltjes import OperatorFunction, exact_left_integral
 
-__all__ = ["e_norm", "check_enorm_sandwich", "bounded_integral_bound_check"]
+__all__ = ["BoundCheck", "e_norm", "check_enorm_sandwich", "bounded_integral_bound_check"]
+
+
+class BoundCheck(NamedTuple):
+    """An asserted bound together with the observed value; `ok` allows
+    1e-12 slack relative to the bound, at every scale."""
+
+    bound: float
+    observed: float
+
+    @property
+    def ok(self):
+        return self.observed <= self.bound + 1e-12 * abs(self.bound)
 
 
 def e_norm(Y, sm):
@@ -46,17 +60,15 @@ def check_enorm_sandwich(Y, sm):
     """The triple (||Y||, ||Y||_E, ||Y||_2), verifying its ordering.
 
     Raises BoundViolationError when the sandwich
-    ||Y|| <= ||Y||_E <= ||Y||_2 fails beyond 1e-12 relative slack,
-    which would indicate a broken measure rather than a borderline
-    instance.
+    ||Y|| <= ||Y||_E <= ||Y||_2 fails a `BoundCheck`, which would
+    indicate a broken measure rather than a borderline instance.
     """
     op = operator_norm(Y)
     en = e_norm(Y, sm)
     hs = hs_norm(Y)
-    slack = 1e-12 * max(op, en, hs)
-    if not op <= en + slack:
+    if not BoundCheck(en, op).ok:
         raise BoundViolationError(f"||Y|| = {op} exceeds ||Y||_E = {en}")
-    if not en <= hs + slack:
+    if not BoundCheck(hs, en).ok:
         raise BoundViolationError(f"||Y||_E = {en} exceeds ||Y||_2 = {hs}")
     return op, en, hs
 
@@ -83,7 +95,7 @@ def bounded_integral_bound_check(Y, F, sm, rect):
     sup_F = max((operator_norm(F(sm.eigenvalues[k].real, sm.eigenvalues[k].imag))
                  for k in atoms), default=0.0)
     rhs = enorm_y * sup_F
-    slack = sm.tolerances.tol_solve * max(1.0, rhs)
+    slack = sm.tolerances.tol_solve * rhs
     if not lhs <= rhs + slack:
         raise BoundViolationError(
             f"integral bound violated: {lhs} > {rhs} + {slack}")

@@ -2,7 +2,13 @@
 
 
 class OpintError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `exit_code` is the command line's exit status for the error: 2 for
+    invalid input (the default), 3 for a violated mathematical
+    precondition, 4 for non-convergence."""
+
+    exit_code = 2
 
 
 class InvalidProblemError(OpintError):
@@ -18,19 +24,27 @@ class NotNormalError(OpintError):
     """The matrix fails the normality test; spectral-measure machinery
     does not apply to it."""
 
+    exit_code = 3
+
 
 class SingularResolventError(OpintError):
     """M - zI is numerically singular: z sits on (or too close to) the
     spectrum, which signals a spectral-gap violation."""
+
+    exit_code = 4
 
 
 class GapViolationError(OpintError):
     """The spectral gap between the two coefficient matrices is below the
     clustering tolerance, so the solution formulas are not applicable."""
 
+    exit_code = 3
+
 
 class SingularSystemError(OpintError):
     """The vectorized linear system is singular, i.e. the spectra overlap."""
+
+    exit_code = 3
 
 
 class InsufficientMemoryError(OpintError):
@@ -42,10 +56,14 @@ class ContourConstructionError(OpintError):
     """No admissible family of circles separating the two spectra was
     found."""
 
+    exit_code = 3
+
 
 class NoConvergenceError(OpintError):
     """An adaptive refinement exhausted its budget without meeting the
     requested tolerance.  Carries the partial result when available."""
+
+    exit_code = 4
 
     def __init__(self, message, value=None, report=None):
         super().__init__(message)
@@ -57,6 +75,8 @@ class MaxIterationsError(OpintError):
     """The fixed-point iteration hit its iteration cap before the step
     size dropped below tolerance."""
 
+    exit_code = 4
+
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
@@ -66,9 +86,13 @@ class ZeroQuadraticTermError(OpintError):
     """The quadratic coefficient B is zero: the equation is linear and
     should be solved with the Sylvester routines instead."""
 
+    exit_code = 3
+
 
 class CertificateViolationError(OpintError):
     """The contraction certificate failed and no override was requested."""
+
+    exit_code = 3
 
     def __init__(self, message, certificate=None):
         super().__init__(message)
@@ -79,10 +103,14 @@ class BoundViolationError(OpintError):
     """A norm inequality guaranteed by the theory failed numerically,
     which points at a broken measure rather than a borderline instance."""
 
+    exit_code = 3
+
 
 class BoundaryEigenvalueError(OpintError):
     """An eigenvalue lies within the clustering tolerance of the rectangle
     boundary, so half-open membership is numerically fragile."""
+
+    exit_code = 3
 
 
 class BoundaryEigenvalueWarning(UserWarning):

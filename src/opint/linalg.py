@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives shared by every other module."""
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -39,10 +39,10 @@ class Tolerances:
     tol_quad: float = 1e-12
 
     def __post_init__(self):
-        for name in ("tol_normal", "tol_cluster", "tol_solve", "tol_quad"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+                raise ValueError(f"{f.name} must lie strictly between 0 and 1, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

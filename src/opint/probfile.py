@@ -6,6 +6,7 @@ always [re, im] pairs so that serialization round-trips bit-exactly.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -82,8 +83,7 @@ def load_problem(path):
         obj = raw["tolerances"]
         if not isinstance(obj, dict):
             raise InvalidProblemError("tolerances must be an object")
-        known = {"tol_normal", "tol_cluster", "tol_solve", "tol_quad"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(Tolerances)}
         if unknown:
             raise InvalidProblemError(f"unknown tolerance keys: {sorted(unknown)}")
         try:
@@ -92,7 +92,7 @@ def load_problem(path):
             raise InvalidProblemError(f"invalid tolerances: {exc}") from exc
     if "rect" in raw:
         obj = raw["rect"]
-        if not isinstance(obj, dict) or set(obj) != {"a", "b", "c", "d"}:
+        if not isinstance(obj, dict) or set(obj) != {f.name for f in fields(Rect)}:
             raise InvalidProblemError('rect must be an object {"a","b","c","d"}')
         try:
             problem["rect"] = Rect(**_numbers(obj, "rect"))

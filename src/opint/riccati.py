@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .enorm import e_norm
+from .enorm import BoundCheck, e_norm
 from .errors import (
     CertificateViolationError,
     MaxIterationsError,
@@ -24,7 +24,7 @@ from .errors import (
     ZeroQuadraticTermError,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances, _norm_test, as_matrix, operator_norm
-from .sylvester import BoundCheck, _Prepared, _separation, _spectral_solve
+from .sylvester import _Prepared, _separation, _spectral_solve
 
 __all__ = [
     "RiccatiProblem",

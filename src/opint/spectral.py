@@ -10,7 +10,7 @@ equation solvers) is built on this object.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -40,9 +40,9 @@ class Rect:
     d: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"rectangle bound {name} must be finite")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"rectangle bound {f.name} must be finite")
         if not (self.a < self.b and self.c < self.d):
             raise ValueError(
                 f"rectangle requires a < b and c < d, got "

@@ -10,12 +10,11 @@ separated, which every method checks first.
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .enorm import e_norm
+from .enorm import BoundCheck, e_norm
 from .errors import (
     ContourConstructionError,
     GapViolationError,
@@ -45,7 +44,6 @@ from .spectral import _measure_of_schur, _require_normal
 __all__ = [
     "SylvesterProblem",
     "SylvesterReport",
-    "BoundCheck",
     "spectral_gap",
     "sylvester_residual",
     "solve_spectral",
@@ -56,17 +54,6 @@ __all__ = [
     "dual_solution",
     "verify_bounds",
 ]
-
-
-class BoundCheck(NamedTuple):
-    """An asserted bound together with the observed value."""
-
-    bound: float
-    observed: float
-
-    @property
-    def ok(self):
-        return self.observed <= self.bound + 1e-12 * abs(self.bound)
 
 
 class _Prepared:
@@ -398,12 +385,12 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
         n *= 2
 
 
-def solve_contour(prob, n_nodes=32):
+def solve_contour(prob):
     """Resolvent contour formula evaluated on automatically built circles."""
     gap = _require_gap(prob)
     circles = _build_circles(np.diag(prob.schur("A")[0]),
                              prob.measure().eigenvalues, gap)
-    X, _ = contour_quadrature(prob, circles, n_nodes=n_nodes)
+    X, _ = contour_quadrature(prob, circles)
     return _finish(prob, X, "contour", gap)
 
 

@@ -686,6 +686,55 @@ class TestFrontEnd:
         assert out_path in err
 
 
+def error_classes(cls=opint.OpintError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in error_classes(sub)]
+
+
+class TestExitCodes:
+    """Each error class carries the exit code `main` returns for it."""
+
+    EXPECTED = dict.fromkeys(
+        ["OpintError", "InvalidProblemError", "ShapeMismatchError",
+         "InsufficientMemoryError"], 2) | dict.fromkeys(
+        ["NotNormalError", "GapViolationError", "SingularSystemError",
+         "ZeroQuadraticTermError", "BoundaryEigenvalueError",
+         "ContourConstructionError", "BoundViolationError",
+         "CertificateViolationError"], 3) | dict.fromkeys(
+        ["NoConvergenceError", "MaxIterationsError", "SingularResolventError"], 4)
+
+    def raise_from_command(self, tmp_path, capsys, monkeypatch, exc):
+        def failing(problem, args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_spectral", failing)
+        path = write_problem(tmp_path, C=matjson(np.eye(2)))
+        return run(capsys, ["spectral", path])
+
+    @pytest.mark.parametrize("cls", error_classes(), ids=lambda cls: cls.__name__)
+    def test_error_exits_with_its_code(self, tmp_path, capsys, monkeypatch, cls):
+        code, out, err = self.raise_from_command(tmp_path, capsys, monkeypatch,
+                                                 cls("stub failure"))
+        assert code == cls.exit_code == self.EXPECTED[cls.__name__]
+        assert out == ""
+        assert err == "error: stub failure\n"
+
+    def test_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        code, out, err = self.raise_from_command(tmp_path, capsys, monkeypatch,
+                                                 ValueError("stub failure"))
+        assert (code, out, err) == (2, "", "error: stub failure\n")
+
+
+@pytest.mark.parametrize("module", ["errors", "linalg", "spectral", "stieltjes",
+                                    "enorm", "sylvester", "riccati"])
+def test_namespace_holds_each_modules_public_names(module):
+    mod = importlib.import_module(f"opint.{module}")
+    names = getattr(mod, "__all__",
+                    [n for n in vars(mod) if not n.startswith("_")])
+    assert names
+    for name in names:
+        assert getattr(opint, name) is getattr(mod, name), name
+
+
 def test_import_seeds_thread_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}

@@ -243,6 +243,16 @@ class TestBoundViolation:
                 np.eye(2), OperatorFunction.constant(np.eye(2)),
                 broken_measure(), Rect(-2.0, 2.0, -2.0, 2.0))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    def test_integral_bound_slack_scales_with_the_bound(self, rng, scale):
+        # each "projection" is 4 q_k q_k*, so lhs = 4 ||Y|| is about 1.7 rhs
+        # at every scale; a slack floored at tol_solve hid it below 1e-10
+        sm = SpectralMeasure([0.1, 0.2j, -0.3], 2.0 * random_unitary(rng, 3), [1, 1, 1])
+        with pytest.raises(BoundViolationError, match="integral bound"):
+            bounded_integral_bound_check(
+                scale * random_complex(rng, 3, 2), OperatorFunction.constant(np.eye(2)),
+                sm, Rect(-1.0, 1.0, -1.0, 1.0))
+
     def test_checks_survive_optimized_python(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
         script = textwrap.dedent("""
