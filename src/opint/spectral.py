@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
-from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normality, _square, adjoint,
-                     as_matrix, is_normal, operator_norm)
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normality, _pow2_scale, _square,
+                     adjoint, as_matrix, is_normal, operator_norm)
 
 __all__ = [
     "Rect",
@@ -254,9 +254,59 @@ def _require_normal(C, normal, tol):
             + ("" if s == 1.0 else f", both for C / 2^{np.frexp(s)[1] - 1}"))
 
 
+# e^{-i theta}, theta = 0.6: Re(e^{-i theta} z) splits the real and imaginary
+# axes; on the unit circle, only pairs symmetric about the angle theta share one
+_PHASE = np.exp(-0.6j)
+
+
+def _normal_form(M, schur=None):
+    """(T, Z), M = Z T Z* with Z unitary and T upper triangular but for a
+    strict lower part of Frobenius norm at most n eps ||M||_F, a Schur
+    form's backward error; for a normal M, T is diagonal to that order.
+
+    The eigenvectors Z of the Hermitian part of `_PHASE` M (`np.linalg.eigh`)
+    diagonalize a normal M except where its eigenvalues collide (Goldstine &
+    Horwitz, J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann, SIMAX 14,
+    1993), so T = Z* M Z couples only those rows.  S takes the rows of
+    largest |T_i.|^2 + |T_.i|^2, off the diagonal, until what lies outside
+    S x S is within the budget, and one Schur form of T[S, S] rotates Z[:, S]
+    and T's S rows and columns.  The squares are taken on T divided by the
+    `_pow2_scale` of the budget, so they neither overflow nor underflow.
+    Below n = 20, where it costs less, the form is M's complex Schur form:
+    `schur`, one already taken, where given.
+    """
+    n = len(M)
+    if n < 20:
+        return schur or scipy.linalg.schur(M, output="complex")
+    W = 0.5 * _PHASE * M  # halved first, so that W + W* cannot overflow
+    Z = np.linalg.eigh(W + adjoint(W))[1]
+    T = adjoint(Z) @ M @ Z
+    P = np.abs(T)
+    eps = float(np.finfo(float).eps)  # a Python float: no warning where a square overflows
+    s = _pow2_scale(n * eps * float(P.max()), eps ** -2)
+    P = np.square(P / s)  # |T_ij / s|^2
+    budget = (n * eps) ** 2 * P.sum()  # (n eps ||M||_F / s)^2
+    np.fill_diagonal(P, 0.0)
+    if P.sum() <= budget:
+        return T, Z
+    order = np.argsort(-(P.sum(axis=0) + P.sum(axis=1)), kind="stable")
+    P = P[np.ix_(order, order)]
+    # what lies outside the first k rows and columns, summed shell by shell
+    # from the last: a difference of sums would round by eps P.sum()
+    outside = np.cumsum((np.tril(P).sum(axis=1) + np.triu(P).sum(axis=0))[::-1])[::-1]
+    S = np.sort(order[:np.count_nonzero(outside > budget)])
+    R, U = scipy.linalg.schur(T[np.ix_(S, S)], output="complex")
+    Z[:, S] = Z[:, S] @ U
+    T[S] = adjoint(U) @ T[S]
+    T[:, S] = T[:, S] @ U
+    T[np.ix_(S, S)] = R
+    return T, Z
+
+
 def _measure_of_schur(T, Z, tol):
-    """The spectral measure of a normal C = Z T Z* from its complex Schur
-    form: clusters the eigenvalues diag(T) and keeps the columns of Z,
+    """The spectral measure of a normal C = Z T Z* from a form whose
+    diagonal holds its eigenvalues (`_normal_form`'s, or a complex Schur
+    form): clusters the eigenvalues diag(T) and keeps the columns of Z,
     grouped by cluster and sorted by (real, imaginary) part, as the basis."""
     raw = np.diag(T).astype(np.complex128)
     threshold = tol.tol_cluster * max(1.0, float(np.abs(raw).max()))
@@ -272,10 +322,11 @@ def _measure_of_schur(T, Z, tol):
 def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     """Spectral measure of a normal matrix.
 
-    Uses the complex Schur form (diagonal for normal input, with
-    orthonormal Schur vectors), clusters near-coincident eigenvalues,
-    and keeps the Schur vectors, grouped by cluster, as the basis of the
-    measure, so each P_k = Q_k Q_k* is Hermitian and idempotent to
+    Uses `_normal_form` (one Hermitian eigensolver, and a Schur form of the
+    rows it leaves coupled; diagonal to the backward error of a Schur form
+    for normal input, with orthonormal vectors), clusters near-coincident
+    eigenvalues, and keeps the vectors, grouped by cluster, as the basis of
+    the measure, so each P_k = Q_k Q_k* is Hermitian and idempotent to
     machine precision.  The measure keeps tol as its tolerances.
 
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2, with
@@ -284,7 +335,7 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     """
     A = _square(C, "C")
     _require_normal(A, is_normal(A, tol), tol)
-    return _measure_of_schur(*scipy.linalg.schur(A, output="complex"), tol)
+    return _measure_of_schur(*_normal_form(A), tol)
 
 
 def measure_of_rect(sm, rect):
@@ -324,9 +375,9 @@ def spectral_invariant_residuals(sm, C=None):
     Returns a dict with the worst-case deviations from Hermitian
     idempotency, mutual orthogonality, completeness, and (when the
     source matrix is supplied) reconstruction, the latter relative to
-    ||C||.  Each value bounds from above, in exact arithmetic, the
-    spectral-norm residual of the dense P_k = Q_k Q_k*, read off the
-    Gram matrix G = Q*Q - I:
+    ||C|| (0 where C = 0 and so is the measure's sum).  Each value bounds
+    from above, in exact arithmetic, the spectral-norm residual of the
+    dense P_k = Q_k Q_k*, read off the Gram matrix G = Q*Q - I:
 
       idempotent     P_k^2 - P_k = Q_k G_kk Q_k*, at most ||Q_k||^2 ||G_kk||
       orthogonality  P_i P_j = Q_i G_ij Q_j*, at most ||Q_i|| ||G_ij||_F ||Q_j||
@@ -360,6 +411,6 @@ def spectral_invariant_residuals(sm, C=None):
     }
     if C is not None:
         A = as_matrix(C, "C")
-        out["reconstruction"] = operator_norm(sm.reconstruct() - A) / max(
-            1.0, operator_norm(A))
+        diff, norm = operator_norm(sm.reconstruct() - A), operator_norm(A)
+        out["reconstruction"] = diff / norm if norm else (np.inf if diff else 0.0)
     return out

@@ -39,7 +39,7 @@ from .linalg import (
     operator_norm,
     separation,
 )
-from .spectral import _measure_of_schur, _require_normal
+from .spectral import _measure_of_schur, _normal_form, _require_normal
 
 __all__ = [
     "SylvesterProblem",
@@ -60,9 +60,10 @@ class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
     (every field but the tolerances, which no call on the problem can
     replace), and what every solver, bound check and certificate reads
-    about them, computed on first use and kept: per matrix its Schur form,
-    normality verdict and spectral measure; the norm scale, where bounds
-    cannot decide a test against it; the separation; the certificate."""
+    about them, computed on first use and kept: A's Schur form; per matrix
+    its normality verdict, `_normal_form` and spectral measure (A's for the
+    double sum); the norm scale, where bounds cannot decide a test against
+    it; the separation; the certificate."""
 
     def __post_init__(self):
         if not isinstance(self.tolerances, Tolerances):
@@ -96,14 +97,25 @@ class _Prepared:
             self._cache[key] = build()
         return self._cache[key]
 
+    def _factors(self, kind, name, factor):
+        """factor(M) = (T, Z) for the matrix M = `name`, computed once per
+        kind; both factors are read-only."""
+        def build():
+            T, Z = factor(getattr(self, name))
+            T.flags.writeable = Z.flags.writeable = False
+            return T, Z
+        return self._cached((kind, name), build)
+
     def schur(self, name):
         """The complex Schur form (T, Z) of the matrix `name` = Z T Z*,
         computed once; both factors are read-only."""
-        def build():
-            T, Z = scipy.linalg.schur(getattr(self, name), output="complex")
-            T.flags.writeable = Z.flags.writeable = False
-            return T, Z
-        return self._cached(("schur", name), build)
+        return self._factors("schur", name, lambda M: scipy.linalg.schur(M, output="complex"))
+
+    def _form(self, name):
+        """`_normal_form` (T, Z) of the matrix `name`, computed once, from
+        its kept Schur form where it has one; both factors are read-only."""
+        return self._factors("form", name,
+                             lambda M: _normal_form(M, self._cache.get(("schur", name))))
 
     def _normality(self, name):
         """`is_normal` of the matrix `name`, computed once."""
@@ -117,10 +129,10 @@ class _Prepared:
 
     def _measure(self, name):
         """The spectral measure of the matrix `name`, as `measure`: the
-        test and clustering of `decompose_normal`, on the kept Schur form."""
+        test and clustering of `decompose_normal`, on the kept `_form`."""
         def build():
             _require_normal(getattr(self, name), self._normality(name), self.tolerances)
-            sm = _measure_of_schur(*self.schur(name), self.tolerances)
+            sm = _measure_of_schur(*self._form(name), self.tolerances)
             for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
                 M.flags.writeable = False
             return sm
@@ -315,8 +327,8 @@ _NODE_BLOCK = 2 ** 20
 
 
 def _node_sum(T_Cr, R_C, T_A, z, w, tol):
-    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}, T_A and T_C complex
-    Schur forms: per block of nodes, one `_triangular_resolvents` for
+    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}, T_A and T_C upper
+    triangular: per block of nodes, one `_triangular_resolvents` for
     (Y^T P)(T_Cr - z) = R_C, with T_Cr = P T_C^T P, R_C = -D_t^T P and P the
     index reversal, and one for W (T_A - z) = Y."""
     h, k = R_C.shape
@@ -339,15 +351,17 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     of XA - CX = D.  Doubles the node count per circle until the
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
-    The kept complex Schur forms C = Z T_C Z* and A = U T_A U* of the
-    problem, T_A, T_C, D and the circles divided by one `_distance_scale`
-    (1 in range), reduce each node to two triangular solves against Z* D U,
-    batched over blocks of nodes by `_node_sum` (T_C reversed and transposed
-    is formed once).  The node sets are nested: a doubling evaluates only
-    the new odd-index nodes and adds them, weighted by their circle's
-    radius, to one running sum.
+    The kept forms of the problem, C = Z T_C Z* (`_normal_form`, less its
+    strict lower part, which is within a Schur form's backward error) and
+    A = U T_A U* (complex Schur), T_A, T_C, D and the circles divided by one
+    `_distance_scale` (1 in range), reduce each node to two triangular
+    solves against Z* D U, batched over blocks of nodes by `_node_sum` (T_C
+    reversed and transposed is formed once).  The node sets are nested: a
+    doubling evaluates only the new odd-index nodes and adds them, weighted
+    by their circle's radius, to one running sum.
     """
-    T_C, Z = prob.schur("C")
+    T_C, Z = prob._form("C")
+    T_C = np.triu(T_C)
     T_A, U = prob.schur("A")
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]

@@ -15,6 +15,7 @@ from opint import (
     operator_norm,
 )
 import opint.linalg as linalg
+import opint.spectral as spectral
 import opint.sylvester as sylvester
 from opint.linalg import _rounding_slack
 
@@ -457,6 +458,32 @@ def count_calls(monkeypatch, fn, modules=None):
             if value is fn:
                 monkeypatch.setattr(module, attr, wrapper)
     return seen
+
+
+def count_decompositions(monkeypatch):
+    """(schurs, forms): the matrices given to scipy.linalg.schur, save the
+    calls a normal form makes inside itself (for its coupled rows, or for
+    the whole of a small matrix), and those given to spectral._normal_form."""
+    schurs, forms, inside = [], [], []
+    schur, form = scipy.linalg.schur, spectral._normal_form
+
+    def counted_schur(M, *args, **kwargs):
+        if not inside:
+            schurs.append(M)
+        return schur(M, *args, **kwargs)
+
+    def counted_form(M, *args):
+        forms.append(M)
+        inside.append(M)
+        try:
+            return form(M, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    for module in (spectral, sylvester):
+        monkeypatch.setattr(module, "_normal_form", counted_form)
+    return schurs, forms
 
 
 @pytest.fixture

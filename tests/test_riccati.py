@@ -39,9 +39,10 @@ from opint import (
 from opint.linalg import (DEFAULT_TOLERANCES, numrange_distances, numrange_gap,
                           resolvent, separation)
 
-from conftest import (bounding_rect, count_calls, lu_resolvent_raises,
-                      make_certified_riccati, min_sigma, near_normal_case, random_complex,
-                      random_normal, random_unitary, shift_sweep, spectral_norm_guard_raises)
+from conftest import (bounding_rect, count_calls, count_decompositions,
+                      lu_resolvent_raises, make_certified_riccati, min_sigma,
+                      near_normal_case, random_complex, random_normal, random_unitary,
+                      shift_sweep, spectral_norm_guard_raises)
 
 SCALAR = RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]])
 NEAR_NORMAL = np.array([[3.0, 9e-6], [0.0, 3.0]])
@@ -233,7 +234,7 @@ class TestPreparedProblem:
         base = make_certified_riccati(rng, 5, 4, normal_a=normal_a)
         tol = Tolerances(tol_cluster=1e-6)
         prob = RiccatiProblem(base.A, base.B, base.C, base.D, tolerances=tol)
-        schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        schurs, forms = count_decompositions(monkeypatch)
         hessenbergs = count_calls(monkeypatch, scipy.linalg.hessenberg, [scipy.linalg])
         verdicts = count_calls(monkeypatch, linalg.is_normal)
         norms = count_calls(monkeypatch, operator_norm)
@@ -250,10 +251,10 @@ class TestPreparedProblem:
         # and every stop test
         assert len(norms) == 1 + report.iterations + 2
         assert norms[0] is prob.B and not any(M is prob.C for M in norms)
-        # a Schur form of each of A and C, then a Hessenberg form of A + BX
-        # per later step
-        assert len(schurs) == 2
-        assert sum(M is prob.A for M in schurs) == sum(M is prob.C for M in schurs) == 1
+        # a Schur form of A and a normal form of C, then a Hessenberg form
+        # of A + BX per later step
+        assert len(schurs) == 1 and schurs[0] is prob.A
+        assert len(forms) == 1 and forms[0] is prob.C
         assert len(hessenbergs) == report.iterations - 1 > 0
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -31,7 +32,7 @@ from opint import (
 )
 
 import opint.linalg as linalg
-from opint.spectral import _cliques, _cluster
+from opint.spectral import _PHASE, _cliques, _cluster, _measure_of_schur, _normal_form
 
 from conftest import (bounding_rect, cluster_restart_loop, count_calls, projections,
                       random_complex, random_normal, random_unitary)
@@ -102,7 +103,7 @@ class TestDecompose:
         assert sorted(sm.multiplicities) == [1, 2]
 
     def test_normal_matrix_takes_no_svd(self, rng, monkeypatch):
-        # the bounds decide the normality test; the Schur form is the only
+        # the bounds decide the normality test; the normal form is the only
         # factorization
         C, _ = random_normal(rng, 64)
         norms = count_calls(monkeypatch, operator_norm)
@@ -293,6 +294,83 @@ class TestCliques:
         assert _cluster(values, 2.1)[0] == [[0, 1, 2]]
 
 
+@st.composite
+def normal_spectra(draw):
+    """(C, tol): C = 2^e U diag(z) U* of order n = 4m, with z simple points
+    of the box, 4-fold atoms, or simple points on the real line, on the
+    imaginary line, on the unit circle, or in groups of four that project
+    onto one value under `_PHASE` (so eigh leaves rows coupled); the points
+    are a jittered lattice, at least 0.05 apart.  tol_cluster is scaled down
+    with C, so that atoms merge as they do at 2^0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 12))
+    n, kind = 4 * m, draw(st.sampled_from(
+        ["simple", "clustered", "hermitian", "skew", "circle", "collide"]))
+    e = draw(st.sampled_from([0, 40, -40, 500, -500, 600, -600]))
+
+    def lattice(count, size):
+        """count distinct points of a size x size lattice on [-1, 1]^2, jittered."""
+        k = rng.choice(size * size, count, replace=False)
+        step = 2.0 / (size - 1)
+        return (-1.0 + step * (k % size + rng.uniform(-0.2, 0.2, count))
+                + 1j * (-1.0 + step * (k // size + rng.uniform(-0.2, 0.2, count))))
+
+    if kind == "simple":
+        z = lattice(n, 12)
+    elif kind == "clustered":
+        z = np.repeat(lattice(m, 12), 4)
+    elif kind in ("hermitian", "skew"):
+        z = np.linspace(-1.0, 1.0, 2 * n)[rng.choice(2 * n, n, replace=False)]
+        z = z if kind == "hermitian" else 1j * z
+    elif kind == "circle":
+        z = np.exp(1j * (2.0 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n
+                         + rng.uniform(0.0, 2.0 * np.pi)))
+    else:  # Re(_PHASE z) takes m values, four times each
+        z = np.conj(_PHASE) * (np.repeat(lattice(m, 12).real, 4)
+                               + 1j * np.tile(np.linspace(-1.0, 1.0, 4), m))
+    U = random_unitary(rng, n)
+    C = (U * z) @ U.conj().T * 2.0 ** e
+    return C, Tolerances(tol_cluster=1e-8 * min(1.0, 2.0 ** e))
+
+
+class TestNormalForm:
+    """`_normal_form` against the Schur route, `_measure_of_schur` of
+    scipy's complex Schur form, on normal C at scales 2^0 to 2^+-600."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(normal_spectra())
+    def test_matches_the_schur_route(self, case):
+        C, tol = case
+        n, eps = len(C), np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            T, Z = _normal_form(C)
+            sm = decompose_normal(C, tol)
+        ref = _measure_of_schur(*scipy.linalg.schur(C, output="complex"), tol)
+        assert operator_norm(Z.conj().T @ Z - np.eye(n)) <= 4 * n * eps
+        # the remainder outside the rows put in Schur form holds the strict
+        # lower part, and with the Schur part the whole off-diagonal
+        budget = n * eps * hs_norm(C)
+        assert hs_norm(np.tril(T, -1)) <= budget
+        assert hs_norm(T - np.diag(np.diag(T))) <= 2 * budget
+        # the same atoms, matched by nearest value: the order of atoms
+        # whose real parts are rounding (C skew-Hermitian) is not fixed
+        match = [int(np.abs(sm.eigenvalues - z).argmin()) for z in ref.eigenvalues]
+        assert sorted(match) == list(range(len(sm)))
+        assert np.array_equal(sm.multiplicities[match], ref.multiplicities)
+        norm = operator_norm(C)
+        assert np.abs(sm.eigenvalues[match] - ref.eigenvalues).max() <= 1e-13 * norm
+        for k, j in enumerate(match):
+            Q, R = sm.columns([j]), ref.columns([k])
+            assert operator_norm(Q @ Q.conj().T - R @ R.conj().T) <= 1e-10
+
+    def test_entries_near_the_largest_float(self):
+        # M + M* overflows here, (M / 2) + (M / 2)* does not
+        C = np.diag(np.linspace(0.5, 1.7, 24)) * 1e308
+        sm = decompose_normal(C)
+        assert_allclose(sm.eigenvalues, np.diag(C), rtol=1e-15)
+
+
 class TestMeasure:
     def test_half_open_membership(self):
         sm = decompose_normal(np.diag([1.0, 1j]))
@@ -454,6 +532,17 @@ def _dense_residuals(sm):
 
 
 class TestInvariantResiduals:
+    @pytest.mark.parametrize("e", [-40, 40])
+    def test_reconstruction_is_relative_to_c(self, rng, e):
+        # relative to ||C||, it reads the same at every scale of C
+        C, _ = random_normal(rng, 24)
+        tol = Tolerances(tol_cluster=1e-8 * min(1.0, 2.0 ** e))
+        ref, res = (spectral_invariant_residuals(decompose_normal(M, tol), M)["reconstruction"]
+                    for M in (C, C * 2.0 ** e))
+        assert 0.0 < ref <= 1e-13 and res == pytest.approx(ref, rel=1e-6)
+        zero = np.zeros((3, 3))
+        assert spectral_invariant_residuals(decompose_normal(zero), zero)["reconstruction"] == 0.0
+
     def test_simple_spectrum_n300_is_fast(self, rng):
         # the dense check formed 300 projections and 45k pairwise products
         C, _ = random_normal(rng, 300)

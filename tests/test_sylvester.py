@@ -46,10 +46,11 @@ from opint import (
     verify_bounds,
 )
 
-from conftest import (bounding_rect, count_calls, faulty_solve, lu_resolvent_raises,
-                      make_sylvester, min_sigma, near_normal_case, node_sum_lu, projections,
-                      random_complex, random_normal, random_unitary, ring_sylvester,
-                      shift_sweep, spectral_norm_guard_raises)
+from conftest import (bounding_rect, count_calls, count_decompositions, faulty_solve,
+                      lu_resolvent_raises, make_sylvester, min_sigma, near_normal_case,
+                      node_sum_lu, projections, random_complex, random_normal,
+                      random_unitary, ring_sylvester, shift_sweep,
+                      spectral_norm_guard_raises)
 from test_linalg import _hull_distance
 
 SCALAR = SylvesterProblem([[2.0]], [[0.0]], [[1.0]])
@@ -475,9 +476,10 @@ class TestContourQuadrature:
 
 
 def _count_factoring(monkeypatch):
-    """Lists of the matrices given to scipy.linalg.schur, operator_norm and
-    is_normal, and of the Schur factors T the measures are built from."""
-    return (count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg]),
+    """Lists of the matrices given to scipy.linalg.schur (outside a normal
+    form), spectral._normal_form, operator_norm and is_normal, and of the
+    factors T the measures are built from."""
+    return (*count_decompositions(monkeypatch),
             count_calls(monkeypatch, operator_norm),
             count_calls(monkeypatch, linalg.is_normal),
             count_calls(monkeypatch, spectral._measure_of_schur))
@@ -496,13 +498,15 @@ class TestOneDecomposition:
         (solve_double_spectral, 2)])
     def test_decompose_once_per_matrix(self, rng, monkeypatch, solver, calls):
         prob = make_sylvester(rng, 4, 5)
-        schurs, _, _, measures = _count_factoring(monkeypatch)
+        schurs, forms, _, _, measures = _count_factoring(monkeypatch)
         report = solver(prob)
-        assert _once_each(schurs, prob)
-        assert len(measures) == calls
-        # every measure is built from the kept Schur form of its matrix
-        kept = [prob.schur("C")[0], prob.schur("A")[0]]
-        assert all(any(T is K for K in kept) for T in measures)
+        # one Schur form of A, one normal form of C, and one of A for the
+        # double sum's measure
+        assert len(schurs) == 1 and schurs[0] is prob.A
+        assert len(forms) == len(measures) == calls
+        assert all(M is N for M, N in zip(forms, (prob.C, prob.A)))
+        # every measure is built from the kept normal form of its matrix
+        assert all(T is prob._form(name)[0] for T, name in zip(measures, "CA"))
         monkeypatch.undo()
         # the report is the one a fresh decomposition of C gives
         atoms = decompose_normal(prob.C).eigenvalues
@@ -512,10 +516,11 @@ class TestOneDecomposition:
 
     def test_double_spectral_decomposes_each_matrix_once(self, rng, monkeypatch):
         prob = make_sylvester(rng, 4, 5)
-        schurs, _, verdicts, measures = _count_factoring(monkeypatch)
+        schurs, forms, _, verdicts, measures = _count_factoring(monkeypatch)
         reports = [solve_double_spectral(prob) for _ in range(3)]
         verify_bounds(prob, reports[0])
-        assert _once_each(schurs, prob) and _once_each(verdicts, prob)
+        assert len(schurs) == 1 and schurs[0] is prob.A
+        assert _once_each(forms, prob) and _once_each(verdicts, prob)
         assert len(measures) == 2
         assert all(np.array_equal(r.X, reports[0].X) for r in reports)
         sm_a = prob._measure("A")
@@ -527,8 +532,9 @@ class TestOneDecomposition:
                         (ref.eigenvalues, ref.basis, ref.multiplicities)):
             assert np.array_equal(M, R)
 
-    # per report (solve + verify_bounds): a Schur form and a normality
-    # verdict of each of A and C, and the residual's norm; the bounds decide
+    # per report (solve + verify_bounds): a Schur form of A, a normal form
+    # of C (and of A for the double sum), a normality verdict of each of A
+    # and C, and the residual's norm; the bounds decide
     # the verdicts, the gap and numerical-range tests against the norms of
     # A and C, and the contour's three stop tests (32 to 256 nodes on its
     # one circle) on this instance, so no other norm is taken
@@ -538,31 +544,35 @@ class TestOneDecomposition:
     def test_solve_and_verify_decompose_c_once(self, rng, monkeypatch,
                                                solver, calls):
         prob = make_sylvester(rng, 5, 5)
-        schurs, norms, verdicts, measures = _count_factoring(monkeypatch)
+        schurs, forms, norms, verdicts, measures = _count_factoring(monkeypatch)
         verify_bounds(prob, solver(prob))
-        assert len(schurs) == 2 and len(verdicts) == 2
+        assert len(schurs) == 1 and schurs[0] is prob.A
+        assert len(verdicts) == 2
         assert len(norms) == 1
-        assert len(measures) == calls
-        assert sum(T is prob.schur("C")[0] for T in measures) == 1
-        assert _once_each(schurs, prob) and _once_each(verdicts, prob)
+        assert len(forms) == len(measures) == calls
+        assert sum(T is prob._form("C")[0] for T in measures) == 1
+        assert sum(M is prob.C for M in forms) == 1 and _once_each(verdicts, prob)
         assert "norm_scale" not in prob._cache
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_one_schur_form_for_any_number_of_tolerances(self, rng, monkeypatch,
                                                          normal_a):
         # each problem's own tolerances: every solver and bound check on it
-        # reads one Schur form and one measure of each matrix
+        # reads one Schur form of A, and one normal form and one measure of
+        # C (and of A where it is normal)
         base = make_sylvester(rng, 4, 5, normal_a=normal_a)
         solvers = ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]
         for tol in (sylvester.DEFAULT_TOLERANCES, Tolerances(tol_cluster=1e-6),
                     Tolerances(tol_solve=1e-9)):
             prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
-            schurs, _, verdicts, measures = _count_factoring(monkeypatch)
+            schurs, forms, _, verdicts, measures = _count_factoring(monkeypatch)
             for solver in solvers:
                 verify_bounds(prob, solver(prob))
-            assert _once_each(schurs, prob) and _once_each(verdicts, prob)
-            assert len(measures) == (2 if normal_a else 1)
-            assert sum(T is prob.schur("C")[0] for T in measures) == 1
+            assert len(schurs) == 1 and schurs[0] is prob.A
+            assert _once_each(verdicts, prob)
+            assert len(forms) == len(measures) == (2 if normal_a else 1)
+            assert sum(M is prob.C for M in forms) == 1
+            assert sum(T is prob._form("C")[0] for T in measures) == 1
             assert prob.measure().tolerances is tol
             monkeypatch.undo()
 
@@ -583,19 +593,19 @@ class TestPreparedProblem:
         base = make_sylvester(rng, 3, 4)
         tol = Tolerances(tol_cluster=1e-6)
         prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
-        schurs, norms, verdicts, measures = _count_factoring(monkeypatch)
+        schurs, forms, norms, verdicts, measures = _count_factoring(monkeypatch)
         sm = prob.measure()
         assert prob.measure() is sm and sm.tolerances is tol
         assert len(measures) == 1
-        assert set(prob._cache) == {("normality", "C"), ("schur", "C"),
+        assert set(prob._cache) == {("normality", "C"), ("form", "C"),
                                     ("measure", "C")}
-        # from one Schur form of C, after one normality verdict, which the
-        # bounds decide with no SVD
-        assert len(schurs) == len(verdicts) == 1 and schurs[0] is prob.C
-        assert verdicts[0] is prob.C and not norms
+        # from one normal form of C and no other Schur form, after one
+        # normality verdict, which the bounds decide with no SVD
+        assert len(forms) == len(verdicts) == 1 and forms[0] is prob.C
+        assert not schurs and verdicts[0] is prob.C and not norms
         with pytest.raises(ValueError):  # the kept measure cannot be edited
             sm.basis[0, 0] = 0.0
-        T, Z = prob.schur("C")
+        T, Z = prob._form("C")
         assert not (T.flags.writeable or Z.flags.writeable)
         monkeypatch.undo()
         ref = decompose_normal(prob.C, tol)
