@@ -144,6 +144,11 @@ def _substitute(T, R, s):
     return np.ascontiguousarray(Yt.T)
 
 
+def _divide(T, R, s):
+    """Y with Y diag(T) - diag(s) Y = R: Y = R / (diag T - s), O(rows n)."""
+    return R / (np.diag(T) - s[:, None])
+
+
 def _hessenberg_solve(H, R, shifts, sizes):
     """Y whose k-th block of sizes[k] rows is R_k (H - shifts[k])^{-1}, for an
     upper Hessenberg H, one banded LU (LAPACK zgbsv) per block: Y_k (H - s)
@@ -168,36 +173,37 @@ def _hessenberg_solve(H, R, shifts, sizes):
 def _triangular_resolvents(T, R, shifts, sizes, tol):
     """Y whose k-th block of sizes[k] rows is R_k (T - shifts[k])^{-1}, for
     an upper triangular or upper Hessenberg T and a complex array of
-    shifts: Y T - diag(s) Y = R, s = repeat(shifts, sizes).  A triangular T
-    (no subdiagonal) takes one `_substitute` (Bartels-Stewart with the left
-    factor diagonal), a Hessenberg one `_hessenberg_solve`.  Every shifted
-    solve of the package is one of these, on a complex Schur form or, where
-    no eigenvalue is read, a Hessenberg form.
+    shifts: Y T - diag(s) Y = R, s = repeat(shifts, sizes), the package's
+    one shifted solve.  Where N, T's off-diagonal part (subdiagonal too),
+    has ||N||_F <= n eps ||T - s_k||_F at every shift, it is a `_divide`:
+    dropping N is within the substitution's own backward error, |dT| <=
+    gamma_n |T - s_k| (Higham, Accuracy and Stability, 2nd ed., Thm. 8.5).
+    Else a triangular T takes `_substitute`, a Hessenberg one `_hessenberg_solve`.
 
     Raises SingularResolventError, naming the shift of the first failing
     block: when T - s cancels to rounding as a whole, ||T - s||_F <=
-    tol_solve |s| (read off N, the off-diagonal part of T, and the diagonal
-    of T), which a residual relative to ||T - s|| misses; when Y is not
-    finite (at the shift of a non-finite block nearest to diag(T)); and
+    tol_solve |s|, which a residual relative to ||T - s|| misses; when Y is
+    not finite (at the shift of a non-finite block nearest to diag(T)); and
     unless the scale ||T - s_k|| ||Y_k||, largest row norms, is finite and
     the Frobenius residual ||Y_k (T - s_k) - R_k||_F, formed on T - s_k
-    itself (no |s_k| rounds into it), is at most tol_solve times it: at
-    least as strict as ||S Y - R|| <= tol_solve ||S|| ||Y||.  Every sum of
-    squares is taken by `_row_squares`.
-    """
-    n, N, diff = len(T), T.copy(), np.diag(T) - shifts[:, None]
-    np.fill_diagonal(N, 0.0)
-    # row i of T - s is row i of N and T_ii - s
+    itself on every route (no |s_k| rounds into it), is at most tol_solve
+    times it: at least as strict as ||S Y - R|| <= tol_solve ||S|| ||Y||.
+    Every sum of squares is taken by `_row_squares`."""
+    n, N, diff = len(T), T - np.diag(np.diag(T)), np.diag(T) - shifts[:, None]
+    # row i of T - s is row i of N and T_ii - s: ||T - s_k||_F = c (off + sq[n + k])^(1/2)
     c, sq = _row_squares(np.concatenate([N, diff]))
+    off = sq[:n].sum()
+    divide = np.sqrt(off) <= n * np.finfo(float).eps * np.sqrt(off + sq[n:].min())
     with np.errstate(all="ignore"):
         shifted = np.abs(diff / c) ** 2
-        cancels = c * np.sqrt(sq[:n].sum() + sq[n:]) <= tol.tol_solve * np.abs(shifts)
+        cancels = c * np.sqrt(off + sq[n:]) <= tol.tol_solve * np.abs(shifts)
     if cancels.any():
         raise SingularResolventError(
             f"M - zI cancels to rounding at z = {complex(shifts[cancels][0])}")
     s, starts = np.repeat(shifts, sizes), np.cumsum(sizes) - sizes
     with np.errstate(all="ignore"):
-        Y = (_hessenberg_solve(T, R, shifts, sizes) if T.diagonal(-1).any()
+        Y = (_divide(T, R, s) if divide
+             else _hessenberg_solve(T, R, shifts, sizes) if T.diagonal(-1).any()
              else _substitute(T, R, s))
         if not np.all(np.isfinite(Y)):
             bad = np.logical_or.reduceat(~np.isfinite(Y).all(axis=1), starts)

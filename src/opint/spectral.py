@@ -169,15 +169,16 @@ def _cluster(values, threshold):
     the k whose partner was j look for a new one.  Distances are the
     hypot of the parts, as abs of a complex scalar takes them; the first
     partners come from blocks of rows of about 2^16 pairs.  Up to n = 256
-    `_cliques` reads most spectra off one table of distances instead.
-    """
-    n = len(values)
-    reps = np.array(values, dtype=np.complex128)
+    `_cliques` reads most spectra off one table of distances instead.  All
+    runs on values / s, s their `_pow2_scale` (1 in range): no gap overflows."""
+    n, reps = len(values), np.array(values, dtype=np.complex128)
+    s = _pow2_scale(float(np.abs(reps.view(float)).max()), 8)
+    values, threshold, reps = values / s, threshold / s, reps / s
     if n <= 256:
         d = reps[:, None] - reps
         found = _cliques(values, reps, np.hypot(d.real, d.imag), threshold)
         if found is not None:
-            return found
+            return found[0], found[1] * s
     live = np.ones(n, dtype=bool)
 
     def partners(rows):
@@ -202,7 +203,7 @@ def _cluster(values, threshold):
         stale = np.flatnonzero(partner == j)
         if stale.size:
             partner[stale] = partners(stale)
-    return [groups[k] for k in np.flatnonzero(live)], reps[live]
+    return [groups[k] for k in np.flatnonzero(live)], reps[live] * s
 
 
 def _cliques(values, reps, dist, threshold):

@@ -56,6 +56,13 @@ __all__ = [
 ]
 
 
+def _read_only(*arrays):
+    """The arrays, each made read-only."""
+    for M in arrays:
+        M.flags.writeable = False
+    return arrays
+
+
 class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
     (every field but the tolerances, which no call on the problem can
@@ -71,8 +78,7 @@ class _Prepared:
         names = [f.name for f in fields(self) if f.name != "tolerances"]
         for name in names:
             M = as_matrix(getattr(self, name), name).copy()
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, *_read_only(M))
         object.__setattr__(self, "_cache", {})
         # A is h x h and C is k x k
         h, k = self.A.shape[0], self.C.shape[0]
@@ -97,25 +103,17 @@ class _Prepared:
             self._cache[key] = build()
         return self._cache[key]
 
-    def _factors(self, kind, name, factor):
-        """factor(M) = (T, Z) for the matrix M = `name`, computed once per
-        kind; both factors are read-only."""
-        def build():
-            T, Z = factor(getattr(self, name))
-            T.flags.writeable = Z.flags.writeable = False
-            return T, Z
-        return self._cached((kind, name), build)
-
     def schur(self, name):
         """The complex Schur form (T, Z) of the matrix `name` = Z T Z*,
         computed once; both factors are read-only."""
-        return self._factors("schur", name, lambda M: scipy.linalg.schur(M, output="complex"))
+        return self._cached(("schur", name), lambda: _read_only(
+            *scipy.linalg.schur(getattr(self, name), output="complex")))
 
     def _form(self, name):
         """`_normal_form` (T, Z) of the matrix `name`, computed once, from
         its kept Schur form where it has one; both factors are read-only."""
-        return self._factors("form", name,
-                             lambda M: _normal_form(M, self._cache.get(("schur", name))))
+        return self._cached(("form", name), lambda: _read_only(
+            *_normal_form(getattr(self, name), self._cache.get(("schur", name)))))
 
     def _normality(self, name):
         """`is_normal` of the matrix `name`, computed once."""
@@ -133,8 +131,7 @@ class _Prepared:
         def build():
             _require_normal(getattr(self, name), self._normality(name), self.tolerances)
             sm = _measure_of_schur(*self._form(name), self.tolerances)
-            for M in (sm.eigenvalues, sm.basis, sm.multiplicities):
-                M.flags.writeable = False
+            _read_only(sm.eigenvalues, sm.basis, sm.multiplicities)
             return sm
 
         return self._cached(("measure", name), build)
@@ -326,20 +323,18 @@ def _build_circles(eig_a, eig_c, gap):
 _NODE_BLOCK = 2 ** 20
 
 
-def _node_sum(T_Cr, R_C, T_A, z, w, tol):
-    """sum_b w_b (z_b - T_C)^{-1} D_t (T_A - z_b)^{-1}, T_A and T_C upper
-    triangular: per block of nodes, one `_triangular_resolvents` for
-    (Y^T P)(T_Cr - z) = R_C, with T_Cr = P T_C^T P, R_C = -D_t^T P and P the
-    index reversal, and one for W (T_A - z) = Y."""
-    h, k = R_C.shape
+def _node_sum(lam, D_t, T_A, z, w, tol):
+    """sum_b w_b (z_b - diag(lam))^{-1} D_t (T_A - z_b)^{-1}, per block of
+    nodes: the weights q_bi = w_b / (z_b - lam_i), R = -w 1 on diag(lam), and
+    V_b (T_A - z_b) = D_t, T_A upper triangular, from two `_triangular_resolvents`."""
+    (k, h), L = D_t.shape, np.diag(lam)
     step = max(1, _NODE_BLOCK // (k + h) ** 2)
     total = np.zeros((k, h), dtype=np.complex128)
     for s in range(0, len(z), step):
-        zb = z[s:s + step]
-        Yr = _triangular_resolvents(T_Cr, np.tile(R_C, (len(zb), 1)), zb, [h] * len(zb), tol)
-        Y = Yr.reshape(-1, h, k)[:, :, ::-1].transpose(0, 2, 1).reshape(-1, h)
-        W = _triangular_resolvents(T_A, Y, zb, [k] * len(zb), tol)
-        total += np.tensordot(w[s:s + step], W.reshape(-1, k, h), axes=1)
+        zb, wb = z[s:s + step], w[s:s + step]
+        q = _triangular_resolvents(L, -np.outer(wb, np.ones(k)), zb, [1] * len(zb), tol)
+        V = _triangular_resolvents(T_A, np.tile(D_t, (len(zb), 1)), zb, [k] * len(zb), tol)
+        total += np.einsum("bi,bij->ij", q, V.reshape(-1, k, h))
     return total
 
 
@@ -351,34 +346,32 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     of XA - CX = D.  Doubles the node count per circle until the
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
-    The kept forms of the problem, C = Z T_C Z* (`_normal_form`, less its
-    strict lower part, which is within a Schur form's backward error) and
-    A = U T_A U* (complex Schur), T_A, T_C, D and the circles divided by one
-    `_distance_scale` (1 in range), reduce each node to two triangular
-    solves against Z* D U, batched over blocks of nodes by `_node_sum` (T_C
-    reversed and transposed is formed once).  The node sets are nested: a
-    doubling evaluates only the new odd-index nodes and adds them, weighted
-    by their circle's radius, to one running sum.
+    The kept forms C = Z T_C Z* (`_normal_form`) and A = U T_A U* (Schur)
+    make each node a row scaling of D_t = Z* D U by 1 / (z - lam_i), lam =
+    diag(T_C), and a solve on T_A (`_node_sum`): so X solves the equation
+    for C' = Z diag(lam) Z*, as `solve_spectral`'s does for the measure's.
+    T_A, lam, D and the circles are divided by one `_distance_scale` (1 in
+    range).  The node sets are nested: a doubling evaluates only the new
+    odd-index nodes and adds them, weighted by their circle's radius, to one
+    running sum.
     """
     T_C, Z = prob._form("C")
-    T_C = np.triu(T_C)
     T_A, U = prob.schur("A")
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
     # X solves the equation for A / s, C / s and D / s too, where the nodes'
     # integrand, about |D| / |A| |C|, cannot underflow for A and C near 1e200
-    s = _distance_scale(T_A, np.append(T_C, centers))
-    T_A, T_C, centers, radii = T_A / s, T_C / s, centers / s, radii / s
-    T_Cr, R_C = T_C.T[::-1, ::-1].copy(), -(adjoint(Z) @ (prob.D / s) @ U).T[:, ::-1]
+    s = _distance_scale(T_A, np.append(np.diag(T_C), centers))
+    T_A, lam, centers, radii = T_A / s, np.diag(T_C) / s, centers / s, radii / s
+    D_t = adjoint(Z) @ (prob.D / s) @ U
     n = max(int(n_nodes), 4)
     t = 2.0 * np.pi * np.arange(n) / n
-    acc = np.zeros_like(R_C.T)
-    prev = None
+    acc, prev = np.zeros_like(D_t), None
     while True:
         # dz / (2 pi i) = radius e^{it} dt / (2 pi); trapezoid weight 2 pi / n
         w = radii * np.exp(1j * t)
         try:
-            acc += _node_sum(T_Cr, R_C, T_A, (centers + w).ravel(), w.ravel(),
+            acc += _node_sum(lam, D_t, T_A, (centers + w).ravel(), w.ravel(),
                              prob.tolerances)
         except SingularResolventError as exc:
             if s != 1.0:  # exc names the shift on the divided contour

@@ -121,7 +121,7 @@ def node_sum_lu(T_C, D_t, T_A, z, w):
 
 
 def faulty_solve(fault, name="_substitute"):
-    """The solve `linalg.<name>` (`_substitute` or `_hessenberg_solve`) with
+    """The solve `linalg.<name>` (`_substitute`, `_divide` or `_hessenberg_solve`) with
     its solution off by 1e-8 relative ("inexact") or with a NaN entry ("nan")."""
     real = getattr(linalg, name)
 

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,6 +419,47 @@ class TestHessenbergSolve:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # Y is 256 kB, one band 27 kB
+
+
+class TestDivisionRoute:
+    """`_triangular_resolvents` divides by diag(T) - s where the off-diagonal
+    part N of T has ||N||_F <= n eps ||T - s_k||_F at every shift s_k, and
+    takes the substitution or the banded LU otherwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 12), st.sampled_from([0.5, 1.0, 2.0]),
+           st.sampled_from([0, 40, -40, 600, -600]), st.sampled_from([0.0, 1e6]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_divides_below_the_budget_only(self, n, ratio, j, offset, hessenberg, seed):
+        r, scale, eps = np.random.default_rng(seed), 2.0 ** j, np.finfo(float).eps
+        # a spectrum at 0 or 1e6, and shifts 2.5 from its centre: then
+        # ||T - s|| << ||T|| at 1e6, where a budget on ||T|| would refuse
+        d = offset + r.uniform(-1, 1, n) + 1j * r.uniform(-1, 1, n)
+        shifts0 = offset + 2.5 * np.exp(2j * np.pi * r.random(3))
+        N = np.triu(random_complex(r, n, n), -1 if hessenberg else 1)
+        np.fill_diagonal(N, 0.0)
+        # ||N||_F = ratio n eps min_k ||diag(d) + N - s_k||_F
+        b, m = ratio * n * eps, min(np.linalg.norm(d - z) for z in shifts0)
+        N *= b * m / np.sqrt(1.0 - b * b) / np.linalg.norm(N)
+        T0, sizes = np.diag(d) + N, np.array([1, 3, 2])
+        R0 = random_complex(r, sizes.sum(), n)
+        T, shifts, R = scale * T0, scale * shifts0, scale * R0
+        old = "_hessenberg_solve" if hessenberg else "_substitute"
+        with mock.patch.object(linalg, "_divide", wraps=linalg._divide) as divide, \
+                mock.patch.object(linalg, old, wraps=getattr(linalg, old)) as route, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            Y = linalg._triangular_resolvents(T, R, shifts, sizes, Tolerances())
+        assert divide.call_count + route.call_count == 1
+        if ratio < 1.0:
+            assert divide.called
+        elif ratio > 1.0:
+            assert route.called
+        ref = (linalg._hessenberg_solve(T, R, shifts, sizes) if hessenberg
+               else linalg._substitute(T, R, np.repeat(shifts, sizes)))
+        cond = max(np.linalg.norm(T0 - z * np.eye(n))
+                   * np.linalg.norm(np.linalg.inv(T0 - z * np.eye(n)), 2) for z in shifts0)
+        assert np.linalg.norm(Y - ref) <= 4 * n * eps * cond * np.linalg.norm(ref)
 
 
 class TestHull:

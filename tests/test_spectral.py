@@ -286,6 +286,18 @@ class TestCliques:
             oracle_groups, oracle_reps = cluster_restart_loop(values, t)
             assert groups == oracle_groups and reps.tobytes() == oracle_reps.tobytes()
 
+    def test_spectrum_spread_past_the_float_range(self):
+        # differences of eigenvalues near +-1.7e308 overflow unless the values
+        # are divided by a power of two first
+        U = np.linalg.qr(np.random.default_rng(0).standard_normal((24, 24)))[0]
+        M = U @ np.diag(np.linspace(-1.7, 1.7, 24)) @ U.T
+        ref = decompose_normal(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sm = decompose_normal(1e308 * M)
+        assert np.array_equal(sm.multiplicities, ref.multiplicities)
+        assert np.abs(sm.eigenvalues / 1e308 - ref.eigenvalues).max() <= 1e-13
+
     def test_a_mean_within_reach_of_another_clique(self):
         # 0 and 2 merge, and their mean 1 is 1.9 from 1 + 1.9i, which is
         # beyond 2.1 from both

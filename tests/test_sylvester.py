@@ -429,8 +429,8 @@ class TestContourQuadrature:
         assert len(calls) == 1
         circles = [(complex(z), 0.1) for z in np.linalg.eigvals(prob.C)]
         _, n = contour_quadrature(prob, circles)
-        # one block per level: (Y^T P)(P T_C^T P - z) = -D_t^T P, then W (T_A - z) = Y,
-        # each the triangular solve that gives `resolvent`'s value
+        # two per level: the weights w / (z - lam) on diag(lam), then V (T_A - z) = D_t,
+        # each the guarded solve that gives `resolvent`'s value
         assert len(calls) == 1 + 2 * (int(np.log2(n // 32)) + 1)
 
     def test_triangular_nodes_match_lu_nodes(self, rng, monkeypatch):
@@ -450,14 +450,26 @@ class TestContourQuadrature:
                 return exc.value, None, len(circles)
 
         found = [contour(prob) for prob in probs]
-        # the oracle receives T_C and D_t back from their exact reversals
-        monkeypatch.setattr(sylvester, "_node_sum", lambda T_Cr, R_C, T_A, z, w, tol:
-                            node_sum_lu(T_Cr[::-1, ::-1].T, -R_C[:, ::-1].T, T_A, z, w))
+        # the oracle solves on C's full triangle, not on its diagonal lam,
+        # so the tolerance also bounds what dropping T_C's off-diagonal part
+        # changes (every problem here is in range: the contour scales nothing)
+        monkeypatch.setattr(sylvester, "_node_sum", lambda lam, D_t, T_A, z, w, tol:
+                            node_sum_lu(np.triu(prob._form("C")[0]), D_t, T_A, z, w))
         for prob, (X, n, circles) in zip(probs, found):
             X_lu, n_lu, _ = contour(prob)
             assert n == n_lu
             assert operator_norm(X - X_lu) <= 1e-13 * operator_norm(X_lu)
         assert found[len(shapes)][2] == 12  # the ring takes one circle per atom
+
+    def test_near_normal_c_is_solved_for_its_diagonal_form(self):
+        # C passes `is_normal` 9e-6 from normality, within tol_normal: the nodes
+        # scale rows by 1 / (z - lambda_i), so X solves the equation for
+        # C' = Z diag(lambda) Z*, as `solve_spectral`'s does, and the residual
+        # on C itself shows the departure (it read 2.3e-16 on C's triangle)
+        prob = SylvesterProblem([[2.0]], [[1.0, 9e-6], [0.0, 1.0]], [[0.0], [1.0]])
+        report, X = solve_contour(prob), solve_spectral(prob).X
+        assert operator_norm(report.X - X) <= 1e-13 * operator_norm(X)
+        assert report.residual >= 8e-6
 
     def test_strongly_nonnormal_a_matches_scipy(self, rng):
         converged = 0
@@ -768,17 +780,49 @@ class TestSpectralCore:
                 X = solve_spectral(SylvesterProblem([[a]], C, D)).X
                 assert_allclose(X, D / (a - np.diag(C))[:, None], rtol=1e-12, atol=0.0)
 
+    def test_normal_a_far_from_the_origin(self, rng):
+        # A = U (1e6 + Lambda) U* and C near 1e6: ||T_A - zeta|| << ||T_A||,
+        # so a division budget on ||T_A|| would drop a Schur part that the
+        # guard, relative to ||T_A - zeta||, then refuses.  C's eigenvalues
+        # lie 0.25 apart, beyond the cluster threshold 1e-8 * 1e6
+        U, V = random_unitary(rng, 12), random_unitary(rng, 12)
+        lam = 1e6 + rng.uniform(2.0, 3.0, 12) + 1j * rng.uniform(-0.5, 0.5, 12)
+        zeta = 1e6 + 0.25 * (np.arange(12) % 4 + 1j * (np.arange(12) // 4))
+        A, C = U @ np.diag(lam) @ U.conj().T, V @ np.diag(zeta) @ V.conj().T
+        D = random_complex(rng, 12, 12)
+        ref = scipy.linalg.solve_sylvester(-C, A, D)
+        for solver in (solve_spectral, solve_contour, solve_double_spectral):
+            X = solver(SylvesterProblem(A, C, D)).X
+            assert operator_norm(X - ref) <= 1e-8 * operator_norm(ref)
+
     @pytest.mark.parametrize("fault", ["inexact", "nan"])
     def test_guard_rejects_faulty_solves(self, rng, monkeypatch, fault):
+        # each route of the kernel is faulted in turn, and every solver that
+        # reaches it must raise: the contour's weights and a normal A's
+        # Schur form (diagonal to rounding) take the division
+        routes = ("_substitute", "_divide", "_hessenberg_solve")
         cases = [(solve_spectral, make_sylvester(rng, 4, 5, normal_a=False)),
+                 (solve_spectral, make_sylvester(rng, 4, 5)),
                  (solve_double_spectral, make_sylvester(rng, 4, 5)),
-                 (solve_contour, make_sylvester(rng, 4, 5, normal_a=False))]
+                 (solve_contour, make_sylvester(rng, 4, 5, normal_a=False)),
+                 (solve_contour, make_sylvester(rng, 4, 5)),
+                 (lambda prob: resolvent(prob.A, 5.0), make_sylvester(rng, 4, 5, normal_a=False))]
+        reached = []
         for solver, prob in cases:
-            solver(prob)
-        monkeypatch.setattr(linalg, "_substitute", faulty_solve(fault))
-        for solver, prob in cases:
-            with pytest.raises(SingularResolventError):
+            with monkeypatch.context() as m:
+                calls = {route: count_calls(m, getattr(linalg, route), [linalg])
+                         for route in routes}
                 solver(prob)
+            reached.append({route for route in routes if calls[route]})
+        assert reached == [{"_substitute"}, {"_divide"}, {"_divide"},
+                           {"_divide", "_substitute"}, {"_divide"}, {"_hessenberg_solve"}]
+        for route in routes:
+            with monkeypatch.context() as m:
+                m.setattr(linalg, route, faulty_solve(fault, route))
+                for (solver, prob), used in zip(cases, reached):
+                    if route in used:
+                        with pytest.raises(SingularResolventError):
+                            solver(prob)
 
     def test_double_spectral_equals_cauchy_hadamard(self, rng):
         cases = [make_sylvester(rng, h, k) for h, k in ((4, 5), (7, 3), (1, 6))]
