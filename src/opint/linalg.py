@@ -135,6 +135,16 @@ def adjoint(M):
     return np.asarray(M, dtype=np.complex128).conj().T
 
 
+# Complex entries in one working array (16 MB) of a block of contour nodes,
+# Riccati shifts or dyadic levels, so that memory stays bounded at any size.
+_BLOCK_ENTRIES = 2 ** 20
+
+
+def _per_block(entries):
+    """How many items of `entries` complex entries each fit the block budget, at least one."""
+    return max(1, _BLOCK_ENTRIES // entries)
+
+
 def _substitute(T, R, s):
     """Y with Y T - diag(s) Y = R for an upper triangular T, one column per step
     for all rows, Y_j = (R_j - Y_{<j} T_{<j,j}) / (T_jj - s): O(rows n^2) in n steps."""
@@ -186,8 +196,10 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
     not finite (at the shift of a non-finite block nearest to diag(T)); and
     unless the scale ||T - s_k|| ||Y_k||, largest row norms, is finite and
     the Frobenius residual ||Y_k (T - s_k) - R_k||_F, formed on T - s_k
-    itself on every route (no |s_k| rounds into it), is at most tol_solve
-    times it: at least as strict as ||S Y - R|| <= tol_solve ||S|| ||Y||.
+    itself (no |s_k| rounds into it), is at most tol_solve times it: at
+    least as strict as ||S Y - R|| <= tol_solve ||S|| ||Y||.  A division
+    bounds it by ||Y_k (diag T - s_k) - R_k||_F + ||Y_k||_F ||N||_F, no
+    smaller by the triangle inequality and without the product Y N.
     Every sum of squares is taken by `_row_squares`."""
     n, N, diff = len(T), T - np.diag(np.diag(T)), np.diag(T) - shifts[:, None]
     # row i of T - s is row i of N and T_ii - s: ||T - s_k||_F = c (off + sq[n + k])^(1/2)
@@ -210,9 +222,12 @@ def _triangular_resolvents(T, R, shifts, sizes, tol):
             nearest = np.where(bad, shifted.min(axis=1), np.inf).argmin()
             raise SingularResolventError(
                 f"M - zI is singular at z = {complex(shifts[nearest])}")
-        r, res = _row_squares(Y @ N + Y * np.repeat(diff, sizes, axis=0) - R)
+        r, res = _row_squares((0.0 if divide else Y @ N)
+                              + Y * np.repeat(diff, sizes, axis=0) - R)
         y, rows = _row_squares(Y)
         residual = r * np.sqrt(np.add.reduceat(res, starts))
+        if divide:
+            residual += c * np.sqrt(off) * y * np.sqrt(np.add.reduceat(rows, starts))
         scale = (c * np.sqrt((sq[:n] + shifted).max(axis=1))
                  * (y * np.sqrt(np.maximum.reduceat(rows, starts))))
         ok = np.isfinite(scale) & (residual <= tol.tol_solve * scale)

@@ -23,7 +23,8 @@ from .errors import (
     SingularResolventError,
     ZeroQuadraticTermError,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, _norm_test, as_matrix, operator_norm
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _norm_test, _per_block, as_matrix,
+                     operator_norm)
 from .sylvester import _Prepared, _separation, _spectral_solve
 
 __all__ = [
@@ -210,14 +211,9 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     return report
 
 
-# Entries of shifted copies of A + BX held at once by _sup_resolvent_norm
-# (64 MB), so many atoms on a large matrix stay within memory.
-_SHIFT_CHUNK_ENTRIES = 1 << 22
-
-
 def _sup_resolvent_norm(M, zetas, tol):
     """sup_k ||(M - zeta_k)^{-1}|| = max_k 1 / sigma_min(M - zeta_k), from
-    batched SVDs of the shifted matrices.
+    batched SVDs of the shifted matrices, as many at once as `_per_block` fits.
 
     Forming M - zeta errs by about eps (||M|| + |zeta|), the SVD adds
     about eps sigma_max, and ||M|| <= sigma_max + |zeta|.  So a shift
@@ -225,7 +221,7 @@ def _sup_resolvent_norm(M, zetas, tol):
     unless sigma_min > tol_solve (sigma_max + |zeta|); a failed or
     non-finite SVD raises the same way.
     """
-    step = max(1, _SHIFT_CHUNK_ENTRIES // M.size)
+    step = _per_block(M.size)
     try:
         sigma = np.concatenate([
             np.linalg.svd(M - zetas[i:i + step, None, None] * np.eye(len(M)),

@@ -308,12 +308,14 @@ def _measure_of_schur(T, Z, tol):
     """The spectral measure of a normal C = Z T Z* from a form whose
     diagonal holds its eigenvalues (`_normal_form`'s, or a complex Schur
     form): clusters the eigenvalues diag(T) and keeps the columns of Z,
-    grouped by cluster and sorted by (real, imaginary) part, as the basis."""
+    grouped by cluster, as the basis.  Clusters go by real part rounded to
+    the cluster threshold, then by imaginary part, so rounding noise in the
+    real parts (a skew-Hermitian C) does not set the order."""
     raw = np.diag(T).astype(np.complex128)
     threshold = tol.tol_cluster * max(1.0, float(np.abs(raw).max()))
     groups, reps = _cluster(raw, threshold)
 
-    order = np.lexsort((reps.imag, reps.real))
+    order = np.lexsort((reps.imag, np.round(reps.real / threshold)))
     return SpectralMeasure(
         eigenvalues=reps[order],
         basis=Z[:, np.concatenate([groups[g] for g in order])],

@@ -16,9 +16,10 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError
-from .linalg import (DEFAULT_TOLERANCES, _square, _triangular_resolvents, adjoint,
-                     as_matrix, operator_norm)
+from .errors import (BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError,
+                     SingularResolventError)
+from .linalg import (DEFAULT_TOLERANCES, _per_block, _square, _triangular_resolvents,
+                     adjoint, as_matrix, operator_norm)
 from .spectral import Rect
 
 __all__ = [
@@ -98,8 +99,8 @@ class OperatorFunction:
         finite A and a D (I if None) with as many columns, else
         ShapeMismatchError.  A^T = U T U* is put in complex Schur form once:
         a value is D conj(U) Y^T for the one row block Y = U (T - z)^{-1} of
-        `_triangular_resolvents`, and a Stieltjes sum takes all its tags in
-        one such solve (`_resolvent_sum`)."""
+        `_triangular_resolvents`, and a Stieltjes sum, or a block of dyadic
+        levels, takes all its tags in one such solve (`_resolvent_sums`)."""
         A = _square(A, "A")
         D = np.eye(len(A)) if D is None else as_matrix(D, "D")
         if D.shape[1] != A.shape[0]:
@@ -264,15 +265,14 @@ def _spectral_sum(F, sm, atoms, tags, empty_tag):
     result is the zero matrix of the shape of F(empty_tag), as E(empty
     set) = 0.  A scalar integrand F = f I gives sum_k f(tags[k]) P_k,
     without forming f(tag) I, and a resolvent family takes the atoms, in
-    the same order, in one solve (`_resolvent_sum`).
+    index order, in one solve (`_resolvent_sums` of one level).
     """
     if F.scalar is not None:
         return sm._weighted(_atom_values(F, sm, atoms, tags))
-    cells, cell_of = np.unique(tags, return_inverse=True)
-    by_cell = np.argsort(cell_of, kind="stable")
     if F._resolvent is not None:
-        return _resolvent_sum(F, sm, atoms[by_cell], tags[by_cell])
-    order = atoms[by_cell]
+        return _resolvent_sums(F, sm, atoms)(tags[None])[0]
+    cells, cell_of = np.unique(tags, return_inverse=True)
+    order = atoms[np.argsort(cell_of, kind="stable")]
     blocks = []
     for t, S in zip(cells.tolist() or [complex(*empty_tag)],
                     np.split(order, np.cumsum(np.bincount(cell_of))[:-1])):
@@ -282,19 +282,22 @@ def _spectral_sum(F, sm, atoms, tags, empty_tag):
     return np.concatenate(blocks, axis=1) @ adjoint(sm.columns(order))
 
 
-def _resolvent_sum(F, sm, atoms, tags):
-    """sum_k D (A - tags[k])^{-1} P_k for F = D (A - z)^{-1}, the
-    transpose of a left sum of A^T against the measure of C^T: on the
-    family's Schur form A^T = U T U*, atom k has the rows
-    Y_k = Q_k^T U (T - tags[k])^{-1} of one `_triangular_resolvents`
-    (which names a failing tag), and the sum is D conj(U) Y^T Q_S*."""
+def _resolvent_sums(F, sm, atoms):
+    """For F = D (A - z)^{-1}, the map from tags (levels x atoms) to their
+    stacked sums sum_k D (A - tags[l, k])^{-1} P_k: on the Schur form A^T =
+    U T U*, atom k of level l has the rows Y_lk = Q_k^T U (T - tags[l, k])^{-1}
+    of one `_triangular_resolvents` (which names a failing tag), and level l
+    sums to D conj(U) Y_l^T Q*, a transposed left sum of A^T against C^T."""
     T, U, DU, tol = F._resolvent
     _check_shape(DU.shape, sm)
-    if not len(atoms):
-        return np.zeros((len(DU), sm.dim), dtype=np.complex128)
     Q = sm.columns(atoms)
-    Y = _triangular_resolvents(T, Q.T @ U, tags, sm.multiplicities[atoms], tol)
-    return DU @ Y.T @ adjoint(Q)
+    G, Q_star, m = Q.T @ U, adjoint(Q), sm.multiplicities[atoms]
+
+    def sums(tags):
+        Y = (_triangular_resolvents(T, np.tile(G, (len(tags), 1)), tags.ravel(),
+                                    np.tile(m, len(tags)), tol) if len(atoms) else G)
+        return DU @ np.swapaxes(Y.reshape(len(tags), len(G), len(T)), 1, 2) @ Q_star
+    return sums
 
 
 def _check_shape(shape, sm):
@@ -398,41 +401,72 @@ def dyadic_level_sum(F, sm, rect, level):
     return _spectral_sum(F, sm, *record, (rect.a, rect.c))
 
 
-def _level_tags(sm, rect, max_levels):
-    """The tags of dyadic levels 1 .. max_levels in turn, located eight
-    levels at a time (few past the one that stops a refinement); a level
-    that `_dyadic_axes` rejects raises once it is reached."""
+def _level_tags(sm, rect, max_levels, block):
+    """The tags of dyadic levels 1 .. max_levels, levels x atoms, located
+    `block` levels at a time (few past the one that stops a refinement); a
+    level that `_dyadic_axes` rejects raises once it is reached."""
     level = 1
     while level <= max_levels:
-        levels = np.arange(level, min(level + 8, max_levels + 1))
-        yield from (tags := _grid_tags(sm, rect, _dyadic_axes(rect, levels))[1])
+        levels = np.arange(level, min(level + block, max_levels + 1))
+        yield (tags := _grid_tags(sm, rect, _dyadic_axes(rect, levels))[1])
         level += len(tags)
+
+
+def _level_sums(values, distances, blocks, batched):
+    """(tags, sum, diff_prev) of each level: values(tags) stacks the sums of
+    levels, distances(steps) the norms of their differences from the sum
+    before (NaN for the first).  A block takes one call if batched and its
+    sums raise no SingularResolventError, else one per level, lazily, so
+    that only a level that is reached raises, as it would alone."""
+    prev = None
+    for block in blocks:
+        try:
+            parts = [(block, values(block))] if batched else ()
+        except SingularResolventError:
+            parts = ()
+        for tags, V in parts or ((t[None], values(t[None])) for t in block):
+            if prev is None:
+                steps, diffs = V[1:] - V[:-1], [math.nan]
+            else:  # a lone level is not copied
+                before = prev if len(V) == 1 else np.concatenate([prev, V[:-1]])
+                steps, diffs = V - before, []
+            diffs += distances(steps).tolist() if len(steps) else []
+            for i in range(len(V)):
+                yield tags[i], V[i], diffs[i]
+            prev = V[-1:]
 
 
 def _refinement(F, sm, rect, tol, max_levels):
     """Each level of `integrate_right` in turn: (mesh, diff_prev), its sum as a
-    zero-argument callable, and whether it stops the refinement."""
+    zero-argument callable, and whether it stops the refinement.  A resolvent
+    family sums up to eight levels in one call, as many as the block budget
+    holds at n (h + n) entries a level; other integrands one per call, as a
+    level past the stop must not call f or F."""
     if max_levels < 2:
         raise ValueError("max_levels must be at least 2")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     atoms = sm.atoms_in(rect)
-    if F.scalar is None:
-        level_value = lambda tags: _spectral_sum(F, sm, atoms, tags, (rect.a, rect.c))
-        dense, distance = (lambda J: J), (lambda J, K: operator_norm(J - K))
+    dense, block = (lambda J: J), 8
+    distances = lambda steps: np.linalg.svd(steps, compute_uv=False)[:, 0]
+    if F._resolvent is not None:
+        values, block = _resolvent_sums(F, sm, atoms), min(8, _per_block(
+            sm.dim * (len(F._resolvent[2]) + sm.dim)))
+    elif F.scalar is None:
+        values = lambda tags: _spectral_sum(F, sm, atoms, tags[0], (rect.a, rect.c))[None]
     else:
         Q = sm.columns(atoms)
         # ||Q_S* Q_S||_2 <= 1 + ||Q_S* Q_S - I||_F, computed once per call
         gram = 1.0 + float(np.linalg.norm(adjoint(Q) @ Q - np.eye(Q.shape[1])))
-        level_value = lambda tags: _atom_values(F, sm, atoms, tags)
-        dense, distance = sm._weighted, lambda v, w: gram * float(np.max(np.abs(v - w)))
+        values = lambda tags: _atom_values(F, sm, atoms, tags[0])[None]
+        dense, distances = sm._weighted, lambda steps: np.abs(steps).max(axis=1) * gram
     coords = sm.eigenvalues[atoms].view(float)  # (lambda, mu) of each atom
-    prev = prev_tags = moved = None
-    for level, tags in enumerate(_level_tags(sm, rect, max_levels), 1):
-        v = level_value(tags)
+    prev_tags = moved = None
+    levels = _level_sums(values, distances, _level_tags(sm, rect, max_levels, block),
+                         F._resolvent is not None)
+    for level, (tags, v, diff) in enumerate(levels, 1):
         mesh = (rect.width + rect.height) / 2 ** level
         # the first level has nothing to compare with: NaN fails both tests
-        diff = math.nan if prev is None else distance(v, prev)
         if diff == 0.0:
             # per axis: the real and the imaginary part of each tag
             changed = tags.view(float) != prev_tags.view(float)
@@ -443,7 +477,7 @@ def _refinement(F, sm, rect, tol, max_levels):
         yield (mesh, diff), functools.partial(dense, v), done
         if done:
             return
-        prev, prev_tags = v, tags
+        prev_tags = tags
 
 
 def integrate_right(F, sm, rect, tol, max_levels):
@@ -467,8 +501,10 @@ def integrate_right(F, sm, rect, tol, max_levels):
     this bounds the spectral norm of the difference from above (and
     equals it to rounding for a unitary basis), so the test never stops
     earlier than that norm would.  The n x n sum is formed only for the
-    returned or partial value.  `opint integrate` runs the same levels
-    (`_refinement`) and forms each level's sum once, as it prints it.
+    returned or partial value.  A resolvent family solves up to eight levels
+    at once, and a tag that is singular for A on a level past the stop raises
+    nothing.  `opint integrate` runs the same levels (`_refinement`) and
+    forms each level's sum once, as it prints it.
 
     Returns the last sum together with the per-level report.  Raises
     NoConvergenceError (carrying the partial value and report) when

@@ -29,6 +29,7 @@ from .linalg import (
     Tolerances,
     _distance_scale,
     _norm_test,
+    _per_block,
     _pow2_scale,
     _triangular_resolvents,
     adjoint,
@@ -318,17 +319,12 @@ def _build_circles(eig_a, eig_c, gap):
     return circles
 
 
-# Complex entries in the working arrays of one block of node solves; it
-# caps the memory of a level at any size (about 16 MB per array).
-_NODE_BLOCK = 2 ** 20
-
-
 def _node_sum(lam, D_t, T_A, z, w, tol):
     """sum_b w_b (z_b - diag(lam))^{-1} D_t (T_A - z_b)^{-1}, per block of
     nodes: the weights q_bi = w_b / (z_b - lam_i), R = -w 1 on diag(lam), and
     V_b (T_A - z_b) = D_t, T_A upper triangular, from two `_triangular_resolvents`."""
     (k, h), L = D_t.shape, np.diag(lam)
-    step = max(1, _NODE_BLOCK // (k + h) ** 2)
+    step = _per_block((k + h) ** 2)
     total = np.zeros((k, h), dtype=np.complex128)
     for s in range(0, len(z), step):
         zb, wb = z[s:s + step], w[s:s + step]

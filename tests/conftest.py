@@ -109,7 +109,7 @@ def node_sum_lu(T_C, D_t, T_A, z, w):
     solves of the shifted factors, in the blocks of nodes `sylvester._node_sum`
     takes, unguarded: the oracle for its triangular solves."""
     k, h = D_t.shape
-    step = max(1, sylvester._NODE_BLOCK // (k + h) ** 2)
+    step = linalg._per_block((k + h) ** 2)
     total = np.zeros_like(D_t)
     for s in range(0, len(z), step):
         zb = z[s:s + step, None, None]

@@ -449,7 +449,7 @@ class TestPosterior:
         M = np.triu(random_complex(rng, 5, 5)) + 3.0 * np.eye(5)
         zetas = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         whole = riccati._sup_resolvent_norm(M, zetas, DEFAULT_TOLERANCES)
-        monkeypatch.setattr(riccati, "_SHIFT_CHUNK_ENTRIES", 2 * M.size)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * M.size)
         assert riccati._sup_resolvent_norm(M, zetas, DEFAULT_TOLERANCES) == whole
 
     def test_singular_shift_sweep_at_least_as_strict_as_lu(self, rng):

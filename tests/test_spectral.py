@@ -376,6 +376,17 @@ class TestNormalForm:
             Q, R = sm.columns([j]), ref.columns([k])
             assert operator_norm(Q @ Q.conj().T - R @ R.conj().T) <= 1e-10
 
+    def test_atoms_on_the_imaginary_axis_follow_their_values(self, rng):
+        # the real parts are rounding noise of about 1e-17, which
+        # (real, imaginary) order would sort on
+        U, mu = random_unitary(rng, 24), np.linspace(-1.0, 1.0, 24)
+        C = U @ np.diag(1j * mu) @ U.conj().T
+        for sm in (decompose_normal(C),
+                   _measure_of_schur(*scipy.linalg.schur(C, output="complex"),
+                                     linalg.DEFAULT_TOLERANCES)):
+            assert np.all(np.diff(sm.eigenvalues.imag) > 0)
+            assert_allclose(sm.eigenvalues.imag, mu, atol=1e-14)
+
     def test_entries_near_the_largest_float(self):
         # M + M* overflows here, (M / 2) + (M / 2)* does not
         C = np.diag(np.linspace(0.5, 1.7, 24)) * 1e308

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,10 +407,12 @@ class TestLevelBlocks:
             assert same_record(record, oracle), level
 
     @settings(max_examples=60, deadline=None)
-    @given(level_block_case(), LOW_OR_ANY_LEVEL)
-    def test_refinement_tags_equal_each_level(self, case, max_levels):
+    @given(level_block_case(), LOW_OR_ANY_LEVEL, st.integers(1, 9))
+    def test_refinement_tags_equal_each_level(self, case, max_levels, block):
         sm, rect = case
-        tags = list(stieltjes._level_tags(sm, rect, max_levels))
+        blocks = list(stieltjes._level_tags(sm, rect, max_levels, block))
+        assert all(1 <= len(b) <= block for b in blocks)
+        tags = np.concatenate(blocks)
         assert len(tags) == max_levels
         for level, row in enumerate(tags, 1):
             oracle = grid_tags_per_level(sm, rect, dyadic_axes_per_level(rect, level))
@@ -480,10 +483,19 @@ def clustered_sum_case(draw):
     return decompose_normal(C), F, p, draw(st.integers(1, 6))
 
 
+def resolvent_sums_loop(F, sm, atoms):
+    """`stieltjes._resolvent_sums` by `spectral_sum_loop`, one level at a time."""
+    zero = np.zeros((len(F._resolvent[2]), sm.dim), dtype=np.complex128)
+    return lambda tags: np.stack([spectral_sum_loop(F, sm, atoms, t, None) if len(atoms)
+                                  else zero for t in tags])
+
+
 def with_cell_loop(fn, *args):
-    """fn(*args) with every Stieltjes sum taken by `spectral_sum_loop`."""
+    """fn(*args) with every Stieltjes sum taken by `spectral_sum_loop`, the
+    blocks of levels of a resolvent family's refinement too."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stieltjes, "_spectral_sum", spectral_sum_loop)
+        mp.setattr(stieltjes, "_resolvent_sums", resolvent_sums_loop)
         return fn(*args)
 
 
@@ -576,6 +588,24 @@ def resolvent_case(draw):
 # lines, whose tags stay on those lines until level 54
 STALLED_TAGS_CASE = (*resolvent_measure_and_family(3372, 3, True, 1), RESOLVENT_RECTS[0],
                      GridPartition.uniform(RESOLVENT_RECTS[0], 1, 1), 1)
+
+
+def past_the_stop_family(D):
+    """(measure, family D (A - z)^{-1}, t) on RECT: atom 0.5 + 0.25i is its
+    own tag from level 4, atom 2 - 2^-10 (both parts) moves its tag on both
+    axes at every level, and A = diag(3, t), t that atom's level-7 tag.
+    With D = [[1, 0]] the second atom adds nothing, so a refinement at tol
+    1e-10 stops at level 5 with the first block of eight levels unfinished."""
+    x = 2.0 - 2.0 ** -10
+    sm = SpectralMeasure([0.5 + 0.25j, complex(x, x)], np.eye(2), [1, 1])
+    t = stieltjes._grid_tags(sm, RECT, stieltjes._dyadic_axes(RECT, 7))[1][1]
+    return sm, OperatorFunction.resolvent_family(np.diag([3.0, t]), D), t
+
+
+def refinement_levels(F, sm, rect):
+    """((mesh, diff_prev), sum, done) of each level of `stieltjes._refinement`."""
+    return [(level, value(), done)
+            for level, value, done in stieltjes._refinement(F, sm, rect, 1e-10, 60)]
 
 
 class TestResolventSums:
@@ -672,6 +702,52 @@ class TestResolventSums:
                 hits += old_raises
         assert swept == 4 * 4 * 16 * 3
         assert hits > 0  # the exact hits at p = 16 make the sweep bite
+
+    def test_singular_tag_past_the_stop_raises_nothing(self):
+        sm, F, t = past_the_stop_family([[1.0, 0.0]])
+        with pytest.raises(SingularResolventError, match=rf"singular at z = {re.escape(str(t))}"):
+            dyadic_level_sum(F, sm, RECT, 7)
+        J, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=60)
+        assert report.converged and len(report.levels) == 5
+        exact = exact_right_integral(F, sm, RECT)
+        assert operator_norm(J - exact) <= 1e-15 * operator_norm(exact)
+
+    def test_failing_level_raises_as_level_by_level(self, monkeypatch):
+        sm, F, t = past_the_stop_family([[1.0, 1.0]])
+        messages = []
+        for budget in (linalg._BLOCK_ENTRIES, 2 * (1 + 2)):  # one level: n (h + rows)
+            monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", budget)
+            with pytest.raises(SingularResolventError) as exc:
+                integrate_right(F, sm, RECT, tol=1e-10, max_levels=60)
+            messages.append(str(exc.value))
+        with pytest.raises(SingularResolventError) as exc:
+            dyadic_level_sum(F, sm, RECT, 7)
+        assert messages == [str(exc.value)] * 2
+        assert messages[0] == f"M - zI is singular at z = {t}"
+
+    @pytest.mark.parametrize("seed, n, non_normal, h", [
+        (3372, 3, True, 1), (5, 6, False, 4), (11, 9, True, 12), (12, 12, False, 2)])
+    def test_budget_of_one_level_gives_blocks_of_one(self, monkeypatch, seed, n,
+                                                      non_normal, h):
+        sm, F = resolvent_measure_and_family(seed, n, non_normal, h)
+        rect = RESOLVENT_RECTS[seed % 2]
+        shifts, real = [], stieltjes._triangular_resolvents
+        monkeypatch.setattr(stieltjes, "_triangular_resolvents",
+                            lambda T, R, s, *args: shifts.append(len(s)) or real(T, R, s, *args))
+        blocked = refinement_levels(F, sm, rect)
+        K = len(sm.atoms_in(rect))
+        assert shifts[0] == 8 * K and len(shifts) == -(-len(blocked) // 8)
+        rows = int(sm.multiplicities[sm.atoms_in(rect)].sum())
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", sm.dim * (h + rows))
+        shifts.clear()
+        single = refinement_levels(F, sm, rect)
+        assert shifts == [K] * len(single)
+        assert len(single) == len(blocked) and single[-1][2] == blocked[-1][2]
+        scale = max(1.0, max(operator_norm(V) for _, V, _ in single))
+        for ((mesh, diff), V, _), ((mesh1, diff1), V1, _) in zip(blocked, single):
+            assert mesh == mesh1
+            assert operator_norm(V - V1) <= 1e-13 * max(1.0, operator_norm(V1))
+            assert math.isnan(diff) and math.isnan(diff1) or abs(diff - diff1) <= 1e-13 * scale
 
     def test_cancelling_tag_raises(self):
         z = 0.5 + 0.25j
@@ -971,14 +1047,15 @@ class TestScalarLevels:
         real = stieltjes.operator_norm
         monkeypatch.setattr(stieltjes, "operator_norm",
                             lambda M: calls.append(1) or real(M))
+        svds = count_calls(monkeypatch, np.linalg.svd, [np.linalg])
         F = OperatorFunction.affine(1.0, 2.0, 6)
         _, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=60)
         assert report.converged and len(report.levels) > 2
-        assert calls == []
-        # the general path takes one per level difference
+        assert calls == [] and svds == []
+        # the general path takes one SVD per level difference
         _, report = integrate_right(OperatorFunction(F.evaluate), sm, RECT,
                                     tol=1e-10, max_levels=60)
-        assert len(calls) == len(report.levels) - 1
+        assert calls == [] and len(svds) == len(report.levels) - 1
 
     @pytest.mark.parametrize("rect", [RECT, Rect(5.0, 6.0, 5.0, 6.0)])
     def test_dimension_mismatch_raises_as_before(self, rng, rect):

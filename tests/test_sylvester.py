@@ -320,7 +320,7 @@ class TestContourQuadrature:
         prob = make_sylvester(rng, 6, 5, normal_a=False)
         circles = [(complex(z), 0.3) for z in np.linalg.eigvals(prob.C)]
         X, n = contour_quadrature(prob, circles)
-        monkeypatch.setattr(sylvester, "_NODE_BLOCK", 1)  # one node per block
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 1)  # one node per block
         X1, n1 = contour_quadrature(prob, circles)
         assert n1 == n
         assert operator_norm(X1 - X) <= 1e-13 * operator_norm(X)
