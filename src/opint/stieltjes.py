@@ -190,9 +190,9 @@ class ConvergenceReport:
 
 
 def _explicit_axes(p):
-    """The lines of a partition: line i at lines[i], and a coordinate
-    finds its cell by binary search."""
-    return [(lines.__getitem__,
+    """The lines of a partition: line i at lines[i] (one level, so `at`
+    selects nothing), and a coordinate finds its cell by binary search."""
+    return [(lambda i, at=None, lines=lines: lines[i],
              lambda x, lines=lines: np.searchsorted(lines, x, side="right") - 1,
              len(lines) - 1) for lines in (p.lambda_points, p.mu_points)]
 
@@ -200,10 +200,10 @@ def _explicit_axes(p):
 def _dyadic_axes(rect, level):
     """The uniform 2^l x 2^l grid of l = level, or of each l of a 1-D
     array of levels up to the first invalid one, on a leading level axis:
-    line i at lo + i h, and a coordinate finds its cell by floor, so a
-    deep level never materializes its lines.  Cell indices are int64, so
-    level 62 is the deepest; a deeper first level raises ValueError, as
-    does a spacing not in (0, inf)."""
+    line i at lo + i h (on the levels `at` of that axis, if given), and a
+    coordinate finds its cell by floor, so a deep level never materializes
+    its lines.  Cell indices are int64, so level 62 is the deepest; a
+    deeper first level raises ValueError, as does a spacing not in (0, inf)."""
     levels = np.reshape(level, -1)
     spacing = np.array([[rect.width], [rect.height]]) / 2.0 ** np.minimum(levels, 63)
     stop = np.argmin(np.append((levels <= 62) & np.all(
@@ -214,7 +214,7 @@ def _dyadic_axes(rect, level):
             if levels[0] > 62 else f"the level-{levels[0]} grid on {rect} has line spacing "
             f"{tuple(spacing[:, 0].tolist())}, which is not finite and positive")
     shape = (stop, 1) if np.ndim(level) else ()
-    return [(lambda i, lo=lo, h=h: lo + i * h,
+    return [(lambda i, at=..., lo=lo, h=h: lo + i * h[at],
              lambda x, lo=lo, h=h: np.floor((x - lo) / h).astype(np.int64),
              (2 ** levels[:stop]).reshape(shape))
             for lo, h in zip((rect.a, rect.c), spacing[:, :stop].reshape(2, *shape))]
@@ -226,19 +226,31 @@ def _locate(coords, axis, thresh, shift):
     position of its upper line, on the axis' leading level axis if it
     has one.
 
-    An interior line within thresh of a coordinate moves by shift away
-    from the nearest one (ties go to the smaller), keeping half-open
-    membership far from floating-point ties, unless the shift could
-    reorder it against its neighbours (room < 4 shift).  Only lines next
-    to occupied cells are generated: O(K log K) for K coordinates, which
-    are sorted once for every level.
+    An interior line within thresh of a coordinate moves by shift = 2
+    thresh away from the nearest one (ties go to the smaller), keeping
+    half-open membership far from floating-point ties, unless that could
+    reorder it against its neighbours (room < 4 shift).  Computed lines
+    are monotone in their index, so a line within thresh of x is a line
+    of x's raw cell unless x lies more than thresh outside it (gap <
+    -thresh), and a cell's width bounds the room of its lines.  So the
+    rule runs only on levels where some gap <= thresh with a width of at
+    least 4 shift or a gap < -thresh; elsewhere each raw cell stands with
+    its lines.  It takes only lines next to occupied cells: O(K log K)
+    for K coordinates, sorted once for every level.
     """
     line, raw_cell, ncells = axis
     cell = np.minimum(np.maximum(raw_cell(coords), 0), ncells - 1)
+    lower, upper = line(cell), line(cell + 1)
+    gap = np.minimum(coords - lower, upper - coords)
+    rule = ((gap <= thresh) & ((4.0 * shift <= upper - lower) | (gap < -thresh))).any(-1)
+    if not rule.any():
+        return cell, lower, lower, upper
+    at = np.flatnonzero(rule) if rule.ndim else ...
     # rows hold lines cell - 2 .. cell + 3: the inner four bound every
     # cell an atom can end up in, and the outer two give their room.
     # Clipping repeats the edge lines, so they get no room and never move.
-    pos = line(np.minimum(np.maximum(np.add.outer(np.arange(-2, 4), cell), 0), ncells))
+    pos = line(np.minimum(np.maximum(np.add.outer(np.arange(-2, 4), cell[at]), 0),
+                          np.asarray(ncells)[at]), at)
     room = np.minimum(pos[1:-1] - pos[:-2], pos[2:] - pos[1:-1])
     pos = pos[1:-1]
     near = np.concatenate(([-np.inf], np.sort(coords), [np.inf]))
@@ -250,8 +262,12 @@ def _locate(coords, axis, thresh, shift):
     # only a moved line re-decides membership: the raw cell stands
     # against the lines that stay put
     rows = 1 + (hit[2] & (coords >= moved[2])) - (hit[1] & (coords < moved[1]))
-    at = lambda a, r: np.take_along_axis(a, r[None], axis=0)[0]
-    return cell + rows - 1, at(pos, rows), at(moved, rows), at(moved, rows + 1)
+    pick = lambda a, r: np.take_along_axis(a, r[None], axis=0)[0]
+    out = cell, lower, lower.copy(), upper
+    for o, part in zip(out, (cell[at] + rows - 1, pick(pos, rows), pick(moved, rows),
+                             pick(moved, rows + 1))):
+        o[at] = part
+    return out
 
 
 def _spectral_sum(F, sm, atoms, tags, empty_tag):
@@ -333,8 +349,8 @@ def _atom_values(F, sm, atoms, tags):
 
 def _grid_tags(sm, rect, axes, tag_rule="lower_left", custom_tags=None):
     """The record of a grid of two axes: the atoms of sm in rect, in index
-    order, and the tag lambda + i mu of the cell that holds each, with
-    the axes' leading level axis if they have one."""
+    order, and the tag lambda + i mu of the cell that holds each, on the
+    axes' leading level axis if they have one (one `_locate` per axis)."""
     atoms = sm.atoms_in(rect)
     z = sm.eigenvalues[atoms]
     parts = []
@@ -402,14 +418,15 @@ def dyadic_level_sum(F, sm, rect, level):
 
 
 def _level_tags(sm, rect, max_levels, block):
-    """The tags of dyadic levels 1 .. max_levels, levels x atoms, located
-    `block` levels at a time (few past the one that stops a refinement); a
-    level that `_dyadic_axes` rejects raises once it is reached."""
-    level = 1
-    while level <= max_levels:
-        levels = np.arange(level, min(level + block, max_levels + 1))
-        yield (tags := _grid_tags(sm, rect, _dyadic_axes(rect, levels))[1])
-        level += len(tags)
+    """The tags of dyadic levels 1 .. max_levels, levels x atoms, in blocks
+    of `block` levels.  One `_grid_tags` pass locates every level up to the
+    deepest one `_dyadic_axes` accepts (at most 62, whatever max_levels
+    is); a deeper level raises once the refinement reaches it."""
+    tags = _grid_tags(sm, rect, _dyadic_axes(rect, np.arange(1, min(max_levels, 62) + 1)))[1]
+    for start in range(0, len(tags), block):
+        yield tags[start:start + block]
+    if len(tags) < max_levels:
+        _dyadic_axes(rect, len(tags) + 1)
 
 
 def _level_sums(values, distances, blocks, batched):
@@ -438,10 +455,11 @@ def _level_sums(values, distances, blocks, batched):
 
 def _refinement(F, sm, rect, tol, max_levels):
     """Each level of `integrate_right` in turn: (mesh, diff_prev), its sum as a
-    zero-argument callable, and whether it stops the refinement.  A resolvent
-    family sums up to eight levels in one call, as many as the block budget
-    holds at n (h + n) entries a level; other integrands one per call, as a
-    level past the stop must not call f or F."""
+    zero-argument callable, and whether it stops the refinement.  One
+    `_level_tags` pass locates every level it can reach.  A resolvent family
+    sums up to eight levels in one call, as many as the block budget holds at
+    n (h + n) entries a level; others one per call, as a level past the stop
+    must not call f or F."""
     if max_levels < 2:
         raise ValueError("max_levels must be at least 2")
     if not (math.isfinite(tol) and tol >= 0):

@@ -626,6 +626,26 @@ class TestIntegrateCommand:
         assert out.returncode == exit_code, out.stderr
         assert out.stdout == csv
 
+    SPREAD = [0.25 + 0.5j, -0.3 + 0.1j, 0.7 - 0.2j]
+
+    def test_overflowing_error_reads_inf(self, tmp_path, capsys):
+        # level 1 is about 2e308 from the exact integral: J - exact overflowed,
+        # which printed nan and raised a RuntimeWarning
+        path = write_problem(tmp_path, C=matjson(np.diag(self.SPREAD)),
+                             rect={"a": -1.5, "b": 1.5, "c": -1.5, "d": 1.5})
+        code, out, err = run(capsys, ["integrate", path, "--function", "affine:1e308,1e308"])
+        rows = out.splitlines()
+        assert code == 4 and err == "" and rows[1] == "1,2,2,3.0,nan,inf"
+        assert all(np.isfinite(float(row.split(",")[5])) for row in rows[2:-1])
+
+    def test_huge_grid_levels_converge(self, tmp_path, capsys):
+        path = write_problem(tmp_path, C=matjson(np.diag(self.SPREAD)),
+                             rect={"a": -1.5, "b": 1.5, "c": -1.5, "d": 1.5})
+        code, out, _ = run(capsys, ["integrate", path, "--function", "affine:1,2",
+                                    "--grid-levels", "1000000000000"])
+        rows = out.splitlines()
+        assert code == 0 and rows[-1] == "# converged" and rows[-2].startswith("36,")
+
     def test_overflowing_rect_exits_2(self, tmp_path, capsys):
         # the width of [-1e308, 1e308) is inf: an IndexError exited 1
         path = write_problem(tmp_path, C=matjson(np.diag([0.5 + 0.25j, -1.0])),

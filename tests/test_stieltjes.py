@@ -46,6 +46,7 @@ from conftest import (
     faulty_solve,
     grid_cells_dict,
     grid_tags_per_level,
+    locate_per_level,
     lu_resolvent_raises,
     projections,
     random_complex,
@@ -456,6 +457,100 @@ class TestLevelBlocks:
             tiny, np.arange(5, 15)))[1].shape == (6, 0)
         with pytest.raises(ValueError, match=r"level-11 grid .* spacing \(0\.0, "):
             stieltjes._dyadic_axes(tiny, np.arange(11, 15))
+
+
+@st.composite
+def room_tie_case(draw):
+    """The atoms and rectangle of a `level_block_case` on a measure whose
+    four shifts (eight edge tolerances) lie within a few ulps of the line
+    spacing of one level on one axis."""
+    sm, rect = draw(level_block_case())
+    spacing = draw(st.sampled_from([rect.width, rect.height])) / 2.0 ** draw(LOW_OR_ANY_LEVEL)
+    edge_tol = spacing / 8.0 * (1.0 + draw(st.integers(-4, 4)) * 2.0 ** -52)
+    tol = Tolerances(tol_cluster=edge_tol / max(1.0, float(np.abs(sm.eigenvalues).max())))
+    return SpectralMeasure(sm.eigenvalues, np.eye(len(sm)), np.ones(len(sm), dtype=int),
+                           tol), rect
+
+
+def rule_levels(monkeypatch):
+    """Per axis, the set that gathers the levels on which `_locate` runs the
+    line-moving rule, which asks for the lines of just those levels."""
+    seen = (set(), set())
+    dyadic_axes = stieltjes._dyadic_axes
+
+    def spied(rect, level):
+        levels = np.reshape(level, -1)
+
+        def spy(line, d):
+            def lines(i, *at):
+                if at:
+                    seen[d].update(levels[at[0]].tolist())
+                return line(i, *at)
+            return lines
+        return [(spy(line, d), raw_cell, ncells)
+                for d, (line, raw_cell, ncells) in enumerate(dyadic_axes(rect, level))]
+    monkeypatch.setattr(stieltjes, "_dyadic_axes", spied)
+    return seen
+
+
+class TestRuleLevels:
+    """A refinement locates all its levels in one pass and runs the
+    line-moving rule only on the levels where a line can move; the rule on
+    every level, one level at a time, is the oracle, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(room_tie_case())
+    # an atom 0.5e-8 below the line 0 moves it up past one 1.5e-8 above it,
+    # whose own lower line it is, but not within one edge tolerance
+    @example((diagonal_measure([-0.5e-8 + 0.3j, 1.5e-8 + 0.7j]), GRID_RECTS[0]))
+    def test_room_ties_equal_each_level(self, case):
+        sm, rect = case
+        tags = np.concatenate(list(stieltjes._level_tags(sm, rect, 62, 8)))
+        for level, row in enumerate(tags, 1):
+            oracle = grid_tags_per_level(sm, rect, dyadic_axes_per_level(rect, level))
+            assert row.tobytes() == oracle[1].tobytes(), level
+
+    def test_a_raw_cell_off_its_coordinate_takes_the_rule(self):
+        # line 1 moves, as 1 + 1e-10 lies by it, which changes the lower line
+        # of 1.5; the raw cell of 1 + 1e-10 is [2, 2 + 1e-9) (rounding can put
+        # a raw cell more than the tolerance off on a deep grid), too narrow
+        # for its own lines to move
+        lines = np.array([0.0, 1.0, 2.0, 2.0 + 1e-9, 3.0, 4.0])
+        axis = (lambda i, at=None: lines[i], lambda x: np.array([1, 2]), 5)
+        coords = np.array([1.5, 1.0 + 1e-10])
+        located = stieltjes._locate(coords, axis, 1e-8, 2e-8)
+        oracle = locate_per_level(coords, axis, 1e-8, 2e-8)
+        assert oracle[2][0] == 1.0 - 2e-8
+        for part, want in zip(located, oracle):
+            assert part.tobytes() == want.tobytes()
+
+    def test_no_level_takes_the_rule_without_an_atom_by_a_line(self, monkeypatch):
+        # thirds and fifths of the sides lie at least a fifth of the line
+        # spacing from every line, more than an edge tolerance wherever the
+        # spacing leaves room for a move
+        rect = GRID_RECTS[1]
+        at = lambda s, t: complex(rect.a + s * rect.width, rect.c + t * rect.height)
+        sm = diagonal_measure([at(1 / 3, 2 / 3), at(2 / 5, 1 / 5), at(4 / 5, 1 / 3)])
+        seen = rule_levels(monkeypatch)
+        _, report = integrate_right(OperatorFunction.affine(1.0, 2.0, 3), sm, rect,
+                                    tol=1e-10, max_levels=60)
+        assert report.converged and seen == (set(), set())
+
+    def test_stalled_atoms_take_the_rule_where_they_sit_on_lines(self, monkeypatch):
+        sm, F, rect, _, _ = STALLED_TAGS_CASE
+        seen = rule_levels(monkeypatch)
+        _, report, _ = refine(F, sm, rect)
+        z = sm.eigenvalues[sm.atoms_in(rect)]
+        for axis, x, lo, width in ((0, z.real, rect.a, rect.width),
+                                   (1, z.imag, rect.c, rect.height)):
+            expected = set()
+            for level in range(1, 61):
+                h = width / 2.0 ** level
+                off = np.abs(x - (lo + np.round((x - lo) / h) * h))
+                if 8.0 * sm._edge_tol <= h and np.any(off <= sm._edge_tol):
+                    expected.add(level)
+            assert seen[axis] == expected == set(range(4, 26))
+        assert len(report.levels) > 26
 
 
 @st.composite
@@ -943,6 +1038,20 @@ class TestIntegrateRight:
         J, report = integrate_right(F, sm, RECT, tol=1e-10, max_levels=63)
         assert report.converged and len(report.levels) < 62
         assert operator_norm(J - exact_right_integral(F, sm, RECT)) <= 1e-9
+
+    def test_huge_max_levels_locates_at_most_62_levels(self):
+        # a refinement locates its levels in one pass, up to the deepest
+        # valid one: an array of max_levels levels would not fit in memory
+        sm = decompose_normal(np.diag([0.25 + 0.5j, -0.3 + 0.1j, 0.7 - 0.2j]))
+        rect = GRID_RECTS[0]
+        F = OperatorFunction.affine(1.0, 2.0, 3)
+        J, report = integrate_right(F, sm, rect, tol=1e-10, max_levels=10 ** 12)
+        assert report.converged and len(report.levels) == 36
+        blocks = stieltjes._level_tags(sm, rect, 10 ** 12, 8)
+        assert [len(next(blocks)) for _ in range(8)] == [8] * 7 + [6]
+        with pytest.raises(ValueError, match="level 63 exceeds"):
+            next(blocks)
+        assert operator_norm(J - exact_right_integral(F, sm, rect)) <= 1e-9
 
     def test_bad_spacing_raises_once_its_level_is_reached(self):
         # levels 1 .. 10 of [0, 2^-1064) are spaced down to 2^-1074, and
