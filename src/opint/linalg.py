@@ -277,24 +277,28 @@ def is_normal(M, tol=DEFAULT_TOLERANCES):
 
 
 def _support_values(A, thetas):
-    """(h, w, h'') at the given angles from one batched eigensolve: h(t),
-    the top eigenvalue of the Hermitian part H(t) of exp(-it) A, is the
-    support function of W(A), and w = x*Ax (x its eigenvector) a boundary
-    point.  h' = Im(e^{-it} w), and h'' = -h + 2 sum_j |v_j* H(t + pi/2) x|^2
-    / (h - lambda_j) over the other eigenpairs, save those tied with h."""
+    """(h, w, h'') at the given angles and then at each angle + pi, from one
+    batched eigensolve: h(t), the top eigenvalue of the Hermitian part H(t)
+    of exp(-it) A, is the support function of W(A), and w = x*Ax (x its
+    eigenvector) a boundary point.  h' = Im(e^{-it} w), and h'' = -h + 2
+    sum_j |v_j* H(t + pi/2) x|^2 / (h - lambda_j) over the other eigenpairs,
+    save those tied with h.  H(t + pi) = -H(t) (Kippenhahn, 1951), so at t +
+    pi, at the phase -e^{-it}, the exact negation of the computed one, h =
+    -lambda_0 and x = v_0, H(t)'s bottom pair, with gaps lambda_j - lambda_0."""
     phase = np.exp(-1j * np.atleast_1d(np.asarray(thetas, dtype=float)))
     M = phase[:, None, None] * A
     lam, V = np.linalg.eigh(0.5 * (M + np.conj(np.transpose(M, (0, 2, 1)))))
-    x = V[:, :, -1]
+    # (angle, t | t + pi, .): lambda_top and lambda_0, their eigenvectors
+    ends, x = lam[:, [-1, 0]], V[:, :, [-1, 0]].transpose(0, 2, 1)
     Ax, Ahx = x @ A.T, x @ A.conj()  # rows A x and A* x
-    w = np.einsum("ti,ti->t", x.conj(), Ax)
-    # |v_j* y| = |y* v_j| for y = H(t + pi/2) x
-    y = 0.5j * (phase.conj()[:, None] * Ahx - phase[:, None] * Ax)
-    c = np.einsum("tij,ti->tj", V, y.conj())
-    gaps = lam[:, -1:] - lam[:, :-1]
-    coupling = np.divide(np.abs(c[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps),
-                         where=gaps > 0.0).sum(axis=1)
-    return lam[:, -1], w, 2.0 * coupling - lam[:, -1]
+    w = np.einsum("tki,tki->tk", x.conj(), Ax)
+    # |v_j* y| = |y* v_j| for y = H(t + pi/2) x, which -e^{-it} only negates
+    phase, gaps = phase[:, None, None], np.abs(ends[:, :, None] - lam[:, None, :])
+    c = (0.5j * (phase.conj() * Ahx - phase * Ax)).conj() @ V
+    coupling = np.divide(np.abs(c) ** 2, gaps, out=np.zeros_like(gaps),
+                         where=gaps > 0.0).sum(axis=2)
+    h = ends * [1.0, -1.0]
+    return tuple(v.T.ravel() for v in (h, w, 2.0 * coupling - h))
 
 
 def _rounding_slack(A, pts):
@@ -302,12 +306,13 @@ def _rounding_slack(A, pts):
 
     With w the computed e^{-i theta}, forming H = (wA + (wA)*)/2 is off by
     at most about 4 eps ||A||_F in Frobenius norm, and eigh returns the
-    top eigenvalue of a matrix within h eps ||H|| <= h eps ||A||_F of that
-    (its backward error), so by Weyl's inequality the computed h(theta)
-    is off by at most (h + 4) eps ||A||_F.  Re(w z) is off by at most
-    2 eps |z|.  |w| = 1 + O(2 eps) scales the exact value for the unit
-    phase w/|w|, which is at most |z| + ||A|| in size, by at most
-    2 eps (|z| + ||A||_F).  The sum, (h + 6) eps ||A||_F + 4 eps |z|, is
+    eigenvalues of a matrix within h eps ||H|| <= h eps ||A||_F of that
+    (its backward error), so by Weyl's inequality each computed eigenvalue,
+    the top one h(theta) as well as the bottom one, is off by at most
+    (h + 4) eps ||A||_F; at theta + pi, -w and -H are exact negations and
+    h(theta + pi) minus the bottom one.  Re(w z) is off by at most 2 eps |z|.
+    |w| = 1 + O(2 eps) scales the exact value for the unit phase w/|w|,
+    which is at most |z| + ||A|| in size, by at most 2 eps (|z| + ||A||_F).  The sum, (h + 6) eps ||A||_F + 4 eps |z|, is
     within the allowance, so subtracting it leaves, to first order in
     eps, a lower bound on the distance that no rounding can lift.
     """
@@ -315,43 +320,47 @@ def _rounding_slack(A, pts):
     return (A.shape[0] + 8) * eps * (np.linalg.norm(A) + np.abs(pts))
 
 
-_COARSE_ANGLES = 32
+# Eigensolves on the coarse grid, each giving two opposite angles of it
+_COARSE_ANGLES = 16
 _REFINE_ITERS = 40
 
 
-def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
+def _numrange_bounds(A, pts, n_coarse, refine_iters, gap):
     """(lower, upper) bounds on dist(z, W(A)) for each point z, by
     boundary-point generation (C. R. Johnson, SIAM J. Numer. Anal. 1978).
 
     An eigensolve at angle t gives every z the lower bound g(t) =
     Re(e^{-it} z) - h(t), less `_rounding_slack`, and a boundary point
     w(t); U is the distance to the polygon of those found so far.  After
-    a grid of n_angles angles, each point steps towards the maximum of g
-    in a bracket where g' = Im(e^{-it}(z - w)) changes sign: Newton's step
+    a grid of 2 n_coarse angles, t_j in [0, pi) then t_j + pi, from the
+    n_coarse eigensolves at t_j (`_support_values`), each point steps
+    towards the maximum of g, one eigensolve at its angle a step, in a
+    bracket where g' = Im(e^{-it}(z - w)) changes sign: Newton's step
     from the better end if it lands inside, else the crossing of the ends'
     tangents, which finds a kink of g (a double top eigenvalue) in a few
     steps; a bracket at a maximum of g at most 0 that points away from the
     outward normal at the polygon's nearest point probes that normal
-    instead (a flat W has such a second maximum).  A point stops at U - L <= max(1e-12 U, 4 slack), after
-    refine_iters steps, or, with `gap`, once L reaches the least U, as it
-    can no longer be the minimum.  A and the points are divided by their
-    `_distance_scale` first, and the bounds multiplied back.
+    instead (a flat W has such a second maximum).  A point stops at U - L
+    <= max(1e-12 U, 4 slack), after refine_iters steps, or, with `gap`,
+    once L reaches the least U, as it can no longer be the minimum.  A and
+    the points are divided by their `_distance_scale` first, and the
+    bounds multiplied back.
     """
-    if n_angles < 8:
-        raise ValueError("n_angles must be at least 8")
     s = _distance_scale(A, pts)
     A, pts = A / s, pts / s
     slack = _rounding_slack(A, pts)
 
     def probe(t, z):
-        """(t, g, g', g'') at angles t for points z, and the boundary points."""
-        h, w, d2h = (v.reshape(np.shape(t)) for v in _support_values(A, np.ravel(t)))
-        e = np.exp(-1j * t)
-        return np.stack(np.broadcast_arrays(
-            t, (e * z).real - h, (e * (z - w)).imag, -(e * z).real - d2h)), w.ravel()
+        """(t, g, g', g'') for points z, at the angles t and then at t + pi
+        with the phase -e^{-it} (axis 1), and the boundary points (axis 0)."""
+        e = np.multiply.outer([1.0, -1.0], np.exp(-1j * t))
+        h, w, d2h = (v.reshape(e.shape) for v in _support_values(A, np.ravel(t)))
+        return np.stack(np.broadcast_arrays(np.add.outer([0.0, np.pi], t), (e * z).real - h,
+                                            (e * (z - w)).imag, -(e * z).real - d2h)), w
 
-    grid = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    P, w = probe(grid[:, None], pts)
+    half, n_angles = np.linspace(0.0, np.pi, n_coarse, endpoint=False), 2 * n_coarse
+    P, w = probe(half[:, None], pts)
+    P, w, grid = P.reshape(4, n_angles, -1), w.ravel(), np.concatenate([half, half + np.pi])
     lower = np.maximum(P[1].max(axis=0) - slack, 0.0)
     # bracket: the best grid angle and its neighbour on the side where g rises
     j, i = P[1].argmax(axis=0), np.arange(len(pts))
@@ -383,6 +392,7 @@ def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
             stray &= np.cos(base[0] - normal) < 0.0
             t = np.where(stray, normal, t)
         Q, w = probe(t, pts[act])
+        Q, w = Q[:, 0], w[0]
         lower[act] = np.maximum(lower[act], Q[1] - slack[act])
         E[:, (Q[2] <= 0.0).astype(int), i] = Q
         if stray.any():  # the upper end, within one turn above the lower
@@ -399,22 +409,32 @@ def _numrange_bounds(A, pts, n_angles, refine_iters, gap):
             upper = np.minimum(upper, _hull_distance(_hull(points), pts))
 
 
-def numrange_distances(A, points, n_angles=_COARSE_ANGLES, refine_iters=_REFINE_ITERS):
+def _checked_bounds(A, points, n_angles, refine_iters, gap):
+    """The lower `_numrange_bounds` on a grid of n_angles >= 8 angles (an odd
+    count takes one more): ShapeMismatchError on a non-finite point, as
+    `as_matrix` on a non-finite entry, and with `gap` on no point."""
+    A, pts = _square(A, "A"), np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    if n_angles < 8:
+        raise ValueError("n_angles must be at least 8")
+    if not np.all(np.isfinite(pts)) or (gap and pts.size == 0):
+        raise ShapeMismatchError("the points must be finite, and a gap needs at least one")
+    return _numrange_bounds(A, pts, (n_angles + 1) // 2, refine_iters, gap)[0]
+
+
+def numrange_distances(A, points, n_angles=2 * _COARSE_ANGLES, refine_iters=_REFINE_ITERS):
     """Lower bounds on the distances from each point to the numerical range,
     each within max(1e-12 U, 4 slack) of an upper bound U (`_numrange_bounds`):
-    they converge to rounding for any grid of at least 8 angles, and are
-    lowered by `_rounding_slack` so that rounding cannot lift them."""
-    A = _square(A, "A")
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    return _numrange_bounds(A, pts, n_angles, refine_iters, gap=False)[0]
+    they converge to rounding for any grid of at least 8 angles (an odd
+    count takes one more), and are lowered by `_rounding_slack` so that
+    rounding cannot lift them.  Raises ShapeMismatchError on a non-finite point."""
+    return _checked_bounds(A, points, n_angles, refine_iters, gap=False)
 
 
-def numrange_gap(A, points, n_angles=_COARSE_ANGLES):
+def numrange_gap(A, points, n_angles=2 * _COARSE_ANGLES):
     """min(numrange_distances(A, points)), refining only where it can fall:
-    a point stops once its lower bound reaches the smallest upper bound."""
-    A = _square(A, "A")
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    return float(_numrange_bounds(A, pts, n_angles, _REFINE_ITERS, gap=True)[0].min())
+    a point stops once its lower bound reaches the smallest upper bound.
+    Raises ShapeMismatchError on a non-finite point or on no points."""
+    return float(_checked_bounds(A, points, n_angles, _REFINE_ITERS, gap=True).min())
 
 
 def _hull(points):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opint import (
+    ShapeMismatchError,
     SingularResolventError,
     Tolerances,
     adjoint,
@@ -604,6 +605,24 @@ class TestNumrangeGap:
         with pytest.raises(ValueError):
             numrange_gap(np.eye(2), [3.0, 4.0], n_angles=7)
 
+    def test_no_points_raise_for_the_gap(self):
+        with pytest.raises(ShapeMismatchError, match="at least one"):
+            numrange_gap(np.eye(2), [])
+
+    def test_no_points_give_no_distances(self):
+        assert numrange_distances(np.eye(2), []).shape == (0,)
+
+    @pytest.mark.parametrize("fn", [numrange_gap, numrange_distances])
+    def test_nan_point_raises(self, fn):
+        with pytest.raises(ShapeMismatchError, match="must be finite"):
+            fn(np.eye(2), [3.0, np.nan])
+
+    @pytest.mark.parametrize("fn", [numrange_gap, numrange_distances])
+    @pytest.mark.parametrize("point", [np.inf, -np.inf, complex(1.0, np.inf)])
+    def test_infinite_point_raises(self, fn, point):
+        with pytest.raises(ShapeMismatchError, match="must be finite"):
+            fn(np.eye(2), [point])
+
     @pytest.mark.parametrize("n_angles", [8, 720])
     def test_rounding_cannot_lift_a_zero_distance(self, rng, n_angles):
         # W([[a]]) = {a}: without the rounding slack the support bound
@@ -689,6 +708,7 @@ class TestNumrangeBounds:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
            st.sampled_from([0.0, 0.1, 1.0, 4.0]))
+    @example(seed=1915, h=5, nonnormal=1.0)
     def test_matches_the_sweep_and_brackets_the_distance(self, seed, h, nonnormal):
         r = np.random.default_rng(seed)
         A, eigs = random_normal(r, h)
@@ -702,7 +722,10 @@ class TestNumrangeBounds:
             r.uniform(-1, 1, 6) + 1j * r.uniform(-1, 1, 6)), rq[:2]])
         lower, upper = self._bounds(A, pts)
         sweep = np.array([numrange_gap_sweep(A, [z]) for z in pts])
-        assert np.all(lower >= sweep - 1e-12 * sweep)
+        # both sides are rounded lower bounds: at the @example's point
+        # 1.56e-4 from W(A) ours is 3.3e-16 below the sweep, within its
+        # `_rounding_slack` (8.1e-15) but not within 1e-12 relative
+        assert np.all(lower >= sweep - 1e-12 * sweep - linalg._rounding_slack(A, pts))
         assert numrange_gap(A, pts) >= numrange_gap_sweep(A, pts) * (1.0 - 1e-12)
         assert np.all(lower <= np.abs(pts[:, None] - rq).min(axis=1) + 1e-13)
         assert np.all(upper >= lower)
@@ -804,6 +827,68 @@ class TestNumrangeBounds:
                 lower, upper = self._bounds(A, pts)
                 assert sizes[0] == linalg._COARSE_ANGLES and len(sizes) - 1 <= 8
                 assert lower[0] == upper[0] == 0.0
+
+
+class TestMirroredHalf:
+    """`_support_values` reads h(t + pi) off the eigensolve at t, as the
+    bottom pair of H(t) = -H(t + pi); the grid uses it for half its angles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 4.0),
+           st.sampled_from([2.0 ** -40, 1.0, 2.0 ** 40]))
+    def test_matches_a_direct_eigensolve_at_t_plus_pi(self, seed, h, nonnormal, scale):
+        r = np.random.default_rng(seed)
+        A, _ = random_normal(r, h)
+        A = scale * (A + nonnormal * np.triu(random_complex(r, h, h), 1))
+        t = r.uniform(0.0, 2.0 * np.pi, 4)
+        h_t, w_t, d2_t = linalg._support_values(A, t)
+        direct = linalg._support_values(A, t + np.pi)
+        assert all(len(v) == 8 for v in (h_t, w_t, d2_t))
+        slack = linalg._rounding_slack(A, np.zeros(4))
+        assert np.all(np.abs(h_t[4:] - direct[0][:4]) <= slack)
+        # w and h'' where the bottom eigenvalue is simple, within the
+        # slack over the gap to the next eigenvalue, and its square
+        norm = np.linalg.norm(A)
+        for k, phase in enumerate(np.exp(-1j * t)):
+            lam = np.linalg.eigvalsh(0.5 * (phase * A + np.conj(phase * A).T))
+            gap = lam[1] - lam[0] if h > 1 else norm
+            if gap >= 1e-3 * norm:
+                assert abs(w_t[4 + k] - direct[1][k]) <= 4.0 * slack[k] * norm / gap
+                assert abs(d2_t[4 + k] - direct[2][k]) <= 4.0 * slack[k] * (norm / gap) ** 2
+        # the grid's bounds, before any step, are those of a direct
+        # 2 n-angle grid: each mirrored g at the phase -e^{-it}
+        box = 3.0 * np.linalg.norm(A, 2)
+        pts = np.trace(A) / h + box * (r.uniform(-1, 1, 6) + 1j * r.uniform(-1, 1, 6))
+        n = linalg._COARSE_ANGLES
+        lower = linalg._numrange_bounds(A, pts, n, 0, gap=False)[0]
+        thetas = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
+        g = (np.exp(-1j * thetas)[:, None] * pts).real - linalg._support_values(
+            A, thetas)[0][:2 * n, None]
+        slack = linalg._rounding_slack(A, pts)
+        assert np.all(np.abs(lower - np.maximum(g.max(axis=0) - slack, 0.0)) <= slack)
+
+    @pytest.mark.parametrize("n_angles", [8, 9, 32, 33])
+    def test_one_eigensolve_per_grid_pair_and_per_step(self, rng, monkeypatch, n_angles):
+        A, _ = random_normal(rng, 6)
+        A = A + np.triu(random_complex(rng, 6, 6), 1)
+        pts = np.trace(A) / 6 + 3.0 * np.linalg.norm(A, 2) * np.exp(
+            2j * np.pi * rng.random(7))
+        matrices, angles = [], []
+        real_eigh, real_support = np.linalg.eigh, linalg._support_values
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda H: matrices.append(len(H)) or real_eigh(H))
+        monkeypatch.setattr(linalg, "_support_values",
+                            lambda A, t: angles.append(np.size(t)) or real_support(A, t))
+        numrange_gap(A, pts, n_angles=n_angles)
+        # the grid: n_angles / 2 eigensolves, an odd count taking one more
+        # angle; then one per active point per step, as many as the step probes
+        assert matrices[0] == (n_angles + 1) // 2
+        assert matrices == angles and len(matrices) > 1
+        assert all(1 <= m <= len(pts) for m in matrices[1:])
+        assert matrices[1:] == sorted(matrices[1:], reverse=True)
+        matrices.clear()
+        numrange_gap(A, pts[:1], n_angles=n_angles)
+        assert matrices[0] == (n_angles + 1) // 2 and set(matrices[1:]) == {1}
 
 
 def test_tolerances_validation():
