@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .enorm import check_enorm_sandwich
-from .errors import (CertificateViolationError, InvalidProblemError, OpintError,
-                     ShapeMismatchError)
+from .errors import (CertificateViolationError, InvalidProblemError, NoConvergenceError,
+                     OpintError, ShapeMismatchError)
 from .probfile import load_problem, matrix_to_json
 from .riccati import RiccatiProblem, posterior_check, solve_fixed_point
 from .spectral import decompose_normal, spectral_invariant_residuals
@@ -35,8 +35,8 @@ from .sylvester import (
 )
 
 EXIT_OK = 0
-EXIT_INVALID_INPUT = 2
-EXIT_NO_CONVERGENCE = 4
+EXIT_INVALID_INPUT = OpintError.exit_code
+EXIT_NO_CONVERGENCE = NoConvergenceError.exit_code
 
 _SOLVERS = {
     "spectral": solve_spectral,

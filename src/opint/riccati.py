@@ -145,7 +145,7 @@ def _apply_map(prob, sm, X):
     X = 0 on the kept Schur form of A, else on a Hessenberg form of A + BX,
     whose eigenvalues are never read; None when A + BX is not finite."""
     if not X.any():
-        return _spectral_solve(prob.schur("A"), sm, prob.D)
+        return _spectral_solve(prob.schur(), sm, prob.D)
     with np.errstate(all="ignore"):
         M = prob.A + prob.B @ X
     return (_spectral_solve(scipy.linalg.hessenberg(M, calc_q=True), sm, prob.D)

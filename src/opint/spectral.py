@@ -79,7 +79,8 @@ class SpectralMeasure:
     tolerances : Tolerances
         Those it was clustered with, read by all that is computed against it.
 
-    Raises ShapeMismatchError when the shapes do not fit together.
+    Raises ShapeMismatchError when the shapes do not fit together or an
+    eigenvalue or basis entry is not finite.
     """
 
     eigenvalues: np.ndarray
@@ -102,6 +103,8 @@ class SpectralMeasure:
                 f"a measure needs K >= 1 eigenvalues, K integer multiplicities >= 1 "
                 f"and a square basis of their sum: got {z.shape}, {given.tolist()}, "
                 f"{Q.shape}")
+        if not (np.isfinite(z).all() and np.isfinite(Q).all()):
+            raise ShapeMismatchError("a measure's eigenvalues and basis must be finite")
         radius = float(np.abs(z).max())
         edge_tol = self.tolerances.tol_cluster * max(1.0, radius)
         for name, value in (("eigenvalues", z), ("basis", Q), ("multiplicities", m),
@@ -260,7 +263,7 @@ def _require_normal(C, normal, tol):
 _PHASE = np.exp(-0.6j)
 
 
-def _normal_form(M, schur=None):
+def _normal_form(M):
     """(T, Z), M = Z T Z* with Z unitary and T upper triangular but for a
     strict lower part of Frobenius norm at most n eps ||M||_F, a Schur
     form's backward error; for a normal M, T is diagonal to that order.
@@ -273,12 +276,11 @@ def _normal_form(M, schur=None):
     S x S is within the budget, and one Schur form of T[S, S] rotates Z[:, S]
     and T's S rows and columns.  The squares are taken on T divided by the
     `_pow2_scale` of the budget, so they neither overflow nor underflow.
-    Below n = 20, where it costs less, the form is M's complex Schur form:
-    `schur`, one already taken, where given.
+    Below n = 20, where it costs less, the form is M's complex Schur form.
     """
     n = len(M)
     if n < 20:
-        return schur or scipy.linalg.schur(M, output="complex")
+        return scipy.linalg.schur(M, output="complex")
     W = 0.5 * _PHASE * M  # halved first, so that W + W* cannot overflow
     Z = np.linalg.eigh(W + adjoint(W))[1]
     T = adjoint(Z) @ M @ Z

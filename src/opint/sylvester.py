@@ -40,7 +40,7 @@ from .linalg import (
     operator_norm,
     separation,
 )
-from .spectral import _measure_of_schur, _normal_form, _require_normal
+from .spectral import _require_normal, decompose_normal
 
 __all__ = [
     "SylvesterProblem",
@@ -68,10 +68,10 @@ class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
     (every field but the tolerances, which no call on the problem can
     replace), and what every solver, bound check and certificate reads
-    about them, computed on first use and kept: A's Schur form; per matrix
-    its normality verdict, `_normal_form` and spectral measure (A's for the
-    double sum); the norm scale, where bounds cannot decide a test against
-    it; the separation; the certificate."""
+    about them, computed on first use and kept: A's complex Schur form and
+    normality verdict; C's spectral measure, the one form in which C
+    reaches a solver; the norm scale, where bounds cannot decide a test
+    against it; the separation; the certificate."""
 
     def __post_init__(self):
         if not isinstance(self.tolerances, Tolerances):
@@ -104,38 +104,25 @@ class _Prepared:
             self._cache[key] = build()
         return self._cache[key]
 
-    def schur(self, name):
-        """The complex Schur form (T, Z) of the matrix `name` = Z T Z*,
-        computed once; both factors are read-only."""
-        return self._cached(("schur", name), lambda: _read_only(
-            *scipy.linalg.schur(getattr(self, name), output="complex")))
+    def schur(self):
+        """The complex Schur form (T, U) of A = U T U*, computed once; both
+        factors are read-only."""
+        return self._cached("schur", lambda: _read_only(
+            *scipy.linalg.schur(self.A, output="complex")))
 
-    def _form(self, name):
-        """`_normal_form` (T, Z) of the matrix `name`, computed once, from
-        its kept Schur form where it has one; both factors are read-only."""
-        return self._cached(("form", name), lambda: _read_only(
-            *_normal_form(getattr(self, name), self._cache.get(("schur", name)))))
-
-    def _normality(self, name):
-        """`is_normal` of the matrix `name`, computed once."""
-        M = getattr(self, name)
-        return self._cached(("normality", name),
-                            lambda: is_normal(M, self.tolerances))
+    def _normality(self):
+        """`is_normal` of A, computed once."""
+        return self._cached("normality", lambda: is_normal(self.A, self.tolerances))
 
     def measure(self):
-        """The spectral measure of C, decomposed once; its arrays are read-only."""
-        return self._measure("C")
-
-    def _measure(self, name):
-        """The spectral measure of the matrix `name`, as `measure`: the
-        test and clustering of `decompose_normal`, on the kept `_form`."""
+        """The spectral measure of C, `decompose_normal(C)` with the problem's
+        tolerances, computed once; its arrays are read-only."""
         def build():
-            _require_normal(getattr(self, name), self._normality(name), self.tolerances)
-            sm = _measure_of_schur(*self._form(name), self.tolerances)
+            sm = decompose_normal(self.C, self.tolerances)
             _read_only(sm.eigenvalues, sm.basis, sm.multiplicities)
             return sm
 
-        return self._cached(("measure", name), build)
+        return self._cached("measure", build)
 
     def norm_scale(self):
         """max(1, ||A||_2, ||C||_2), computed once."""
@@ -180,7 +167,7 @@ def sylvester_residual(prob, X):
 
 def spectral_gap(prob):
     """min |lambda - zeta| over the eigenvalues of A and the atoms of C."""
-    lam, atoms = np.diag(prob.schur("A")[0]), prob.measure().eigenvalues
+    lam, atoms = np.diag(prob.schur()[0]), prob.measure().eigenvalues
     return float(np.abs(lam[:, None] - atoms).min())
 
 
@@ -189,7 +176,7 @@ def _separation(prob):
     gap_numrange and d, and the Riccati certificate's d."""
     atoms = prob.measure().eigenvalues
     return prob._cached("separation", lambda: separation(
-        prob.schur("A")[0], atoms, lambda: numrange_gap(prob.A, atoms)))
+        prob.schur()[0], atoms, lambda: numrange_gap(prob.A, atoms)))
 
 
 def _require_gap(prob):
@@ -223,7 +210,7 @@ def _spectral_solve(schur, sm, D):
 def solve_spectral(prob):
     """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
     gap = _require_gap(prob)
-    X = _spectral_solve(prob.schur("A"), prob.measure(), prob.D)
+    X = _spectral_solve(prob.schur(), prob.measure(), prob.D)
     return _finish(prob, X, "spectral", gap)
 
 
@@ -342,24 +329,33 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     of XA - CX = D.  Doubles the node count per circle until the
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
-    The kept forms C = Z T_C Z* (`_normal_form`) and A = U T_A U* (Schur)
-    make each node a row scaling of D_t = Z* D U by 1 / (z - lam_i), lam =
-    diag(T_C), and a solve on T_A (`_node_sum`): so X solves the equation
-    for C' = Z diag(lam) Z*, as `solve_spectral`'s does for the measure's.
-    T_A, lam, D and the circles are divided by one `_distance_scale` (1 in
-    range).  The node sets are nested: a doubling evaluates only the new
-    odd-index nodes and adds them, weighted by their circle's radius, to one
-    running sum.
+    C reaches the nodes through its measure, C' = Q diag(lam) Q* with lam
+    each atom repeated by its multiplicity, and A through its kept Schur
+    form A = U T_A U*: each node is a row scaling of D_t = Q* D U by
+    1 / (z - lam_i) and a solve on T_A (`_node_sum`), so X solves the
+    equation for the C' that `solve_spectral` and `solve_double_spectral`
+    solve for.  T_A, lam, D and the circles are divided by one
+    `_distance_scale` (1 in range).  The node sets are nested: a doubling
+    evaluates only the new odd-index nodes and adds them, weighted by their
+    circle's radius, to one running sum.
+
+    Raises ContourConstructionError, before any node, when there is no
+    circle or a centre is not finite or a radius not finite and positive.
     """
-    T_C, Z = prob._form("C")
-    T_A, U = prob.schur("A")
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
+    if not (len(circles) and np.isfinite(centers).all()
+            and np.all((0 < radii) & (radii < np.inf))):
+        raise ContourConstructionError("the contour needs at least one circle, each with a "
+                                       f"finite centre and a finite positive radius: {circles}")
+    sm = prob.measure()
+    Q, lam = sm.basis, np.repeat(sm.eigenvalues, sm.multiplicities)
+    T_A, U = prob.schur()
     # X solves the equation for A / s, C / s and D / s too, where the nodes'
     # integrand, about |D| / |A| |C|, cannot underflow for A and C near 1e200
-    s = _distance_scale(T_A, np.append(np.diag(T_C), centers))
-    T_A, lam, centers, radii = T_A / s, np.diag(T_C) / s, centers / s, radii / s
-    D_t = adjoint(Z) @ (prob.D / s) @ U
+    s = _distance_scale(T_A, np.append(lam, centers))
+    T_A, lam, centers, radii = T_A / s, lam / s, centers / s, radii / s
+    D_t = adjoint(Q) @ (prob.D / s) @ U
     n = max(int(n_nodes), 4)
     t = 2.0 * np.pi * np.arange(n) / n
     acc, prev = np.zeros_like(D_t), None
@@ -374,7 +370,7 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
                 raise SingularResolventError(f"{exc}, with A, C and the contour divided "
                                              f"by 2^{int(np.log2(s))}") from exc
             raise
-        X = Z @ (acc / n) @ adjoint(U)
+        X = Q @ (acc / n) @ adjoint(U)
         if prev is not None and _norm_test(
                 lambda change, norm: change <= prob.tolerances.tol_quad * max(1.0, norm),
                 (X - prev, X)):
@@ -391,7 +387,7 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
 def solve_contour(prob):
     """Resolvent contour formula evaluated on automatically built circles."""
     gap = _require_gap(prob)
-    circles = _build_circles(np.diag(prob.schur("A")[0]),
+    circles = _build_circles(np.diag(prob.schur()[0]),
                              prob.measure().eigenvalues, gap)
     X, _ = contour_quadrature(prob, circles)
     return _finish(prob, X, "contour", gap)
@@ -399,14 +395,14 @@ def solve_contour(prob):
 
 def solve_double_spectral(prob):
     """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k), by
-    `_spectral_solve` on the diagonal Schur form A = Q_A diag(z) Q_A* that
-    the measure of A gives (each atom repeated by its multiplicity).
+    `_spectral_solve` on A = U diag(z) U*, z the diagonal of A's kept Schur
+    form A = U T U*, which is diagonal to rounding for a normal A.
     Requires A normal as well; raises NotNormalError otherwise.
     """
     gap = _require_gap(prob)
-    sm_a = prob._measure("A")
-    schur = np.diag(np.repeat(sm_a.eigenvalues, sm_a.multiplicities)), sm_a.basis
-    X = _spectral_solve(schur, prob.measure(), prob.D)
+    _require_normal(prob.A, prob._normality(), prob.tolerances)
+    T, U = prob.schur()
+    X = _spectral_solve((np.diag(np.diag(T)), U), prob.measure(), prob.D)
     return _finish(prob, X, "double", gap)
 
 
@@ -435,7 +431,7 @@ def verify_bounds(prob, report):
     checks = {"enorm_vs_numrange": BoundCheck(
         enorm_d / delta if prob._scale_test(lambda scale: delta > 1e-12 * scale)
         else math.inf, enorm_x)}
-    if prob._normality("A"):
+    if prob._normality():
         d = max(_separation(prob))  # 0 gives infinite bounds
         inv_d = 1.0 / d if d > 0 else math.inf
         checks["enorm_vs_gap"] = BoundCheck(enorm_d * inv_d, enorm_x)

@@ -493,6 +493,17 @@ class TestMeasureFields:
         with pytest.raises(ShapeMismatchError):
             SpectralMeasure(eigenvalues, basis, multiplicities)
 
+    @pytest.mark.parametrize("eigenvalues, basis", [
+        ([np.nan], np.eye(1)),  # a radius of nan would disable the boundary guard
+        ([np.inf, 1.0], np.eye(2)),
+        ([1j, complex(1.0, np.nan)], np.eye(2)),
+        ([1.0, 2.0], [[1.0, 0.0], [0.0, np.nan]]),
+        ([1.0], [[-np.inf]]),
+    ])
+    def test_entries_must_be_finite(self, eigenvalues, basis):
+        with pytest.raises(ShapeMismatchError, match="must be finite"):
+            SpectralMeasure(eigenvalues, basis, [1] * len(eigenvalues))
+
 
 class TestSpectralFunction:
     def test_quadrant_values(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import tracemalloc
 import warnings
 
@@ -18,6 +19,7 @@ import opint.stieltjes as stieltjes
 import opint.sylvester as sylvester
 from opint.linalg import numrange_gap, separation
 from opint import (
+    ContourConstructionError,
     GapViolationError,
     InsufficientMemoryError,
     NoConvergenceError,
@@ -247,6 +249,18 @@ class TestKroneckerGuard:
 
 
 class TestContourConstruction:
+    # A = diag(3, 4), C = diag(0, 1): X = [[1/3, 1/4], [1/2, 1/3]], which no
+    # circle list below can give
+    @pytest.mark.parametrize("circles", [
+        [], [(0.5, 0.0)], [(0.5, -1.0)], [(0.5, math.nan)], [(0.5, math.inf)],
+        [(complex(math.nan, 0.0), 1.0)], [(0.5, 1.0), (math.inf, 1.0)]])
+    def test_circles_it_cannot_integrate_on_raise(self, circles):
+        prob = SylvesterProblem(np.diag([3.0, 4.0]), np.diag([0.0, 1.0]), np.ones((2, 2)))
+        with pytest.raises(ContourConstructionError, match="finite positive radius"):
+            contour_quadrature(prob, circles)
+        X, _ = contour_quadrature(prob, [(0.5, 1.0)])
+        assert_allclose(X, [[1 / 3, 1 / 4], [1 / 2, 1 / 3]], rtol=1e-12)
+
     def test_empty_contour_gives_zero(self, rng):
         prob = make_sylvester(rng, 4, 4)
         # a circle far away from both spectra encloses nothing
@@ -441,7 +455,7 @@ class TestContourQuadrature:
                   _strongly_nonnormal(rng, 8, 8)]
 
         def contour(prob):
-            eig_a = np.diag(prob.schur("A")[0])
+            eig_a = np.diag(prob.schur()[0])
             circles = sylvester._build_circles(eig_a, prob.measure().eigenvalues,
                                                spectral_gap(prob))
             try:
@@ -450,12 +464,17 @@ class TestContourQuadrature:
                 return exc.value, None, len(circles)
 
         found = [contour(prob) for prob in probs]
-        # the oracle solves on C's full triangle, not on its diagonal lam,
-        # so the tolerance also bounds what dropping T_C's off-diagonal part
-        # changes (every problem here is in range: the contour scales nothing)
-        monkeypatch.setattr(sylvester, "_node_sum", lambda lam, D_t, T_A, z, w, tol:
-                            node_sum_lu(np.triu(prob._form("C")[0]), D_t, T_A, z, w))
         for prob, (X, n, circles) in zip(probs, found):
+            # the oracle solves on C's full triangle from `_normal_form`, not
+            # on the measure's lam, with its rows and columns in the order of
+            # the measure's basis Q = Z P; so the tolerance also bounds what
+            # dropping T_C's off-diagonal part changes (every problem here is
+            # in range: the contour scales nothing)
+            T_C, Z = spectral._normal_form(prob.C)
+            P = np.abs(adjoint(Z) @ prob.measure().basis).argmax(axis=0)
+            T_C = np.triu(T_C)[np.ix_(P, P)]
+            monkeypatch.setattr(sylvester, "_node_sum", lambda lam, D_t, T_A, z, w, tol:
+                                node_sum_lu(T_C, D_t, T_A, z, w))
             X_lu, n_lu, _ = contour(prob)
             assert n == n_lu
             assert operator_norm(X - X_lu) <= 1e-13 * operator_norm(X_lu)
@@ -504,22 +523,25 @@ def _once_each(seen, prob):
 
 
 class TestOneDecomposition:
-    # calls: the measures a solve builds, of C and for the double sum of A
+    # calls: the normality requirements a solve checks, C's for its measure
+    # and, for the double sum, A's
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
         (solve_double_spectral, 2)])
     def test_decompose_once_per_matrix(self, rng, monkeypatch, solver, calls):
         prob = make_sylvester(rng, 4, 5)
         schurs, forms, _, _, measures = _count_factoring(monkeypatch)
+        required = count_calls(monkeypatch, spectral._require_normal)
         report = solver(prob)
-        # one Schur form of A, one normal form of C, and one of A for the
-        # double sum's measure
+        # one Schur form of A and one normal form of C, whose measure the
+        # solver reads; the double sum reads A's eigenpairs off its Schur form
         assert len(schurs) == 1 and schurs[0] is prob.A
-        assert len(forms) == len(measures) == calls
-        assert all(M is N for M, N in zip(forms, (prob.C, prob.A)))
-        # every measure is built from the kept normal form of its matrix
-        assert all(T is prob._form(name)[0] for T, name in zip(measures, "CA"))
+        assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+        assert len(required) == calls
+        assert all(M is N for M, N in zip(required, (prob.C, prob.A)))
         monkeypatch.undo()
+        # the measure is built from C's normal form
+        assert np.array_equal(measures[0], spectral._normal_form(prob.C)[0])
         # the report is the one a fresh decomposition of C gives
         atoms = decompose_normal(prob.C).eigenvalues
         assert report.gap_numrange == separation(
@@ -527,29 +549,41 @@ class TestOneDecomposition:
             lambda: numrange_gap(prob.A, atoms))[1]
 
     def test_double_spectral_decomposes_each_matrix_once(self, rng, monkeypatch):
-        prob = make_sylvester(rng, 4, 5)
+        prob = make_sylvester(rng, 24, 24)
         schurs, forms, _, verdicts, measures = _count_factoring(monkeypatch)
         reports = [solve_double_spectral(prob) for _ in range(3)]
         verify_bounds(prob, reports[0])
         assert len(schurs) == 1 and schurs[0] is prob.A
-        assert _once_each(forms, prob) and _once_each(verdicts, prob)
-        assert len(measures) == 2
+        assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+        assert _once_each(verdicts, prob)
         assert all(np.array_equal(r.X, reports[0].X) for r in reports)
-        sm_a = prob._measure("A")
-        assert not any(M.flags.writeable for M in
-                       (sm_a.eigenvalues, sm_a.basis, sm_a.multiplicities))
         monkeypatch.undo()
-        ref = decompose_normal(prob.A)
-        for M, R in zip((sm_a.eigenvalues, sm_a.basis, sm_a.multiplicities),
-                        (ref.eigenvalues, ref.basis, ref.multiplicities)):
-            assert np.array_equal(M, R)
+        # A's eigenpairs off its Schur form: the sum agrees with the oracle
+        X = solve_kronecker(prob).X
+        assert operator_norm(reports[0].X - X) <= 1e-12 * operator_norm(X)
+
+    @pytest.mark.parametrize("normal_a", [True, False])
+    def test_every_report_takes_one_form_per_matrix(self, rng, monkeypatch, normal_a):
+        # h = k = 24: past n = 20, where `_normal_form` leaves the Schur form,
+        # so a normal form of A would be a second decomposition of it
+        base = make_sylvester(rng, 24, 24, normal_a=normal_a)
+        for solver in ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]:
+            prob = SylvesterProblem(base.A, base.C, base.D)
+            schurs, forms, _, verdicts, _ = _count_factoring(monkeypatch)
+            decompositions = count_calls(monkeypatch, spectral.decompose_normal)
+            verify_bounds(prob, solver(prob))
+            assert len(schurs) == 1 and schurs[0] is prob.A
+            assert len(forms) == 1 and forms[0] is prob.C
+            assert len(decompositions) == 1 and decompositions[0] is prob.C
+            assert _once_each(verdicts, prob)
+            monkeypatch.undo()
 
     # per report (solve + verify_bounds): a Schur form of A, a normal form
-    # of C (and of A for the double sum), a normality verdict of each of A
-    # and C, and the residual's norm; the bounds decide
-    # the verdicts, the gap and numerical-range tests against the norms of
-    # A and C, and the contour's three stop tests (32 to 256 nodes on its
-    # one circle) on this instance, so no other norm is taken
+    # of C, a normality verdict of each of A and C (required of A by the
+    # double sum alone), and the residual's norm; the bounds decide the
+    # verdicts, the gap and numerical-range tests against the norms of A
+    # and C, and the contour's three stop tests (32 to 256 nodes on its one
+    # circle) on this instance, so no other norm is taken
     @pytest.mark.parametrize("solver, calls", [
         (solve_spectral, 1), (solve_kronecker, 1), (solve_contour, 1),
         (solve_double_spectral, 2)])
@@ -557,21 +591,21 @@ class TestOneDecomposition:
                                                solver, calls):
         prob = make_sylvester(rng, 5, 5)
         schurs, forms, norms, verdicts, measures = _count_factoring(monkeypatch)
+        required = count_calls(monkeypatch, spectral._require_normal)
         verify_bounds(prob, solver(prob))
+        assert len(required) == calls
         assert len(schurs) == 1 and schurs[0] is prob.A
         assert len(verdicts) == 2
         assert len(norms) == 1
-        assert len(forms) == len(measures) == calls
-        assert sum(T is prob._form("C")[0] for T in measures) == 1
-        assert sum(M is prob.C for M in forms) == 1 and _once_each(verdicts, prob)
+        assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+        assert _once_each(verdicts, prob)
         assert "norm_scale" not in prob._cache
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_one_schur_form_for_any_number_of_tolerances(self, rng, monkeypatch,
                                                          normal_a):
         # each problem's own tolerances: every solver and bound check on it
-        # reads one Schur form of A, and one normal form and one measure of
-        # C (and of A where it is normal)
+        # reads one Schur form of A, and one normal form and one measure of C
         base = make_sylvester(rng, 4, 5, normal_a=normal_a)
         solvers = ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]
         for tol in (sylvester.DEFAULT_TOLERANCES, Tolerances(tol_cluster=1e-6),
@@ -582,11 +616,39 @@ class TestOneDecomposition:
                 verify_bounds(prob, solver(prob))
             assert len(schurs) == 1 and schurs[0] is prob.A
             assert _once_each(verdicts, prob)
-            assert len(forms) == len(measures) == (2 if normal_a else 1)
-            assert sum(M is prob.C for M in forms) == 1
-            assert sum(T is prob._form("C")[0] for T in measures) == 1
+            assert len(forms) == len(measures) == 1 and forms[0] is prob.C
             assert prob.measure().tolerances is tol
             monkeypatch.undo()
+            assert np.array_equal(measures[0], spectral._normal_form(prob.C)[0])
+
+    def test_contour_solves_for_the_measure_of_c(self, rng):
+        # two eigenvalues of C 1e-10 apart merge into one atom: the contour
+        # solves for the C' of the measure, as the spectral solve does
+        Q = random_unitary(rng, 4)
+        C = Q @ np.diag([1.0, 1.0 + 1e-10, -1.0 + 0.5j, 0.5j]) @ adjoint(Q)
+        prob = SylvesterProblem(np.diag([3.0, 3.5 + 1j, 2.5 - 1j]), C,
+                                random_complex(rng, 4, 3))
+        assert len(prob.measure()) == 3
+        X = solve_spectral(prob).X
+        assert operator_norm(solve_contour(prob).X - X) <= 1e-12 * operator_norm(X)
+
+    @pytest.mark.parametrize("k", [12, 24])
+    def test_measure_is_decompose_normal(self, rng, monkeypatch, k):
+        # below and past n = 20, where `_normal_form` leaves the Schur form
+        tol = Tolerances(tol_cluster=1e-6)
+        base = make_sylvester(rng, 6, k)
+        prob = SylvesterProblem(base.A, base.C, base.D, tolerances=tol)
+        decompositions = count_calls(monkeypatch, spectral.decompose_normal)
+        sm = prob.measure()
+        assert prob.measure() is sm
+        assert len(decompositions) == 1 and decompositions[0] is prob.C
+        assert not any(M.flags.writeable for M in
+                       (sm.eigenvalues, sm.basis, sm.multiplicities))
+        monkeypatch.undo()
+        ref = decompose_normal(prob.C, tol)
+        for M, R in zip((sm.eigenvalues, sm.basis, sm.multiplicities),
+                        (ref.eigenvalues, ref.basis, ref.multiplicities)):
+            assert np.array_equal(M, R)
 
 
 class TestPreparedProblem:
@@ -609,17 +671,15 @@ class TestPreparedProblem:
         sm = prob.measure()
         assert prob.measure() is sm and sm.tolerances is tol
         assert len(measures) == 1
-        assert set(prob._cache) == {("normality", "C"), ("form", "C"),
-                                    ("measure", "C")}
+        assert set(prob._cache) == {"measure"}
         # from one normal form of C and no other Schur form, after one
         # normality verdict, which the bounds decide with no SVD
         assert len(forms) == len(verdicts) == 1 and forms[0] is prob.C
         assert not schurs and verdicts[0] is prob.C and not norms
         with pytest.raises(ValueError):  # the kept measure cannot be edited
             sm.basis[0, 0] = 0.0
-        T, Z = prob._form("C")
-        assert not (T.flags.writeable or Z.flags.writeable)
         monkeypatch.undo()
+        assert np.array_equal(measures[0], spectral._normal_form(prob.C)[0])
         ref = decompose_normal(prob.C, tol)
         for M, R in zip((sm.eigenvalues, sm.basis, sm.multiplicities),
                         (ref.eigenvalues, ref.basis, ref.multiplicities)):
