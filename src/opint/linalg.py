@@ -4,7 +4,6 @@ import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeMismatchError, SingularResolventError
 
@@ -73,10 +72,13 @@ def operator_norm(M):
     return float(np.linalg.norm(A, 2))
 
 
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
 def _pow2_scale(big, count):
     """1 if count squares up to big^2 stay in the normal float range, else
     the power of two at or below big, by which dividing is exact."""
-    fits = np.finfo(float).tiny <= big * big and count * big * big <= np.finfo(float).max
+    fits = _TINY <= big * big and count * big * big <= _HUGE
     return 2.0 ** int(np.frexp(big)[1] - 1) if 0.0 < big < np.inf and not fits else 1.0
 
 
@@ -166,6 +168,7 @@ def _hessenberg_solve(H, R, shifts, sizes):
     matrix is upper Hessenberg again, one subdiagonal and n - 1 superdiagonals
     in an (n + 2) x n band array, copied per block.  O(rows n^2) in all; a
     block whose U factor is exactly singular comes back NaN."""
+    import scipy.linalg
     n, Y = len(H), np.empty(R.shape, dtype=np.complex128)
     # band.T is LAPACK's band array of A = J H^T J: A_ij at band[j, n + i - j],
     # flat offset n + i + (n + 1) j, the diagonal in band[:, n]
@@ -245,6 +248,7 @@ def resolvent(M, z, tol=DEFAULT_TOLERANCES):
     Y (H - z) = U is one `_triangular_resolvents`: it raises
     SingularResolventError, naming z, when M - zI is numerically singular,
     i.e. z is within working precision of the spectrum of M."""
+    import scipy.linalg
     H, U = scipy.linalg.hessenberg(_square(M, "M"), calc_q=True)
     return _triangular_resolvents(H, U, np.array([complex(z)]), [len(H)], tol) @ adjoint(U)
 
@@ -482,8 +486,10 @@ def _hull_distance(v, pts):
 
 def separation(T, points, sweep):
     """Lower bounds (spectral, numrange) on min_k sigma_min(A - zeta_k) from
-    a complex Schur form A = U T U*, T = Lambda + N, with N A's departure
-    from normality (Henrici, Numer. Math. 1962) and nu >= ||N||_2.
+    a form A = U T U*, U unitary, T = Lambda + N with Lambda = diag T:
+    a complex Schur form, N A's departure from normality (Henrici, Numer.
+    Math. 1962), or `_normal_form`'s, whose N also has a strict lower
+    part; nu >= ||N||_2.  Each T_ii = u_i* A u_i lies in W(A) either way.
 
     spectral = min |lambda_j - zeta_k| - nu (Weyl).  conv(Lambda) lies in
     W(A) and W(A) in conv(Lambda) + disc(nu), so dist(zeta, W(A)), at most
@@ -494,10 +500,12 @@ def separation(T, points, sweep):
     is rounding that grows like h eps ||A||_F, so the rule skips the sweep
     for small h only: from about h = 64 it runs for normal A too.
 
-    nu = ||N||_F + 4 (h + 8) eps (||T||_F + |zeta|), four `_rounding_slack`s.
-    The computed T is the Schur form of A + E under a unitary matrix near
+    nu = ||T - diag T||_F + 4 (h + 8) eps (||T||_F + |zeta|), four
+    `_rounding_slack`s; for a Schur form T - diag T is its strict upper
+    part.  The computed T is the form of A + E under a unitary matrix near
     U, ||E||_F <= p(h) eps ||A||_F for a small multiple p(h) of h (Golub &
-    Van Loan, 7.5.6), and E moves both bounds by at most ||E||_2.  The
+    Van Loan, 7.5.6, for a Schur form; a product Z* A Z with Z from eigh
+    for a normal form), and E moves both bounds by at most ||E||_2.  The
     computed ||N||_F is low by at most h eps ||T||_F; |lambda - zeta| and
     hull distances, a few operations on numbers up to ||T||_F + |zeta|,
     are high by at most 8 eps (||T||_F + |zeta|).  For p(h) <= 3h + 24 the
@@ -509,7 +517,7 @@ def separation(T, points, sweep):
     s = _distance_scale(T, pts)
     T, pts = T / s, pts / s
     lam = np.diag(T)
-    nu = np.linalg.norm(np.triu(T, 1)) + 4.0 * _rounding_slack(T, pts)
+    nu = np.linalg.norm(T - np.diag(lam)) + 4.0 * _rounding_slack(T, pts)
     spectral = (np.abs(lam[:, None] - pts).min(axis=0) - nu).min()
     hull = _hull_distance(_hull(lam), pts)
     if np.any(hull == 0.0):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .enorm import BoundCheck, e_norm
 from .errors import (
@@ -142,10 +141,13 @@ def _certify(prob):
 
 def _apply_map(prob, sm, X):
     """One application of F(X) = sum_k P_k D (A + BX - zeta_k)^{-1}: at
-    X = 0 on the kept Schur form of A, else on a Hessenberg form of A + BX,
-    whose eigenvalues are never read; None when A + BX is not finite."""
+    X = 0 on the upper triangle of A's kept form, else on a Hessenberg
+    form of A + BX, whose eigenvalues are never read; None when A + BX is
+    not finite."""
     if not X.any():
-        return _spectral_solve(prob.schur(), sm, prob.D)
+        T, U = prob.schur()
+        return _spectral_solve((np.triu(T), U), sm, prob.D)
+    import scipy.linalg
     with np.errstate(all="ignore"):
         M = prob.A + prob.B @ X
     return (_spectral_solve(scipy.linalg.hessenberg(M, calc_q=True), sm, prob.D)

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
 from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normality, _pow2_scale, _square,
@@ -259,46 +258,84 @@ def _require_normal(C, normal, tol):
 
 
 # e^{-i theta}, theta = 0.6: Re(e^{-i theta} z) splits the real and imaginary
-# axes; on the unit circle, only pairs symmetric about the angle theta share one
-_PHASE = np.exp(-0.6j)
+# axes; on the unit circle, only pairs symmetric about the angle theta share
+# one.  Rows left coupled are split at the later angles, 1.3 and 2.1
+_PHASE, _LATER_PHASES = np.exp(-0.6j), (np.exp(-1.3j), np.exp(-2.1j))
+
+
+def _hermitian_basis(M, phase):
+    """The eigenvectors of the Hermitian part of phase M (`np.linalg.eigh`)."""
+    W = (0.5 * phase) * M  # halved first, so that W + W* cannot overflow
+    return np.linalg.eigh(W + adjoint(W))[1]
+
+
+def _off_squares(T, s):
+    """|T_ij / s|^2 off the diagonal, 0 on it."""
+    P = np.square(np.abs(T) / s)
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+def _meets_budget(P, budget):
+    """Whether the `_off_squares` P meet `_normal_form`'s bounds, in squares:
+    at most 4 budget in all and at most budget in the strict lower part
+    (the trace of the row sums up to the diagonal), which a total within
+    budget settles."""
+    total = P.sum()
+    return total <= budget or (total <= 4.0 * budget
+                               and np.cumsum(P, axis=1).trace() <= budget)
+
+
+def _coupled_rows(P, budget):
+    """S, ascending: the rows of largest sums of `_off_squares` P over row
+    and column, until what lies outside S x S totals at most budget."""
+    P = P + P.T  # row i sums both row and column i
+    order = np.argsort(-P.sum(axis=1), kind="stable")
+    # what lies outside the first k rows and columns, summed shell by shell
+    # from the last, each pair once: a difference of sums would round by
+    # eps P.sum()
+    shells = np.cumsum(P.take(order, 0).take(order, 1), axis=1).diagonal()
+    return np.sort(order[:np.count_nonzero(np.cumsum(shells[::-1]) > budget)])
 
 
 def _normal_form(M):
-    """(T, Z), M = Z T Z* with Z unitary and T upper triangular but for a
-    strict lower part of Frobenius norm at most n eps ||M||_F, a Schur
-    form's backward error; for a normal M, T is diagonal to that order.
+    """(T, Z), M = Z T Z* with Z unitary, for a normal M: T's strict lower
+    part has Frobenius norm at most n eps ||M||_F, a Schur form's backward
+    error, and its whole off-diagonal part at most 2 n eps ||M||_F, so T is
+    diagonal to that order.  numpy alone, save the rare fallback below.
 
-    The eigenvectors Z of the Hermitian part of `_PHASE` M (`np.linalg.eigh`)
-    diagonalize a normal M except where its eigenvalues collide (Goldstine &
-    Horwitz, J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann, SIMAX 14,
-    1993), so T = Z* M Z couples only those rows.  S takes the rows of
-    largest |T_i.|^2 + |T_.i|^2, off the diagonal, until what lies outside
-    S x S is within the budget, and one Schur form of T[S, S] rotates Z[:, S]
-    and T's S rows and columns.  The squares are taken on T divided by the
-    `_pow2_scale` of the budget, so they neither overflow nor underflow.
-    Below n = 20, where it costs less, the form is M's complex Schur form.
+    The eigenvectors Z of the Hermitian part of `_PHASE` M diagonalize a
+    normal M except where its eigenvalues collide (Goldstine & Horwitz,
+    J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993), so
+    T = Z* M Z couples only those rows.  While T misses the bounds, the
+    `_coupled_rows` S, outside of which T is within n eps ||M||_F, are
+    split at the next of `_LATER_PHASES`, where the collided eigenvalues
+    part: the eigenvectors of the Hermitian part of that phase times T[S, S]
+    turn Z[:, S], and T = Z* M Z is formed again.  Past the last phase a
+    Schur form of T[S, S] (scipy.linalg.schur) turns Z[:, S] and T's S rows
+    and columns.  The squares are taken on T divided by the `_pow2_scale`
+    of the budget, so they neither overflow nor underflow.
     """
-    n = len(M)
-    if n < 20:
-        return scipy.linalg.schur(M, output="complex")
-    W = 0.5 * _PHASE * M  # halved first, so that W + W* cannot overflow
-    Z = np.linalg.eigh(W + adjoint(W))[1]
+    n, eps = len(M), float(np.finfo(float).eps)  # no warning where a square overflows
+    Z = _hermitian_basis(M, _PHASE)
     T = adjoint(Z) @ M @ Z
     P = np.abs(T)
-    eps = float(np.finfo(float).eps)  # a Python float: no warning where a square overflows
     s = _pow2_scale(n * eps * float(P.max()), eps ** -2)
     P = np.square(P / s)  # |T_ij / s|^2
     budget = (n * eps) ** 2 * P.sum()  # (n eps ||M||_F / s)^2
-    np.fill_diagonal(P, 0.0)
-    if P.sum() <= budget:
+    np.fill_diagonal(P, 0.0)  # the `_off_squares` of T
+    for phase in _LATER_PHASES:
+        if _meets_budget(P, budget):
+            return T, Z
+        S = _coupled_rows(P, budget)
+        Z[:, S] = Z[:, S] @ _hermitian_basis(T.take(S, 0).take(S, 1), phase)
+        T = adjoint(Z) @ M @ Z
+        P = _off_squares(T, s)
+    if _meets_budget(P, budget):
         return T, Z
-    order = np.argsort(-(P.sum(axis=0) + P.sum(axis=1)), kind="stable")
-    P = P[np.ix_(order, order)]
-    # what lies outside the first k rows and columns, summed shell by shell
-    # from the last: a difference of sums would round by eps P.sum()
-    outside = np.cumsum((np.tril(P).sum(axis=1) + np.triu(P).sum(axis=0))[::-1])[::-1]
-    S = np.sort(order[:np.count_nonzero(outside > budget)])
-    R, U = scipy.linalg.schur(T[np.ix_(S, S)], output="complex")
+    import scipy.linalg
+    S = _coupled_rows(P, budget)
+    R, U = scipy.linalg.schur(T.take(S, 0).take(S, 1), output="complex")
     Z[:, S] = Z[:, S] @ U
     T[S] = adjoint(U) @ T[S]
     T[:, S] = T[:, S] @ U
@@ -327,12 +364,12 @@ def _measure_of_schur(T, Z, tol):
 def decompose_normal(C, tol=DEFAULT_TOLERANCES):
     """Spectral measure of a normal matrix.
 
-    Uses `_normal_form` (one Hermitian eigensolver, and a Schur form of the
-    rows it leaves coupled; diagonal to the backward error of a Schur form
-    for normal input, with orthonormal vectors), clusters near-coincident
-    eigenvalues, and keeps the vectors, grouped by cluster, as the basis of
-    the measure, so each P_k = Q_k Q_k* is Hermitian and idempotent to
-    machine precision.  The measure keeps tol as its tolerances.
+    Uses `_normal_form` (Hermitian eigensolvers in numpy, save a rare
+    fallback; diagonal to the backward error of a Schur form for normal
+    input, with orthonormal vectors), clusters near-coincident eigenvalues,
+    and keeps the vectors, grouped by cluster, as the basis of the measure,
+    so each P_k = Q_k Q_k* is Hermitian and idempotent to machine
+    precision.  The measure keeps tol as its tolerances.
 
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2, with
     the two SVDs only where Frobenius and row-norm bounds on both norms

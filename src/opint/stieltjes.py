@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError,
                      SingularResolventError)
@@ -106,6 +105,7 @@ class OperatorFunction:
         if D.shape[1] != A.shape[0]:
             raise ShapeMismatchError(
                 f"cannot form D (A - z)^{{-1}} from shapes {D.shape} and {A.shape}")
+        import scipy.linalg
         T, U = scipy.linalg.schur(A.T, output="complex")
         DU = D @ np.conj(U)
         F = cls(evaluate=lambda lam, mu: DU @ _triangular_resolvents(

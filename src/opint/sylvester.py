@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
 from .enorm import BoundCheck, e_norm
 from .errors import (
@@ -40,7 +39,7 @@ from .linalg import (
     operator_norm,
     separation,
 )
-from .spectral import _require_normal, decompose_normal
+from .spectral import _normal_form, _require_normal, decompose_normal
 
 __all__ = [
     "SylvesterProblem",
@@ -68,10 +67,10 @@ class _Prepared:
     """A problem prepared once: read-only private copies of its matrices
     (every field but the tolerances, which no call on the problem can
     replace), and what every solver, bound check and certificate reads
-    about them, computed on first use and kept: A's complex Schur form and
-    normality verdict; C's spectral measure, the one form in which C
-    reaches a solver; the norm scale, where bounds cannot decide a test
-    against it; the separation; the certificate."""
+    about them, computed on first use and kept: A's normality verdict and
+    its one kept form (`schur`); C's spectral measure, the one form in
+    which C reaches a solver; the norm scale, where bounds cannot decide a
+    test against it; the separation; the certificate."""
 
     def __post_init__(self):
         if not isinstance(self.tolerances, Tolerances):
@@ -105,10 +104,19 @@ class _Prepared:
         return self._cache[key]
 
     def schur(self):
-        """The complex Schur form (T, U) of A = U T U*, computed once; both
-        factors are read-only."""
-        return self._cached("schur", lambda: _read_only(
-            *scipy.linalg.schur(self.A, output="complex")))
+        """The kept form (T, U) of A = U T U*, computed once, both factors
+        read-only: `_normal_form(A)` where A's `is_normal` verdict holds,
+        else A's complex Schur form (scipy.linalg.schur).  Either way
+        diag(T) holds A's eigenvalues and T's strict lower part is within
+        h eps ||A||_F, so a consumer that needs a triangular T reads
+        np.triu(T), A up to that part."""
+        def build():
+            if self._normality():
+                return _normal_form(self.A)
+            import scipy.linalg
+            return scipy.linalg.schur(self.A, output="complex")
+
+        return self._cached("schur", lambda: _read_only(*build()))
 
     def _normality(self):
         """`is_normal` of A, computed once."""
@@ -197,10 +205,11 @@ def _finish(prob, X, method, gap):
 
 def _spectral_solve(schur, sm, D):
     """sum_k P_k D (M - zeta_k)^{-1}, the left integral of D (M - z)^{-1}
-    against the measure sm, on schur = (T, U), M = U T U*, with T a complex
-    Schur form (upper triangular) or an upper Hessenberg form: Q Y U* for the
-    eigenbasis Q, with block rows Y_k = Q_k* D U (T - zeta_k)^{-1} from one
-    `_triangular_resolvents`, which names a failing atom."""
+    against the measure sm, on schur = (T, U), M = U T U*, with T upper
+    triangular (a complex Schur form, or the upper triangle of a normal
+    form) or upper Hessenberg: Q Y U* for the eigenbasis Q, with block rows
+    Y_k = Q_k* D U (T - zeta_k)^{-1} from one `_triangular_resolvents`,
+    which names a failing atom."""
     T, U = schur
     Y = _triangular_resolvents(T, adjoint(sm.basis) @ D @ U, sm.eigenvalues,
                                sm.multiplicities, sm.tolerances)
@@ -210,7 +219,8 @@ def _spectral_solve(schur, sm, D):
 def solve_spectral(prob):
     """X = sum_k P_k D (A - zeta_k)^{-1}, the left integral of D (A - z)^{-1}."""
     gap = _require_gap(prob)
-    X = _spectral_solve(prob.schur(), prob.measure(), prob.D)
+    T, U = prob.schur()
+    X = _spectral_solve((np.triu(T), U), prob.measure(), prob.D)
     return _finish(prob, X, "spectral", gap)
 
 
@@ -330,14 +340,14 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     successive change drops to tol_quad.  Returns (X, nodes_used).
 
     C reaches the nodes through its measure, C' = Q diag(lam) Q* with lam
-    each atom repeated by its multiplicity, and A through its kept Schur
-    form A = U T_A U*: each node is a row scaling of D_t = Q* D U by
-    1 / (z - lam_i) and a solve on T_A (`_node_sum`), so X solves the
-    equation for the C' that `solve_spectral` and `solve_double_spectral`
-    solve for.  T_A, lam, D and the circles are divided by one
-    `_distance_scale` (1 in range).  The node sets are nested: a doubling
-    evaluates only the new odd-index nodes and adds them, weighted by their
-    circle's radius, to one running sum.
+    each atom repeated by its multiplicity, and A through the upper
+    triangle T_A of its kept form A = U T U* (`_Prepared.schur`): each node
+    is a row scaling of D_t = Q* D U by 1 / (z - lam_i) and a solve on T_A
+    (`_node_sum`), so X solves the equation for the C' and the A up to T's
+    strict lower part that `solve_spectral` solves for.  T_A, lam, D and
+    the circles are divided by one `_distance_scale` (1 in range).  The
+    node sets are nested: a doubling evaluates only the new odd-index nodes
+    and adds them, weighted by their circle's radius, to one running sum.
 
     Raises ContourConstructionError, before any node, when there is no
     circle or a centre is not finite or a radius not finite and positive.
@@ -351,6 +361,7 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     sm = prob.measure()
     Q, lam = sm.basis, np.repeat(sm.eigenvalues, sm.multiplicities)
     T_A, U = prob.schur()
+    T_A = np.triu(T_A)
     # X solves the equation for A / s, C / s and D / s too, where the nodes'
     # integrand, about |D| / |A| |C|, cannot underflow for A and C near 1e200
     s = _distance_scale(T_A, np.append(lam, centers))
@@ -395,9 +406,9 @@ def solve_contour(prob):
 
 def solve_double_spectral(prob):
     """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k), by
-    `_spectral_solve` on A = U diag(z) U*, z the diagonal of A's kept Schur
-    form A = U T U*, which is diagonal to rounding for a normal A.
-    Requires A normal as well; raises NotNormalError otherwise.
+    `_spectral_solve` on A = U diag(z) U*, z the diagonal of A's kept form
+    A = U T U*, for a normal A its `_normal_form`, diagonal to 2 h eps
+    ||A||_F.  Requires A normal as well; raises NotNormalError otherwise.
     """
     gap = _require_gap(prob)
     _require_normal(prob.A, prob._normality(), prob.tolerances)

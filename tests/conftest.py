@@ -462,8 +462,9 @@ def count_calls(monkeypatch, fn, modules=None):
 
 def count_decompositions(monkeypatch):
     """(schurs, forms): the matrices given to scipy.linalg.schur, save the
-    calls a normal form makes inside itself (for its coupled rows, or for
-    the whole of a small matrix), and those given to spectral._normal_form."""
+    calls a normal form makes inside itself (its fallback for coupled
+    rows), and those given to _normal_form, patched in spectral and in
+    sylvester, which imports it."""
     schurs, forms, inside = [], [], []
     schur, form = scipy.linalg.schur, spectral._normal_form
 
@@ -481,7 +482,8 @@ def count_decompositions(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-    monkeypatch.setattr(spectral, "_normal_form", counted_form)
+    for module in (spectral, sylvester):
+        monkeypatch.setattr(module, "_normal_form", counted_form)
     return schurs, forms
 
 

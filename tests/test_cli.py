@@ -16,8 +16,10 @@ import opint.sylvester as sylvester
 from opint.cli import main
 from opint.probfile import load_problem, matrix_from_json, matrix_to_json
 from opint import InvalidProblemError, SpectralMeasure, operator_norm
+from opint.spectral import _PHASE, _normal_form
 
-from conftest import make_certified_riccati, random_normal
+from conftest import (count_decompositions, make_certified_riccati, random_normal,
+                      random_unitary)
 
 
 def matjson(M):
@@ -764,6 +766,53 @@ def test_import_seeds_thread_env():
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "2"
+
+
+# Spectra of n = 8 whose values Re(_PHASE z) lie 2/7 (C) and 1/7 (A) apart:
+# eigh leaves no rows of them coupled, so `_normal_form` does not take its
+# scipy fallback, and the test reads which calls load scipy, not how often
+# the fallback fires
+def _scipy_free_problem(tmp_path):
+    r = np.random.default_rng(8)
+    x = np.linspace(-1.0, 1.0, 8)
+    z_c = np.conj(_PHASE) * (x + 1j * r.uniform(-1.0, 1.0, 8))
+    z_a = 4.0 + 0.5 * np.conj(_PHASE) * (x[::-1] + 1j * r.uniform(-1.0, 1.0, 8))
+    U, V = random_unitary(r, 8), random_unitary(r, 8)
+    C, A = (U * z_c) @ U.conj().T, (V * z_a) @ V.conj().T
+    return C, A, write_problem(tmp_path, C=matjson(C), A=matjson(A),
+                               D=matjson(r.standard_normal((8, 8))),
+                               Y=matjson(r.standard_normal((8, 3))),
+                               rect={"a": -2, "b": 2, "c": -2, "d": 2})
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_normal_problems_leave_scipy_unloaded(tmp_path, monkeypatch, flags):
+    C, A, path = _scipy_free_problem(tmp_path)
+    schurs, _ = count_decompositions(monkeypatch)
+    _normal_form(C), _normal_form(A)
+    assert not schurs  # the premise: no fallback on these inputs
+    calls = [["spectral", path], ["enorm", path],
+             ["integrate", path, "--function", "affine:1,2"]]
+    calls += [["sylvester", path, "--method", m]
+              for m in ("spectral", "kronecker", "contour", "double")]
+    script = textwrap.dedent("""
+        import json, os, sys
+        import opint
+        from opint.cli import main
+        seen = {"import opint": [0, "scipy.linalg" in sys.modules]}
+        for argv in json.loads(sys.argv[1]):
+            code = main(argv + ["--output", os.devnull])
+            seen[" ".join(argv[:1] + argv[2:])] = [code, "scipy.linalg" in sys.modules]
+        print(json.dumps(seen))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opint.__file__)))
+    out = subprocess.run([sys.executable, *flags, "-c", script, json.dumps(calls)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert len(seen) == 1 + len(calls)
+    assert all(v == [0, False] for v in seen.values()), seen
 
 
 def test_console_script_is_cli_main():

@@ -245,16 +245,18 @@ class TestPreparedProblem:
         posterior_check(prob, report)
         assert len(measures) == 1 and len(sweeps) == gaps
         assert prob.measure().tolerances is tol
-        assert len(verdicts) == 1 and verdicts[0] is prob.C
+        # one verdict per matrix: C's for its measure, A's for its kept form
+        assert len(verdicts) == 2 and verdicts[0] is prob.C and verdicts[1] is prob.A
         # the norms of B, of each step, of the residual and of X, and no
         # norm of C or of its commutator: the bounds decide its verdict
         # and every stop test
         assert len(norms) == 1 + report.iterations + 2
         assert norms[0] is prob.B and not any(M is prob.C for M in norms)
-        # a Schur form of A and a normal form of C, then a Hessenberg form
-        # of A + BX per later step
-        assert len(schurs) == 1 and schurs[0] is prob.A
-        assert len(forms) == 1 and forms[0] is prob.C
+        # a normal form of C, a normal form of a normal A and a Schur form
+        # of any other, then a Hessenberg form of A + BX per later step
+        assert len(forms) == 1 + normal_a and forms[0] is prob.C
+        assert len(schurs) == 1 - normal_a
+        assert all(M is prob.A for M in schurs + forms[1:])
         assert len(hessenbergs) == report.iterations - 1 > 0
 
 

@@ -522,6 +522,15 @@ def _once_each(seen, prob):
             and sum(M is prob.C for M in seen) == 1)
 
 
+def _one_form_each(prob, schurs, forms, normal_a=True):
+    """One decomposition per matrix: a normal form of C, and of A where A
+    is normal, else a Schur form of A."""
+    if normal_a:
+        return not schurs and _once_each(forms, prob)
+    return (len(schurs) == 1 and schurs[0] is prob.A
+            and len(forms) == 1 and forms[0] is prob.C)
+
+
 class TestOneDecomposition:
     # calls: the normality requirements a solve checks, C's for its measure
     # and, for the double sum, A's
@@ -533,19 +542,18 @@ class TestOneDecomposition:
         schurs, forms, _, _, measures = _count_factoring(monkeypatch)
         required = count_calls(monkeypatch, spectral._require_normal)
         report = solver(prob)
-        # one Schur form of A and one normal form of C, whose measure the
-        # solver reads; the double sum reads A's eigenpairs off its Schur form
-        assert len(schurs) == 1 and schurs[0] is prob.A
-        assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+        # one normal form of each of A and C, C's measure built from its
+        # own; the double sum reads A's eigenpairs off A's kept form
+        assert _one_form_each(prob, schurs, forms) and len(measures) == 1
         assert len(required) == calls
         assert all(M is N for M, N in zip(required, (prob.C, prob.A)))
         monkeypatch.undo()
         # the measure is built from C's normal form
         assert np.array_equal(measures[0], spectral._normal_form(prob.C)[0])
-        # the report is the one a fresh decomposition of C gives
+        # the report is the one fresh decompositions of A and C give
         atoms = decompose_normal(prob.C).eigenvalues
         assert report.gap_numrange == separation(
-            scipy.linalg.schur(prob.A, output="complex")[0], atoms,
+            spectral._normal_form(prob.A)[0], atoms,
             lambda: numrange_gap(prob.A, atoms))[1]
 
     def test_double_spectral_decomposes_each_matrix_once(self, rng, monkeypatch):
@@ -553,34 +561,32 @@ class TestOneDecomposition:
         schurs, forms, _, verdicts, measures = _count_factoring(monkeypatch)
         reports = [solve_double_spectral(prob) for _ in range(3)]
         verify_bounds(prob, reports[0])
-        assert len(schurs) == 1 and schurs[0] is prob.A
-        assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+        assert _one_form_each(prob, schurs, forms) and len(measures) == 1
         assert _once_each(verdicts, prob)
         assert all(np.array_equal(r.X, reports[0].X) for r in reports)
         monkeypatch.undo()
-        # A's eigenpairs off its Schur form: the sum agrees with the oracle
+        # A's eigenpairs off its kept form: the sum agrees with the oracle
         X = solve_kronecker(prob).X
         assert operator_norm(reports[0].X - X) <= 1e-12 * operator_norm(X)
 
     @pytest.mark.parametrize("normal_a", [True, False])
     def test_every_report_takes_one_form_per_matrix(self, rng, monkeypatch, normal_a):
-        # h = k = 24: past n = 20, where `_normal_form` leaves the Schur form,
-        # so a normal form of A would be a second decomposition of it
+        # h = k = 24: a normal form of A where it is normal, else a Schur
+        # form, never both
         base = make_sylvester(rng, 24, 24, normal_a=normal_a)
         for solver in ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]:
             prob = SylvesterProblem(base.A, base.C, base.D)
             schurs, forms, _, verdicts, _ = _count_factoring(monkeypatch)
             decompositions = count_calls(monkeypatch, spectral.decompose_normal)
             verify_bounds(prob, solver(prob))
-            assert len(schurs) == 1 and schurs[0] is prob.A
-            assert len(forms) == 1 and forms[0] is prob.C
+            assert _one_form_each(prob, schurs, forms, normal_a)
             assert len(decompositions) == 1 and decompositions[0] is prob.C
             assert _once_each(verdicts, prob)
             monkeypatch.undo()
 
-    # per report (solve + verify_bounds): a Schur form of A, a normal form
-    # of C, a normality verdict of each of A and C (required of A by the
-    # double sum alone), and the residual's norm; the bounds decide the
+    # per report (solve + verify_bounds): a normal form of each of A and C,
+    # a normality verdict of each (required of A by the double sum alone),
+    # and the residual's norm; the bounds decide the
     # verdicts, the gap and numerical-range tests against the norms of A
     # and C, and the contour's three stop tests (32 to 256 nodes on its one
     # circle) on this instance, so no other norm is taken
@@ -594,10 +600,9 @@ class TestOneDecomposition:
         required = count_calls(monkeypatch, spectral._require_normal)
         verify_bounds(prob, solver(prob))
         assert len(required) == calls
-        assert len(schurs) == 1 and schurs[0] is prob.A
         assert len(verdicts) == 2
         assert len(norms) == 1
-        assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+        assert _one_form_each(prob, schurs, forms) and len(measures) == 1
         assert _once_each(verdicts, prob)
         assert "norm_scale" not in prob._cache
 
@@ -605,7 +610,8 @@ class TestOneDecomposition:
     def test_one_schur_form_for_any_number_of_tolerances(self, rng, monkeypatch,
                                                          normal_a):
         # each problem's own tolerances: every solver and bound check on it
-        # reads one Schur form of A, and one normal form and one measure of C
+        # reads one form of A (`_one_form_each`), and one normal form and
+        # one measure of C
         base = make_sylvester(rng, 4, 5, normal_a=normal_a)
         solvers = ALL_SOLVERS if normal_a else ALL_SOLVERS[:3]
         for tol in (sylvester.DEFAULT_TOLERANCES, Tolerances(tol_cluster=1e-6),
@@ -614,9 +620,8 @@ class TestOneDecomposition:
             schurs, forms, _, verdicts, measures = _count_factoring(monkeypatch)
             for solver in solvers:
                 verify_bounds(prob, solver(prob))
-            assert len(schurs) == 1 and schurs[0] is prob.A
-            assert _once_each(verdicts, prob)
-            assert len(forms) == len(measures) == 1 and forms[0] is prob.C
+            assert _one_form_each(prob, schurs, forms, normal_a)
+            assert _once_each(verdicts, prob) and len(measures) == 1
             assert prob.measure().tolerances is tol
             monkeypatch.undo()
             assert np.array_equal(measures[0], spectral._normal_form(prob.C)[0])
@@ -1044,6 +1049,38 @@ class TestSeparation:
         assert (len(sweeps) > 0) != normal
         for c in (2.0 ** 600, 2.0 ** -600):
             assert np.array_equal(bounds(c), c * base)
+
+    def test_nu_counts_a_strict_lower_part(self, rng):
+        # A = Z T Z* with T's off-diagonal part strictly lower: nu is
+        # ||T - diag T||_F, and both bounds stay at or below the dense
+        # sigma_min oracle, which the strict upper part alone would overshoot
+        lam = np.array([3.0, 3.5 + 0.5j, 2.5 - 0.5j, 3.0 + 1.0j])
+        T = np.diag(lam) + 0.3 * np.tril(random_complex(rng, 4, 4), -1)
+        Z = random_unitary(rng, 4)
+        A, pts = Z @ T @ adjoint(Z), np.array([1.0, 0.5j, 1.2 - 0.4j])
+        oracle = min_sigma(A, pts)
+        spectral, numrange = separation(T, pts, lambda: numrange_gap(A, pts))
+        assert 0.0 < spectral <= oracle and numrange <= oracle
+        upper_only = (np.abs(lam[:, None] - pts).min() - 4.0 * linalg._rounding_slack(T, pts))
+        assert upper_only.min() > oracle
+
+    @pytest.mark.parametrize("normal", [True, False])
+    def test_schur_form_bounds_are_the_strict_upper_part_ones(self, rng, normal):
+        # on a Schur T, T - diag T is its strict upper part to the bit: the
+        # bounds are those of nu = ||triu(T, 1)||_F
+        A = make_sylvester(rng, 6, 3, normal_a=normal).A
+        T = scipy.linalg.schur(A, output="complex")[0]
+        pts = random_complex(rng, 3, 1).ravel()
+        sweep = lambda: numrange_gap(A, pts)
+        s = linalg._distance_scale(T, pts)
+        Ts, ps = T / s, pts / s
+        lam = np.diag(Ts)
+        nu = np.linalg.norm(np.triu(Ts, 1)) + 4.0 * linalg._rounding_slack(Ts, ps)
+        hull = linalg._hull_distance(linalg._hull(lam), ps)
+        numrange = (hull - nu).min() if np.all(nu <= 1e-12 * hull) else sweep() / s
+        expected = (max(float((np.abs(lam[:, None] - ps).min(axis=0) - nu).min()), 0.0) * s,
+                    max(float(numrange), 0.0) * s)
+        assert separation(T, pts, sweep) == expected
 
     def test_huge_entries_keep_a_finite_gap(self):
         # squares of 1e200 overflow; the parent reported gap_numrange = 0
