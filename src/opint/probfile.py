@@ -48,7 +48,10 @@ def matrix_from_json(obj, name="matrix"):
                 or not all(type(v) in (int, float) for v in pair)):
             raise InvalidProblemError(
                 f"{name} data entry {i} is not a [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise InvalidProblemError(f"{name} data entry {i} exceeds the float range") from exc
     if not np.all(np.isfinite(out)):
         raise InvalidProblemError(f"{name} contains non-finite entries")
     return out.reshape((rows, cols), order="C")

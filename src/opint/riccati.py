@@ -159,8 +159,9 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     """Iterate the integral map to a fixed point.
 
     Starts from x0 (default zero, which lies in every admissible ball)
-    and stops when ||X_{n+1} - X_n|| <= tol * max(1, ||X_n||).  When the
-    certificate fails, the solve proceeds only with
+    and stops when ||X_{n+1} - X_n|| <= tol * max(1, ||X_{n+1}||), the
+    new iterate's norm; a step whose norm is not finite never stops it.
+    When the certificate fails, the solve proceeds only with
     override_certificate=True; the theorem is sufficient rather than
     necessary, so best-effort iteration is still offered, with honest
     reporting.
@@ -200,7 +201,7 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
         step = operator_norm(X_next - X)
         step_norms.append(step)
         X = X_next
-        if _norm_test(lambda norm: step <= tol * max(1.0, norm), (X,)):
+        if math.isfinite(step) and _norm_test(lambda norm: step <= tol * max(1.0, norm), (X,)):
             converged = True
             break
     report = RiccatiReport(X=X, iterations=len(step_norms),

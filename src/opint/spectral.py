@@ -269,26 +269,9 @@ def _hermitian_basis(M, phase):
     return np.linalg.eigh(W + adjoint(W))[1]
 
 
-def _off_squares(T, s):
-    """|T_ij / s|^2 off the diagonal, 0 on it."""
-    P = np.square(np.abs(T) / s)
-    np.fill_diagonal(P, 0.0)
-    return P
-
-
-def _meets_budget(P, budget):
-    """Whether the `_off_squares` P meet `_normal_form`'s bounds, in squares:
-    at most 4 budget in all and at most budget in the strict lower part
-    (the trace of the row sums up to the diagonal), which a total within
-    budget settles."""
-    total = P.sum()
-    return total <= budget or (total <= 4.0 * budget
-                               and np.cumsum(P, axis=1).trace() <= budget)
-
-
 def _coupled_rows(P, budget):
-    """S, ascending: the rows of largest sums of `_off_squares` P over row
-    and column, until what lies outside S x S totals at most budget."""
+    """S, ascending: the rows of largest sums of P, T's off-diagonal squares,
+    over row and column, until what lies outside S x S totals at most budget."""
     P = P + P.T  # row i sums both row and column i
     order = np.argsort(-P.sum(axis=1), kind="stable")
     # what lies outside the first k rows and columns, summed shell by shell
@@ -302,16 +285,16 @@ def _normal_form(M):
     """(T, Z), M = Z T Z* with Z unitary, for a normal M: T's strict lower
     part has Frobenius norm at most n eps ||M||_F, a Schur form's backward
     error, and its whole off-diagonal part at most 2 n eps ||M||_F, so T is
-    diagonal to that order.  numpy alone, save the rare fallback below.
+    diagonal to that order.  numpy alone, save the rare last finish below.
 
     The eigenvectors Z of the Hermitian part of `_PHASE` M diagonalize a
     normal M except where its eigenvalues collide (Goldstine & Horwitz,
     J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993), so
-    T = Z* M Z couples only those rows.  While T misses the bounds, the
-    `_coupled_rows` S, outside of which T is within n eps ||M||_F, are
-    split at the next of `_LATER_PHASES`, where the collided eigenvalues
-    part: the eigenvectors of the Hermitian part of that phase times T[S, S]
-    turn Z[:, S], and T = Z* M Z is formed again.  Past the last phase a
+    T = Z* M Z couples only those rows.  One loop tries three finishes
+    until T meets the bounds, each on the `_coupled_rows` S, outside of
+    which T is within n eps ||M||_F.  At each of `_LATER_PHASES`, where the
+    collided eigenvalues part, the eigenvectors of the Hermitian part of
+    phase T[S, S] turn Z[:, S], and T = Z* M Z is formed again.  Last, a
     Schur form of T[S, S] (scipy.linalg.schur) turns Z[:, S] and T's S rows
     and columns.  The squares are taken on T divided by the `_pow2_scale`
     of the budget, so they neither overflow nor underflow.
@@ -319,27 +302,32 @@ def _normal_form(M):
     n, eps = len(M), float(np.finfo(float).eps)  # no warning where a square overflows
     Z = _hermitian_basis(M, _PHASE)
     T = adjoint(Z) @ M @ Z
-    P = np.abs(T)
-    s = _pow2_scale(n * eps * float(P.max()), eps ** -2)
-    P = np.square(P / s)  # |T_ij / s|^2
-    budget = (n * eps) ** 2 * P.sum()  # (n eps ||M||_F / s)^2
-    np.fill_diagonal(P, 0.0)  # the `_off_squares` of T
-    for phase in _LATER_PHASES:
-        if _meets_budget(P, budget):
-            return T, Z
+    s = _pow2_scale(n * eps * float(np.abs(T).max()), eps ** -2)
+    budget = None
+    for phase in (*_LATER_PHASES, None):  # None: the Schur finish
+        P = np.square(np.abs(T) / s)  # |T_ij / s|^2
+        if budget is None:  # (n eps ||M||_F / s)^2, read off the first form
+            budget = (n * eps) ** 2 * P.sum()
+        np.fill_diagonal(P, 0.0)
+        # the bounds, in squares: at most 4 budget off the diagonal and at
+        # most budget in the strict lower part (the trace of the row sums up
+        # to the diagonal), which a total within budget settles
+        total = P.sum()
+        if total <= budget or (total <= 4.0 * budget
+                               and np.cumsum(P, axis=1).trace() <= budget):
+            break
         S = _coupled_rows(P, budget)
-        Z[:, S] = Z[:, S] @ _hermitian_basis(T.take(S, 0).take(S, 1), phase)
-        T = adjoint(Z) @ M @ Z
-        P = _off_squares(T, s)
-    if _meets_budget(P, budget):
-        return T, Z
-    import scipy.linalg
-    S = _coupled_rows(P, budget)
-    R, U = scipy.linalg.schur(T.take(S, 0).take(S, 1), output="complex")
-    Z[:, S] = Z[:, S] @ U
-    T[S] = adjoint(U) @ T[S]
-    T[:, S] = T[:, S] @ U
-    T[np.ix_(S, S)] = R
+        block = T.take(S, 0).take(S, 1)
+        if phase is not None:
+            Z[:, S] = Z[:, S] @ _hermitian_basis(block, phase)
+            T = adjoint(Z) @ M @ Z
+        else:
+            import scipy.linalg
+            R, U = scipy.linalg.schur(block, output="complex")
+            Z[:, S] = Z[:, S] @ U
+            T[S] = adjoint(U) @ T[S]
+            T[:, S] = T[:, S] @ U
+            T[np.ix_(S, S)] = R
     return T, Z
 
 

@@ -337,7 +337,8 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     The circles are traversed counterclockwise; with winding number one
     around spec(C) and zero around spec(A) this reproduces the solution
     of XA - CX = D.  Doubles the node count per circle until the
-    successive change drops to tol_quad.  Returns (X, nodes_used).
+    successive change, of finite norm, drops to tol_quad * max(1, ||X||).
+    Returns (X, nodes_used).
 
     C reaches the nodes through its measure, C' = Q diag(lam) Q* with lam
     each atom repeated by its multiplicity, and A through the upper
@@ -383,8 +384,8 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
             raise
         X = Q @ (acc / n) @ adjoint(U)
         if prev is not None and _norm_test(
-                lambda change, norm: change <= prob.tolerances.tol_quad * max(1.0, norm),
-                (X - prev, X)):
+                lambda change, norm: change <= prob.tolerances.tol_quad * max(1.0, norm)
+                and change < np.inf, (X - prev, X)):
             return X, n
         if n >= max_nodes:
             raise NoConvergenceError(

@@ -74,6 +74,21 @@ def make_certified_riccati(rng, h, k, normal_a=True, margin=0.4):
     return prob
 
 
+# A Riccati problem (A, B, C, D), found by fuzzing the CLI, whose first
+# fixed-point step has finite entries near 1.5e308 but an operator norm
+# that overflows: its stop test once read inf <= inf and reported converged.
+OVERFLOWING_STEP = (
+    [[-8.102990613264936e-301 + 8.546798405284294e-302j]],
+    [[-1.468157065886964e+300 - 6.251133444301982e+299j,
+      1.6427064321243586e+300 - 4.308487477069148e+299j]],
+    [[1.2591630062276995e-08 - 9.297727487588736e-09j,
+      -3.386934020163932e-25 + 8.399236375133393e-25j],
+     [3.312427285138347e-26 - 2.666327585003676e-25j,
+      1.2591630062276993e-08 - 9.297727487588738e-09j]],
+    [[2.3148218720743952e+300 - 4.42960597126163e+299j],
+     [-2.0194023271865667e+300 + 1.2051810140487279e+300j]])
+
+
 def near_normal_case(seed, h, k, log_scale, log_offset):
     """(A, C) with A = U (Lambda + 10^log_scale N) U* for N strictly upper
     triangular, and C normal with k atoms 10^log_offset away from points

@@ -18,8 +18,8 @@ from opint.probfile import load_problem, matrix_from_json, matrix_to_json
 from opint import InvalidProblemError, SpectralMeasure, operator_norm
 from opint.spectral import _PHASE, _normal_form
 
-from conftest import (count_decompositions, make_certified_riccati, random_normal,
-                      random_unitary)
+from conftest import (OVERFLOWING_STEP, count_decompositions, make_certified_riccati,
+                      random_normal, random_unitary)
 
 
 def matjson(M):
@@ -87,6 +87,16 @@ class TestProblemFile:
             load_problem(path)
         code, _, _ = run(capsys, ["spectral", path])
         assert code == 2
+
+    def test_huge_integer_entry_exits_2(self, tmp_path, capsys):
+        # complex(10**400, 0) raised OverflowError, a traceback and exit 1
+        path = write_problem(tmp_path, C={"rows": 2, "cols": 1,
+                                          "data": [[1.0, 0.0], [0.0, -10 ** 400]]})
+        with pytest.raises(InvalidProblemError, match="C data entry 1 exceeds the float range"):
+            load_problem(path)
+        code, out, err = run(capsys, ["spectral", path])
+        assert (code, out) == (2, "")
+        assert err == "error: C data entry 1 exceeds the float range\n"
 
     @pytest.mark.parametrize("value", ["1e-6", True, None])
     def test_rejects_non_number_tolerances(self, tmp_path, capsys, value):
@@ -276,6 +286,16 @@ class TestRiccatiCommand:
         assert (code, out) == (4, "")
         assert err.startswith("error: fixed-point iteration diverged: "
                               "A + BX is not finite at step 2 (last step ")
+
+    def test_step_of_overflowing_norm_exits_4(self, tmp_path, capsys):
+        # the stop test once took a step of norm inf as converged, and
+        # posterior_check then warned and exited 4 on a nan sigma_min
+        path = write_problem(tmp_path, **{name: matjson(M) for name, M
+                                          in zip("ABCD", OVERFLOWING_STEP)})
+        code, out, err = run(capsys, ["riccati", path, "--override-certificate"])
+        assert (code, out) == (4, "")
+        assert err == ("error: fixed-point iteration diverged: A + BX is not finite "
+                       "at step 2 (last step inf)\n")
 
     def test_tiny_entries_certify_and_solve(self, tmp_path, capsys):
         # d^2 / 4 and (d - ||B|| r_min)^2 underflow unless the certificate scales

@@ -39,7 +39,7 @@ from opint import (
 from opint.linalg import (DEFAULT_TOLERANCES, numrange_distances, numrange_gap,
                           resolvent, separation)
 
-from conftest import (bounding_rect, count_calls, count_decompositions,
+from conftest import (OVERFLOWING_STEP, bounding_rect, count_calls, count_decompositions,
                       lu_resolvent_raises, make_certified_riccati, min_sigma,
                       near_normal_case, random_complex, random_normal, random_unitary,
                       shift_sweep, spectral_norm_guard_raises)
@@ -326,6 +326,17 @@ class TestSolve:
         report = err.value.report
         assert report.iterations == len(report.step_norms) == 1 and not report.converged
         assert np.isfinite(report.X).all() and report.residual == np.inf
+
+    def test_step_of_overflowing_norm_never_stops(self):
+        # X_1 is finite but ||X_1 - X_0|| overflows: the stop test read
+        # inf <= inf, and the run was converged with residual inf
+        prob = RiccatiProblem(*OVERFLOWING_STEP)
+        with pytest.raises(MaxIterationsError, match="diverged: A [+] BX is not finite "
+                                                     "at step 2") as err:
+            solve_fixed_point(prob, override_certificate=True)
+        report = err.value.report
+        assert report.step_norms == [np.inf] and not report.converged
+        assert np.isfinite(report.X).all()
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
     def test_bad_tol_rejected(self, tol):

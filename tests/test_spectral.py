@@ -376,6 +376,41 @@ class TestNormalForm:
             Q, R = sm.columns([j]), ref.columns([k])
             assert operator_norm(Q @ Q.conj().T - R @ R.conj().T) <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_last_finish_is_one_schur_form_of_the_coupled_block(self, seed, monkeypatch):
+        # C = U (diag(z) + delta e_1 e_5^T) U*, delta = 1.5 n eps ||z||,
+        # passes is_normal; z_5 - z_1 = 0.8 e^{2.9i} lies off the real axis
+        # of every phase, so each eigh finish leaves the rows of z_1 and z_5
+        # a strict lower part past the budget, and only a Schur form of
+        # their block meets the bounds
+        n, eps = 8, np.finfo(float).eps
+        z = np.array([0.9, -0.7 + 0.5j, 0.3 - 0.8j, 0.1 + 0.2j, -0.5 - 0.4j,
+                      -0.7 + 0.5j + 0.8 * np.exp(2.9j), -0.9 - 0.9j, 0.8 - 0.3j])
+        N = np.zeros((n, n), dtype=complex)
+        N[1, 5] = 1.5 * n * eps * np.linalg.norm(z)
+        U = random_unitary(np.random.default_rng(seed), n)
+        C = U @ (np.diag(z) + N) @ U.conj().T
+        assert is_normal(C, linalg.DEFAULT_TOLERANCES)
+        calls, schur = [], scipy.linalg.schur
+
+        def recorded(M, **kw):
+            calls.append((M, schur(M, **kw)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(scipy.linalg, "schur", recorded)
+        T, Z = _normal_form(C)
+        assert len(calls) == 1
+        block, (R, _) = calls[0]
+        assert block.shape == (2, 2)
+        # the block's Schur form sits in T on the rows it was taken from
+        S = [int(np.flatnonzero(np.diag(T) == r)[0]) for r in np.diag(R)]
+        assert S == sorted(S) and np.array_equal(T[np.ix_(S, S)], R)
+        budget = n * eps * hs_norm(C)
+        assert hs_norm(np.tril(T, -1)) <= budget
+        assert hs_norm(T - np.diag(np.diag(T))) <= 2 * budget
+        assert operator_norm(Z.conj().T @ Z - np.eye(n)) <= 4 * n * eps
+        assert operator_norm(Z @ T @ Z.conj().T - C) <= 4 * n * eps * operator_norm(C)
+
     def test_atoms_on_the_imaginary_axis_follow_their_values(self, rng):
         # the real parts are rounding noise of about 1e-17, which
         # (real, imaginary) order would sort on
