@@ -331,6 +331,17 @@ def _normal_form(M):
     return T, Z
 
 
+def _kept_form(M, normal):
+    """(T, U), M = U T U*, as a matrix solved at many shifts keeps it:
+    `_normal_form(M)` where normal (M's `is_normal`), else M's complex Schur
+    form (scipy.linalg.schur).  diag(T) holds M's eigenvalues and T's strict
+    lower part is within n eps ||M||_F, so a triangular solve reads np.triu(T)."""
+    if normal:
+        return _normal_form(M)
+    import scipy.linalg
+    return scipy.linalg.schur(M, output="complex")
+
+
 def _measure_of_schur(T, Z, tol):
     """The spectral measure of a normal C = Z T Z* from a form whose
     diagonal holds its eigenvalues (`_normal_form`'s, or a complex Schur

@@ -8,8 +8,10 @@ matrices the limit has a closed form (sum over the eigenvalues inside
 the rectangle), which serves as the oracle for the adaptive refinement.
 """
 
+import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,9 +19,9 @@ import numpy as np
 
 from .errors import (BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError,
                      SingularResolventError)
-from .linalg import (DEFAULT_TOLERANCES, _per_block, _square, _triangular_resolvents,
-                     adjoint, as_matrix, operator_norm)
-from .spectral import Rect
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _per_block, _square,
+                     _triangular_resolvents, adjoint, as_matrix, is_normal, operator_norm)
+from .spectral import Rect, _kept_form
 
 __all__ = [
     "OperatorFunction",
@@ -46,8 +48,8 @@ class OperatorFunction:
     when the function is f(lambda + i mu) times the dim x dim identity;
     only `from_scalar` sets it, so it always agrees with evaluate.  In
     the same way only `resolvent_family` sets the private record
-    (T, U, D conj(U), tol) of D (A - z)^{-1}, D = I if not given, for its
-    complex Schur form A^T = U T U*.
+    (T, U, D conj(U), tol) of D (A - z)^{-1}, D = I if not given, for the
+    upper triangle T of its kept form A^T = U T U*.
     """
 
     evaluate: Callable[[float, float], np.ndarray]
@@ -96,18 +98,20 @@ class OperatorFunction:
     def resolvent_family(cls, A, D=None, tol=DEFAULT_TOLERANCES):
         """D (A - z)^{-1} as a function of z = lambda + i mu, for a square,
         finite A and a D (I if None) with as many columns, else
-        ShapeMismatchError.  A^T = U T U* is put in complex Schur form once:
-        a value is D conj(U) Y^T for the one row block Y = U (T - z)^{-1} of
+        ShapeMismatchError, and Tolerances tol, else TypeError.  A^T = U T U*
+        takes its `_kept_form` once, T cut to its upper triangle: a value is
+        D conj(U) Y^T for the row block Y = U (T - z)^{-1} of one
         `_triangular_resolvents`, and a Stieltjes sum, or a block of dyadic
         levels, takes all its tags in one such solve (`_resolvent_sums`)."""
+        if not isinstance(tol, Tolerances):
+            raise TypeError(f"tol must be a Tolerances, got {tol!r}")
         A = _square(A, "A")
         D = np.eye(len(A)) if D is None else as_matrix(D, "D")
         if D.shape[1] != A.shape[0]:
             raise ShapeMismatchError(
                 f"cannot form D (A - z)^{{-1}} from shapes {D.shape} and {A.shape}")
-        import scipy.linalg
-        T, U = scipy.linalg.schur(A.T, output="complex")
-        DU = D @ np.conj(U)
+        T, U = _kept_form(A.T, is_normal(A.T, tol))
+        T, DU = np.triu(T), D @ np.conj(U)
         F = cls(evaluate=lambda lam, mu: DU @ _triangular_resolvents(
             T, U, np.array([complex(lam, mu)]), [len(T)], tol).T)
         F._resolvent = T, U, DU, tol
@@ -300,7 +304,7 @@ def _spectral_sum(F, sm, atoms, tags, empty_tag):
 
 def _resolvent_sums(F, sm, atoms):
     """For F = D (A - z)^{-1}, the map from tags (levels x atoms) to their
-    stacked sums sum_k D (A - tags[l, k])^{-1} P_k: on the Schur form A^T =
+    stacked sums sum_k D (A - tags[l, k])^{-1} P_k: on the kept form A^T =
     U T U*, atom k of level l has the rows Y_lk = Q_k^T U (T - tags[l, k])^{-1}
     of one `_triangular_resolvents` (which names a failing tag), and level l
     sums to D conj(U) Y_l^T Q*, a transposed left sum of A^T against C^T."""
@@ -408,11 +412,18 @@ def exact_left_integral(G, sm, rect):
     return adjoint(exact_right_integral(G_star, sm, rect))
 
 
+def _level_count(value, name, least):
+    """operator.index(value), where it takes value and gives at least least, else ValueError."""
+    with contextlib.suppress(TypeError):
+        if operator.index(value) >= least:
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def dyadic_level_sum(F, sm, rect, level):
-    """Right sum at refinement level l: uniform 2^l x 2^l grid,
-    lower-left tags.  The grid is implicit, so deep levels stay cheap."""
-    if level < 1:
-        raise ValueError("level must be at least 1")
+    """Right sum at refinement level l, an integer of at least 1: uniform
+    2^l x 2^l grid, lower-left tags, implicit, so deep levels stay cheap."""
+    level = _level_count(level, "level", 1)
     record = _grid_tags(sm, rect, _dyadic_axes(rect, level))
     return _spectral_sum(F, sm, *record, (rect.a, rect.c))
 
@@ -460,8 +471,7 @@ def _refinement(F, sm, rect, tol, max_levels):
     sums up to eight levels in one call, as many as the block budget holds at
     n (h + n) entries a level; others one per call, as a level past the stop
     must not call f or F."""
-    if max_levels < 2:
-        raise ValueError("max_levels must be at least 2")
+    max_levels = _level_count(max_levels, "max_levels", 2)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     atoms = sm.atoms_in(rect)
@@ -527,9 +537,9 @@ def integrate_right(F, sm, rect, tol, max_levels):
     Returns the last sum together with the per-level report.  Raises
     NoConvergenceError (carrying the partial value and report) when
     max_levels is exhausted, which usually signals an integrand without
-    the required Lipschitz regularity, and ValueError for a tol that is
-    not a finite nonnegative number, an integrand value that is not
-    finite, or a level past 62 or whose grid spacing is not finite.
+    the required Lipschitz regularity, and ValueError for a max_levels not
+    an integer of at least 2, a tol not a finite nonnegative number, an
+    integrand value not finite, or a level past 62 or of spacing not finite.
     """
     levels = []
     for level, value, done in _refinement(F, sm, rect, tol, max_levels):

@@ -39,7 +39,7 @@ from .linalg import (
     operator_norm,
     separation,
 )
-from .spectral import _normal_form, _require_normal, decompose_normal
+from .spectral import _kept_form, _require_normal, decompose_normal
 
 __all__ = [
     "SylvesterProblem",
@@ -104,19 +104,8 @@ class _Prepared:
         return self._cache[key]
 
     def schur(self):
-        """The kept form (T, U) of A = U T U*, computed once, both factors
-        read-only: `_normal_form(A)` where A's `is_normal` verdict holds,
-        else A's complex Schur form (scipy.linalg.schur).  Either way
-        diag(T) holds A's eigenvalues and T's strict lower part is within
-        h eps ||A||_F, so a consumer that needs a triangular T reads
-        np.triu(T), A up to that part."""
-        def build():
-            if self._normality():
-                return _normal_form(self.A)
-            import scipy.linalg
-            return scipy.linalg.schur(self.A, output="complex")
-
-        return self._cached("schur", lambda: _read_only(*build()))
+        """A's `_kept_form` (T, U), computed once, both factors read-only."""
+        return self._cached("schur", lambda: _read_only(*_kept_form(self.A, self._normality())))
 
     def _normality(self):
         """`is_normal` of A, computed once."""

@@ -16,7 +16,6 @@ from opint import (
 )
 import opint.linalg as linalg
 import opint.spectral as spectral
-import opint.sylvester as sylvester
 from opint.linalg import _rounding_slack
 
 
@@ -478,8 +477,8 @@ def count_calls(monkeypatch, fn, modules=None):
 def count_decompositions(monkeypatch):
     """(schurs, forms): the matrices given to scipy.linalg.schur, save the
     calls a normal form makes inside itself (its fallback for coupled
-    rows), and those given to _normal_form, patched in spectral and in
-    sylvester, which imports it."""
+    rows), and those given to _normal_form, patched in spectral, where
+    `_kept_form` and `decompose_normal` call it."""
     schurs, forms, inside = [], [], []
     schur, form = scipy.linalg.schur, spectral._normal_form
 
@@ -497,8 +496,7 @@ def count_decompositions(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-    for module in (spectral, sylvester):
-        monkeypatch.setattr(module, "_normal_form", counted_form)
+    monkeypatch.setattr(spectral, "_normal_form", counted_form)
     return schurs, forms
 
 

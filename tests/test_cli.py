@@ -809,10 +809,11 @@ def _scipy_free_problem(tmp_path):
 def test_normal_problems_leave_scipy_unloaded(tmp_path, monkeypatch, flags):
     C, A, path = _scipy_free_problem(tmp_path)
     schurs, _ = count_decompositions(monkeypatch)
-    _normal_form(C), _normal_form(A)
+    _normal_form(C), _normal_form(A), _normal_form(A.T)
     assert not schurs  # the premise: no fallback on these inputs
     calls = [["spectral", path], ["enorm", path],
-             ["integrate", path, "--function", "affine:1,2"]]
+             ["integrate", path, "--function", "affine:1,2"],
+             ["integrate", path, "--function", "resolvent:A,D"]]
     calls += [["sylvester", path, "--method", m]
               for m in ("spectral", "kronecker", "contour", "double")]
     script = textwrap.dedent("""

@@ -41,6 +41,7 @@ from conftest import (
     bounding_rect,
     cell_sum_loop,
     count_calls,
+    count_decompositions,
     dyadic_axes_per_level,
     estimate_lipschitz_loop,
     faulty_solve,
@@ -750,7 +751,9 @@ class TestResolventSums:
         A, _ = random_normal(rng, 6, re=(2.5, 3.5))
         D = random_complex(rng, 3, 6) if with_d else None
         sm = decompose_normal(C)
-        schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        # one kept form per family: A is normal, so one normal form of A^T
+        # and no Schur form
+        schurs, forms = count_decompositions(monkeypatch)
         resolvents = count_calls(monkeypatch, linalg.resolvent)
         solves = count_calls(monkeypatch, linalg._triangular_resolvents)
         F = OperatorFunction.resolvent_family(A, D)
@@ -758,10 +761,11 @@ class TestResolventSums:
         exact = exact_right_integral(F, sm, RECT)
         dyadic_level_sum(F, sm, RECT, 5)
         assert report.converged and len(report.levels) > 20
-        assert len(schurs) == 1 and resolvents == []
+        assert not schurs and len(forms) == 1 and resolvents == []
+        assert np.array_equal(forms[0], A.T)
         assert operator_norm(J - exact) <= 1e-8 * operator_norm(exact)
         # F(lambda, mu) and the left sums take one triangular solve per tag
-        # on the same Schur form
+        # on the same kept form
         before = len(solves)
         value = F(0.25, 0.5)
         assert len(solves) == before + 1
@@ -770,7 +774,7 @@ class TestResolventSums:
         left = exact_left_integral(OperatorFunction(lambda lam, mu: adjoint(F(lam, mu))),
                                    sm, RECT)
         assert len(solves) == before + 1 + len(sm)
-        assert len(schurs) == 1 and resolvents == []
+        assert not schurs and len(forms) == 1 and resolvents == []
         assert operator_norm(adjoint(left) - exact) <= 1e-13 * operator_norm(exact)
 
     def test_no_tag_passes_that_resolvent_rejects(self, rng):
@@ -875,6 +879,12 @@ class TestResolventSums:
         with pytest.raises(ShapeMismatchError):
             OperatorFunction.resolvent_family(A, D)
 
+    @pytest.mark.parametrize("tol", [1e-10, None, "default"])
+    def test_family_validates_tol(self, tol):
+        # a float tol used to build, then fail at the first value
+        with pytest.raises(TypeError, match="^tol must be a Tolerances, got"):
+            OperatorFunction.resolvent_family(np.eye(2), None, tol)
+
     def test_record_is_not_an_init_argument(self):
         with pytest.raises(TypeError):
             OperatorFunction(lambda lam, mu: np.eye(2), _resolvent=(np.eye(2), None, None))
@@ -884,11 +894,11 @@ class TestResolventSums:
 
 class TestResolventValues:
     """A value F(lambda, mu) of a resolvent family is one triangular solve
-    on the Schur form the family keeps; a dense LU inverse is the oracle."""
+    on the kept form of the family; a dense LU inverse is the oracle."""
 
     @pytest.mark.parametrize("non_normal", [False, True])
     def test_values_match_an_lu_inverse(self, rng, monkeypatch, non_normal):
-        schurs = count_calls(monkeypatch, scipy.linalg.schur, [scipy.linalg])
+        schurs, forms = count_decompositions(monkeypatch)
         resolvents = count_calls(monkeypatch, linalg.resolvent)
         for n in (1, 2, 5, 12, 24):
             A, _ = random_normal(rng, n)
@@ -901,7 +911,10 @@ class TestResolventValues:
                 ref = D @ scipy.linalg.lu_solve(scipy.linalg.lu_factor(S), np.eye(n))
                 value = F(z.real, z.imag)
                 assert np.linalg.norm(value - ref) <= 1e-13 * np.linalg.norm(ref), (n, z)
-        assert len(schurs) == 5 and resolvents == []
+        # one kept form per family: a normal form of each normal A^T (n = 1
+        # always is), a Schur form of each other one
+        assert (len(schurs), len(forms)) == ((4, 1) if non_normal else (0, 5))
+        assert resolvents == []
 
     def test_refuses_every_shift_an_lu_inverse_refuses(self, rng):
         A0, _ = random_normal(rng, 4)
@@ -1015,6 +1028,30 @@ class TestIntegrateRight:
             integrate_right(OperatorFunction.constant(np.eye(3)), sm, RECT,
                             tol=1e-10, max_levels=1)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), np.array(2.0), "3", None, 0])
+    def test_levels_that_are_not_integers_raise_value_error(self, value):
+        # level 2.5 summed over a "2^2.5 grid", and max_levels = 2.5 ran 3 levels
+        sm = decompose_normal(np.diag([0.1 + 0.2j, -0.3 + 0.1j, 0.5 - 0.5j]))
+        F, rect = OperatorFunction.affine(1.0, 2.0, 3), Rect(-1.0, 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"level must be an integer of at least 1, got {value!r}")):
+            dyadic_level_sum(F, sm, rect, value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_levels must be an integer of at least 2, got {value!r}")):
+            integrate_right(F, sm, rect, tol=1e-10, max_levels=value)
+
+    def test_levels_that_index_are_integers(self):
+        # whatever operator.index takes counts as the integer it gives
+        sm = decompose_normal(np.diag([0.1 + 0.2j, -0.3 + 0.1j, 0.5 - 0.5j]))
+        F, rect = OperatorFunction.affine(1.0, 2.0, 3), Rect(-1.0, 1.0, -1.0, 1.0)
+        level_2 = dyadic_level_sum(F, sm, rect, 2)
+        assert_allclose(np.diag(level_2), [0.0, -0.5, -0.5], atol=1e-15)
+        J, report = integrate_right(F, sm, rect, tol=1e-10, max_levels=60)
+        for level, max_levels in ((np.int64(2), np.int32(60)), (np.array(2), np.array(60))):
+            assert np.array_equal(dyadic_level_sum(F, sm, rect, level), level_2)
+            J_index, report_index = integrate_right(F, sm, rect, tol=1e-10,
+                                                    max_levels=max_levels)
+            assert np.array_equal(J_index, J) and report_index == report
 
     def test_levels_past_62_raise_value_error(self):
         # cell indices are int64: level 63 overflowed inside the cell rule
