@@ -41,11 +41,12 @@ def e_norm(Y, sm):
     Each term ||Y* P_k Y|| = ||Q_k* Y||^2 is a row block of Q* Y, with one
     stacked norm per multiplicity and the squares added in atom order,
     scaled by a power of two where a square would leave the normal range.
+    Raises ShapeMismatchError unless Y is finite, of sm.dim rows (and h >= 0 columns).
     """
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.ndim != 2 or Y.shape[0] != sm.dim:
+    if Y.ndim != 2 or Y.shape[0] != sm.dim or not np.isfinite(Y).all():
         raise ShapeMismatchError(
-            f"Y must have {sm.dim} rows to match the measure, got {Y.shape}")
+            f"Y must be finite, with {sm.dim} rows to match the measure, got {Y.shape}")
     W = adjoint(sm.basis) @ Y
     norms = np.empty(len(sm))
     for m in np.unique(sm.multiplicities):
@@ -63,8 +64,8 @@ def check_enorm_sandwich(Y, sm):
     ||Y|| <= ||Y||_E <= ||Y||_2 fails a `BoundCheck`, which would
     indicate a broken measure rather than a borderline instance.
     """
+    en = e_norm(Y, sm)  # validates Y
     op = operator_norm(Y)
-    en = e_norm(Y, sm)
     hs = hs_norm(Y)
     if not BoundCheck(en, op).ok:
         raise BoundViolationError(f"||Y|| = {op} exceeds ||Y||_E = {en}")

@@ -1,6 +1,8 @@
 """Dense complex-matrix primitives shared by every other module."""
 
+import contextlib
 import itertools
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,10 +59,19 @@ def as_matrix(M, name="matrix"):
     return A
 
 
-def _square(M, name="matrix"):
+def _count(value, name, least):
+    """operator.index(value), where it takes value and gives at least least, else ValueError."""
+    with contextlib.suppress(TypeError):
+        if operator.index(value) >= least:
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _square(M, name="matrix", dim=None):
     A = as_matrix(M, name)
-    if A.shape[0] != A.shape[1]:
-        raise ShapeMismatchError(f"{name} must be square, got shape {A.shape}")
+    if A.shape[0] != A.shape[1] or dim not in (None, len(A)):
+        shape = "square" if dim is None else f"{dim} x {dim}"
+        raise ShapeMismatchError(f"{name} must be {shape}, got shape {A.shape}")
     return A
 
 
@@ -270,14 +281,13 @@ def _normality(M, norm, tol):
 
 def is_normal(M, tol=DEFAULT_TOLERANCES):
     """True when the relative normality defect is within tol_normal: the
-    test of `_normality`, decided by `_norm_test` where `_pow2_scale` is 1
-    at both ends of M's `_norm_bounds`, so that the test reads M itself."""
+    test of `_normality` as one `_norm_test` on M / s, s the `_pow2_scale`
+    of M's largest entry m (a power of two, 1 in range), so the commutator,
+    within 2 n^2 (m / s)^2 in Frobenius norm, and ||M / s||^2 stay in range."""
     A = _square(M, "M")
-    if all(0.0 < b < np.inf and _pow2_scale(b, len(A)) == 1.0 for b in _norm_bounds(A)):
-        return _norm_test(lambda defect, norm: defect <= tol.tol_normal * max(norm ** 2, 1e-300),
-                          (adjoint(A) @ A - A @ adjoint(A), A))
-    _, _, defect, threshold = _normality(A, operator_norm(A), tol)
-    return defect <= threshold
+    A = A / _pow2_scale(float(np.abs(A).max()), 4 * A.size)
+    return _norm_test(lambda defect, norm: defect <= tol.tol_normal * max(norm ** 2, 1e-300),
+                      (adjoint(A) @ A - A @ adjoint(A), A))
 
 
 def _support_values(A, thetas):

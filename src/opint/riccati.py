@@ -22,7 +22,7 @@ from .errors import (
     SingularResolventError,
     ZeroQuadraticTermError,
 )
-from .linalg import (DEFAULT_TOLERANCES, Tolerances, _norm_test, _per_block, as_matrix,
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _count, _norm_test, _per_block, as_matrix,
                      operator_norm)
 from .sylvester import _Prepared, _separation, _spectral_solve
 
@@ -166,13 +166,13 @@ def solve_fixed_point(prob, x0=None, tol=1e-10, max_iter=100,
     necessary, so best-effort iteration is still offered, with honest
     reporting.
 
-    Raises ValueError for a tol that is not a finite nonnegative number,
+    Raises ValueError for a tol that is not a finite nonnegative number or
+    a max_iter that is not an integer of at least 1,
     MaxIterationsError (with the partial report attached) when max_iter
     is exhausted or A + BX overflows, and propagates SingularResolventError
     when an iterate drives A + BX onto the spectrum of C.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _count(max_iter, "max_iter", 1)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     cert = certify(prob)

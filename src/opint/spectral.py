@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BoundaryEigenvalueWarning, NotNormalError, ShapeMismatchError
 from .linalg import (DEFAULT_TOLERANCES, Tolerances, _normality, _pow2_scale, _square,
-                     adjoint, as_matrix, is_normal, operator_norm)
+                     adjoint, is_normal, operator_norm)
 
 __all__ = [
     "Rect",
@@ -282,16 +282,16 @@ def _coupled_rows(P, budget):
 
 
 def _normal_form(M):
-    """(T, Z), M = Z T Z* with Z unitary, for a normal M: T's strict lower
+    """(T, Z), M = Z T Z* with Z unitary, for a normal M: T's off-diagonal
     part has Frobenius norm at most n eps ||M||_F, a Schur form's backward
-    error, and its whole off-diagonal part at most 2 n eps ||M||_F, so T is
-    diagonal to that order.  numpy alone, save the rare last finish below.
+    error (Golub & Van Loan, 7.5.6), so T is diagonal to that order; after
+    the rare last finish below, which is scipy's, only its strict lower part.
 
     The eigenvectors Z of the Hermitian part of `_PHASE` M diagonalize a
     normal M except where its eigenvalues collide (Goldstine & Horwitz,
     J. ACM 6, 1959; Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993), so
     T = Z* M Z couples only those rows.  One loop tries three finishes
-    until T meets the bounds, each on the `_coupled_rows` S, outside of
+    until T meets the bound, each on the `_coupled_rows` S, outside of
     which T is within n eps ||M||_F.  At each of `_LATER_PHASES`, where the
     collided eigenvalues part, the eigenvectors of the Hermitian part of
     phase T[S, S] turn Z[:, S], and T = Z* M Z is formed again.  Last, a
@@ -309,12 +309,7 @@ def _normal_form(M):
         if budget is None:  # (n eps ||M||_F / s)^2, read off the first form
             budget = (n * eps) ** 2 * P.sum()
         np.fill_diagonal(P, 0.0)
-        # the bounds, in squares: at most 4 budget off the diagonal and at
-        # most budget in the strict lower part (the trace of the row sums up
-        # to the diagonal), which a total within budget settles
-        total = P.sum()
-        if total <= budget or (total <= 4.0 * budget
-                               and np.cumsum(P, axis=1).trace() <= budget):
+        if P.sum() <= budget:
             break
         S = _coupled_rows(P, budget)
         block = T.take(S, 0).take(S, 1)
@@ -335,7 +330,8 @@ def _kept_form(M, normal):
     """(T, U), M = U T U*, as a matrix solved at many shifts keeps it:
     `_normal_form(M)` where normal (M's `is_normal`), else M's complex Schur
     form (scipy.linalg.schur).  diag(T) holds M's eigenvalues and T's strict
-    lower part is within n eps ||M||_F, so a triangular solve reads np.triu(T)."""
+    lower part, a normal form's whole off-diagonal part, is within n eps
+    ||M||_F, so a triangular solve reads np.triu(T)."""
     if normal:
         return _normal_form(M)
     import scipy.linalg
@@ -343,12 +339,12 @@ def _kept_form(M, normal):
 
 
 def _measure_of_schur(T, Z, tol):
-    """The spectral measure of a normal C = Z T Z* from a form whose
-    diagonal holds its eigenvalues (`_normal_form`'s, or a complex Schur
-    form): clusters the eigenvalues diag(T) and keeps the columns of Z,
-    grouped by cluster, as the basis.  Clusters go by real part rounded to
-    the cluster threshold, then by imaginary part, so rounding noise in the
-    real parts (a skew-Hermitian C) does not set the order."""
+    """The spectral measure of a normal C = Z T Z* from its `_normal_form`,
+    whose diagonal holds C's eigenvalues: clusters the eigenvalues diag(T)
+    and keeps the columns of Z, grouped by cluster, as the basis.  Clusters
+    go by real part rounded to the cluster threshold, then by imaginary
+    part, so rounding noise in the real parts (a skew-Hermitian C) does not
+    set the order."""
     raw = np.diag(T).astype(np.complex128)
     threshold = tol.tol_cluster * max(1.0, float(np.abs(raw).max()))
     groups, reps = _cluster(raw, threshold)
@@ -372,7 +368,7 @@ def decompose_normal(C, tol=DEFAULT_TOLERANCES):
 
     Raises NotNormalError when ||C*C - CC*|| > tol_normal * ||C||^2, with
     the two SVDs only where Frobenius and row-norm bounds on both norms
-    straddle the threshold or leave the float range, or for the message.
+    straddle the threshold, or for the message.
     """
     A = _square(C, "C")
     _require_normal(A, is_normal(A, tol), tol)
@@ -415,10 +411,11 @@ def spectral_invariant_residuals(sm, C=None):
 
     Returns a dict with the worst-case deviations from Hermitian
     idempotency, mutual orthogonality, completeness, and (when the
-    source matrix is supplied) reconstruction, the latter relative to
-    ||C|| (0 where C = 0 and so is the measure's sum).  Each value bounds
-    from above, in exact arithmetic, the spectral-norm residual of the
-    dense P_k = Q_k Q_k*, read off the Gram matrix G = Q*Q - I:
+    source matrix C is supplied, dim x dim, else ShapeMismatchError)
+    reconstruction, the latter relative to ||C|| (0 where C = 0 and so is
+    the measure's sum).  Each value bounds from above, in exact
+    arithmetic, the spectral-norm residual of the dense P_k = Q_k Q_k*,
+    read off the Gram matrix G = Q*Q - I:
 
       idempotent     P_k^2 - P_k = Q_k G_kk Q_k*, at most ||Q_k||^2 ||G_kk||
       orthogonality  P_i P_j = Q_i G_ij Q_j*, at most ||Q_i|| ||G_ij||_F ||Q_j||
@@ -451,7 +448,7 @@ def spectral_invariant_residuals(sm, C=None):
         "completeness": operator_norm(G),
     }
     if C is not None:
-        A = as_matrix(C, "C")
+        A = _square(C, "C", sm.dim)
         diff, norm = operator_norm(sm.reconstruct() - A), operator_norm(A)
         out["reconstruction"] = diff / norm if norm else (np.inf if diff else 0.0)
     return out

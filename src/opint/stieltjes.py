@@ -8,10 +8,8 @@ matrices the limit has a closed form (sum over the eigenvalues inside
 the rectangle), which serves as the oracle for the adaptive refinement.
 """
 
-import contextlib
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import (BoundaryEigenvalueError, NoConvergenceError, ShapeMismatchError,
                      SingularResolventError)
-from .linalg import (DEFAULT_TOLERANCES, Tolerances, _per_block, _square,
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, _count, _per_block, _square,
                      _triangular_resolvents, adjoint, as_matrix, is_normal, operator_norm)
 from .spectral import Rect, _kept_form
 
@@ -412,18 +410,10 @@ def exact_left_integral(G, sm, rect):
     return adjoint(exact_right_integral(G_star, sm, rect))
 
 
-def _level_count(value, name, least):
-    """operator.index(value), where it takes value and gives at least least, else ValueError."""
-    with contextlib.suppress(TypeError):
-        if operator.index(value) >= least:
-            return operator.index(value)
-    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def dyadic_level_sum(F, sm, rect, level):
     """Right sum at refinement level l, an integer of at least 1: uniform
     2^l x 2^l grid, lower-left tags, implicit, so deep levels stay cheap."""
-    level = _level_count(level, "level", 1)
+    level = _count(level, "level", 1)
     record = _grid_tags(sm, rect, _dyadic_axes(rect, level))
     return _spectral_sum(F, sm, *record, (rect.a, rect.c))
 
@@ -471,7 +461,7 @@ def _refinement(F, sm, rect, tol, max_levels):
     sums up to eight levels in one call, as many as the block budget holds at
     n (h + n) entries a level; others one per call, as a level past the stop
     must not call f or F."""
-    max_levels = _level_count(max_levels, "max_levels", 2)
+    max_levels = _count(max_levels, "max_levels", 2)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     atoms = sm.atoms_in(rect)
@@ -599,9 +589,10 @@ def czero_check(G, sm, C, rect):
     The caller asserts holomorphy of G on a neighbourhood of the closed
     rectangle; both sides are evaluated with exact atomic left integrals
     (through adjoint duality) and the operator norm of the difference is
-    returned.
+    returned.  Raises ShapeMismatchError unless C is a finite
+    (sm.dim x sm.dim) matrix.
     """
-    C = np.asarray(C, dtype=np.complex128)
+    C = _square(C, "C", sm.dim)
     zG = OperatorFunction(lambda lam, mu: complex(lam, mu) * G(lam, mu))
     lhs = exact_left_integral(zG, sm, rect)
     rhs = C @ exact_left_integral(G, sm, rect)

@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _count,
     _distance_scale,
     _norm_test,
     _per_block,
@@ -339,8 +340,10 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     node sets are nested: a doubling evaluates only the new odd-index nodes
     and adds them, weighted by their circle's radius, to one running sum.
 
-    Raises ContourConstructionError, before any node, when there is no
-    circle or a centre is not finite or a radius not finite and positive.
+    Raises ValueError for an n_nodes or max_nodes that is not an integer
+    of at least 1 (the first set has max(n_nodes, 4) nodes), and
+    ContourConstructionError, before any node, when there is no circle or
+    a centre is not finite or a radius not finite and positive.
     """
     centers = np.array([c for c, _ in circles], dtype=np.complex128)[:, None]
     radii = np.array([r for _, r in circles], dtype=float)[:, None]
@@ -357,7 +360,7 @@ def contour_quadrature(prob, circles, n_nodes=32, max_nodes=4096):
     s = _distance_scale(T_A, np.append(lam, centers))
     T_A, lam, centers, radii = T_A / s, lam / s, centers / s, radii / s
     D_t = adjoint(Q) @ (prob.D / s) @ U
-    n = max(int(n_nodes), 4)
+    n, max_nodes = max(_count(n_nodes, "n_nodes", 1), 4), _count(max_nodes, "max_nodes", 1)
     t = 2.0 * np.pi * np.arange(n) / n
     acc, prev = np.zeros_like(D_t), None
     while True:
@@ -397,7 +400,7 @@ def solve_contour(prob):
 def solve_double_spectral(prob):
     """Double-spectral sum  X = sum_jk P_k^C D P_j^A / (z_j - zeta_k), by
     `_spectral_solve` on A = U diag(z) U*, z the diagonal of A's kept form
-    A = U T U*, for a normal A its `_normal_form`, diagonal to 2 h eps
+    A = U T U*, for a normal A its `_normal_form`, diagonal to h eps
     ||A||_F.  Requires A normal as well; raises NotNormalError otherwise.
     """
     gap = _require_gap(prob)

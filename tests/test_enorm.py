@@ -69,6 +69,14 @@ class TestENorm:
         with pytest.raises(ShapeMismatchError):
             e_norm(np.eye(3), sm)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_is_a_shape_mismatch(self, bad):
+        # the stacked SVD raised LinAlgError "SVD did not converge"
+        sm = decompose_normal(np.diag([1.0, 2.0]))
+        for fn in (e_norm, check_enorm_sandwich):
+            with pytest.raises(ShapeMismatchError, match="^Y must be finite, with 2 rows"):
+                fn([[bad, 0.0], [0.0, 1.0]], sm)
+
     def test_matches_brute_force_oracle(self, rng):
         from conftest import random_unitary
         for _ in range(25):

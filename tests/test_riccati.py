@@ -344,6 +344,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             solve_fixed_point(SCALAR, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, 0])
+    def test_max_iter_must_be_an_integer_of_at_least_1(self, max_iter):
+        # 2.5 reached range() and raised TypeError
+        with pytest.raises(ValueError, match="^max_iter must be an integer of at least 1, got"):
+            solve_fixed_point(SCALAR, max_iter=max_iter)
+
+    def test_max_iter_that_indexes_is_an_integer(self):
+        X = solve_fixed_point(SCALAR, max_iter=30).X
+        assert np.array_equal(solve_fixed_point(SCALAR, max_iter=np.int64(30)).X, X)
+
     def test_tolerances_must_be_a_tolerances(self):
         with pytest.raises(TypeError, match="tolerances must be a Tolerances"):
             RiccatiProblem([[3.0]], [[1.0]], [[0.0]], [[1.0]], tolerances=None)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -345,9 +345,28 @@ def normal_spectra(draw):
     return C, Tolerances(tol_cluster=1e-8 * min(1.0, 2.0 ** e))
 
 
+# normal C whose form a looser acceptance test let through with an
+# off-diagonal part 1.09-1.29 times n eps ||C||_F
+PAST_THE_ONE_BOUND = [(random_normal(np.random.default_rng(seed), n)[0], Tolerances())
+                      for n, seed in [(8, 0), (20, 10), (48, 3)]]
+
+
 class TestNormalForm:
     """`_normal_form` against the Schur route, `_measure_of_schur` of
     scipy's complex Schur form, on normal C at scales 2^0 to 2^+-600."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(normal_spectra())
+    @example(PAST_THE_ONE_BOUND[0])
+    @example(PAST_THE_ONE_BOUND[1])
+    @example(PAST_THE_ONE_BOUND[2])
+    def test_off_diagonal_within_the_budget_unless_schur_ran(self, case):
+        C, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            schur = count_calls(mp, scipy.linalg.schur, [scipy.linalg])
+            T, _ = _normal_form(C)
+        if not schur:
+            assert hs_norm(T - np.diag(np.diag(T))) <= len(C) * np.finfo(float).eps * hs_norm(C)
 
     @settings(max_examples=150, deadline=None)
     @given(normal_spectra())
@@ -611,6 +630,13 @@ class TestInvariantResiduals:
         assert 0.0 < ref <= 1e-13 and res == pytest.approx(ref, rel=1e-6)
         zero = np.zeros((3, 3))
         assert spectral_invariant_residuals(decompose_normal(zero), zero)["reconstruction"] == 0.0
+
+    @pytest.mark.parametrize("C", [[[1.5]], np.eye(3), np.ones((2, 3)), [[np.nan, 0], [0, 1]]])
+    def test_c_must_fit_the_measure(self, C):
+        # [[1.5]] broadcast against the 2 x 2 sum and read 1.054
+        sm = decompose_normal(np.diag([1.0, 2.0]))
+        with pytest.raises(ShapeMismatchError, match="^C "):
+            spectral_invariant_residuals(sm, C)
 
     def test_simple_spectrum_n300_is_fast(self, rng):
         # the dense check formed 300 projections and 45k pairwise products

@@ -885,6 +885,21 @@ class TestResolventSums:
         with pytest.raises(TypeError, match="^tol must be a Tolerances, got"):
             OperatorFunction.resolvent_family(np.eye(2), None, tol)
 
+    @pytest.mark.parametrize("n, seed", [(16, 1), (16, 6), (20, 5), (20, 6)])
+    def test_family_of_a_normal_a_divides_at_every_level(self, n, seed, monkeypatch):
+        # A normal, its spectrum in Re z in (2.5, 3.5), D = I + 0.3 G, on
+        # (-1.5, 1.5)^2: A^T's normal form is diagonal within n eps ||A||_F,
+        # and on these draws within the division's budget at every tag; a
+        # form that left up to twice that off the diagonal missed it
+        rng = np.random.default_rng(seed)
+        sm = decompose_normal(random_normal(rng, n)[0])
+        A, _ = random_normal(rng, n, re=(2.5, 3.5))
+        F = OperatorFunction.resolvent_family(A, np.eye(n) + 0.3 * random_complex(rng, n, n))
+        divided = count_calls(monkeypatch, linalg._divide, [linalg])
+        substituted = count_calls(monkeypatch, linalg._substitute, [linalg])
+        _, report = integrate_right(F, sm, Rect(-1.5, 1.5, -1.5, 1.5), tol=1e-10, max_levels=60)
+        assert report.converged and divided and not substituted
+
     def test_record_is_not_an_init_argument(self):
         with pytest.raises(TypeError):
             OperatorFunction(lambda lam, mu: np.eye(2), _resolvent=(np.eye(2), None, None))
@@ -1320,6 +1335,13 @@ class TestLnest:
 
 
 class TestCZero:
+    @pytest.mark.parametrize("C", [[[1.5]], np.eye(3), [[np.inf, 0], [0, 1]]])
+    def test_c_must_fit_the_measure(self, C):
+        # [[1.5]] raised a matmul ValueError
+        sm = decompose_normal(np.diag([1.0, 2.0]))
+        with pytest.raises(ShapeMismatchError, match="^C "):
+            czero_check(z_function(2), sm, C, RECT)
+
     def test_constant_identity(self, rng):
         C, _ = random_normal(rng, 6)
         sm = decompose_normal(C)

@@ -330,6 +330,21 @@ class TestContourQuadrature:
         fresh = _fresh_trapezoid(prob, circles, n)
         assert operator_norm(X - fresh) <= 1e-12 * operator_norm(fresh)
 
+    @pytest.mark.parametrize("name, value", [("n_nodes", 2.5), ("n_nodes", None), ("n_nodes", 0),
+                                             ("max_nodes", np.nan), ("max_nodes", 64.0)])
+    def test_counts_that_are_not_integers_raise_value_error(self, rng, name, value):
+        # the quadrature converges, so these used to return; max_nodes = nan
+        # never stopped one that does not
+        prob = make_sylvester(rng, 4, 3, normal_a=True)
+        circles = sylvester._build_circles(np.linalg.eigvals(prob.A),
+                                           np.linalg.eigvals(prob.C), spectral_gap(prob))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got"):
+            contour_quadrature(prob, circles, **{name: value})
+        # fewer than 4 nodes start at 4, and numpy integers are integers
+        X, n = contour_quadrature(prob, circles, n_nodes=np.int64(1), max_nodes=np.int64(4096))
+        X4, n4 = contour_quadrature(prob, circles, n_nodes=4)
+        assert n == n4 and np.array_equal(X, X4)
+
     def test_node_blocks_do_not_change_the_sum(self, rng, monkeypatch):
         prob = make_sylvester(rng, 6, 5, normal_a=False)
         circles = [(complex(z), 0.3) for z in np.linalg.eigvals(prob.C)]
